@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,7 +18,7 @@ from .model import (
     validate_training_set,
 )
 from .gradient import evaluate_gradient
-from .smooth import evaluate_smooth
+from .layers import _evaluate, _fan_out
 
 SENTINEL_RATIO = 1e12  # reported when a ratio's denominator vanishes
 
@@ -325,15 +324,8 @@ def compute_noise_ratios(noisy_y, computed_y, original_y) -> NoiseRatios:
 # batch evaluation (optionally parallel)
 
 
-def _eval_batch_worker(payload):
-    training, mesh, queries, method, kwargs = payload
-    out = []
-    for q in queries:
-        if method == "gradient":
-            out.append(evaluate_gradient(training, q, mesh=mesh, **kwargs).y_hat)
-        else:
-            out.append(evaluate_smooth(training, q, mesh=mesh, **kwargs).y_hat)
-    return out
+def _eval_chunk(training, mesh, method, kwargs, queries) -> list:
+    return [_evaluate(training, q, mesh, method, **kwargs).y_hat for q in queries]
 
 
 def evaluate_batch(
@@ -345,13 +337,7 @@ def evaluate_batch(
     **kwargs,
 ) -> list:
     """Evaluate many queries, preserving input order regardless of scheduling."""
-    if workers <= 1 or len(queries) < 2 * workers:
-        return _eval_batch_worker((training, mesh, queries, method, kwargs))
-    chunks = np.array_split(np.asarray(queries), workers)
-    payloads = [(training, mesh, c, method, kwargs) for c in chunks if len(c)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_eval_batch_worker, payloads))
-    return [y for chunk in results for y in chunk]
+    return _fan_out(partial(_eval_chunk, training, mesh, method, kwargs), queries, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +372,7 @@ def _high_dim_scenario(function, n, m_queries, seed, method, nodes_per_axis=20,
         training, mesh, query, truth, ref_y = gen_local_cell_dataset(
             function, n, nodes_per_axis, rng, y_noise=y_noise
         )
-        if method == "gradient":
-            est = evaluate_gradient(training, query, mesh=mesh)
-        else:
-            est = evaluate_smooth(training, query, mesh=mesh)
-        y_hat.append(est.y_hat)
+        y_hat.append(_evaluate(training, query, mesh, method).y_hat)
         truths.append(truth)
         refs.append(ref_y)
         if collect_noise:

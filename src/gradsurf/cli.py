@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import bench as bench_mod
 from .io import ParseError, load_dataset, load_queries, write_imputed, write_plot_csv, write_report
-from .layers import evaluate_layers
+from .layers import _fan_out, evaluate_layers
 from .model import GradsurfError, ValidationError, validate_query
 
 EXIT_OK = 0
@@ -20,35 +19,27 @@ EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation options shared by all subcommands."""
+def _positive(convert):
+    """argparse type: ``convert`` the text and reject values that are not > 0."""
 
-    command: str
-    method: str = "smooth"
-    combinations: int = 1
-    d: float = 1.0
-    tolerance: float = 1e-9
-    max_iter: int = 20
-    seed: int = 0
-    workers: int = 1
-    data: Optional[str] = None
-    queries: Optional[str] = None
-    output: Optional[str] = None
-    scale: str = "small"
-    table: Optional[str] = None
-    plot_csv: Optional[str] = None
-    at: Optional[str] = None
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=("gradient", "smooth"), default="smooth")
-    p.add_argument("--combinations", type=int, default=1,
+    p.add_argument("--combinations", type=_positive(int), default=1,
                    help="simplexes averaged per query (gradient method)")
-    p.add_argument("--d-exponent", dest="d", type=float, default=1.0,
+    p.add_argument("--d-exponent", dest="d", type=_positive(float), default=1.0,
                    help="shape exponent of the approximating arc")
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=20)
+    p.add_argument("--tolerance", type=_positive(float), default=1e-9)
+    p.add_argument("--max-iter", type=_positive(int), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
 
@@ -86,25 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
+def _method_kwargs(args: argparse.Namespace) -> dict:
+    if args.method == "gradient":
+        return {"combinations": args.combinations}
+    return {"d": args.d, "tol": args.tolerance, "max_iter": args.max_iter}
 
 
-def _method_kwargs(cfg: RunConfig) -> dict:
-    if cfg.method == "gradient":
-        return {"combinations": cfg.combinations}
-    return {"d": cfg.d, "tol": cfg.tolerance, "max_iter": cfg.max_iter}
-
-
-def _impute_one(training, mesh, cfg: RunConfig, coords) -> dict:
-    row = {"coords": list(coords), "method": cfg.method, "y_hat": None,
+def _impute_one(training, mesh, method, kwargs, coords) -> dict:
+    row = {"coords": list(coords), "method": method, "y_hat": None,
            "status": "ok", "flags": ""}
     try:
         query = validate_query(coords, training.n)
-        result = evaluate_layers(
-            training, query, mesh=mesh, method=cfg.method, **_method_kwargs(cfg)
-        )
+        result = evaluate_layers(training, query, mesh=mesh, method=method, **kwargs)
         row["y_hat"] = list(result.y_hat)
         flags = set()
         for comp in result.components:
@@ -117,46 +101,40 @@ def _impute_one(training, mesh, cfg: RunConfig, coords) -> dict:
     return row
 
 
-def _impute_chunk(payload) -> list:
-    training, mesh, cfg, chunk = payload
-    return [_impute_one(training, mesh, cfg, c) for c in chunk]
+def _impute_chunk(training, mesh, method, kwargs, chunk) -> list:
+    return [_impute_one(training, mesh, method, kwargs, c) for c in chunk]
 
 
-def impute_rows(training, mesh, cfg: RunConfig, queries: np.ndarray) -> list:
+def impute_rows(training, mesh, args: argparse.Namespace, queries: np.ndarray) -> list:
     """One output row per query, in input order, fanned out across workers."""
-    if cfg.workers <= 1 or len(queries) < 2 * cfg.workers:
-        return _impute_chunk((training, mesh, cfg, queries))
-    chunks = np.array_split(queries, cfg.workers)
-    payloads = [(training, mesh, cfg, c) for c in chunks if len(c)]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        parts = list(pool.map(_impute_chunk, payloads))
-    return [row for part in parts for row in part]
+    work = partial(_impute_chunk, training, mesh, args.method, _method_kwargs(args))
+    return _fan_out(work, queries, args.workers)
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    training, mesh = load_dataset(cfg.data)
+def cmd_eval(args: argparse.Namespace) -> int:
+    training, mesh = load_dataset(args.data)
     try:
-        coords = [float(t) for t in cfg.at.split(",")]
+        coords = [float(t) for t in args.at.split(",")]
     except ValueError as exc:
         raise ValidationError(f"bad --at coordinates: {exc}") from exc
     query = validate_query(coords, training.n)
     result = evaluate_layers(
-        training, query, mesh=mesh, method=cfg.method, **_method_kwargs(cfg)
+        training, query, mesh=mesh, method=args.method, **_method_kwargs(args)
     )
     values = " ".join(repr(v) for v in result.y_hat)
     print(values)
     return EXIT_OK
 
 
-def cmd_impute(cfg: RunConfig) -> int:
-    training, mesh = load_dataset(cfg.data)
-    queries = load_queries(cfg.queries)
+def cmd_impute(args: argparse.Namespace) -> int:
+    training, mesh = load_dataset(args.data)
+    queries = load_queries(args.queries)
     if queries.shape[1] != training.n:
         raise ValidationError(
             f"queries have {queries.shape[1]} coordinates, dataset has {training.n}"
         )
-    rows = impute_rows(training, mesh, cfg, queries)
-    write_imputed(cfg.output, rows)
+    rows = impute_rows(training, mesh, args, queries)
+    write_imputed(args.output, rows, training.layer_count)
     failed = sum(1 for r in rows if r["status"] != "ok")
     if failed:
         print(f"{failed} of {len(rows)} queries failed; see status column",
@@ -165,26 +143,25 @@ def cmd_impute(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
     report = bench_mod.run_benchmark(
-        cfg.table, scale=cfg.scale, seed=cfg.seed, workers=cfg.workers
+        args.table, scale=args.scale, seed=args.seed, workers=args.workers
     )
-    write_report(cfg.output, report)
-    if cfg.plot_csv:
-        write_plot_csv(cfg.plot_csv, report)
+    write_report(args.output, report)
+    if args.plot_csv:
+        write_plot_csv(args.plot_csv, report)
     return EXIT_OK
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        if cfg.command == "eval":
-            return cmd_eval(cfg)
-        if cfg.command == "impute":
-            return cmd_impute(cfg)
-        return cmd_bench(cfg)
+        if args.command == "eval":
+            return cmd_eval(args)
+        if args.command == "impute":
+            return cmd_impute(args)
+        return cmd_bench(args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -2,28 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .model import DegenerateNeighborhood, Estimate, MeshIndex, SingularSystem, TrainingSet
 from .neighbors import CombinationPlan, Simplex, enumerate_combinations, is_extrapolation
-from .solvers import LinearSystem, solve_linear_system
-
-
-@dataclass(frozen=True)
-class GradientVector:
-    """Estimated partial derivatives at the reference point."""
-
-    p: np.ndarray
-    residual: float
+from .solvers import solve_linear_system
 
 
 def estimate_gradients(
     training: TrainingSet, simplex: Simplex, layer: int = 0
-) -> GradientVector:
+) -> tuple[np.ndarray, float]:
     """Solve the n-by-n difference system for the partial derivatives.
+
+    Returns the partial derivatives p at the reference point and the
+    infinity norm of the system's residual.
 
     Row m is (x_aux[m] - x_ref) with right-hand side (y_aux[m] - y_ref);
     axis-aligned neighborhoods reduce to plain difference quotients through
@@ -34,20 +28,19 @@ def estimate_gradients(
     A = training.x[aux] - training.x[ref]
     b = training.y[aux, layer] - training.y[ref, layer]
     try:
-        p, residual = solve_linear_system(LinearSystem(A=A, b=b))
+        return solve_linear_system(A, b)
     except SingularSystem as exc:
         raise DegenerateNeighborhood(str(exc)) from exc
-    return GradientVector(p=p, residual=residual)
 
 
 def extrapolate(
     ref_coords: np.ndarray,
     ref_y: float,
-    gradients: GradientVector,
+    p: np.ndarray,
     query: np.ndarray,
 ) -> float:
-    """Linear expansion from the reference point along the estimated gradients."""
-    return float(ref_y + gradients.p @ (query - ref_coords))
+    """Linear expansion from the reference point along the partial derivatives p."""
+    return float(ref_y + p @ (query - ref_coords))
 
 
 def evaluate_gradient(
@@ -71,18 +64,18 @@ def evaluate_gradient(
     residual = 0.0
     for simplex in plan.simplexes:
         try:
-            g = estimate_gradients(training, simplex, layer)
+            p, res = estimate_gradients(training, simplex, layer)
         except DegenerateNeighborhood:
             continue
         values.append(
             extrapolate(
                 training.x[simplex.reference],
                 float(training.y[simplex.reference, layer]),
-                g,
+                p,
                 query,
             )
         )
-        residual = max(residual, g.residual)
+        residual = max(residual, res)
     if not values:
         raise DegenerateNeighborhood("all point combinations were degenerate")
 

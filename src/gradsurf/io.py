@@ -154,16 +154,16 @@ def load_queries(path) -> np.ndarray:
     return _read_rows(path, len(cols))
 
 
-def write_imputed(path, rows: list) -> None:
+def write_imputed(path, rows: list, layers: int) -> None:
     """Write imputation output: coordinates, per-layer estimates, status, flags.
 
-    Each row is a dict with keys "coords" (sequence), "y_hat" (sequence or
-    None), "method", "status", "flags" (string).
+    Each row is a dict with keys "coords" (sequence), "y_hat" (sequence of
+    ``layers`` values, or None for a failed row), "method", "status", "flags"
+    (string).  ``layers`` is the dataset's outcome layer count.
     """
     if not rows:
         raise ValidationError("no output rows to write")
     n = len(rows[0]["coords"])
-    layers = max(len(r["y_hat"]) for r in rows if r["y_hat"] is not None)
     header = [f"x{i + 1}" for i in range(n)]
     header += ["y_hat"] if layers == 1 else [f"y_hat{i + 1}" for i in range(layers)]
     header += ["method", "status", "flags"]

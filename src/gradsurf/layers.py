@@ -1,13 +1,45 @@
-"""Vector-valued outcomes evaluated layer by layer."""
+"""Vector-valued outcomes evaluated layer by layer, plus the method dispatch
+and worker fan-out that every multi-query caller shares."""
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .model import GradsurfError, MeshIndex, TrainingSet, ValidationError
+import numpy as np
+
+from .model import Estimate, MeshIndex, TrainingSet, ValidationError
 from .gradient import evaluate_gradient
 from .smooth import evaluate_smooth
+
+
+def _evaluate(training, query, mesh, method: str, **kwargs) -> Estimate:
+    """Run the named method on one query; unknown names raise ValidationError.
+
+    The methods are looked up by module-global name on every call, so a
+    function replaced on this module (by a tracer, say) is the one that runs.
+    """
+    if method == "gradient":
+        return evaluate_gradient(training, query, mesh=mesh, **kwargs)
+    if method == "smooth":
+        return evaluate_smooth(training, query, mesh=mesh, **kwargs)
+    raise ValidationError(f"unknown method {method!r}")
+
+
+def _fan_out(work: Callable[[np.ndarray], list], items, workers: int) -> list:
+    """``work`` over ``items`` split into one chunk per worker process.
+
+    Results come back flattened in input order.  Small inputs, or one worker,
+    run in this process.  ``work`` must pickle (a module-level function or a
+    ``functools.partial`` of one).
+    """
+    if workers <= 1 or len(items) < 2 * workers:
+        return work(items)
+    chunks = [c for c in np.array_split(np.asarray(items), workers) if len(c)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(work, chunks))
+    return [r for part in parts for r in part]
 
 
 @dataclass(frozen=True)
@@ -26,25 +58,16 @@ def evaluate_layers(
     query,
     mesh: Optional[MeshIndex] = None,
     method: str = "smooth",
-    combinations: int = 1,
     **kwargs,
 ) -> LayeredResult:
     """Evaluate every outcome layer independently and assemble the vector.
 
     Layers never mix: component j is exactly the scalar method applied to
-    layer j's outcomes.  Per-layer failures propagate as the corresponding
-    component's error.
+    layer j's outcomes.  ``kwargs`` go to the method (``combinations`` for
+    gradient; ``d``, ``tol``, ``max_iter`` for smooth).  Per-layer failures
+    propagate as the corresponding component's error.
     """
-    components = []
-    for layer in range(training.layer_count):
-        if method == "gradient":
-            est = evaluate_gradient(
-                training, query, mesh=mesh, combinations=combinations,
-                layer=layer, **kwargs,
-            )
-        elif method == "smooth":
-            est = evaluate_smooth(training, query, mesh=mesh, layer=layer, **kwargs)
-        else:
-            raise ValidationError(f"unknown method {method!r}")
-        components.append(est)
-    return LayeredResult(components=tuple(components))
+    return LayeredResult(components=tuple(
+        _evaluate(training, query, mesh, method, layer=layer, **kwargs)
+        for layer in range(training.layer_count)
+    ))

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -63,18 +63,6 @@ class ZeroWidthSegment(GradsurfError):
 
 
 @dataclass(frozen=True)
-class Point:
-    """A single training point: predictor coordinates plus outcome value(s)."""
-
-    coords: tuple
-    outcome: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
 class TrainingSet:
     """Immutable collection of N-dimensional predictor points with outcomes.
 
@@ -94,9 +82,6 @@ class TrainingSet:
     @property
     def npoints(self) -> int:
         return self.x.shape[0]
-
-    def point(self, i: int) -> Point:
-        return Point(tuple(self.x[i]), tuple(self.y[i]))
 
     def axis_ranges(self) -> np.ndarray:
         """Per-axis coordinate spans, floored at 1 where an axis is constant."""
@@ -131,14 +116,9 @@ def validate_training_set(points, n: int, layer_count: int = 1) -> TrainingSet:
         y = np.asarray(points[1], dtype=float)
     else:
         coords, outs = [], []
-        for p in points:
-            if isinstance(p, Point):
-                coords.append(p.coords)
-                outs.append(p.outcome)
-            else:
-                c, o = p
-                coords.append(np.atleast_1d(np.asarray(c, dtype=float)))
-                outs.append(np.atleast_1d(np.asarray(o, dtype=float)))
+        for c, o in points:
+            coords.append(np.atleast_1d(np.asarray(c, dtype=float)))
+            outs.append(np.atleast_1d(np.asarray(o, dtype=float)))
         x = np.asarray(coords, dtype=float) if coords else np.empty((0, n))
         y = np.asarray(outs, dtype=float) if outs else np.empty((0, layer_count))
 
@@ -218,7 +198,7 @@ class MeshIndex:
         return tuple([float(v) for v in a] for a in self.axes)
 
     def point_at(self, grid_idx: Sequence[int]) -> Optional[int]:
-        """Point index for a grid multi-index, or None if absent (sparse grid)."""
+        """Training-point index for a grid multi-index, or None if absent (sparse grid)."""
         key = tuple(int(i) for i in grid_idx)
         if self.index_map is not None:
             return self.index_map.get(key)

@@ -108,17 +108,16 @@ def _mesh_simplex(
 
 
 def _grid_index_of(training: TrainingSet, mesh: MeshIndex, point: int) -> tuple:
-    # jitter stays under half a cell, so the nominal cell of the actual
-    # coordinates recovers the point's own grid index
-    cell = mesh.cell_of(training.x[point])
-    if mesh.point_at(cell) == point:
-        return cell
-    # walk adjacent corners when jitter pushed a coordinate across a node
-    for delta in itertools.product((0, -1, 1), repeat=mesh.n):
-        cand = tuple(c + d for c, d in zip(cell, delta))
-        if mesh.point_at(cand) == point:
-            return cand
-    raise DegenerateNeighborhood("reference point not present in the mesh index")
+    # jitter stays under half a cell, so rounding each coordinate to its
+    # nearer node recovers the point's own grid index
+    coords = training.x[point]
+    cell = tuple(
+        j + 1 if j + 1 < len(nodes) and nodes[j + 1] - x < x - nodes[j] else j
+        for j, x, nodes in zip(mesh.cell_of(coords), coords, mesh._axis_lists)
+    )
+    if mesh.point_at(cell) != point:
+        raise DegenerateNeighborhood("reference point not present in the mesh index")
+    return cell
 
 
 class _RankTracker:
@@ -128,10 +127,15 @@ class _RankTracker:
         self.basis = np.empty((0, n))
 
     def try_add(self, row: np.ndarray, min_fraction: float = RANK_RTOL) -> bool:
-        """Accept the row if its component orthogonal to the current basis
-        is at least ``min_fraction`` of its length."""
+        """Accept the row if it is at least RANK_RTOL long and its component
+        orthogonal to the current basis is at least ``min_fraction`` of its
+        length.
+
+        Rows come in axis-range-normalised units, so the length floor rejects
+        near-duplicate points that the normalisation below would hide.
+        """
         norm = np.linalg.norm(row)
-        if norm == 0.0:
+        if norm <= RANK_RTOL:
             return False
         r = row / norm
         if len(self.basis):

@@ -25,7 +25,7 @@ from .model import (
     ZeroWidthSegment,
 )
 from .neighbors import Stencil1D, _grid_index_of, axis_stencil, is_extrapolation, locate_reference
-from .solvers import RootProblem, find_root
+from .solvers import find_root
 
 TRIVIAL_SLOPE = 1e-12  # below this the rotation is skipped entirely
 ENDPOINT_EPS = 1e-12
@@ -193,10 +193,7 @@ def solve_intersection(
         return approx_deriv(params, x) - problem.k
 
     root, iters = find_root(
-        RootProblem(
-            f=f, df=df, x0=problem.x0, tol=tol, max_iter=max_iter,
-            bracket=(0.0, params.B),
-        )
+        f, df, problem.x0, tol=tol, max_iter=max_iter, bracket=(0.0, params.B)
     )
     return float(root), approx_eval(params, float(root)), iters
 
@@ -269,6 +266,10 @@ def evaluate_smooth(
     """
     if mesh is None:
         raise ValidationError("the smooth method requires a mesh-structured dataset")
+    if tol <= 0:
+        raise ValidationError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValidationError("max iterations must be >= 1")
     if d > 1.0:
         warnings.warn(
             "shape exponent d > 1 admits inflection points inside the "

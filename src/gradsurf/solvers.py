@@ -2,46 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .model import NoConvergence, SingularSystem, ValidationError
+from .model import NoConvergence, SingularSystem
 
 SINGULARITY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValidationError("matrix must be square")
-        if b.shape != (A.shape[0],):
-            raise ValidationError("right-hand side length must match matrix")
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise ValidationError("system contains non-finite entries")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-
-
-def solve_linear_system(sys: LinearSystem) -> tuple[np.ndarray, float]:
+def solve_linear_system(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve Ax = b by Gauss elimination with row partial pivoting.
 
-    Returns the solution together with the infinity norm of the residual.
-    Raises SingularSystem when a pivot falls below 1e-12 relative to the
-    largest entry of its row block; callers treat that as a degenerate
-    neighborhood and retry with a different point combination.
+    ``A`` is a finite square float matrix and ``b`` a matching vector; the
+    callers build both from a validated TrainingSet, so neither is checked
+    here.  Returns the solution together with the infinity norm of the
+    residual.  Raises SingularSystem when a pivot falls below 1e-12 relative
+    to the largest entry of its row block.  The gradient method then skips
+    that point combination when averaging; it does not retry another one.
     """
-    A = sys.A.copy()
-    b = sys.b.copy()
+    A0 = np.asarray(A, dtype=float)
+    b0 = np.asarray(b, dtype=float)
+    A, b = A0.copy(), b0.copy()
     n = len(b)
-    scale = np.abs(sys.A).max(axis=1)
+    scale = np.abs(A).max(axis=1)
     scale[scale == 0.0] = 1.0
     threshold = SINGULARITY_RTOL * scale.max()
 
@@ -63,48 +47,38 @@ def solve_linear_system(sys: LinearSystem) -> tuple[np.ndarray, float]:
     for k in range(n - 1, -1, -1):
         x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
 
-    residual = float(np.abs(sys.A @ x - sys.b).max())
+    residual = float(np.abs(A0 @ x - b0).max())
     return x, residual
 
 
-@dataclass(frozen=True)
-class RootProblem:
-    """Scalar root-finding problem with derivative and optional bracket."""
-
-    f: Callable[[float], float]
-    df: Callable[[float], float]
-    x0: float
-    tol: float = 1e-9
-    max_iter: int = 20
-    bracket: Optional[tuple[float, float]] = None
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValidationError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValidationError("max iterations must be >= 1")
-
-
-def find_root(p: RootProblem) -> tuple[float, int]:
-    """Newton-Raphson from p.x0, falling back to bisection on the bracket.
+def find_root(
+    f: Callable[[float], float],
+    df: Callable[[float], float],
+    x0: float,
+    tol: float = 1e-9,
+    max_iter: int = 20,
+    bracket: Optional[tuple[float, float]] = None,
+) -> tuple[float, int]:
+    """Newton-Raphson from x0, falling back to bisection on the bracket.
 
     Convergence is declared when the step between successive iterates drops
-    to p.tol or below.  When Newton diverges, stalls, or leaves the bracket,
+    to tol or below.  When Newton diverges, stalls, or leaves the bracket,
     a sign-changing bracket (if available) is bisected to tolerance instead;
-    with no sign change NoConvergence is raised.
+    with no sign change NoConvergence is raised.  ``tol > 0`` and
+    ``max_iter >= 1`` are the caller's to check (``evaluate_smooth`` does).
     """
-    x = float(p.x0)
-    if p.f(x) == 0.0:
+    x = float(x0)
+    if f(x) == 0.0:
         return x, 0
 
     lo = hi = None
-    if p.bracket is not None:
-        lo, hi = float(p.bracket[0]), float(p.bracket[1])
+    if bracket is not None:
+        lo, hi = float(bracket[0]), float(bracket[1])
 
     iterations = 0
-    for _ in range(p.max_iter):
-        fx = p.f(x)
-        dfx = p.df(x)
+    for _ in range(max_iter):
+        fx = f(x)
+        dfx = df(x)
         if dfx == 0.0 or not np.isfinite(dfx):
             break
         step = fx / dfx
@@ -112,18 +86,18 @@ def find_root(p: RootProblem) -> tuple[float, int]:
         if lo is not None and not (lo <= xn <= hi):
             break
         iterations += 1
-        if abs(step) <= p.tol:
+        if abs(step) <= tol:
             return xn, iterations
         x = xn
 
-    return _bisect_fallback(p, iterations)
+    return _bisect_fallback(f, tol, bracket, iterations)
 
 
-def _bisect_fallback(p: RootProblem, newton_iters: int) -> tuple[float, int]:
-    if p.bracket is None:
+def _bisect_fallback(f, tol, bracket, newton_iters: int) -> tuple[float, int]:
+    if bracket is None:
         raise NoConvergence("Newton failed and no bracket was supplied")
-    lo, hi = float(p.bracket[0]), float(p.bracket[1])
-    flo, fhi = p.f(lo), p.f(hi)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo, newton_iters
     if fhi == 0.0:
@@ -131,10 +105,10 @@ def _bisect_fallback(p: RootProblem, newton_iters: int) -> tuple[float, int]:
     if np.sign(flo) == np.sign(fhi):
         raise NoConvergence("no sign change on the bracket")
     iters = newton_iters
-    while hi - lo > p.tol:
+    while hi - lo > tol:
         iters += 1
         mid = 0.5 * (lo + hi)
-        fm = p.f(mid)
+        fm = f(mid)
         if fm == 0.0:
             return mid, iters
         if np.sign(fm) == np.sign(flo):

@@ -180,3 +180,12 @@ def test_evaluate_batch_preserves_order():
     serial = evaluate_batch(ts, q, mesh=mesh, method="gradient", workers=1)
     fanned = evaluate_batch(ts, q, mesh=mesh, method="gradient", workers=2)
     assert serial == fanned
+
+
+def test_unknown_method_rejected_serial_and_fanned_out():
+    f = TEST_FUNCTIONS["S1"]
+    ts, mesh = gen_mesh_dataset(f, 8)
+    q, _, _ = gen_queries(mesh, f, ts, budget=20, seed=4)
+    for workers in (1, 2):
+        with pytest.raises(ValidationError):
+            evaluate_batch(ts, q, mesh=mesh, method="gradiant", workers=workers)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradsurf import (
-    GradientVector,
     MeshIndex,
     Simplex,
     estimate_gradients,
@@ -21,16 +20,16 @@ class TestEstimateGradients:
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         y = np.array([1.0, 3.0, 4.0])
         ts = validate_training_set((x, y), n=2)
-        g = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2)))
-        assert np.allclose(g.p, [2.0, 3.0], atol=1e-12)
+        p, _ = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2)))
+        assert np.allclose(p, [2.0, 3.0], atol=1e-12)
 
     def test_axis_aligned_reduces_to_difference_quotients(self):
         x = np.array([[1.0, 2.0], [1.5, 2.0], [1.0, 2.25]])
         y = np.array([5.0, 6.0, 4.0])
         ts = validate_training_set((x, y), n=2)
-        g = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2)))
-        assert np.isclose(g.p[0], (6.0 - 5.0) / 0.5)
-        assert np.isclose(g.p[1], (4.0 - 5.0) / 0.25)
+        p, _ = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2)))
+        assert np.isclose(p[0], (6.0 - 5.0) / 0.5)
+        assert np.isclose(p[1], (4.0 - 5.0) / 0.25)
 
     def test_fine_mesh_matches_analytic_derivative(self):
         # d/dx1 of the benchmark surface at (1,1,1) is 3 x1^2 = 3
@@ -39,22 +38,19 @@ class TestEstimateGradients:
         base = np.array([1.0, 1.0, 1.0])
         x = np.array([base, base + [h, 0, 0], base + [0, h, 0], base + [0, 0, h]])
         ts = validate_training_set((x, f(x)), n=3)
-        g = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2, 3)))
-        assert abs(g.p[0] - 3.0) <= 10 * h
+        p, _ = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2, 3)))
+        assert abs(p[0] - 3.0) <= 10 * h
 
 
 class TestExtrapolate:
     def test_zero_gradient_returns_reference_value(self):
-        g = GradientVector(p=np.zeros(2), residual=0.0)
-        assert extrapolate(np.zeros(2), 1.0, g, np.array([0.7, -0.2])) == 1.0
+        assert extrapolate(np.zeros(2), 1.0, np.zeros(2), np.array([0.7, -0.2])) == 1.0
 
     def test_query_at_reference(self):
-        g = GradientVector(p=np.array([2.0, 3.0]), residual=0.0)
-        assert extrapolate(np.zeros(2), 1.0, g, np.zeros(2)) == 1.0
+        assert extrapolate(np.zeros(2), 1.0, np.array([2.0, 3.0]), np.zeros(2)) == 1.0
 
     def test_hand_value(self):
-        g = GradientVector(p=np.array([2.0, 3.0]), residual=0.0)
-        assert extrapolate(np.zeros(2), 1.0, g, np.array([0.5, 0.5])) == 3.5
+        assert extrapolate(np.zeros(2), 1.0, np.array([2.0, 3.0]), np.array([0.5, 0.5])) == 3.5
 
 
 class TestEvaluateGradient:
@@ -69,8 +65,8 @@ class TestEvaluateGradient:
 
         ref = locate_reference(ts, q)
         simplex = select_simplex(ts, q, ref)
-        g = estimate_gradients(ts, simplex)
-        direct = extrapolate(ts.x[ref], float(ts.y[ref, 0]), g, q)
+        p, _ = estimate_gradients(ts, simplex)
+        direct = extrapolate(ts.x[ref], float(ts.y[ref, 0]), p, q)
         assert est.y_hat == pytest.approx(direct, abs=1e-14)
         assert est.combinations_used == 1
 
@@ -96,6 +92,14 @@ class TestEvaluateGradient:
         est = evaluate_gradient(ts, np.array([0.5, 0.2]), mesh=mesh)
         assert est.y_hat == pytest.approx(1.2, abs=1e-12)
         assert not est.extrapolated
+
+    def test_near_duplicate_neighbour_is_skipped(self):
+        # (1e-13, 1e-13) is the reference and (0, 0) its nearest neighbour; a
+        # difference row that short must not enter the simplex
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e-13, 1e-13], [1.0, 1.0]])
+        ts = validate_training_set((x, x.sum(axis=1)), n=2)
+        est = evaluate_gradient(ts, np.array([0.5, 0.5]))
+        assert est.y_hat == pytest.approx(1.0, abs=1e-12)
 
     def test_extrapolation_flagged(self):
         x = np.vstack([np.zeros(2), np.eye(2)])

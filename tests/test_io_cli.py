@@ -162,6 +162,44 @@ class TestCli:
                      "--output", str(out)])
         assert code == EXIT_VALIDATION
 
+    def test_no_successful_row_still_writes_output(self, tmp_path):
+        # the smooth method needs a mesh, so every row of a scattered set fails
+        data, _ = affine_files(tmp_path, with_mesh=False)
+        q = tmp_path / "q.csv"
+        q.write_text("x1,x2\n0.7,1.1\n0.3,0.2\n")
+        out = tmp_path / "out.csv"
+        code = main(["impute", "--data", str(data), "--queries", str(q),
+                     "--output", str(out)])
+        assert code == EXIT_RUNTIME
+        rows = out.read_text().splitlines()
+        assert rows[0] == "x1,x2,y_hat,method,status,flags"
+        assert len(rows) == 3
+        assert all(line.split(",")[2] == "" for line in rows[1:])
+        assert all(line.split(",")[4].startswith("error:") for line in rows[1:])
+
+    @pytest.mark.parametrize("flag", ["--tolerance", "--max-iter", "--combinations",
+                                      "--d-exponent"])
+    def test_non_positive_option_rejected(self, tmp_path, flag):
+        data, _ = affine_files(tmp_path)
+        q = tmp_path / "q.csv"
+        q.write_text("x1,x2\n0.7,1.1\n")
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["impute", "--data", str(data), "--queries", str(q),
+                  "--output", str(out), flag, "0"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_unknown_method_rejected(self, tmp_path):
+        data, _ = affine_files(tmp_path)
+        q = tmp_path / "q.csv"
+        q.write_text("x1,x2\n0.7,1.1\n")
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["impute", "--data", str(data), "--queries", str(q),
+                  "--output", str(out), "--method", "gradiant"])
+        assert exc.value.code == EXIT_VALIDATION
+
     def test_missing_file_runtime_exit_code(self, tmp_path):
         out = tmp_path / "out.csv"
         q = tmp_path / "q.csv"

@@ -10,7 +10,6 @@ from gradsurf import (
     Estimate,
     MeshIndex,
     NonFiniteValue,
-    Point,
     TooFewPoints,
     TrainingSet,
     ValidationError,
@@ -66,12 +65,6 @@ class TestValidateTrainingSet:
         ts = validate_training_set((x, np.arange(3.0)), n=2)
         again = validate_training_set(ts, n=2)
         assert again == ts
-
-    def test_point_objects_accepted(self):
-        pts = [Point((0.0, 0.0), (1.0,)), Point((1.0, 0.0), (2.0,)),
-               Point((0.0, 1.0), (3.0,))]
-        ts = validate_training_set(pts, n=2)
-        assert ts.point(1) == pts[1]
 
     def test_arrays_are_immutable(self):
         x = np.vstack([np.zeros(2), np.eye(2)])

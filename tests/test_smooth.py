@@ -18,6 +18,7 @@ from gradsurf import (
     solve_intersection,
     validate_training_set,
 )
+from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
 from gradsurf.model import ZeroWidthSegment
 from gradsurf.neighbors import Stencil1D, axis_stencil, locate_reference
 
@@ -217,6 +218,32 @@ class TestEvaluateSmooth:
         ts = validate_training_set((x, np.zeros(3)), n=2)
         with pytest.raises(ValidationError):
             evaluate_smooth(ts, np.array([0.3, 0.3]), mesh=None)
+
+    def test_newton_parameters_validated(self):
+        nodes = np.linspace(2.0, 5.0, 16)
+        ts, mesh = mesh_training_1d(nodes, lambda x: np.sqrt(x))
+        for kwargs in ({"tol": 0.0}, {"tol": -1e-9}, {"max_iter": 0}):
+            with pytest.raises(ValidationError):
+                evaluate_smooth(ts, np.array([3.33]), mesh, **kwargs)
+
+    def test_jittered_reference_in_high_dimension(self):
+        # the reference sits 0.2 h below its node on axis 0, so the lower
+        # corner of its own coordinates' cell is the node below it; the grid
+        # index must still resolve in time linear in n
+        n = 50
+        f = TEST_FUNCTIONS["H1"]
+        ts, mesh, q, _, _ = gen_local_cell_dataset(f, n, 20, np.random.default_rng(3))
+        h = mesh.axes[0][1] - mesh.axes[0][0]
+        x = np.array(ts.x)
+        x[0, 0] -= 0.2 * h
+        jittered = validate_training_set((x, ts.y), n=n)
+        mesh = MeshIndex(axes=mesh.axes, jitter_fraction=0.25, index_map=mesh.index_map)
+        q = q.copy()
+        q[0] = x[0, 0] + 0.5 * h
+        est = evaluate_smooth(jittered, q, mesh)
+        assert est.reference_index == 0
+        assert len(est.flags) == n
+        assert abs(est.y_hat - f(q)) < 1e-2
 
     def test_affine_is_exact_and_matches_gradient_method(self):
         nodes = np.linspace(0.0, 3.0, 7)

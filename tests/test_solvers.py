@@ -3,44 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsurf import (
-    LinearSystem,
-    NoConvergence,
-    RootProblem,
-    SingularSystem,
-    ValidationError,
-    find_root,
-    solve_linear_system,
-)
+from gradsurf import NoConvergence, SingularSystem
+from gradsurf.solvers import find_root, solve_linear_system
 from gradsurf.smooth import ApproxFunctionParams, approx_eval, approx_deriv
 from tests_oracles import grid_bisection_root
 
 
 class TestSolveLinearSystem:
     def test_identity(self):
-        x, res = solve_linear_system(LinearSystem(A=np.eye(3), b=np.array([1.0, 2.0, 3.0])))
+        x, res = solve_linear_system(np.eye(3), np.array([1.0, 2.0, 3.0]))
         assert np.allclose(x, [1.0, 2.0, 3.0])
         assert res == 0.0
 
     def test_rank_deficient_raises(self):
         with pytest.raises(SingularSystem):
-            solve_linear_system(
-                LinearSystem(A=np.array([[1.0, 1.0], [1.0, 1.0]]), b=np.array([1.0, 2.0]))
-            )
+            solve_linear_system(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
 
     def test_two_by_two_hand_case(self):
-        x, _ = solve_linear_system(
-            LinearSystem(A=np.array([[2.0, 1.0], [1.0, 3.0]]), b=np.array([5.0, 10.0]))
-        )
+        x, _ = solve_linear_system(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([5.0, 10.0]))
         assert np.allclose(x, [1.0, 3.0], atol=1e-12)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            LinearSystem(A=np.ones((2, 3)), b=np.ones(2))
-        with pytest.raises(ValidationError):
-            LinearSystem(A=np.ones((2, 2)), b=np.ones(3))
-        with pytest.raises(ValidationError):
-            LinearSystem(A=np.full((2, 2), np.nan), b=np.ones(2))
 
     @pytest.mark.parametrize("n", [2, 5, 20, 100])
     def test_residual_bound_random_systems(self, n):
@@ -49,28 +30,24 @@ class TestSolveLinearSystem:
             # diagonally dominated -> well conditioned
             A = rng.normal(size=(n, n)) + n * np.eye(n)
             b = rng.normal(size=n)
-            x, res = solve_linear_system(LinearSystem(A=A, b=b))
+            x, res = solve_linear_system(A, b)
             assert res <= 1e-8 * (1.0 + np.abs(b).max())
             assert np.allclose(x, np.linalg.solve(A, b), atol=1e-8)
 
     def test_pivoting_handles_zero_leading_entry(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x, _ = solve_linear_system(LinearSystem(A=A, b=np.array([2.0, 3.0])))
+        x, _ = solve_linear_system(A, np.array([2.0, 3.0]))
         assert np.allclose(x, [3.0, 2.0])
 
 
 class TestFindRoot:
     def test_known_quadratic_root(self):
-        root, iters = find_root(
-            RootProblem(f=lambda x: x * x - 4.0, df=lambda x: 2.0 * x, x0=3.0)
-        )
+        root, iters = find_root(lambda x: x * x - 4.0, lambda x: 2.0 * x, 3.0)
         assert abs(root - 2.0) <= 1e-9
         assert iters >= 1
 
     def test_start_at_root(self):
-        root, iters = find_root(
-            RootProblem(f=lambda x: x**3, df=lambda x: 3.0 * x * x, x0=0.0)
-        )
+        root, iters = find_root(lambda x: x**3, lambda x: 3.0 * x * x, 0.0)
         assert root == 0.0
         assert iters <= 1
 
@@ -82,45 +59,23 @@ class TestFindRoot:
             return approx_eval(params, x) - (k * x + c)
 
         root, _ = find_root(
-            RootProblem(
-                f=f,
-                df=lambda x: approx_deriv(params, x) - k,
-                x0=0.25,
-                bracket=(0.0, 1.0),
-            )
+            f, lambda x: approx_deriv(params, x) - k, 0.25, bracket=(0.0, 1.0)
         )
         oracle = grid_bisection_root(f, 0.0, 1.0, cells=1_000_000)
         assert abs(root - oracle) <= 1e-8
 
     def test_bisection_fallback_on_flat_derivative(self):
         # derivative reported as zero forces the fallback path
-        root, _ = find_root(
-            RootProblem(
-                f=lambda x: x - 0.3, df=lambda x: 0.0, x0=0.9, bracket=(0.0, 1.0)
-            )
-        )
+        root, _ = find_root(lambda x: x - 0.3, lambda x: 0.0, 0.9, bracket=(0.0, 1.0))
         assert abs(root - 0.3) <= 1e-9
 
     def test_no_bracket_no_convergence(self):
         with pytest.raises(NoConvergence):
-            find_root(RootProblem(f=lambda x: x - 0.3, df=lambda x: 0.0, x0=0.9))
+            find_root(lambda x: x - 0.3, lambda x: 0.0, 0.9)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NoConvergence):
-            find_root(
-                RootProblem(
-                    f=lambda x: x * x + 1.0,
-                    df=lambda x: 0.0,
-                    x0=0.5,
-                    bracket=(0.0, 1.0),
-                )
-            )
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValidationError):
-            RootProblem(f=abs, df=abs, x0=0.0, tol=0.0)
-        with pytest.raises(ValidationError):
-            RootProblem(f=abs, df=abs, x0=0.0, max_iter=0)
+            find_root(lambda x: x * x + 1.0, lambda x: 0.0, 0.5, bracket=(0.0, 1.0))
 
     @given(
         a=st.floats(0.1, 3.0),
@@ -133,9 +88,5 @@ class TestFindRoot:
         def f(x):
             return x**3 + a * x + b
 
-        root, _ = find_root(
-            RootProblem(
-                f=f, df=lambda x: 3 * x * x + a, x0=0.0, bracket=(-10.0, 10.0)
-            )
-        )
+        root, _ = find_root(f, lambda x: 3 * x * x + a, 0.0, bracket=(-10.0, 10.0))
         assert abs(f(root)) <= 1e-6
