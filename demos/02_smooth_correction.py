@@ -15,7 +15,7 @@ from gradsurf import (
     evaluate_smooth,
     validate_training_set,
 )
-from gradsurf.neighbors import axis_stencil, locate_reference
+from gradsurf.neighbors import axis_stencil
 from gradsurf.smooth import build_intersection, segment_angles, solve_intersection
 
 nodes = np.linspace(2.0, 5.0, 16)
@@ -27,8 +27,7 @@ query = np.array([3.33])
 truth = f(query[0])
 
 print("=== Anatomy of one axis correction ===")
-ref = locate_reference(training, query, mesh)
-stencil = axis_stencil(training, mesh, ref, query, axis=0)
+stencil = axis_stencil(training, mesh, mesh.cell_of(query), axis=0)
 angles = segment_angles(stencil)
 print(f"stencil x        {np.round([v for v in stencil.x], 3)}")
 print(f"chord angles     F0={angles.F0:.4f}  F1={angles.F1:.4f}  F2={angles.F2:.4f}")

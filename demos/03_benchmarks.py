@@ -10,9 +10,9 @@ from gradsurf import run_benchmark
 
 print("=== T1: gradient accuracy vs. mesh density ===")
 rep = run_benchmark("T1", seed=0)
-for row in rep["rows"]:
+for row, timing in zip(rep["rows"], rep["timing"]):
     print(f"  {row['points']:>6} points   rel_err {row['rel_err']:.4f}   "
-          f"{row['wall_time']:.1f}s for {row['M']} queries")
+          f"{timing['wall_time']:.1f}s for {row['M']} queries")
 
 print()
 print("=== averaging: error vs. combination count ===")

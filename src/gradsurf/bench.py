@@ -262,7 +262,6 @@ class ErrorStats:
             "avg_abs_err": self.avg_abs_err,
             "max_abs_err": self.max_abs_err,
             "rel_err": self.rel_err,
-            "wall_time": self.wall_time,
         }
 
 
@@ -441,8 +440,9 @@ def run_benchmark(table_id: str, scale: str = "small", seed: int = 0,
                   workers: int = 1) -> dict:
     """Reproduce one of the accuracy/noise tables at desk scale.
 
-    Returns a report dict with one row per scenario; deterministic for a
-    fixed seed and worker count.
+    Returns a report dict with one row per scenario; the rows are
+    deterministic for a fixed seed and worker count.  Wall times go to
+    ``report["timing"]``, one record per row of the timed tables T1-T4.
     """
     report = {
         "table": table_id,
@@ -451,6 +451,7 @@ def run_benchmark(table_id: str, scale: str = "small", seed: int = 0,
         "workers": workers,
         "rows": [],
         "notes": {},
+        "timing": [],
     }
 
     if table_id == "T1":
@@ -462,6 +463,7 @@ def run_benchmark(table_id: str, scale: str = "small", seed: int = 0,
                    "method": "gradient"}
             row.update(stats.row())
             report["rows"].append(row)
+            report["timing"].append({"wall_time": stats.wall_time})
 
     elif table_id == "T2":
         for fid in ("S1", "S2", "T1"):
@@ -484,6 +486,9 @@ def run_benchmark(table_id: str, scale: str = "small", seed: int = 0,
                 }
                 row.update({"smooth_" + k: v for k, v in smooth.row().items()})
                 report["rows"].append(row)
+                report["timing"].append(
+                    {"wall_time": grad.wall_time, "smooth_wall_time": smooth.wall_time}
+                )
 
     elif table_id == "T3":
         m_queries = HIGH_DIM_QUERIES[scale]
@@ -506,9 +511,11 @@ def run_benchmark(table_id: str, scale: str = "small", seed: int = 0,
                         if smooth.avg_abs_err > 0
                         else SENTINEL_RATIO
                     ),
+                    "avg_y_differ": grad.avg_y_differ,
+                })
+                report["timing"].append({
                     "gradient_time_per_query": grad.wall_time / grad.m,
                     "smooth_time_per_query": smooth.wall_time / smooth.m,
-                    "avg_y_differ": grad.avg_y_differ,
                 })
 
     elif table_id == "T4":
@@ -532,6 +539,7 @@ def run_benchmark(table_id: str, scale: str = "small", seed: int = 0,
                 "capped": ratios.capped,
                 "rel_err": stats.rel_err,
             })
+            report["timing"].append({"wall_time": stats.wall_time})
 
     elif table_id == "averaging":
         c_values = (1, 4, 16, 64)

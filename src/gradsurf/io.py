@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from math import prod
 from pathlib import Path
 from typing import Optional
 
@@ -44,8 +45,9 @@ def _parse_header(header: list, path) -> tuple[int, int]:
     return n, layers
 
 
-def _read_rows(path, width: int) -> np.ndarray:
-    rows = []
+def _read_rows(path, width: int) -> tuple[np.ndarray, list]:
+    """Parsed data rows and the file line number of each."""
+    rows, linenos = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)  # header, already parsed
@@ -60,7 +62,8 @@ def _read_rows(path, width: int) -> np.ndarray:
                 rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise ParseError(f"{path}, line {lineno}: {exc}") from exc
-    return np.asarray(rows, dtype=float).reshape(-1, width)
+            linenos.append(lineno)
+    return np.asarray(rows, dtype=float).reshape(-1, width), linenos
 
 
 def load_dataset(path) -> tuple[TrainingSet, Optional[MeshIndex]]:
@@ -71,7 +74,7 @@ def load_dataset(path) -> tuple[TrainingSet, Optional[MeshIndex]]:
     if header is None:
         raise ParseError(f"{path}, line 1: file is empty")
     n, layers = _parse_header(header, path)
-    data = _read_rows(path, n + layers)
+    data, linenos = _read_rows(path, n + layers)
     training = validate_training_set((data[:, :n], data[:, n:]), n=n, layer_count=layers)
 
     mesh = None
@@ -82,7 +85,47 @@ def load_dataset(path) -> tuple[TrainingSet, Optional[MeshIndex]]:
             raise ParseError(
                 f"{sidecar}: mesh has {mesh.n} axes but dataset has {n} predictors"
             )
+        _check_mesh(training, mesh, sidecar, path, linenos)
     return training, mesh
+
+
+def _check_mesh(training, mesh, sidecar, path, linenos) -> None:
+    """Check that every row the sidecar files under a node sits at that node.
+
+    A complete grid files row r under the r-th node in row-major order, a
+    sparse one under its ``index_map`` key.  A filed row may stray from its
+    node by ``jitter_fraction`` of the node's narrower adjacent cell along
+    each axis, plus rounding slack.
+    """
+    shape, npoints = mesh.shape, training.npoints
+    if mesh.index_map is None:
+        if npoints != prod(shape):
+            raise ParseError(
+                f"{sidecar}: a complete {shape} grid needs {prod(shape)} rows, "
+                f"{path} has {npoints}"
+            )
+        rows = np.arange(npoints)
+        grid = np.stack(np.unravel_index(rows, shape), axis=1)
+    else:
+        for key, row in mesh.index_map.items():
+            if len(key) != mesh.n or not all(0 <= k < m for k, m in zip(key, shape)):
+                raise ParseError(f"{sidecar}: index_map names node {key} outside the axes")
+            if not 0 <= row < npoints:
+                raise ParseError(f"{sidecar}: index_map names row {row} of {npoints} in {path}")
+        rows = np.fromiter(mesh.index_map.values(), dtype=int, count=len(mesh.index_map))
+        grid = np.array(list(mesh.index_map), dtype=int).reshape(len(rows), mesh.n)
+    off = np.zeros(len(rows), dtype=bool)
+    for a, nodes in enumerate(mesh.axes):
+        gaps = np.diff(nodes)
+        h = np.minimum(np.append(gaps[0], gaps), np.append(gaps, gaps[-1]))[grid[:, a]]
+        dev = np.abs(training.x[rows, a] - nodes[grid[:, a]])
+        off |= dev > (mesh.jitter_fraction + 1e-9) * h
+    if off.any():
+        i = int(np.argmax(off))
+        raise ParseError(
+            f"{path}, line {linenos[rows[i]]}: row is not at mesh node "
+            f"{tuple(int(g) for g in grid[i])} of {sidecar}"
+        )
 
 
 def load_mesh_sidecar(path) -> MeshIndex:
@@ -97,10 +140,13 @@ def load_mesh_sidecar(path) -> MeshIndex:
         raise ParseError(f"{path}: missing or malformed 'axes'") from exc
     index_map = None
     if meta.get("index_map") is not None:
-        index_map = {
-            tuple(int(t) for t in key.split(",")): int(v)
-            for key, v in meta["index_map"].items()
-        }
+        try:
+            index_map = {
+                tuple(int(t) for t in key.split(",")): int(v)
+                for key, v in meta["index_map"].items()
+            }
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: malformed 'index_map'") from exc
     return MeshIndex(
         axes=axes,
         jitter_fraction=float(meta.get("jitter_fraction", 0.0)),
@@ -151,7 +197,7 @@ def load_queries(path) -> np.ndarray:
         f"x{i + 1}" for i in range(len(cols))
     ]:
         raise ParseError(f"{path}, line 1: query header must be x1..xn, got {cols!r}")
-    return _read_rows(path, len(cols))
+    return _read_rows(path, len(cols))[0]
 
 
 def write_imputed(path, rows: list, layers: int) -> None:

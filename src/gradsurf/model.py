@@ -83,14 +83,20 @@ class TrainingSet:
     def npoints(self) -> int:
         return self.x.shape[0]
 
+    @cached_property
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        box = np.stack([self.x.min(axis=0), self.x.max(axis=0)])
+        box.setflags(write=False)
+        return box[0], box[1]
+
+    @cached_property
     def axis_ranges(self) -> np.ndarray:
         """Per-axis coordinate spans, floored at 1 where an axis is constant."""
-        spans = self.x.max(axis=0) - self.x.min(axis=0)
+        lo, hi = self.bounding_box
+        spans = hi - lo
         spans[spans == 0.0] = 1.0
+        spans.setflags(write=False)
         return spans
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x.min(axis=0), self.x.max(axis=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrainingSet):

@@ -60,8 +60,26 @@ class Stencil1D:
 
 
 def is_extrapolation(training: TrainingSet, query: np.ndarray) -> bool:
-    lo, hi = training.bounding_box()
+    lo, hi = training.bounding_box
     return bool((query < lo).any() or (query > hi).any())
+
+
+def _normalised_d2(training: TrainingSet, query: np.ndarray) -> np.ndarray:
+    """Squared range-normalised distance of every training point to the query."""
+    return (((training.x - query) / training.axis_ranges) ** 2).sum(axis=1)
+
+
+def _mesh_cell(mesh: MeshIndex, query: np.ndarray) -> tuple[tuple, int]:
+    """The query's cell and the point at its lower corner, the reference.
+
+    The mesh files every point under its own node (``load_dataset`` checks
+    this once per file), so the cell is also the reference's grid index.
+    """
+    cell = mesh.cell_of(query)
+    idx = mesh.point_at(cell)
+    if idx is None:
+        raise DegenerateNeighborhood(f"no training point at grid index {cell}")
+    return cell, idx
 
 
 def locate_reference(
@@ -75,49 +93,8 @@ def locate_reference(
     if training.npoints == 0:
         raise EmptyTrainingSet("cannot locate a reference in an empty set")
     if mesh is not None:
-        cell = mesh.cell_of(query)
-        idx = mesh.point_at(cell)
-        if idx is None:
-            raise DegenerateNeighborhood(f"no training point at grid index {cell}")
-        return idx
-    scale = training.axis_ranges()
-    d2 = (((training.x - query) / scale) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
-
-
-def _mesh_simplex(
-    training: TrainingSet,
-    mesh: MeshIndex,
-    reference: int,
-    cell: Optional[tuple] = None,
-) -> Simplex:
-    if cell is None or mesh.point_at(cell) != reference:
-        cell = _grid_index_of(training, mesh, reference)
-    aux = []
-    for a in range(mesh.n):
-        step = 1 if cell[a] + 1 < mesh.shape[a] else -1
-        neighbor = list(cell)
-        neighbor[a] += step
-        idx = mesh.point_at(neighbor)
-        if idx is None:
-            raise DegenerateNeighborhood(
-                f"missing grid neighbor {tuple(neighbor)} along axis {a}"
-            )
-        aux.append(idx)
-    return Simplex(reference=reference, auxiliaries=tuple(aux))
-
-
-def _grid_index_of(training: TrainingSet, mesh: MeshIndex, point: int) -> tuple:
-    # jitter stays under half a cell, so rounding each coordinate to its
-    # nearer node recovers the point's own grid index
-    coords = training.x[point]
-    cell = tuple(
-        j + 1 if j + 1 < len(nodes) and nodes[j + 1] - x < x - nodes[j] else j
-        for j, x, nodes in zip(mesh.cell_of(coords), coords, mesh._axis_lists)
-    )
-    if mesh.point_at(cell) != point:
-        raise DegenerateNeighborhood("reference point not present in the mesh index")
-    return cell
+        return _mesh_cell(mesh, query)[1]
+    return int(np.argmin(_normalised_d2(training, query)))
 
 
 class _RankTracker:
@@ -151,31 +128,39 @@ class _RankTracker:
 def select_simplex(
     training: TrainingSet,
     query: np.ndarray,
-    reference: int,
     mesh: Optional[MeshIndex] = None,
 ) -> Simplex:
-    """Choose the n auxiliary points around the reference.
+    """Choose the reference and the n auxiliary points around it.
 
-    Mesh mode takes the cell's edge-adjacent corners; scattered mode the
-    nearest points to the query, greedily skipping candidates that leave
-    the difference matrix rank-deficient.
+    Mesh mode takes the lower corner of the query's cell and its
+    edge-adjacent corners; scattered mode the nearest point and then the
+    next nearest ones, greedily skipping candidates that leave the
+    difference matrix rank-deficient.
     """
     if mesh is not None:
-        # the reference normally sits at the lower corner of the query's
-        # cell, so that cell doubles as its grid index
-        return _mesh_simplex(training, mesh, reference, mesh.cell_of(query))
+        cell, reference = _mesh_cell(mesh, query)
+        aux = []
+        for a in range(mesh.n):
+            neighbor = list(cell)
+            neighbor[a] += 1 if cell[a] + 1 < mesh.shape[a] else -1
+            idx = mesh.point_at(neighbor)
+            if idx is None:
+                raise DegenerateNeighborhood(
+                    f"missing grid neighbor {tuple(neighbor)} along axis {a}"
+                )
+            aux.append(idx)
+        return Simplex(reference=reference, auxiliaries=tuple(aux))
 
     n = training.n
-    scale = training.axis_ranges()
-    d2 = (((training.x - query) / scale) ** 2).sum(axis=1)
-    d2[reference] = np.inf
+    scale = training.axis_ranges
+    order = np.argsort(_normalised_d2(training, query), kind="stable")
+    reference = int(order[0])
     budget = min(training.npoints - 1, max(CANDIDATE_FACTOR * n, n))
-    order = np.argsort(d2, kind="stable")[:budget]
 
     tracker = _RankTracker(n)
     aux = []
     ref_x = training.x[reference] / scale
-    for cand in order:
+    for cand in order[1 : budget + 1]:
         row = training.x[cand] / scale - ref_x
         if tracker.try_add(row):
             aux.append(int(cand))
@@ -203,28 +188,24 @@ def enumerate_combinations(
         raise InsufficientPoints("combination count must be >= 1")
     n = training.n
 
-    reference = locate_reference(training, query, mesh)
-    base = select_simplex(training, query, reference, mesh)
+    base = select_simplex(training, query, mesh)
     plans = [base]
     seen = {base.key()}
     if c == 1:
         return CombinationPlan(simplexes=tuple(plans))
 
-    scale = training.axis_ranges()
-    d2 = (((training.x - query) / scale) ** 2).sum(axis=1)
+    scale = training.axis_ranges
+    d2 = _normalised_d2(training, query)
     order = [int(i) for i in np.argsort(d2, kind="stable")]
 
-    def add(simplex: Simplex) -> bool:
-        if simplex.key() in seen:
-            return False
-        seen.add(simplex.key())
-        plans.append(simplex)
-        return True
+    def add(simplex: Simplex) -> None:
+        if simplex.key() not in seen:
+            seen.add(simplex.key())
+            plans.append(simplex)
 
     # disjoint blocks of n+1 nearest points
     used = set(base.auxiliaries) | {base.reference}
     block: list[int] = []
-    tracker = _RankTracker(n)
     for cand in order:
         if len(plans) >= c:
             break
@@ -245,7 +226,7 @@ def enumerate_combinations(
             block = []
 
     if len(plans) < c:
-        _fill_from_subsets(training, plans, seen, order, scale, query, c)
+        _fill_from_subsets(training, plans, add, order, d2, c)
 
     if len(plans) < c:
         raise InsufficientPoints(
@@ -254,55 +235,46 @@ def enumerate_combinations(
     return CombinationPlan(simplexes=tuple(plans))
 
 
-def _fill_from_subsets(training, plans, seen, order, scale, query, c):
-    """Top up the plan with overlapping subsets of the nearest points."""
+def _fill_from_subsets(training, plans, add, order, d2, c):
+    """Top up the plan with overlapping subsets of the nearest points.
+
+    Subsets are tried by their summed distance to the query.  The pool is in
+    distance order, so each subset's first point is its nearest one and
+    becomes the reference.
+    """
     n = training.n
+    scale = training.axis_ranges
+    dist = np.sqrt(d2)
     pool = order[: max(n + 2, min(len(order), 2 * n + 8))]
     while comb(len(pool), n + 1) > SMALL_POOL_LIMIT and len(pool) > n + 2:
         pool = pool[:-1]
 
-    scored = []
-    for subset in itertools.combinations(pool, n + 1):
-        dist = sum(
-            np.linalg.norm((training.x[i] - query) / scale) for i in subset
-        )
-        scored.append((dist, subset))
-    scored.sort(key=lambda t: t[0])
-
-    for _, subset in scored:
+    subsets = sorted(
+        itertools.combinations(pool, n + 1), key=lambda s: sum(dist[i] for i in s)
+    )
+    for ref, *aux in subsets:
         if len(plans) >= c:
             return
-        ref = min(
-            subset, key=lambda i: np.linalg.norm((training.x[i] - query) / scale)
-        )
-        aux = tuple(i for i in subset if i != ref)
         tracker = _RankTracker(n)
         if all(
             tracker.try_add((training.x[a] - training.x[ref]) / scale) for a in aux
         ):
-            simplex = Simplex(reference=ref, auxiliaries=aux)
-            if simplex.key() not in seen:
-                seen.add(simplex.key())
-                plans.append(simplex)
+            add(Simplex(reference=ref, auxiliaries=tuple(aux)))
 
 
 def axis_stencil(
     training: TrainingSet,
     mesh: MeshIndex,
-    reference: int,
-    query: np.ndarray,
+    cell: tuple,
     axis: int,
     layer: int = 0,
-    cell: Optional[tuple] = None,
 ) -> Stencil1D:
     """Fetch the four-point stencil Y0..Y3 along one axis of the mesh.
 
-    Y1 is the reference, Y2 the next node along the axis on the query's
-    side; Y0 and Y3 are the outer neighbors, flagged when the domain edge
-    cuts them off.
+    Y1 is the reference at the query's ``cell``, Y2 the next node along the
+    axis on the query's side; Y0 and Y3 are the outer neighbors, flagged when
+    the domain edge cuts them off.
     """
-    if cell is None:
-        cell = _grid_index_of(training, mesh, reference)
     m = mesh.shape[axis]
     j = cell[axis]
     if j + 1 >= m:

@@ -24,7 +24,7 @@ from .model import (
     ValidationError,
     ZeroWidthSegment,
 )
-from .neighbors import Stencil1D, _grid_index_of, axis_stencil, is_extrapolation, locate_reference
+from .neighbors import Stencil1D, _mesh_cell, axis_stencil, is_extrapolation
 from .solvers import find_root
 
 TRIVIAL_SLOPE = 1e-12  # below this the rotation is skipped entirely
@@ -55,7 +55,7 @@ class ApproxFunctionParams:
         return self.B ** -(self.d + 1.0)
 
 
-def approx_eval(params: ApproxFunctionParams, x) -> float:
+def approx_eval(params: ApproxFunctionParams, x):
     """Height of the approximating arc above the rotated baseline at x."""
     B, d = params.B, params.d
     return params.K * x * (B - x) * (params.g1R * (B - x) ** d + params.g2L * x**d)
@@ -77,9 +77,7 @@ def has_interior_inflection(params: ApproxFunctionParams, samples: int = 257) ->
     """
     xs = np.linspace(0.0, params.B, samples)[1:-1]
     h = params.B / (samples * 4.0)
-    ys = np.array([approx_eval(params, x) for x in xs])
-    yp = np.array([approx_eval(params, x + h) for x in xs])
-    ym = np.array([approx_eval(params, x - h) for x in xs])
+    ys, yp, ym = (approx_eval(params, x) for x in (xs, xs + h, xs - h))
     curv = yp - 2.0 * ys + ym
     signs = np.sign(curv[np.abs(curv) > 1e-14 * max(1.0, np.abs(curv).max())])
     return bool(len(signs) and (signs != signs[0]).any())
@@ -212,8 +210,7 @@ def adjust_gradient(F1: float, x_star: float, y_star: float, B: float) -> float:
 def _axis_delta(
     training: TrainingSet,
     mesh: MeshIndex,
-    reference: int,
-    cell,
+    cell: tuple,
     query: np.ndarray,
     axis: int,
     y_ref: float,
@@ -223,7 +220,7 @@ def _axis_delta(
     layer: int,
 ) -> tuple[float, int, str]:
     """Outcome increment along one axis, with iteration count and status flag."""
-    stencil = axis_stencil(training, mesh, reference, query, axis, layer, cell)
+    stencil = axis_stencil(training, mesh, cell, axis, layer)
     x1, x2 = stencil.x[1], stencil.x[2]
     y1, y2 = stencil.y[1], stencil.y[2]
     q = float(query[axis])
@@ -277,8 +274,7 @@ def evaluate_smooth(
             stacklevel=2,
         )
     query = np.asarray(query, dtype=float)
-    reference = locate_reference(training, query, mesh)
-    cell = _grid_index_of(training, mesh, reference)
+    cell, reference = _mesh_cell(mesh, query)
     y_ref = float(training.y[reference, layer])
 
     total = y_ref
@@ -286,7 +282,7 @@ def evaluate_smooth(
     flags = []
     for axis in range(training.n):
         delta, iters, flag = _axis_delta(
-            training, mesh, reference, cell, query, axis, y_ref, d, tol, max_iter, layer
+            training, mesh, cell, query, axis, y_ref, d, tol, max_iter, layer
         )
         total += delta
         iterations.append(iters)

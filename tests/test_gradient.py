@@ -64,7 +64,8 @@ class TestEvaluateGradient:
         from gradsurf import locate_reference, select_simplex
 
         ref = locate_reference(ts, q)
-        simplex = select_simplex(ts, q, ref)
+        simplex = select_simplex(ts, q)
+        assert simplex.reference == ref
         p, _ = estimate_gradients(ts, simplex)
         direct = extrapolate(ts.x[ref], float(ts.y[ref, 0]), p, q)
         assert est.y_hat == pytest.approx(direct, abs=1e-14)

@@ -90,7 +90,91 @@ class TestDatasetIO:
             load_queries(bad)
 
 
+def write_mismatched_mesh(tmp_path, case):
+    """A jittered 4^3 S1 mesh saved with a sidecar that does not match its CSV."""
+    ts, mesh = gen_mesh_dataset(TEST_FUNCTIONS["S1"], 4, x_jitter_fraction=0.2, seed=3)
+    sparse = {tuple(int(i) for i in np.unravel_index(r, mesh.shape)): r
+              for r in range(ts.npoints)}
+    if case == "shuffled rows":
+        order = np.random.default_rng(0).permutation(ts.npoints)
+        ts = validate_training_set((ts.x[order], ts.y[order]), n=3)
+    elif case == "axis too long":
+        nodes = mesh.axes[0]
+        mesh = MeshIndex(axes=(np.append(nodes, 2 * nodes[-1] - nodes[-2]),) + mesh.axes[1:],
+                         jitter_fraction=0.2)
+    elif case == "index_map row past the end":
+        sparse[(0, 0, 0)] = ts.npoints
+        mesh = MeshIndex(axes=mesh.axes, jitter_fraction=0.2, index_map=sparse)
+    elif case == "index_map node outside the axes":
+        sparse[(0, 0, 4)] = sparse.pop((0, 0, 3))
+        mesh = MeshIndex(axes=mesh.axes, jitter_fraction=0.2, index_map=sparse)
+    data = tmp_path / "s1.csv"
+    save_dataset(data, ts, mesh)
+    return data
+
+
+MISMATCHES = ["shuffled rows", "axis too long", "index_map row past the end",
+              "index_map node outside the axes"]
+
+
+class TestMeshSidecarCheck:
+    @pytest.mark.parametrize("case", MISMATCHES)
+    def test_mismatch_raises_parse_error(self, tmp_path, case):
+        data = write_mismatched_mesh(tmp_path, case)
+        with pytest.raises(ParseError):
+            load_dataset(data)
+
+    @pytest.mark.parametrize("case", MISMATCHES)
+    def test_impute_exits_with_validation_code(self, tmp_path, case):
+        data = write_mismatched_mesh(tmp_path, case)
+        q = tmp_path / "q.csv"
+        q.write_text("x1,x2,x3\n2.9,3.3,3.1\n3.6,2.7,4.2\n")
+        out = tmp_path / "out.csv"
+        for method in ("gradient", "smooth"):
+            code = main(["impute", "--data", str(data), "--queries", str(q),
+                         "--output", str(out), "--method", method])
+            assert code == EXIT_VALIDATION
+            assert not out.exists()
+
+    def test_misplaced_row_is_named_by_line(self, tmp_path):
+        data = write_mismatched_mesh(tmp_path, "shuffled rows")
+        with pytest.raises(ParseError, match=r"s1\.csv, line \d+: row is not at mesh node"):
+            load_dataset(data)
+
+    def test_malformed_index_map_key_raises_parse_error(self, tmp_path):
+        data, _ = affine_files(tmp_path)
+        sidecar = data.with_suffix(".mesh.json")
+        meta = json.loads(sidecar.read_text())
+        meta["index_map"] = {"0,zap": 0}
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match="malformed 'index_map'"):
+            load_dataset(data)
+
+    def test_sparse_index_map_of_full_mesh_loads(self, tmp_path):
+        ts, mesh = gen_mesh_dataset(TEST_FUNCTIONS["S1"], 4, x_jitter_fraction=0.2, seed=3)
+        # rows filed out of row-major order, but each under its own node
+        sparse = {tuple(int(i) for i in np.unravel_index(r, mesh.shape)): r
+                  for r in range(ts.npoints)}
+        order = np.random.default_rng(0).permutation(ts.npoints)
+        shuffled = validate_training_set((ts.x[order], ts.y[order]), n=3)
+        index_map = {g: int(np.argsort(order)[r]) for g, r in sparse.items()}
+        data = tmp_path / "s1.csv"
+        save_dataset(data, shuffled, MeshIndex(axes=mesh.axes, jitter_fraction=0.2,
+                                               index_map=index_map))
+        loaded, loaded_mesh = load_dataset(data)
+        assert loaded == shuffled and loaded_mesh.index_map == index_map
+
+
 class TestReports:
+    def test_t1_report_is_byte_identical(self, tmp_path):
+        p1, p2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
+        rep = run_benchmark("T1", "small")
+        write_report(p1, rep)
+        write_report(p2, run_benchmark("T1", "small"))
+        assert p1.read_bytes() == p2.read_bytes()
+        assert len(rep["timing"]) == len(rep["rows"])
+        assert all(t["wall_time"] > 0 for t in rep["timing"])
+
     def test_report_rows_and_determinism(self, tmp_path):
         rep = run_benchmark("averaging", seed=7)
         p1, p2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"

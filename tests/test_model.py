@@ -74,6 +74,18 @@ class TestValidateTrainingSet:
         with pytest.raises(ValueError):
             ts.y[0, 0] = 5.0
 
+    def test_dataset_facts_computed_once_and_immutable(self):
+        x = np.array([[0.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
+        ts = validate_training_set((x, np.zeros(3)), n=2)
+        assert ts.bounding_box is ts.bounding_box
+        assert ts.axis_ranges is ts.axis_ranges
+        lo, hi = ts.bounding_box
+        assert lo.tolist() == [0.0, 1.0] and hi.tolist() == [2.0, 1.0]
+        assert ts.axis_ranges.tolist() == [2.0, 1.0]  # the constant axis floors at 1
+        for fact in (lo, hi, ts.axis_ranges):
+            with pytest.raises(ValueError):
+                fact[0] = 5.0
+
     @given(
         n=st.integers(1, 4),
         extra=st.integers(0, 6),
@@ -88,9 +100,9 @@ class TestValidateTrainingSet:
         assert ts.npoints >= n + 1
         assert ts.x.shape == (len(x), n)
         assert ts.y.shape == (len(x), 1)
-        lo, hi = ts.bounding_box()
+        lo, hi = ts.bounding_box
         assert (lo <= hi).all()
-        assert (ts.axis_ranges() > 0).all()
+        assert (ts.axis_ranges > 0).all()
 
 
 class TestValidateQuery:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradsurf import (
     DegenerateNeighborhood,
     InsufficientPoints,
     MeshIndex,
     enumerate_combinations,
+    evaluate_batch,
+    evaluate_gradient,
     locate_reference,
     select_simplex,
     validate_training_set,
@@ -45,8 +49,7 @@ class TestSelectSimplex:
     def test_mesh_axis_aligned_corners(self):
         nodes = np.array([0.0, 1.0, 2.0])
         ts, mesh = mesh_training(nodes, 3, lambda x: x.sum(axis=1))
-        ref = locate_reference(ts, np.array([0.4, 0.4, 0.4]), mesh)
-        simplex = select_simplex(ts, np.array([0.4, 0.4, 0.4]), ref, mesh)
+        simplex = select_simplex(ts, np.array([0.4, 0.4, 0.4]), mesh)
         aux_coords = sorted(tuple(ts.x[a]) for a in simplex.auxiliaries)
         assert aux_coords == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
 
@@ -54,22 +57,22 @@ class TestSelectSimplex:
         nodes = np.array([0.0, 1.0])
         ts, mesh = mesh_training(nodes, 2, lambda x: x.sum(axis=1))
         q = np.array([1.0, 1.0])
-        ref = locate_reference(ts, q, mesh)
-        simplex = select_simplex(ts, q, ref, mesh)
-        assert tuple(ts.x[ref]) == (1.0, 1.0)
+        simplex = select_simplex(ts, q, mesh)
+        assert tuple(ts.x[simplex.reference]) == (1.0, 1.0)
         assert len(simplex.auxiliaries) == 2
 
     def test_collinear_scattered_degenerate(self):
         x = np.stack([np.linspace(0, 1, 5), np.linspace(0, 2, 5)], axis=1)
         ts = validate_training_set((x, np.zeros(5)), n=2)
         with pytest.raises(DegenerateNeighborhood):
-            select_simplex(ts, np.array([0.5, 1.0]), 0)
+            select_simplex(ts, np.array([0.5, 1.0]))
 
     def test_scattered_picks_independent_directions(self):
         x = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.0, 0.1]])
         ts = validate_training_set((x, np.zeros(4)), n=2)
         q = np.array([0.05, 0.01])
-        simplex = select_simplex(ts, q, 0)
+        simplex = select_simplex(ts, q)
+        assert simplex.reference == 0
         rows = ts.x[list(simplex.auxiliaries)] - ts.x[0]
         assert np.linalg.matrix_rank(rows) == 2
 
@@ -84,9 +87,8 @@ class TestEnumerateCombinations:
         ts = self.quad()
         q = np.array([0.3, 0.3])
         plan = enumerate_combinations(ts, q, 1)
-        ref = locate_reference(ts, q)
         assert plan.c == 1
-        assert plan.simplexes[0] == select_simplex(ts, q, ref)
+        assert plan.simplexes[0] == select_simplex(ts, q)
 
     def test_four_points_four_combinations(self):
         ts = self.quad()
@@ -122,16 +124,14 @@ class TestAxisStencil:
     def test_interior_cell_full_stencil(self):
         nodes = np.array([0.0, 1.0, 2.0, 3.0])
         ts, mesh = mesh_training(nodes, 1, lambda x: x.sum(axis=1))
-        ref = locate_reference(ts, np.array([1.4]), mesh)
-        st = axis_stencil(ts, mesh, ref, np.array([1.4]), axis=0)
+        st = axis_stencil(ts, mesh, mesh.cell_of(np.array([1.4])), axis=0)
         assert st.x == (0.0, 1.0, 2.0, 3.0)
         assert not st.missing_lower and not st.missing_upper
 
     def test_domain_edge_flags_missing_lower(self):
         nodes = np.array([0.0, 1.0, 2.0, 3.0])
         ts, mesh = mesh_training(nodes, 1, lambda x: x.sum(axis=1))
-        ref = locate_reference(ts, np.array([0.4]), mesh)
-        st = axis_stencil(ts, mesh, ref, np.array([0.4]), axis=0)
+        st = axis_stencil(ts, mesh, mesh.cell_of(np.array([0.4])), axis=0)
         assert st.missing_lower
         assert st.x[0] is None
         assert st.x[1:] == (0.0, 1.0, 2.0)
@@ -142,8 +142,7 @@ class TestAxisStencil:
         x = nodes.reshape(-1, 1) + rng.uniform(-0.4, 0.4, (5, 1))
         ts = validate_training_set((x, np.zeros(5)), n=1)
         mesh = MeshIndex(axes=(nodes,), jitter_fraction=0.4)
-        ref = locate_reference(ts, np.array([1.6]), mesh)
-        st = axis_stencil(ts, mesh, ref, np.array([1.6]), axis=0)
+        st = axis_stencil(ts, mesh, mesh.cell_of(np.array([1.6])), axis=0)
         xs = [v for v in st.x if v is not None]
         assert xs == sorted(xs)
 
@@ -153,8 +152,54 @@ class TestAxisStencil:
         y = np.stack([nodes, 10 * nodes], axis=1)
         ts = validate_training_set((x, y), n=1, layer_count=2)
         mesh = MeshIndex(axes=(nodes,))
-        st = axis_stencil(ts, mesh, 1, np.array([1.4]), axis=0, layer=1)
+        st = axis_stencil(ts, mesh, (1,), axis=0, layer=1)
         assert st.y == (0.0, 10.0, 20.0, 30.0)
+
+
+def uniform_set(seed, n, npoints):
+    # continuous uniform data has no distance ties, so the nearest-point
+    # order does not depend on the row order
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (npoints, n))
+    y = np.sin(3.0 * x).sum(axis=1) + rng.normal(0.0, 0.05, npoints)
+    return validate_training_set((x, y), n=n), rng.uniform(0.1, 0.9, (4, n)), rng
+
+
+class TestScatteredProperties:
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 4), c=st.sampled_from([1, 4]))
+    @settings(max_examples=25, deadline=None)
+    def test_row_order_does_not_change_the_estimate(self, seed, n, c):
+        ts, queries, rng = uniform_set(seed, n, 60)
+        perm = rng.permutation(ts.npoints)
+        shuffled = validate_training_set((ts.x[perm], ts.y[perm]), n=n)
+        for q in queries:
+            a = evaluate_gradient(ts, q, combinations=c)
+            b = evaluate_gradient(shuffled, q, combinations=c)
+            assert b.y_hat == a.y_hat
+            assert perm[b.reference_index] == a.reference_index
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_batch_equals_scalar_calls(self, seed, n):
+        ts, queries, _ = uniform_set(seed, n, 40)
+        for c in (1, 4):
+            batch = evaluate_batch(ts, queries, combinations=c)
+            assert batch == [evaluate_gradient(ts, q, combinations=c).y_hat for q in queries]
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_simplex_reference_is_located_reference(self, seed, n):
+        ts, queries, _ = uniform_set(seed, n, 30)
+        for q in queries:
+            assert select_simplex(ts, q).reference == locate_reference(ts, q)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_mesh_simplex_reference_is_located_reference(self, seed):
+        nodes = np.linspace(0.0, 1.0, 5)
+        ts, mesh = mesh_training(nodes, 3, lambda x: x.sum(axis=1))
+        for q in np.random.default_rng(seed).uniform(-0.1, 1.1, (4, 3)):
+            assert select_simplex(ts, q, mesh).reference == locate_reference(ts, q, mesh)
 
 
 def test_is_extrapolation():

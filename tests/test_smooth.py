@@ -93,6 +93,26 @@ class TestApproxFunction:
         assert has_interior_inflection(ApproxFunctionParams(B=1.0, g1R=1.0, g2L=-1.0, d=2.0))
         assert not has_interior_inflection(ApproxFunctionParams(B=1.0, g1R=1.0, g2L=1.0, d=1.0))
 
+    @pytest.mark.parametrize("B", [0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("d", [1.0, 1.5, 2.0, 3.0])
+    def test_inflection_matches_pointwise_loop(self, B, d):
+        # the sampled curvature, evaluated one scalar sample at a time
+        def reference(p, samples=257):
+            xs = np.linspace(0.0, p.B, samples)[1:-1]
+            h = p.B / (samples * 4.0)
+            ys = np.array([approx_eval(p, x) for x in xs])
+            yp = np.array([approx_eval(p, x + h) for x in xs])
+            ym = np.array([approx_eval(p, x - h) for x in xs])
+            curv = yp - 2.0 * ys + ym
+            signs = np.sign(curv[np.abs(curv) > 1e-14 * max(1.0, np.abs(curv).max())])
+            return bool(len(signs) and (signs != signs[0]).any())
+
+        gradients = (-1.0, -0.3, 0.0, 0.3, 0.8, 1.0)
+        for g1R in gradients:
+            for g2L in gradients:
+                p = ApproxFunctionParams(B=B, g1R=g1R, g2L=g2L, d=d)
+                assert has_interior_inflection(p) == reference(p), p
+
 
 class TestSegmentAngles:
     def test_collinear_zero_deviation(self):
