@@ -26,12 +26,11 @@ from .model import (
     validate_query,
     validate_training_set,
 )
-from .neighbors import CombinationPlan, Simplex, Stencil1D, enumerate_combinations, locate_reference, select_simplex
+from .neighbors import Simplex, enumerate_combinations, locate_reference, select_simplex
 from .gradient import estimate_gradients, evaluate_gradient, extrapolate
 from .smooth import (
     ApproxFunctionParams,
     IntersectionProblem,
-    StencilAngles,
     adjust_gradient,
     approx_deriv,
     approx_eval,
@@ -41,13 +40,10 @@ from .smooth import (
     segment_angles,
     solve_intersection,
 )
-from .layers import LayeredResult, evaluate_layers
+from .layers import evaluate_layers
 from .bench import (
-    ErrorStats,
-    NoiseRatios,
     NoiseSpec,
     TEST_FUNCTIONS,
-    TestFunction,
     compute_noise_ratios,
     compute_stats,
     evaluate_batch,
@@ -57,36 +53,29 @@ from .bench import (
     measure_throughput,
     run_benchmark,
 )
-from .io import ParseError, load_dataset, load_queries, save_dataset, write_imputed, write_plot_csv, write_report
+from .io import ParseError, load_dataset, load_queries, save_dataset, write_plot_csv, write_report
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApproxFunctionParams",
-    "CombinationPlan",
     "DegenerateNeighborhood",
     "DimensionMismatch",
     "DuplicatePoint",
     "EmptyInput",
     "EmptyTrainingSet",
-    "ErrorStats",
     "Estimate",
     "GradsurfError",
     "InsufficientPoints",
     "IntersectionProblem",
-    "LayeredResult",
     "MeshIndex",
     "NoConvergence",
-    "NoiseRatios",
     "NoiseSpec",
     "NonFiniteValue",
     "ParseError",
     "Simplex",
     "SingularSystem",
-    "Stencil1D",
-    "StencilAngles",
     "TEST_FUNCTIONS",
-    "TestFunction",
     "TooFewPoints",
     "TrainingSet",
     "ValidationError",
@@ -119,7 +108,6 @@ __all__ = [
     "solve_intersection",
     "validate_query",
     "validate_training_set",
-    "write_imputed",
     "write_plot_csv",
     "write_report",
 ]

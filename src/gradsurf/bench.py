@@ -215,26 +215,22 @@ def gen_local_cell_dataset(
     nodes = np.linspace(lo, hi, nodes_per_axis)
     cell = rng.integers(1, nodes_per_axis - 2, size=n)
 
-    grid_indices = [tuple(cell)]
-    for a in range(n):
-        for step in (-1, 1, 2):
-            g = cell.copy()
-            g[a] += step
-            grid_indices.append(tuple(g))
-
-    x = np.array([[nodes[j] for j in g] for g in grid_indices])
+    # row 0 is the cell; row 1 + 3a + k steps axis a by (-1, 1, 2)[k]
+    grid = np.tile(cell, (3 * n + 1, 1))
+    grid[1 + np.arange(3 * n), np.repeat(np.arange(n), 3)] += np.tile((-1, 1, 2), n)
+    x = nodes[grid]
     y = function(x)
     if y_noise is not None:
         y = y + y_noise.draw(rng, y.shape)
     training = validate_training_set((x, y.reshape(-1, 1)), n=n, layer_count=1)
-    index_map = {g: i for i, g in enumerate(grid_indices)}
+    index_map = {tuple(g): i for i, g in enumerate(grid.tolist())}
     mesh = MeshIndex(axes=tuple([nodes] * n), index_map=index_map)
 
     off = rng.uniform(offset_range[0], offset_range[1], n)
     while len(np.unique(off)) < n:
         off = rng.uniform(offset_range[0], offset_range[1], n)
     h = nodes[1] - nodes[0]
-    query = np.array([nodes[j] for j in cell]) + off * h
+    query = nodes[cell] + off * h
     truth = float(function(query))
     ref_y = float(training.y[0, 0])
     return training, mesh, query, truth, ref_y

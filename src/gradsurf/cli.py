@@ -40,8 +40,6 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
                    help="shape exponent of the approximating arc")
     p.add_argument("--tolerance", type=_positive(float), default=1e-9)
     p.add_argument("--max-iter", type=_positive(int), default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_imp.add_argument("--data", required=True)
     p_imp.add_argument("--queries", required=True, help="query CSV with header x1..xn")
     p_imp.add_argument("--output", required=True)
+    p_imp.add_argument("--workers", type=_positive(int), default=1)
     _add_method_flags(p_imp)
 
     p_bench = sub.add_parser("bench", help="run a benchmark table at desk scale")
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--scale", choices=("small", "medium", "large"),
                          default="small")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=_positive(int), default=1)
     p_bench.add_argument("--output", required=True, help="JSON Lines report path")
     p_bench.add_argument("--plot-csv", dest="plot_csv", default=None,
                          help="also write a plot-ready CSV")

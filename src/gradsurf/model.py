@@ -205,11 +205,10 @@ class MeshIndex:
 
     def point_at(self, grid_idx: Sequence[int]) -> Optional[int]:
         """Training-point index for a grid multi-index, or None if absent (sparse grid)."""
-        key = tuple(int(i) for i in grid_idx)
         if self.index_map is not None:
-            return self.index_map.get(key)
+            return self.index_map.get(tuple(grid_idx))
         flat = 0
-        for i, m in zip(key, self.shape):
+        for i, m in zip(grid_idx, self.shape):
             if not (0 <= i < m):
                 return None
             flat = flat * m + i

@@ -97,32 +97,55 @@ def locate_reference(
     return int(np.argmin(_normalised_d2(training, query)))
 
 
-class _RankTracker:
-    """Incremental Gram-Schmidt rank check for candidate difference rows."""
+def _distance_order(training: TrainingSet, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Training points nearest first (stable on ties), and the normalised d2."""
+    d2 = _normalised_d2(training, query)
+    return np.argsort(d2, kind="stable"), d2
 
-    def __init__(self, n: int):
-        self.basis = np.empty((0, n))
 
-    def try_add(self, row: np.ndarray, min_fraction: float = RANK_RTOL) -> bool:
-        """Accept the row if it is at least RANK_RTOL long and its component
-        orthogonal to the current basis is at least ``min_fraction`` of its
-        length.
+def _build_simplex(
+    training: TrainingSet, reference, candidates, min_fraction: float = RANK_RTOL
+) -> Optional[Simplex]:
+    """The reference plus the first n candidates whose rows stay independent.
 
-        Rows come in axis-range-normalised units, so the length floor rejects
-        near-duplicate points that the normalisation below would hide.
-        """
+    Each row is ``(x[cand] - x[reference]) / axis_ranges``.  A candidate is
+    accepted if its row is longer than RANK_RTOL, which rejects near-duplicate
+    points that the normalisation below would hide, and the row's component
+    orthogonal to the accepted rows is more than ``min_fraction`` of its
+    length (incremental Gram-Schmidt).  ``candidates`` is consumed only up to
+    the n-th accepted one; None if it runs out first.
+    """
+    origin, scale = training.x[reference], training.axis_ranges
+    basis = np.empty((0, training.n))
+    aux = []
+    for cand in candidates:
+        row = (training.x[cand] - origin) / scale
         norm = np.linalg.norm(row)
         if norm <= RANK_RTOL:
-            return False
+            continue
         r = row / norm
-        if len(self.basis):
-            r = r - self.basis.T @ (self.basis @ r)
+        if aux:
+            r = r - basis.T @ (basis @ r)
             rn = np.linalg.norm(r)
             if rn <= min_fraction:
-                return False
+                continue
             r = r / rn
-        self.basis = np.vstack([self.basis, r])
-        return True
+        basis = np.vstack([basis, r])
+        aux.append(int(cand))
+        if len(aux) == training.n:
+            return Simplex(reference=int(reference), auxiliaries=tuple(aux))
+    return None
+
+
+def _nearest_simplex(training: TrainingSet, order: np.ndarray) -> Simplex:
+    """The nearest point and the first independent ones among the next 3n."""
+    budget = min(training.npoints - 1, CANDIDATE_FACTOR * training.n)
+    simplex = _build_simplex(training, order[0], order[1 : budget + 1])
+    if simplex is None:
+        raise DegenerateNeighborhood(
+            f"no nonsingular simplex among the {budget} nearest candidates"
+        )
+    return simplex
 
 
 def select_simplex(
@@ -150,25 +173,7 @@ def select_simplex(
                 )
             aux.append(idx)
         return Simplex(reference=reference, auxiliaries=tuple(aux))
-
-    n = training.n
-    scale = training.axis_ranges
-    order = np.argsort(_normalised_d2(training, query), kind="stable")
-    reference = int(order[0])
-    budget = min(training.npoints - 1, max(CANDIDATE_FACTOR * n, n))
-
-    tracker = _RankTracker(n)
-    aux = []
-    ref_x = training.x[reference] / scale
-    for cand in order[1 : budget + 1]:
-        row = training.x[cand] / scale - ref_x
-        if tracker.try_add(row):
-            aux.append(int(cand))
-            if len(aux) == n:
-                return Simplex(reference=reference, auxiliaries=tuple(aux))
-    raise DegenerateNeighborhood(
-        f"no nonsingular simplex among the {budget} nearest candidates"
-    )
+    return _nearest_simplex(training, _distance_order(training, query)[0])
 
 
 def enumerate_combinations(
@@ -186,44 +191,33 @@ def enumerate_combinations(
     """
     if c < 1:
         raise InsufficientPoints("combination count must be >= 1")
-    n = training.n
+    if c == 1:
+        return CombinationPlan(simplexes=(select_simplex(training, query, mesh),))
 
-    base = select_simplex(training, query, mesh)
+    order, d2 = _distance_order(training, query)
+    if mesh is not None:
+        base = select_simplex(training, query, mesh)
+    else:
+        base = _nearest_simplex(training, order)
     plans = [base]
     seen = {base.key()}
-    if c == 1:
-        return CombinationPlan(simplexes=tuple(plans))
-
-    scale = training.axis_ranges
-    d2 = _normalised_d2(training, query)
-    order = [int(i) for i in np.argsort(d2, kind="stable")]
 
     def add(simplex: Simplex) -> None:
         if simplex.key() not in seen:
             seen.add(simplex.key())
             plans.append(simplex)
 
-    # disjoint blocks of n+1 nearest points
-    used = set(base.auxiliaries) | {base.reference}
-    block: list[int] = []
-    for cand in order:
+    # disjoint blocks of n+1 nearest points, each led by its nearest one; a
+    # block must be well conditioned (min_fraction 0.3): a skewed simplex
+    # amplifies outcome noise and defeats the purpose of averaging
+    used = {base.reference, *base.auxiliaries}
+    free = (i for i in order if i not in used)
+    for ref in free:
+        block = _build_simplex(training, ref, free, min_fraction=0.3)
+        if block is not None:
+            add(block)
         if len(plans) >= c:
             break
-        if cand in used:
-            continue
-        if not block:
-            block = [cand]
-            tracker = _RankTracker(n)
-            continue
-        row = (training.x[cand] - training.x[block[0]]) / scale
-        # demand a well-conditioned block: a skewed simplex amplifies
-        # outcome noise and defeats the purpose of averaging
-        if tracker.try_add(row, min_fraction=0.3):
-            block.append(cand)
-        if len(block) == n + 1:
-            used.update(block)
-            add(Simplex(reference=block[0], auxiliaries=tuple(block[1:])))
-            block = []
 
     if len(plans) < c:
         _fill_from_subsets(training, plans, add, order, d2, c)
@@ -243,9 +237,8 @@ def _fill_from_subsets(training, plans, add, order, d2, c):
     becomes the reference.
     """
     n = training.n
-    scale = training.axis_ranges
     dist = np.sqrt(d2)
-    pool = order[: max(n + 2, min(len(order), 2 * n + 8))]
+    pool = order[: max(n + 2, min(len(order), 2 * n + 8))].tolist()
     while comb(len(pool), n + 1) > SMALL_POOL_LIMIT and len(pool) > n + 2:
         pool = pool[:-1]
 
@@ -255,11 +248,9 @@ def _fill_from_subsets(training, plans, add, order, d2, c):
     for ref, *aux in subsets:
         if len(plans) >= c:
             return
-        tracker = _RankTracker(n)
-        if all(
-            tracker.try_add((training.x[a] - training.x[ref]) / scale) for a in aux
-        ):
-            add(Simplex(reference=ref, auxiliaries=tuple(aux)))
+        simplex = _build_simplex(training, ref, aux)
+        if simplex is not None:
+            add(simplex)
 
 
 def axis_stencil(

@@ -15,6 +15,7 @@ from gradsurf import (
     run_benchmark,
 )
 from gradsurf.bench import SENTINEL_RATIO
+from tests_oracles import oracle_local_cell_dataset
 
 
 class TestTestFunctions:
@@ -119,6 +120,24 @@ class TestLocalCellDataset:
             assert truth == pytest.approx(float(TEST_FUNCTIONS["H1"](q)))
             cell = mesh.cell_of(q)
             assert mesh.point_at(cell) == 0  # query sits in the reference cell
+
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_matches_the_pointwise_oracle(self, n, noisy):
+        f = TEST_FUNCTIONS["H1"]
+        noise = NoiseSpec(kind="normal", sigma=0.1) if noisy else None
+        for seed in range(4):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            ts, mesh, q, truth, ref = gen_local_cell_dataset(f, n, 20, rng, y_noise=noise)
+            x, y, index_map, q0, truth0, ref0 = oracle_local_cell_dataset(
+                f, n, 20, oracle_rng, y_noise=noise
+            )
+            assert np.array_equal(ts.x, x) and np.array_equal(ts.y, y)
+            assert mesh.index_map == index_map
+            assert np.array_equal(q, q0)
+            assert (truth, ref) == (truth0, ref0)
+            assert rng.uniform() == oracle_rng.uniform()  # same draws consumed
 
 
 class TestComputeStats:

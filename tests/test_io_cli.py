@@ -274,6 +274,35 @@ class TestCli:
         assert exc.value.code == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, option", [
+        ("eval", "--seed"), ("eval", "--workers"), ("impute", "--seed"),
+    ])
+    def test_removed_option_rejected(self, tmp_path, command, option):
+        data, _ = affine_files(tmp_path)
+        q = tmp_path / "q.csv"
+        q.write_text("x1,x2\n0.7,1.1\n")
+        out = tmp_path / "out.csv"
+        args = (["--at", "0.7,1.1"] if command == "eval"
+                else ["--queries", str(q), "--output", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(data), *args, option, "1"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_non_positive_workers_rejected(self, tmp_path, workers):
+        data, _ = affine_files(tmp_path)
+        q = tmp_path / "q.csv"
+        q.write_text("x1,x2\n0.7,1.1\n")
+        out = tmp_path / "out.csv"
+        for argv in (["impute", "--data", str(data), "--queries", str(q),
+                      "--output", str(out)],
+                     ["bench", "--table", "averaging", "--output", str(out)]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--workers", workers])
+            assert exc.value.code == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_unknown_method_rejected(self, tmp_path):
         data, _ = affine_files(tmp_path)
         q = tmp_path / "q.csv"

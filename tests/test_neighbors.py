@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradsurf import (
@@ -14,7 +14,10 @@ from gradsurf import (
     select_simplex,
     validate_training_set,
 )
+from gradsurf import neighbors
+from gradsurf.model import GradsurfError
 from gradsurf.neighbors import axis_stencil, is_extrapolation
+from tests_oracles import oracle_scattered_plan
 
 
 def mesh_training(nodes, n, fn):
@@ -119,6 +122,19 @@ class TestEnumerateCombinations:
         # the first several combinations come from disjoint blocks
         assert len(point_sets[0] | point_sets[1] | point_sets[2]) == 9
 
+    @pytest.mark.parametrize("c", [1, 4, 16])
+    def test_distances_computed_once_per_query(self, monkeypatch, c):
+        calls = []
+        real = neighbors._normalised_d2
+        monkeypatch.setattr(neighbors, "_normalised_d2",
+                            lambda *args: calls.append(1) or real(*args))
+        ts, queries, _ = uniform_set(3, 2, 60)
+        enumerate_combinations(ts, queries[0], c)
+        assert len(calls) == 1
+        mesh_ts, mesh = mesh_training(np.linspace(0.0, 1.0, 4), 2, lambda x: x.sum(axis=1))
+        enumerate_combinations(mesh_ts, np.array([0.4, 0.5]), 1, mesh)
+        assert len(calls) == 1  # mesh mode with C=1 needs no distances
+
 
 class TestAxisStencil:
     def test_interior_cell_full_stencil(self):
@@ -200,6 +216,65 @@ class TestScatteredProperties:
         ts, mesh = mesh_training(nodes, 3, lambda x: x.sum(axis=1))
         for q in np.random.default_rng(seed).uniform(-0.1, 1.1, (4, 3)):
             assert select_simplex(ts, q, mesh).reference == locate_reference(ts, q, mesh)
+
+
+def _plan_or_error(build):
+    try:
+        return build()
+    except GradsurfError as exc:
+        return type(exc)
+
+
+class TestScatteredPlanOracle:
+    """The plan equals the one the per-use loops built, or both raise alike."""
+
+    def check(self, x, q, c):
+        x = x[np.sort(np.unique(x, axis=0, return_index=True)[1])]
+        n = x.shape[1]
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, np.zeros(len(x))), n=n)
+        got = _plan_or_error(lambda: [
+            (s.reference, s.auxiliaries) for s in enumerate_combinations(ts, q, c).simplexes
+        ])
+        want = _plan_or_error(lambda: oracle_scattered_plan(ts, q, c))
+        assert got == want
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 4),
+           c=st.sampled_from([1, 2, 4, 16]), npoints=st.integers(30, 80))
+    @settings(max_examples=40, deadline=None)
+    def test_uniform_sets(self, seed, n, c, npoints):
+        rng = np.random.default_rng(seed)
+        self.check(rng.uniform(0.0, 1.0, (npoints, n)), rng.uniform(0.0, 1.0, n), c)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 4),
+           c=st.sampled_from([1, 2, 4, 16]), npoints=st.integers(5, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_rounded_sets_with_ties(self, seed, n, c, npoints):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.uniform(0.0, 1.0, (npoints, n)), 1)
+        self.check(x, np.round(rng.uniform(0.0, 1.0, n), 1), c)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 4),
+           c=st.integers(1, 30), npoints=st.integers(2, 20),
+           rounded=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_small_sets_reach_the_subset_fill(self, seed, n, c, npoints, rounded):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (npoints, n))
+        self.check(np.round(x, 1) if rounded else x, rng.uniform(0.0, 1.0, n), c)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 4),
+           c=st.sampled_from([1, 2, 4]), run=st.integers(2, 14))
+    @settings(max_examples=40, deadline=None)
+    def test_collinear_nearest_points(self, seed, n, c, run):
+        # the nearest ``run`` points lie on one line through the query, so the
+        # simplex needs candidates deep in the 3n budget or beyond it
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(0.4, 0.6, n)
+        line = q + np.outer(rng.uniform(-0.05, 0.05, run), rng.normal(size=n))
+        far = rng.uniform(0.0, 1.0, (30, n))
+        far = far[np.abs(far - q).max(axis=1) > 0.3]
+        self.check(np.vstack([line, far]), q, c)
 
 
 def test_is_extrapolation():
