@@ -11,7 +11,6 @@ import numpy as np
 
 from .model import (
     EmptyInput,
-    Estimate,
     MeshIndex,
     TrainingSet,
     ValidationError,
@@ -240,32 +239,9 @@ def gen_local_cell_dataset(
 # metrics
 
 
-@dataclass(frozen=True)
-class ErrorStats:
-    """Table-style accuracy metrics over one scenario's query set."""
-
-    m: int
-    avg_y_differ: float
-    avg_abs_err: float
-    max_abs_err: float
-    rel_err: float
-    wall_time: float = 0.0
-
-    def row(self) -> dict:
-        return {
-            "M": self.m,
-            "avg_y_differ": self.avg_y_differ,
-            "avg_abs_err": self.avg_abs_err,
-            "max_abs_err": self.max_abs_err,
-            "rel_err": self.rel_err,
-        }
-
-
-def compute_stats(estimates, truths, reference_truths, wall_time: float = 0.0) -> ErrorStats:
-    """Aggregate absolute/relative error metrics against the true values."""
-    y_hat = np.asarray(
-        [e.y_hat if isinstance(e, Estimate) else float(e) for e in estimates]
-    )
+def compute_stats(y_hat, truths, reference_truths) -> dict:
+    """The table-row error metrics: M, avg_y_differ, avg_abs_err, max_abs_err, rel_err."""
+    y_hat = np.asarray(y_hat, dtype=float)
     truths = np.asarray(truths, dtype=float)
     refs = np.asarray(reference_truths, dtype=float)
     if len(y_hat) == 0:
@@ -277,27 +253,17 @@ def compute_stats(estimates, truths, reference_truths, wall_time: float = 0.0) -
     differ = float(np.abs(refs - truths).mean())
     avg_err = float(err.mean())
     rel = avg_err / differ if differ > 0 else (0.0 if avg_err == 0 else SENTINEL_RATIO)
-    return ErrorStats(
-        m=len(y_hat),
-        avg_y_differ=differ,
-        avg_abs_err=avg_err,
-        max_abs_err=float(err.max()),
-        rel_err=float(rel),
-        wall_time=wall_time,
-    )
+    return {
+        "M": len(y_hat),
+        "avg_y_differ": differ,
+        "avg_abs_err": avg_err,
+        "max_abs_err": float(err.max()),
+        "rel_err": float(rel),
+    }
 
 
-@dataclass(frozen=True)
-class NoiseRatios:
-    """Noise-attenuation ratios: absolute-deviation (r1) and algebraic-sum (r2)."""
-
-    r1: float
-    r2: float
-    m: int
-    capped: bool = False
-
-
-def compute_noise_ratios(noisy_y, computed_y, original_y) -> NoiseRatios:
+def compute_noise_ratios(noisy_y, computed_y, original_y) -> dict:
+    """Noise attenuation r1 (absolute deviations), r2 (sums); capped if one vanished."""
     noisy = np.asarray(noisy_y, dtype=float)
     comp = np.asarray(computed_y, dtype=float)
     orig = np.asarray(original_y, dtype=float)
@@ -309,10 +275,11 @@ def compute_noise_ratios(noisy_y, computed_y, original_y) -> NoiseRatios:
     num = float(np.abs(noisy - orig).sum())
     den1 = float(np.abs(comp - orig).sum())
     den2 = float((comp - orig).sum())
-    capped = den1 == 0.0 or den2 == 0.0
-    r1 = num / den1 if den1 != 0.0 else SENTINEL_RATIO
-    r2 = num / den2 if den2 != 0.0 else SENTINEL_RATIO
-    return NoiseRatios(r1=r1, r2=r2, m=len(noisy), capped=capped)
+    return {
+        "r1": num / den1 if den1 != 0.0 else SENTINEL_RATIO,
+        "r2": num / den2 if den2 != 0.0 else SENTINEL_RATIO,
+        "capped": den1 == 0.0 or den2 == 0.0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -345,39 +312,47 @@ HIGH_DIMS = (10, 30, 50, 100)
 HIGH_DIM_QUERIES = {"small": 150, "medium": 400, "large": 1000}
 
 
-def _mesh_scenario(function, m, seed, method, budget=5000, workers=1, **kwargs):
+def _mesh_scenario(function, m, seed, methods, workers=1) -> list:
+    """(stats, wall time) per method on one mesh and query set, each built once."""
     training, mesh = gen_mesh_dataset(function, m, seed=seed)
-    queries, truths, refs = gen_queries(
-        mesh, function, training, seed=seed + 1, budget=budget
-    )
-    t0 = time.perf_counter()
-    y_hat = evaluate_batch(
-        training, queries, mesh=mesh, method=method, workers=workers, **kwargs
-    )
-    wall = time.perf_counter() - t0
-    return compute_stats(y_hat, truths, refs, wall_time=wall)
+    queries, truths, refs = gen_queries(mesh, function, training, seed=seed + 1)
+    results = []
+    for method in methods:
+        t0 = time.perf_counter()
+        y_hat = evaluate_batch(training, queries, mesh=mesh, method=method, workers=workers)
+        wall = time.perf_counter() - t0
+        results.append((compute_stats(y_hat, truths, refs), wall))
+    return results
 
 
-def _high_dim_scenario(function, n, m_queries, seed, method, nodes_per_axis=20,
-                       y_noise=None, collect_noise=False):
+def _high_dim_scenario(function, n, m_queries, seed, methods, y_noise=None) -> list:
+    """(stats, wall time) per method over m_queries local cells, each built once.
+
+    With ``y_noise`` the stats also hold the noise ratios at the queries.
+    """
     rng = np.random.default_rng(seed)
-    y_hat, truths, refs, noisy_at_query = [], [], [], []
-    t0 = time.perf_counter()
+    y_hat = {method: [] for method in methods}
+    walls = dict.fromkeys(methods, 0.0)
+    truths, refs, noisy = [], [], []
     for _ in range(m_queries):
         training, mesh, query, truth, ref_y = gen_local_cell_dataset(
-            function, n, nodes_per_axis, rng, y_noise=y_noise
+            function, n, 20, rng, y_noise=y_noise
         )
-        y_hat.append(_evaluate(training, query, mesh, method).y_hat)
+        for method in methods:
+            t0 = time.perf_counter()
+            y_hat[method].append(_evaluate(training, query, mesh, method).y_hat)
+            walls[method] += time.perf_counter() - t0
         truths.append(truth)
         refs.append(ref_y)
-        if collect_noise:
-            noisy_at_query.append(truth + float(y_noise.draw(rng, ())))
-    wall = time.perf_counter() - t0
-    stats = compute_stats(y_hat, truths, refs, wall_time=wall)
-    if collect_noise:
-        ratios = compute_noise_ratios(noisy_at_query, y_hat, truths)
-        return stats, ratios
-    return stats
+        if y_noise is not None:
+            noisy.append(truth + float(y_noise.draw(rng, ())))
+    results = []
+    for method in methods:
+        stats = compute_stats(y_hat[method], truths, refs)
+        if y_noise is not None:
+            stats.update(compute_noise_ratios(noisy, y_hat[method], truths))
+        results.append((stats, walls[method]))
+    return results
 
 
 def _affine_averaging_scenario(c_values, seed, n=2, sigma=0.3, replications=48):
@@ -454,37 +429,33 @@ def run_benchmark(table_id: str, scale: str = "small", seed: int = 0,
         f = TEST_FUNCTIONS["T1"]
         report["notes"]["domain"] = f.domain
         for m in T1_SCALES[scale]:
-            stats = _mesh_scenario(f, m, seed, "gradient", workers=workers)
-            row = {"function": f.id, "nodes_per_axis": m, "points": m**3,
-                   "method": "gradient"}
-            row.update(stats.row())
-            report["rows"].append(row)
-            report["timing"].append({"wall_time": stats.wall_time})
+            [(stats, wall)] = _mesh_scenario(f, m, seed, ("gradient",), workers)
+            report["rows"].append({"function": f.id, "nodes_per_axis": m, "points": m**3,
+                                   "method": "gradient", **stats})
+            report["timing"].append({"wall_time": wall})
 
     elif table_id == "T2":
         for fid in ("S1", "S2", "T1"):
             f = TEST_FUNCTIONS[fid]
             report["notes"][fid + "_domain"] = f.domain
             for m in T2_SCALES[scale]:
-                grad = _mesh_scenario(f, m, seed, "gradient", workers=workers)
-                smooth = _mesh_scenario(f, m, seed, "smooth", workers=workers)
-                row = {
+                (grad, grad_wall), (smooth, smooth_wall) = _mesh_scenario(
+                    f, m, seed, ("gradient", "smooth"), workers
+                )
+                report["rows"].append({
                     "function": fid,
                     "nodes_per_axis": m,
                     "points": m**3,
-                    "gradient_rel_err": grad.rel_err,
-                    "smooth_rel_err": smooth.rel_err,
+                    "gradient_rel_err": grad["rel_err"],
+                    "smooth_rel_err": smooth["rel_err"],
                     "smooth_to_gradient_ratio": (
-                        smooth.avg_abs_err / grad.avg_abs_err
-                        if grad.avg_abs_err > 0
+                        smooth["avg_abs_err"] / grad["avg_abs_err"]
+                        if grad["avg_abs_err"] > 0
                         else SENTINEL_RATIO
                     ),
-                }
-                row.update({"smooth_" + k: v for k, v in smooth.row().items()})
-                report["rows"].append(row)
-                report["timing"].append(
-                    {"wall_time": grad.wall_time, "smooth_wall_time": smooth.wall_time}
-                )
+                    **{"smooth_" + k: v for k, v in smooth.items()},
+                })
+                report["timing"].append({"wall_time": grad_wall, "smooth_wall_time": smooth_wall})
 
     elif table_id == "T3":
         m_queries = HIGH_DIM_QUERIES[scale]
@@ -493,25 +464,26 @@ def run_benchmark(table_id: str, scale: str = "small", seed: int = 0,
             report["notes"][fid + "_domain"] = f.domain
             for dims in HIGH_DIMS:
                 n = dims - 1
-                grad = _high_dim_scenario(f, n, m_queries, seed, "gradient")
-                smooth = _high_dim_scenario(f, n, m_queries, seed, "smooth")
+                (grad, grad_wall), (smooth, smooth_wall) = _high_dim_scenario(
+                    f, n, m_queries, seed, ("gradient", "smooth")
+                )
                 report["rows"].append({
                     "function": fid,
                     "dimensions": dims,
                     "predictors": n,
                     "queries": m_queries,
-                    "gradient_rel_err": grad.rel_err,
-                    "smooth_rel_err": smooth.rel_err,
+                    "gradient_rel_err": grad["rel_err"],
+                    "smooth_rel_err": smooth["rel_err"],
                     "gradient_to_smooth_accuracy": (
-                        grad.avg_abs_err / smooth.avg_abs_err
-                        if smooth.avg_abs_err > 0
+                        grad["avg_abs_err"] / smooth["avg_abs_err"]
+                        if smooth["avg_abs_err"] > 0
                         else SENTINEL_RATIO
                     ),
-                    "avg_y_differ": grad.avg_y_differ,
+                    "avg_y_differ": grad["avg_y_differ"],
                 })
                 report["timing"].append({
-                    "gradient_time_per_query": grad.wall_time / grad.m,
-                    "smooth_time_per_query": smooth.wall_time / smooth.m,
+                    "gradient_time_per_query": grad_wall / m_queries,
+                    "smooth_time_per_query": smooth_wall / m_queries,
                 })
 
     elif table_id == "T4":
@@ -522,20 +494,17 @@ def run_benchmark(table_id: str, scale: str = "small", seed: int = 0,
         report["notes"]["H1_domain"] = f.domain
         for dims in HIGH_DIMS:
             n = dims - 1
-            stats, ratios = _high_dim_scenario(
-                f, n, m_queries, seed, "smooth", y_noise=noise, collect_noise=True
+            [(stats, wall)] = _high_dim_scenario(
+                f, n, m_queries, seed, ("smooth",), y_noise=noise
             )
             report["rows"].append({
                 "function": f.id,
                 "dimensions": dims,
                 "predictors": n,
                 "queries": m_queries,
-                "r1": ratios.r1,
-                "r2": ratios.r2,
-                "capped": ratios.capped,
-                "rel_err": stats.rel_err,
+                **{k: stats[k] for k in ("r1", "r2", "capped", "rel_err")},
             })
-            report["timing"].append({"wall_time": stats.wall_time})
+            report["timing"].append({"wall_time": wall})
 
     elif table_id == "averaging":
         c_values = (1, 4, 16, 64)

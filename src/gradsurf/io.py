@@ -26,9 +26,8 @@ def _sidecar_path(path) -> Path:
     return Path(path).with_suffix(".mesh.json")
 
 
-def _parse_header(header: list, path) -> tuple[int, int]:
+def _parse_header(cols: list, path) -> tuple[int, int]:
     """Return (n, layer_count) for a header of x1..xn then y or y1..ym."""
-    cols = [c.strip() for c in header]
     n = 0
     while n < len(cols) and _X_COL.match(cols[n]):
         n += 1
@@ -45,36 +44,44 @@ def _parse_header(header: list, path) -> tuple[int, int]:
     return n, layers
 
 
-def _read_rows(path, width: int) -> tuple[np.ndarray, list]:
-    """Parsed data rows and the file line number of each."""
+def _csv_reader(path):
+    """The rows of a UTF-8 CSV file; a byte that is not UTF-8 raises ParseError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_header(reader, path) -> list:
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}, line 1: file is empty")
+    return [c.strip() for c in header]
+
+
+def _read_rows(reader, path, width: int) -> tuple[np.ndarray, list]:
+    """Parsed data rows after the header, and the file line number of each."""
     rows, linenos = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header, already parsed
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != width:
-                raise ParseError(
-                    f"{path}, line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}, line {lineno}: {exc}") from exc
-            linenos.append(lineno)
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}, line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            rows.append([float(c) for c in row])
+        except ValueError as exc:
+            raise ParseError(f"{path}, line {lineno}: {exc}") from exc
+        linenos.append(lineno)
     return np.asarray(rows, dtype=float).reshape(-1, width), linenos
 
 
 def load_dataset(path) -> tuple[TrainingSet, Optional[MeshIndex]]:
     """Load a CSV dataset, plus its mesh sidecar when one sits next to it."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise ParseError(f"{path}, line 1: file is empty")
-    n, layers = _parse_header(header, path)
-    data, linenos = _read_rows(path, n + layers)
+    reader = _csv_reader(path)
+    n, layers = _parse_header(_read_header(reader, path), path)
+    data, linenos = _read_rows(reader, path, n + layers)
     training = validate_training_set((data[:, :n], data[:, n:]), n=n, layer_count=layers)
 
     mesh = None
@@ -129,15 +136,17 @@ def _check_mesh(training, mesh, sidecar, path, linenos) -> None:
 
 
 def load_mesh_sidecar(path) -> MeshIndex:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     try:
         axes = tuple(np.asarray(a, dtype=float) for a in meta["axes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed 'axes'") from exc
+    if not all(a.ndim == 1 for a in axes):
+        raise ParseError(f"{path}: each of 'axes' must be a list of numbers")
     index_map = None
     if meta.get("index_map") is not None:
         try:
@@ -147,11 +156,11 @@ def load_mesh_sidecar(path) -> MeshIndex:
             }
         except (AttributeError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed 'index_map'") from exc
-    return MeshIndex(
-        axes=axes,
-        jitter_fraction=float(meta.get("jitter_fraction", 0.0)),
-        index_map=index_map,
-    )
+    try:
+        jitter_fraction = float(meta.get("jitter_fraction", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed 'jitter_fraction'") from exc
+    return MeshIndex(axes=axes, jitter_fraction=jitter_fraction, index_map=index_map)
 
 
 def save_dataset(path, training: TrainingSet, mesh: Optional[MeshIndex] = None) -> None:
@@ -188,16 +197,13 @@ def save_dataset(path, training: TrainingSet, mesh: Optional[MeshIndex] = None) 
 def load_queries(path) -> np.ndarray:
     """Load a query CSV with header x1..xn."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise ParseError(f"{path}, line 1: file is empty")
-    cols = [c.strip() for c in header]
+    reader = _csv_reader(path)
+    cols = _read_header(reader, path)
     if not all(_X_COL.match(c) for c in cols) or cols != [
         f"x{i + 1}" for i in range(len(cols))
     ]:
         raise ParseError(f"{path}, line 1: query header must be x1..xn, got {cols!r}")
-    return _read_rows(path, len(cols))[0]
+    return _read_rows(reader, path, len(cols))[0]
 
 
 def write_imputed(path, rows: list, layers: int) -> None:

@@ -11,6 +11,7 @@ import numpy as np
 
 from .model import Estimate, MeshIndex, TrainingSet, ValidationError
 from .gradient import evaluate_gradient
+from .neighbors import enumerate_combinations
 from .smooth import evaluate_smooth
 
 
@@ -65,8 +66,14 @@ def evaluate_layers(
     Layers never mix: component j is exactly the scalar method applied to
     layer j's outcomes.  ``kwargs`` go to the method (``combinations`` for
     gradient; ``d``, ``tol``, ``max_iter`` for smooth).  Per-layer failures
-    propagate as the corresponding component's error.
+    propagate as the corresponding component's error.  The gradient method's
+    point combinations do not depend on the layer, so they are built once.
     """
+    if method == "gradient" and kwargs.get("plan") is None:
+        query = np.asarray(query, dtype=float)
+        kwargs["plan"] = enumerate_combinations(
+            training, query, kwargs.get("combinations", 1), mesh
+        )
     return LayeredResult(components=tuple(
         _evaluate(training, query, mesh, method, layer=layer, **kwargs)
         for layer in range(training.layer_count)

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .model import (
-    DegenerateNeighborhood,
     Estimate,
     MeshIndex,
     NoConvergence,
@@ -28,7 +26,6 @@ from .neighbors import Stencil1D, _mesh_cell, axis_stencil, is_extrapolation
 from .solvers import find_root
 
 TRIVIAL_SLOPE = 1e-12  # below this the rotation is skipped entirely
-ENDPOINT_EPS = 1e-12
 
 
 @dataclass(frozen=True)

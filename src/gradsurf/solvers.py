@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -57,13 +57,14 @@ def find_root(
     x0: float,
     tol: float = 1e-9,
     max_iter: int = 20,
-    bracket: Optional[tuple[float, float]] = None,
+    *,
+    bracket: tuple[float, float],
 ) -> tuple[float, int]:
     """Newton-Raphson from x0, falling back to bisection on the bracket.
 
     Convergence is declared when the step between successive iterates drops
     to tol or below.  When Newton diverges, stalls, or leaves the bracket,
-    a sign-changing bracket (if available) is bisected to tolerance instead;
+    the bracket is bisected to tolerance instead if f changes sign on it;
     with no sign change NoConvergence is raised.  ``tol > 0`` and
     ``max_iter >= 1`` are the caller's to check (``evaluate_smooth`` does).
     """
@@ -71,9 +72,7 @@ def find_root(
     if f(x) == 0.0:
         return x, 0
 
-    lo = hi = None
-    if bracket is not None:
-        lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = float(bracket[0]), float(bracket[1])
 
     iterations = 0
     for _ in range(max_iter):
@@ -83,7 +82,7 @@ def find_root(
             break
         step = fx / dfx
         xn = x - step
-        if lo is not None and not (lo <= xn <= hi):
+        if not (lo <= xn <= hi):
             break
         iterations += 1
         if abs(step) <= tol:
@@ -94,8 +93,6 @@ def find_root(
 
 
 def _bisect_fallback(f, tol, bracket, newton_iters: int) -> tuple[float, int]:
-    if bracket is None:
-        raise NoConvergence("Newton failed and no bracket was supplied")
     lo, hi = float(bracket[0]), float(bracket[1])
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:

@@ -14,8 +14,13 @@ from gradsurf import (
     gen_queries,
     run_benchmark,
 )
-from gradsurf.bench import SENTINEL_RATIO
-from tests_oracles import oracle_local_cell_dataset
+from gradsurf import bench
+from gradsurf.bench import SENTINEL_RATIO, _high_dim_scenario, _mesh_scenario
+from tests_oracles import (
+    oracle_high_dim_scenario,
+    oracle_local_cell_dataset,
+    oracle_mesh_scenario,
+)
 
 
 class TestTestFunctions:
@@ -143,14 +148,15 @@ class TestLocalCellDataset:
 class TestComputeStats:
     def test_perfect_reconstruction(self):
         s = compute_stats([1.0, 2.0], [1.0, 2.0], [0.5, 1.5])
-        assert s.avg_abs_err == 0.0
-        assert s.rel_err == 0.0
+        assert s == {"M": 2, "avg_y_differ": 0.5, "avg_abs_err": 0.0,
+                     "max_abs_err": 0.0, "rel_err": 0.0}
 
     def test_direct_ratio(self):
         s = compute_stats([1.1], [1.0], [0.6])
-        assert s.avg_y_differ == pytest.approx(0.4)
-        assert s.rel_err == pytest.approx(0.1 / 0.4)
-        assert s.max_abs_err == pytest.approx(0.1)
+        assert s["M"] == 1
+        assert s["avg_y_differ"] == pytest.approx(0.4)
+        assert s["rel_err"] == pytest.approx(0.1 / 0.4)
+        assert s["max_abs_err"] == pytest.approx(0.1)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
@@ -164,14 +170,62 @@ class TestComputeStats:
 class TestComputeNoiseRatios:
     def test_perfect_computation_flagged_sentinel(self):
         r = compute_noise_ratios([1.1, 2.1], [1.0, 2.0], [1.0, 2.0])
-        assert r.capped
-        assert r.r1 == SENTINEL_RATIO
+        assert r == {"r1": SENTINEL_RATIO, "r2": SENTINEL_RATIO, "capped": True}
 
     def test_hand_values(self):
         r = compute_noise_ratios([1.2, 1.8], [1.1, 1.95], [1.0, 2.0])
-        assert r.r1 == pytest.approx(0.4 / 0.15)
-        assert r.r2 == pytest.approx(0.4 / 0.05)
-        assert not r.capped
+        assert r.keys() == {"r1", "r2", "capped"}
+        assert r["r1"] == pytest.approx(0.4 / 0.15)
+        assert r["r2"] == pytest.approx(0.4 / 0.05)
+        assert not r["capped"]
+
+
+METHODS = ("gradient", "smooth")
+
+
+class TestScenarios:
+    """Each scenario builds its data once and evaluates every method on it."""
+
+    def test_mesh_scenario_equals_one_method_oracle(self):
+        f = TEST_FUNCTIONS["S1"]
+        results = _mesh_scenario(f, 8, 3, METHODS)
+        assert len(results) == 2
+        for method, (stats, wall) in zip(METHODS, results):
+            assert stats == oracle_mesh_scenario(f, 8, 3, method)
+            assert wall > 0
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_high_dim_scenario_equals_one_method_oracle(self, noisy):
+        f = TEST_FUNCTIONS["H1"]
+        noise = NoiseSpec(kind="normal", sigma=0.1) if noisy else None
+        results = _high_dim_scenario(f, 9, 6, 5, METHODS, y_noise=noise)
+        for method, (stats, wall) in zip(METHODS, results):
+            oracle = oracle_high_dim_scenario(
+                f, 9, 6, 5, method, y_noise=noise, collect_noise=noisy
+            )
+            if noisy:
+                oracle = {**oracle[0], **oracle[1]}
+            assert stats == oracle
+            assert wall > 0
+
+    def test_data_built_once_per_scenario(self, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            original = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(bench, name, wrapper)
+
+        for name in ("gen_mesh_dataset", "gen_queries", "gen_local_cell_dataset"):
+            counted(name)
+        _mesh_scenario(TEST_FUNCTIONS["S1"], 8, 0, METHODS)
+        assert calls == {"gen_mesh_dataset": 1, "gen_queries": 1}
+        _high_dim_scenario(TEST_FUNCTIONS["H1"], 9, 6, 0, METHODS)
+        assert calls["gen_local_cell_dataset"] == 6
 
 
 class TestRunBenchmark:

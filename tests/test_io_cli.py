@@ -1,7 +1,12 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradsurf import (
     MeshIndex,
@@ -11,6 +16,7 @@ from gradsurf import (
     load_dataset,
     load_queries,
     run_benchmark,
+    ValidationError,
     save_dataset,
     validate_training_set,
     write_plot_csv,
@@ -163,6 +169,103 @@ class TestMeshSidecarCheck:
                                                index_map=index_map))
         loaded, loaded_mesh = load_dataset(data)
         assert loaded == shuffled and loaded_mesh.index_map == index_map
+
+
+def s1_files(directory):
+    """A jittered 3^3 S1 mesh CSV, its sidecar and a two-row query CSV."""
+    ts, mesh = gen_mesh_dataset(TEST_FUNCTIONS["S1"], 3, x_jitter_fraction=0.2, seed=1)
+    data = Path(directory) / "s1.csv"
+    save_dataset(data, ts, mesh)
+    queries = Path(directory) / "q.csv"
+    queries.write_text("x1,x2,x3\n2.5,3.1,4.2\n3.3,2.2,4.9\n")
+    return {"csv": data, "sidecar": data.with_suffix(".mesh.json"), "queries": queries}
+
+
+def mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for op, where, byte in edits:
+        pos = int(where * len(out))
+        if op == "replace":
+            out[pos] = byte
+        elif op == "insert":
+            out.insert(pos, byte)
+        else:
+            del out[pos]
+    return bytes(out)
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+
+class TestMalformedInput:
+    @given(
+        target=st.sampled_from(["csv", "sidecar", "queries"]),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                      st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 255)),
+            min_size=1, max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_file_loads_or_raises_typed_error(self, target, edits):
+        with tempfile.TemporaryDirectory() as directory:
+            files = s1_files(directory)
+            path = files[target]
+            path.write_bytes(mutate(path.read_bytes(), edits))
+            try:
+                if target == "queries":
+                    load_queries(path)
+                else:
+                    load_dataset(files["csv"])
+            except (ParseError, ValidationError):
+                pass
+
+    @pytest.mark.parametrize("target", ["csv", "sidecar", "queries"])
+    def test_undecodable_byte_names_the_file(self, tmp_path, target):
+        files = s1_files(tmp_path)
+        path = files[target]
+        path.write_bytes(path.read_bytes()[:40] + NOT_UTF8 + path.read_bytes()[40:])
+        with pytest.raises(ParseError, match=re.escape(path.name)):
+            if target == "queries":
+                load_queries(path)
+            else:
+                load_dataset(files["csv"])
+
+    @pytest.mark.parametrize("value", ["x", None, [0.1], {"a": 1}])
+    def test_malformed_jitter_fraction_raises_parse_error(self, tmp_path, value):
+        files = s1_files(tmp_path)
+        meta = json.loads(files["sidecar"].read_text())
+        meta["jitter_fraction"] = value
+        files["sidecar"].write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match="jitter_fraction"):
+            load_dataset(files["csv"])
+
+    @pytest.mark.parametrize("axes", [[2.0, 3.5, 5.0], {"1": 0}, [[[2.0, 3.5]]] * 3])
+    def test_axes_that_are_not_lists_of_numbers_raise_parse_error(self, tmp_path, axes):
+        files = s1_files(tmp_path)
+        meta = json.loads(files["sidecar"].read_text())
+        meta["axes"] = axes
+        files["sidecar"].write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match="axes"):
+            load_dataset(files["csv"])
+
+    @pytest.mark.parametrize("case", ["csv", "sidecar", "queries", "jitter x", "jitter null"])
+    def test_impute_exits_with_validation_code(self, tmp_path, capsys, case):
+        files = s1_files(tmp_path)
+        if case.startswith("jitter"):
+            path = files["sidecar"]
+            meta = json.loads(path.read_text())
+            meta["jitter_fraction"] = "x" if case == "jitter x" else None
+            path.write_text(json.dumps(meta))
+        else:
+            path = files[case]
+            path.write_bytes(path.read_bytes() + NOT_UTF8)
+        out = tmp_path / "out.csv"
+        code = main(["impute", "--data", str(files["csv"]), "--queries",
+                     str(files["queries"]), "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert path.name in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReports:

@@ -76,3 +76,39 @@ def test_unknown_method_rejected():
     ts, mesh = layered_mesh([lambda x: x[:, 0]])
     with pytest.raises(ValidationError):
         evaluate_layers(ts, np.array([1.0, 1.0]), mesh=mesh, method="spline")
+
+
+def scattered_layers(seed=0, count=60):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (count, 3))
+    y = np.stack([x @ [1.0, -2.0, 0.5], np.sin(3.0 * x[:, 0]), x[:, 1] * x[:, 2]], axis=1)
+    return validate_training_set((x, y), n=3, layer_count=3), rng.uniform(0.2, 0.8, (5, 3))
+
+
+@pytest.mark.parametrize("mode", ["mesh", "scattered C=4"])
+def test_gradient_plan_built_once_for_all_layers(mode, monkeypatch):
+    from gradsurf import gradient, layers, neighbors
+
+    if mode == "mesh":
+        fns = [lambda x: x[:, 0] + x[:, 1], lambda x: np.cos(x[:, 0]), lambda x: x[:, 1] ** 1.5]
+        ts, mesh = layered_mesh(fns)
+        queries, kwargs = [np.array([0.7, 1.9]), np.array([2.2, 0.4])], {}
+    else:
+        ts, queries = scattered_layers()
+        mesh, kwargs = None, {"combinations": 4}
+
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return neighbors.enumerate_combinations(*args, **kw)
+
+    monkeypatch.setattr(layers, "enumerate_combinations", counted)
+    monkeypatch.setattr(gradient, "enumerate_combinations", counted)
+    for q in queries:
+        calls.clear()
+        out = evaluate_layers(ts, q, mesh=mesh, method="gradient", **kwargs)
+        assert len(calls) == 1
+        assert len(out.components) == 3
+        for j, component in enumerate(out.components):
+            assert component == evaluate_gradient(ts, q, mesh=mesh, layer=j, **kwargs)

