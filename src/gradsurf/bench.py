@@ -18,6 +18,7 @@ from .model import (
 )
 from .gradient import evaluate_gradient
 from .layers import _evaluate, _fan_out
+from .neighbors import STENCIL_STEPS
 
 SENTINEL_RATIO = 1e12  # reported when a ratio's denominator vanishes
 
@@ -214,9 +215,11 @@ def gen_local_cell_dataset(
     nodes = np.linspace(lo, hi, nodes_per_axis)
     cell = rng.integers(1, nodes_per_axis - 2, size=n)
 
-    # row 0 is the cell; row 1 + 3a + k steps axis a by (-1, 1, 2)[k]
+    # row 0 is the cell; row 1 + 3a + k steps axis a by the k-th nonzero
+    # stencil step, (-1, 1, 2)[k]
+    steps = [k for k in STENCIL_STEPS if k]
     grid = np.tile(cell, (3 * n + 1, 1))
-    grid[1 + np.arange(3 * n), np.repeat(np.arange(n), 3)] += np.tile((-1, 1, 2), n)
+    grid[1 + np.arange(3 * n), np.repeat(np.arange(n), 3)] += np.tile(steps, n)
     x = nodes[grid]
     y = function(x)
     if y_noise is not None:

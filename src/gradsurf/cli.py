@@ -10,7 +10,8 @@ from typing import Optional
 import numpy as np
 
 from . import bench as bench_mod
-from .io import ParseError, load_dataset, load_queries, write_imputed, write_plot_csv, write_report
+from .io import ParseError, _numbers, load_dataset, load_queries
+from .io import write_imputed, write_plot_csv, write_report
 from .layers import _fan_out, evaluate_layers
 from .model import GradsurfError, ValidationError, validate_query
 
@@ -113,7 +114,7 @@ def impute_rows(training, mesh, args: argparse.Namespace, queries: np.ndarray) -
 def cmd_eval(args: argparse.Namespace) -> int:
     training, mesh = load_dataset(args.data)
     try:
-        coords = [float(t) for t in args.at.split(",")]
+        coords = _numbers(args.at.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad --at coordinates: {exc}") from exc
     query = validate_query(coords, training.n)

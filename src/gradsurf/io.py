@@ -60,6 +60,13 @@ def _read_header(reader, path) -> list:
     return [c.strip() for c in header]
 
 
+def _numbers(fields, convert=float) -> list:
+    """``convert`` each text field; a '_' digit separator is a ValueError."""
+    if "_" in "".join(fields):
+        raise ValueError(f"'_' is not allowed in a number: {fields!r}")
+    return [convert(c) for c in fields]
+
+
 def _read_rows(reader, path, width: int) -> tuple[np.ndarray, list]:
     """Parsed data rows after the header, and the file line number of each."""
     rows, linenos = [], []
@@ -69,7 +76,7 @@ def _read_rows(reader, path, width: int) -> tuple[np.ndarray, list]:
         if len(row) != width:
             raise ParseError(f"{path}, line {lineno}: expected {width} fields, got {len(row)}")
         try:
-            rows.append([float(c) for c in row])
+            rows.append(_numbers(row))
         except ValueError as exc:
             raise ParseError(f"{path}, line {lineno}: {exc}") from exc
         linenos.append(lineno)
@@ -151,11 +158,11 @@ def load_mesh_sidecar(path) -> MeshIndex:
     if meta.get("index_map") is not None:
         try:
             index_map = {
-                tuple(int(t) for t in key.split(",")): int(v)
+                tuple(_numbers(key.split(","), int)): int(v)
                 for key, v in meta["index_map"].items()
             }
         except (AttributeError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: malformed 'index_map'") from exc
+            raise ParseError(f"{path}: malformed 'index_map': {exc}") from exc
     try:
         jitter_fraction = float(meta.get("jitter_fraction", 0.0))
     except (TypeError, ValueError) as exc:

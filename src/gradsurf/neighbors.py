@@ -20,6 +20,7 @@ from .model import (
 RANK_RTOL = 1e-10
 CANDIDATE_FACTOR = 3  # degenerate-simplex retry budget: 3n nearest candidates
 SMALL_POOL_LIMIT = 4000  # max subsets to enumerate exhaustively
+STENCIL_STEPS = (-1, 0, 1, 2)  # Y0..Y3, in nodes from the lower bracketing node
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,13 @@ def _mesh_cell(mesh: MeshIndex, query: np.ndarray) -> tuple[tuple, int]:
     if idx is None:
         raise DegenerateNeighborhood(f"no training point at grid index {cell}")
     return cell, idx
+
+
+def _grid_step(mesh: MeshIndex, cell: tuple, axis: int, k: int) -> Optional[int]:
+    """The row ``k`` nodes from ``cell`` along ``axis``; None off the grid or at a hole."""
+    node = list(cell)
+    node[axis] += k
+    return mesh.point_at(node)
 
 
 def locate_reference(
@@ -163,13 +171,11 @@ def select_simplex(
     if mesh is not None:
         cell, reference = _mesh_cell(mesh, query)
         aux = []
-        for a in range(mesh.n):
-            neighbor = list(cell)
-            neighbor[a] += 1 if cell[a] + 1 < mesh.shape[a] else -1
-            idx = mesh.point_at(neighbor)
+        for a, m in enumerate(mesh.shape):
+            idx = _grid_step(mesh, cell, a, 1 if cell[a] + 1 < m else -1)
             if idx is None:
                 raise DegenerateNeighborhood(
-                    f"missing grid neighbor {tuple(neighbor)} along axis {a}"
+                    f"missing grid neighbor along axis {a} of cell {cell}"
                 )
             aux.append(idx)
         return Simplex(reference=reference, auxiliaries=tuple(aux))
@@ -266,37 +272,24 @@ def axis_stencil(
     axis on the query's side; Y0 and Y3 are the outer neighbors, flagged when
     the domain edge cuts them off.
     """
-    m = mesh.shape[axis]
-    j = cell[axis]
-    if j + 1 >= m:
-        j = m - 2  # clamp so the bracketing pair exists
-
-    def fetch(offset: int):
-        g = list(cell)
-        g[axis] = j + offset
-        if not (0 <= g[axis] < m):
-            return None
-        return mesh.point_at(g)
-
-    i0, i1, i2, i3 = (fetch(k) for k in (-1, 0, 1, 2))
-    if i1 is None or i2 is None:
+    # clamp so the bracketing pair exists
+    shift = min(cell[axis], mesh.shape[axis] - 2) - cell[axis]
+    seq = [_grid_step(mesh, cell, axis, shift + k) for k in STENCIL_STEPS]
+    if seq[1] is None or seq[2] is None:
         raise DegenerateNeighborhood(f"stencil core missing along axis {axis}")
 
-    present = [i for i in (i0, i1, i2, i3) if i is not None]
-    xs = training.x[present, axis]
+    missing_lower, missing_upper = seq[0] is None, seq[3] is None
+    xs, ys = training.x[:, axis], training.y[:, layer]
     # jittered nodes keep their nominal order (jitter < half a cell), but we
-    # order by actual coordinate to be safe
-    sort = np.argsort(xs, kind="stable")
-    present = [present[k] for k in sort]
-    pad_lower = i0 is None
-    pad_upper = i3 is None
-    seq = ([None] if pad_lower else []) + present + ([None] if pad_upper else [])
+    # order the present points, seq[lo:hi], by actual coordinate to be safe
+    lo, hi = int(missing_lower), 4 - missing_upper
+    seq[lo:hi] = sorted(seq[lo:hi], key=xs.__getitem__)
 
     return Stencil1D(
         axis=axis,
         indices=tuple(seq),
-        x=tuple(None if i is None else float(training.x[i, axis]) for i in seq),
-        y=tuple(None if i is None else float(training.y[i, layer]) for i in seq),
-        missing_lower=pad_lower,
-        missing_upper=pad_upper,
+        x=tuple(None if i is None else float(xs[i]) for i in seq),
+        y=tuple(None if i is None else float(ys[i]) for i in seq),
+        missing_lower=missing_lower,
+        missing_upper=missing_upper,
     )

@@ -204,45 +204,6 @@ def adjust_gradient(F1: float, x_star: float, y_star: float, B: float) -> float:
     return float(np.tan(F1 - F2C))
 
 
-def _axis_delta(
-    training: TrainingSet,
-    mesh: MeshIndex,
-    cell: tuple,
-    query: np.ndarray,
-    axis: int,
-    y_ref: float,
-    d: float,
-    tol: float,
-    max_iter: int,
-    layer: int,
-) -> tuple[float, int, str]:
-    """Outcome increment along one axis, with iteration count and status flag."""
-    stencil = axis_stencil(training, mesh, cell, axis, layer)
-    x1, x2 = stencil.x[1], stencil.x[2]
-    y1, y2 = stencil.y[1], stencil.y[2]
-    q = float(query[axis])
-    angles = segment_angles(stencil)
-    chord = np.tan(angles.F1)
-
-    if not (min(x1, x2) <= q <= max(x1, x2)):
-        # extrapolation or clamped edge cell: extend the chord
-        return (y1 - y_ref) + chord * (q - x1), 0, "chord-fallback"
-
-    flag = "corrected"
-    if stencil.missing_lower or stencil.missing_upper:
-        flag = "boundary-fallback"
-    problem = build_intersection(stencil, angles, q, d)
-    try:
-        x_star, y_star, iters = solve_intersection(problem, tol, max_iter)
-    except NoConvergence:
-        return (y1 - y_ref) + chord * (q - x1), max_iter, "newton-fallback"
-    g_cor = adjust_gradient(angles.F1, x_star, y_star, problem.params.B)
-    if d > 1.0 and has_interior_inflection(problem.params):
-        flag += "+inflection"
-    delta = (y1 - y_ref) + (y2 - y1) + g_cor * (q - x2)
-    return delta, iters, flag
-
-
 def evaluate_smooth(
     training: TrainingSet,
     query,
@@ -260,8 +221,10 @@ def evaluate_smooth(
     """
     if mesh is None:
         raise ValidationError("the smooth method requires a mesh-structured dataset")
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tolerance must be positive")
+    if not d > 0:
+        raise ValidationError("shape exponent d must be positive")
     if max_iter < 1:
         raise ValidationError("max iterations must be >= 1")
     if d > 1.0:
@@ -278,9 +241,27 @@ def evaluate_smooth(
     iterations = []
     flags = []
     for axis in range(training.n):
-        delta, iters, flag = _axis_delta(
-            training, mesh, cell, query, axis, y_ref, d, tol, max_iter, layer
-        )
+        stencil = axis_stencil(training, mesh, cell, axis, layer)
+        x1, x2 = stencil.x[1], stencil.x[2]
+        y1, y2 = stencil.y[1], stencil.y[2]
+        q = float(query[axis])
+        angles = segment_angles(stencil)
+        # the chord through Y1 and Y2, extended to q: the uncorrected increment
+        delta = (y1 - y_ref) + np.tan(angles.F1) * (q - x1)
+        iters, flag = 0, "chord-fallback"  # extrapolation or clamped edge cell
+        if min(x1, x2) <= q <= max(x1, x2):
+            problem = build_intersection(stencil, angles, q, d)
+            try:
+                x_star, y_star, iters = solve_intersection(problem, tol, max_iter)
+            except NoConvergence:
+                iters, flag = max_iter, "newton-fallback"
+            else:
+                g_cor = adjust_gradient(angles.F1, x_star, y_star, problem.params.B)
+                delta = (y1 - y_ref) + (y2 - y1) + g_cor * (q - x2)
+                missing = stencil.missing_lower or stencil.missing_upper
+                flag = "boundary-fallback" if missing else "corrected"
+                if d > 1.0 and has_interior_inflection(problem.params):
+                    flag += "+inflection"
         total += delta
         iterations.append(iters)
         flags.append(flag)

@@ -69,14 +69,14 @@ def find_root(
     ``max_iter >= 1`` are the caller's to check (``evaluate_smooth`` does).
     """
     x = float(x0)
-    if f(x) == 0.0:
+    fx = f(x)
+    if fx == 0.0:
         return x, 0
 
     lo, hi = float(bracket[0]), float(bracket[1])
 
     iterations = 0
     for _ in range(max_iter):
-        fx = f(x)
         dfx = df(x)
         if dfx == 0.0 or not np.isfinite(dfx):
             break
@@ -88,6 +88,7 @@ def find_root(
         if abs(step) <= tol:
             return xn, iterations
         x = xn
+        fx = f(x)
 
     return _bisect_fallback(f, tol, bracket, iterations)
 

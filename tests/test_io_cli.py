@@ -268,6 +268,50 @@ class TestMalformedInput:
         assert not out.exists()
 
 
+class TestDigitSeparators:
+    """Python's float() and int() read "1_0" as 10; the file formats do not."""
+
+    def test_dataset_cell(self, tmp_path):
+        files = s1_files(tmp_path)
+        lines = files["csv"].read_text().splitlines(keepends=True)
+        lines[2] = "1_0" + lines[2][lines[2].index(","):]
+        files["csv"].write_text("".join(lines))
+        with pytest.raises(ParseError, match=r"s1\.csv, line 3: '_'"):
+            load_dataset(files["csv"])
+
+    def test_query_cell(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("x1,x2\n0.5,0.25\n0_5,1.75\n")
+        with pytest.raises(ParseError, match=r"q\.csv, line 3: '_'"):
+            load_queries(path)
+
+    def test_sidecar_index_map_key(self, tmp_path):
+        data, _ = affine_files(tmp_path)
+        sidecar = data.with_suffix(".mesh.json")
+        meta = json.loads(sidecar.read_text())
+        meta["index_map"] = {"0,0_1": 0}
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match=r"data\.mesh\.json: malformed 'index_map': '_'"):
+            load_dataset(data)
+
+    @pytest.mark.parametrize("case", ["csv", "queries"])
+    def test_impute_exits_with_validation_code(self, tmp_path, capsys, case):
+        files = s1_files(tmp_path)
+        path = files[case]
+        path.write_text(path.read_text().replace(".", "_", 1))  # in line 2
+        out = tmp_path / "out.csv"
+        code = main(["impute", "--data", str(files["csv"]), "--queries",
+                     str(files["queries"]), "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"{path.name}, line 2: '_'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_at(self, tmp_path, capsys):
+        data, _ = affine_files(tmp_path)
+        assert main(["eval", "--data", str(data), "--at", "1_5,0.5"]) == EXIT_VALIDATION
+        assert "bad --at coordinates: '_'" in capsys.readouterr().err
+
+
 class TestReports:
     def test_t1_report_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"

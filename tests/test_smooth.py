@@ -1,6 +1,9 @@
+import warnings
+from math import prod
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradsurf import (
@@ -15,12 +18,14 @@ from gradsurf import (
     evaluate_smooth,
     has_interior_inflection,
     segment_angles,
+    select_simplex,
     solve_intersection,
     validate_training_set,
 )
 from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
 from gradsurf.model import ZeroWidthSegment
 from gradsurf.neighbors import Stencil1D, axis_stencil, locate_reference
+from tests_oracles import oracle_axis_stencil, oracle_evaluate_smooth, oracle_mesh_simplex
 
 
 def make_stencil(xs, ys, axis=0):
@@ -242,9 +247,16 @@ class TestEvaluateSmooth:
     def test_newton_parameters_validated(self):
         nodes = np.linspace(2.0, 5.0, 16)
         ts, mesh = mesh_training_1d(nodes, lambda x: np.sqrt(x))
-        for kwargs in ({"tol": 0.0}, {"tol": -1e-9}, {"max_iter": 0}):
-            with pytest.raises(ValidationError):
-                evaluate_smooth(ts, np.array([3.33]), mesh, **kwargs)
+        bad = (
+            {"tol": 0.0}, {"tol": -1e-9}, {"tol": np.nan}, {"max_iter": 0},
+            {"d": 0.0}, {"d": -1.0}, {"d": np.nan},
+        )
+        # 3.33 is inside the domain; 1.5 extrapolates, where every axis takes
+        # the chord fallback and never reaches the arc
+        for q in (3.33, 1.5):
+            for kwargs in bad:
+                with pytest.raises(ValidationError):
+                    evaluate_smooth(ts, np.array([q]), mesh, **kwargs)
 
     def test_jittered_reference_in_high_dimension(self):
         # the reference sits 0.2 h below its node on axis 0, so the lower
@@ -317,3 +329,80 @@ class TestEvaluateSmooth:
         est = evaluate_smooth(ts, np.array([3.33]), mesh)
         assert len(est.newton_iterations) == 1
         assert est.newton_iterations[0] <= 20
+
+
+def random_grid(seed, n, jitter, sparse):
+    """A jittered grid of 2-6 nodes per axis; sparse grids drop about a quarter
+    of the nodes and file the rest in shuffled order through ``index_map``."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(m) for m in rng.integers(2, 7, size=n))
+    axes = tuple(np.cumsum(rng.uniform(0.5, 2.0, m)) for m in shape)
+    grid = np.stack(np.unravel_index(np.arange(prod(shape)), shape), axis=1)
+    x = np.empty(grid.shape)
+    for a, nodes in enumerate(axes):
+        gaps = np.diff(nodes)
+        h = np.minimum(np.append(gaps[0], gaps), np.append(gaps, gaps[-1]))[grid[:, a]]
+        x[:, a] = nodes[grid[:, a]] + jitter * h * rng.uniform(-1.0, 1.0, len(grid))
+    y = np.sin(x).sum(axis=1) + 0.3 * x[:, 0] ** 2 + rng.normal(0.0, 0.05, len(grid))
+    index_map = None
+    if sparse:
+        rows = rng.permutation(np.flatnonzero(rng.random(len(grid)) < 0.75))
+        index_map = {tuple(grid[r].tolist()): i for i, r in enumerate(rows)}
+        x, y = x[rows], y[rows]
+    return x, y, MeshIndex(axes=axes, jitter_fraction=jitter, index_map=index_map), rng
+
+
+def grid_queries(mesh, rng, count):
+    """Each coordinate inside a cell, on a node, on the top node, or outside."""
+    queries = np.empty((count, mesh.n))
+    for a, nodes in enumerate(mesh.axes):
+        for i in range(count):
+            kind = rng.integers(5)
+            j = rng.integers(len(nodes) - 1)
+            queries[i, a] = (
+                nodes[j] + rng.uniform(0.01, 0.99) * (nodes[j + 1] - nodes[j]),
+                nodes[rng.integers(len(nodes))],
+                nodes[-1],
+                nodes[0] - rng.uniform(0.1, 1.0),
+                nodes[-1] + rng.uniform(0.1, 1.0),
+            )[kind]
+    return queries
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the error type is part of the result
+        return type(exc)
+
+
+class TestMeshNeighbourhoodOracle:
+    """Stencils, mesh simplexes and smooth estimates equal the oracle's: the
+    neighbourhoods as first written, one grid walk per caller."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        jitter=st.floats(0.0, 0.45),
+        sparse=st.booleans(),
+    )
+    def test_random_grids(self, seed, n, jitter, sparse):
+        x, y, mesh, rng = random_grid(seed, n, jitter, sparse)
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, y), n=n)
+        for q in grid_queries(mesh, rng, 12):
+            cell = mesh.cell_of(q)
+            for axis in range(n):
+                assert outcome(axis_stencil, ts, mesh, cell, axis) == outcome(
+                    oracle_axis_stencil, ts, mesh, cell, axis
+                )
+            assert outcome(select_simplex, ts, q, mesh) == outcome(
+                oracle_mesh_simplex, mesh, q
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # d > 1 warns of inflections
+                for d in (1.0, 1.5, 2.0):
+                    assert outcome(evaluate_smooth, ts, q, mesh, d=d) == outcome(
+                        oracle_evaluate_smooth, ts, q, mesh, d=d
+                    )

@@ -51,6 +51,21 @@ class TestFindRoot:
         assert root == 0.0
         assert iters <= 1
 
+    def test_each_iterate_evaluated_once(self):
+        # f runs at the start point and at each later iterate; the converged
+        # root itself is not evaluated
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 4.0
+
+        root, iters = find_root(f, lambda x: 2.0 * x, 3.0, bracket=(0.0, 5.0))
+        assert abs(root - 2.0) <= 1e-9
+        assert iters >= 3
+        assert len(calls) == iters
+        assert len(set(calls)) == len(calls)
+
     def test_cubic_against_grid_bisection_oracle(self):
         params = ApproxFunctionParams(B=1.0, g1R=0.5, g2L=0.3)
         k, c = 2.0, -0.5

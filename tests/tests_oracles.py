@@ -210,3 +210,124 @@ def oracle_high_dim_scenario(function, n, m_queries, seed, method, nodes_per_axi
     if collect_noise:
         return stats, compute_noise_ratios(noisy_at_query, y_hat, truths)
     return stats
+
+
+# -- mesh neighbourhoods as they were: each caller steps on the grid its own
+# way, the stencil sorts its points with an argsort, and the smooth method
+# computes each axis's increment in a separate function ----------------------
+
+
+def _oracle_reference(mesh, query):
+    cell = mesh.cell_of(query)
+    idx = mesh.point_at(cell)
+    if idx is None:
+        raise DegenerateNeighborhood(f"no training point at grid index {cell}")
+    return cell, idx
+
+
+def oracle_mesh_simplex(mesh, query):
+    """The reference and its edge-adjacent corners, one step up (down at the top)."""
+    from gradsurf.neighbors import Simplex
+
+    cell, reference = _oracle_reference(mesh, query)
+    aux = []
+    for a in range(mesh.n):
+        neighbor = list(cell)
+        neighbor[a] += 1 if cell[a] + 1 < mesh.shape[a] else -1
+        idx = mesh.point_at(neighbor)
+        if idx is None:
+            raise DegenerateNeighborhood(f"missing grid neighbor {tuple(neighbor)}")
+        aux.append(idx)
+    return Simplex(reference=reference, auxiliaries=tuple(aux))
+
+
+def oracle_axis_stencil(training, mesh, cell, axis, layer=0):
+    """Y0..Y3 along one axis, fetched with a bounds check per step."""
+    from gradsurf.neighbors import Stencil1D
+
+    m = mesh.shape[axis]
+    j = cell[axis]
+    if j + 1 >= m:
+        j = m - 2
+
+    def fetch(offset):
+        g = list(cell)
+        g[axis] = j + offset
+        if not (0 <= g[axis] < m):
+            return None
+        return mesh.point_at(g)
+
+    i0, i1, i2, i3 = (fetch(k) for k in (-1, 0, 1, 2))
+    if i1 is None or i2 is None:
+        raise DegenerateNeighborhood(f"stencil core missing along axis {axis}")
+    present = [i for i in (i0, i1, i2, i3) if i is not None]
+    sort = np.argsort(training.x[present, axis], kind="stable")
+    present = [present[k] for k in sort]
+    seq = ([None] if i0 is None else []) + present + ([None] if i3 is None else [])
+    return Stencil1D(
+        axis=axis,
+        indices=tuple(seq),
+        x=tuple(None if i is None else float(training.x[i, axis]) for i in seq),
+        y=tuple(None if i is None else float(training.y[i, layer]) for i in seq),
+        missing_lower=i0 is None,
+        missing_upper=i3 is None,
+    )
+
+
+def _oracle_axis_delta(training, mesh, cell, query, axis, y_ref, d, tol, max_iter, layer):
+    from gradsurf import (
+        NoConvergence,
+        adjust_gradient,
+        build_intersection,
+        has_interior_inflection,
+        segment_angles,
+        solve_intersection,
+    )
+
+    stencil = oracle_axis_stencil(training, mesh, cell, axis, layer)
+    x1, x2 = stencil.x[1], stencil.x[2]
+    y1, y2 = stencil.y[1], stencil.y[2]
+    q = float(query[axis])
+    angles = segment_angles(stencil)
+    chord = np.tan(angles.F1)
+    if not (min(x1, x2) <= q <= max(x1, x2)):
+        return (y1 - y_ref) + chord * (q - x1), 0, "chord-fallback"
+    flag = "corrected"
+    if stencil.missing_lower or stencil.missing_upper:
+        flag = "boundary-fallback"
+    problem = build_intersection(stencil, angles, q, d)
+    try:
+        x_star, y_star, iters = solve_intersection(problem, tol, max_iter)
+    except NoConvergence:
+        return (y1 - y_ref) + chord * (q - x1), max_iter, "newton-fallback"
+    g_cor = adjust_gradient(angles.F1, x_star, y_star, problem.params.B)
+    if d > 1.0 and has_interior_inflection(problem.params):
+        flag += "+inflection"
+    return (y1 - y_ref) + (y2 - y1) + g_cor * (q - x2), iters, flag
+
+
+def oracle_evaluate_smooth(training, query, mesh, d=1.0, tol=1e-9, max_iter=20, layer=0):
+    """The smooth estimate summed from one increment per axis."""
+    from gradsurf import Estimate
+    from gradsurf.neighbors import is_extrapolation
+
+    query = np.asarray(query, dtype=float)
+    cell, reference = _oracle_reference(mesh, query)
+    y_ref = float(training.y[reference, layer])
+    total, iterations, flags = y_ref, [], []
+    for axis in range(training.n):
+        delta, iters, flag = _oracle_axis_delta(
+            training, mesh, cell, query, axis, y_ref, d, tol, max_iter, layer
+        )
+        total += delta
+        iterations.append(iters)
+        flags.append(flag)
+    return Estimate(
+        y_hat=float(total),
+        method="smooth",
+        reference_index=reference,
+        combinations_used=1,
+        newton_iterations=tuple(iterations),
+        flags=tuple(flags),
+        extrapolated=is_extrapolation(training, query),
+    )
