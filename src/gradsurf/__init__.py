@@ -31,11 +31,13 @@ from .gradient import estimate_gradients, evaluate_gradient, extrapolate
 from .smooth import (
     ApproxFunctionParams,
     IntersectionProblem,
+    SmoothBatch,
     adjust_gradient,
     approx_deriv,
     approx_eval,
     build_intersection,
     evaluate_smooth,
+    evaluate_smooth_batch,
     has_interior_inflection,
     segment_angles,
     solve_intersection,
@@ -75,6 +77,7 @@ __all__ = [
     "ParseError",
     "Simplex",
     "SingularSystem",
+    "SmoothBatch",
     "TEST_FUNCTIONS",
     "TooFewPoints",
     "TrainingSet",
@@ -92,6 +95,7 @@ __all__ = [
     "evaluate_gradient",
     "evaluate_layers",
     "evaluate_smooth",
+    "evaluate_smooth_batch",
     "extrapolate",
     "gen_local_cell_dataset",
     "gen_mesh_dataset",

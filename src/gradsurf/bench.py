@@ -19,6 +19,7 @@ from .model import (
 from .gradient import evaluate_gradient
 from .layers import _evaluate, _fan_out
 from .neighbors import STENCIL_STEPS
+from .smooth import evaluate_smooth_batch
 
 SENTINEL_RATIO = 1e12  # reported when a ratio's denominator vanishes
 
@@ -290,6 +291,11 @@ def compute_noise_ratios(noisy_y, computed_y, original_y) -> dict:
 
 
 def _eval_chunk(training, mesh, method, kwargs, queries) -> list:
+    if method == "smooth":
+        batch = evaluate_smooth_batch(training, queries, mesh, **kwargs)
+        if batch.errors:
+            raise batch.errors[min(batch.errors)]
+        return batch.y_hat[:, 0].tolist()
     return [_evaluate(training, q, mesh, method, **kwargs).y_hat for q in queries]
 
 
@@ -301,7 +307,12 @@ def evaluate_batch(
     workers: int = 1,
     **kwargs,
 ) -> list:
-    """Evaluate many queries, preserving input order regardless of scheduling."""
+    """Evaluate many queries, preserving input order regardless of scheduling.
+
+    The smooth method runs each worker's chunk through one call of
+    ``evaluate_smooth_batch``; an error raised for any query is the first
+    failing query's, as if the queries ran one by one.
+    """
     return _fan_out(partial(_eval_chunk, training, mesh, method, kwargs), queries, workers)
 
 

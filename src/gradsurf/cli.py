@@ -14,6 +14,7 @@ from .io import ParseError, _numbers, load_dataset, load_queries
 from .io import write_imputed, write_plot_csv, write_report
 from .layers import _fan_out, evaluate_layers
 from .model import GradsurfError, ValidationError, validate_query
+from .smooth import evaluate_smooth_batch
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -83,25 +84,56 @@ def _method_kwargs(args: argparse.Namespace) -> dict:
     return {"d": args.d, "tol": args.tolerance, "max_iter": args.max_iter}
 
 
+def _impute_row(coords, method, y_hat=(), flags=(), error=None) -> dict:
+    """One output row: the estimates and the union of their flags, or the error."""
+    if error is not None:
+        return {"coords": list(coords), "method": method, "y_hat": None,
+                "status": f"error: {error}", "flags": ""}
+    return {"coords": list(coords), "method": method, "y_hat": list(y_hat),
+            "status": "ok", "flags": ";".join(sorted(set(flags)))}
+
+
 def _impute_one(training, mesh, method, kwargs, coords) -> dict:
-    row = {"coords": list(coords), "method": method, "y_hat": None,
-           "status": "ok", "flags": ""}
     try:
         query = validate_query(coords, training.n)
         result = evaluate_layers(training, query, mesh=mesh, method=method, **kwargs)
-        row["y_hat"] = list(result.y_hat)
-        flags = set()
-        for comp in result.components:
-            flags.update(comp.flags)
-            if comp.extrapolated:
-                flags.add("extrapolated")
-        row["flags"] = ";".join(sorted(flags))
     except GradsurfError as exc:
-        row["status"] = f"error: {exc}"
-    return row
+        return _impute_row(coords, method, error=exc)
+    flags = [f for comp in result.components for f in comp.flags]
+    if any(comp.extrapolated for comp in result.components):
+        flags.append("extrapolated")
+    return _impute_row(coords, method, result.y_hat, flags)
+
+
+def _impute_smooth(training, mesh, kwargs, chunk) -> list:
+    """Rows for a chunk of queries from one call of the smooth batch kernel,
+    which gathers each query's stencils once for every outcome layer."""
+    valid = np.isfinite(chunk).all(axis=1)  # the others fail validate_query
+    try:
+        batch = evaluate_smooth_batch(
+            training, chunk[valid], mesh, layers=range(training.layer_count), **kwargs
+        )
+    except GradsurfError:  # an argument error, which every row reports
+        return [_impute_one(training, mesh, "smooth", kwargs, c) for c in chunk]
+    rows, j = [], 0
+    for coords, ok in zip(chunk, valid):
+        if not ok:
+            rows.append(_impute_one(training, mesh, "smooth", kwargs, coords))
+            continue
+        if j in batch.errors:
+            rows.append(_impute_row(coords, "smooth", error=batch.errors[j]))
+        else:
+            flags = list(batch.flags[j].ravel())
+            if batch.extrapolated[j]:
+                flags.append("extrapolated")
+            rows.append(_impute_row(coords, "smooth", batch.y_hat[j], flags))
+        j += 1
+    return rows
 
 
 def _impute_chunk(training, mesh, method, kwargs, chunk) -> list:
+    if method == "smooth":
+        return _impute_smooth(training, mesh, kwargs, chunk)
     return [_impute_one(training, mesh, method, kwargs, c) for c in chunk]
 
 

@@ -61,9 +61,13 @@ def _read_header(reader, path) -> list:
 
 
 def _numbers(fields, convert=float) -> list:
-    """``convert`` each text field; a '_' digit separator is a ValueError."""
-    if "_" in "".join(fields):
+    """``convert`` each text field of plain ASCII; a '_' digit separator or a
+    character that is not ASCII (digits of other scripts) is a ValueError."""
+    text = "".join(fields)
+    if "_" in text:
         raise ValueError(f"'_' is not allowed in a number: {fields!r}")
+    if not text.isascii():
+        raise ValueError(f"a number must be plain ASCII text: {fields!r}")
     return [convert(c) for c in fields]
 
 
@@ -158,11 +162,16 @@ def load_mesh_sidecar(path) -> MeshIndex:
     if meta.get("index_map") is not None:
         try:
             index_map = {
-                tuple(_numbers(key.split(","), int)): int(v)
+                tuple(_numbers(key.split(","), int)): v
                 for key, v in meta["index_map"].items()
             }
         except (AttributeError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed 'index_map': {exc}") from exc
+        for key, v in meta["index_map"].items():
+            if type(v) is not int:  # bool is an int subclass, and not a row
+                raise ParseError(
+                    f"{path}: index_map value of key {key!r} is {v!r}, not a JSON integer"
+                )
     try:
         jitter_fraction = float(meta.get("jitter_fraction", 0.0))
     except (TypeError, ValueError) as exc:

@@ -226,6 +226,22 @@ class MeshIndex:
             idx.append(min(max(j, 0), len(nodes) - 1))
         return tuple(idx)
 
+    def cells_of(self, queries: np.ndarray) -> np.ndarray:
+        """``cell_of`` of each row of an (M, n) query array, as an (M, n) array."""
+        cells = np.empty(queries.shape, dtype=int)
+        for nodes, axes in self._axis_groups:
+            cells[:, axes] = nodes.searchsorted(queries[:, axes], side="right") - 1
+        return np.minimum(np.maximum(cells, 0), np.array(self.shape) - 1)
+
+    @cached_property
+    def _axis_groups(self) -> tuple:
+        """(nodes, axes) pairs: the axes whose nodes are equal share one search."""
+        groups = {}
+        for a, nodes in enumerate(self.axes):
+            nodes = np.asarray(nodes, dtype=float)
+            groups.setdefault(nodes.tobytes(), (nodes, []))[1].append(a)
+        return tuple(groups.values())
+
 
 @dataclass(frozen=True)
 class Estimate:

@@ -293,3 +293,43 @@ def axis_stencil(
         missing_lower=missing_lower,
         missing_upper=missing_upper,
     )
+
+
+def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray):
+    """The reference and the ``axis_stencil`` points of many cells at once.
+
+    ``cells`` is an (M, n) array of grid indices.  Returns each cell's
+    reference row, (M,), the rows of Y0..Y3 along each axis, (M, n, 4), and
+    their coordinates along that axis, with the present points ordered by
+    coordinate as ``axis_stencil`` orders them.  Row -1 marks an absent point.
+    """
+    M, n = cells.shape
+    shape = np.array(mesh.shape)
+    lower = np.minimum(cells, shape - 2)  # clamp so the bracketing pair exists
+    if mesh.index_map is None:
+        strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)  # row-major
+        nodes = lower[..., None] + STENCIL_STEPS
+        reference = cells @ strides
+        rows = reference[:, None, None] + (nodes - cells[..., None]) * strides[:, None]
+        rows = np.where((nodes >= 0) & (nodes < shape[:, None]), rows, -1)
+    else:
+        get = mesh.index_map.get
+        reference = np.array([get(tuple(c), -1) for c in cells.tolist()], dtype=int)
+        found = []
+        for cell, low, ref in zip(cells.tolist(), lower.tolist(), reference.tolist()):
+            node = list(cell)
+            for a in range(n):
+                for k in STENCIL_STEPS:
+                    node[a] = low[a] + k
+                    found.append(ref if node[a] == cell[a] else get(tuple(node), -1))
+                node[a] = cell[a]
+        rows = np.array(found, dtype=int).reshape(M, n, 4)
+    # a stable sort keeps tied points in step order and absent ends in place;
+    # a stencil without its core is left as found
+    x = training.x[rows, np.arange(n)[:, None]]
+    key = np.where(rows >= 0, x, [-np.inf, -np.inf, np.inf, np.inf])
+    key[(rows[..., 1] < 0) | (rows[..., 2] < 0)] = STENCIL_STEPS
+    if (key[..., 1:] < key[..., :-1]).any():  # jitter put nodes out of order
+        order = np.argsort(key, axis=-1, kind="stable")
+        rows, x = (np.take_along_axis(v, order, axis=-1) for v in (rows, x))
+    return reference, rows, x

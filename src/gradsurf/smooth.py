@@ -5,27 +5,41 @@ polynomial arc whose end tangents bisect the adjacent chord angles.  The
 query's vertical line is intersected with that arc in a frame rotated so the
 bracketing chord is horizontal, and the chord gradient is rotated to pass
 through the intersection point.
+
+``evaluate_smooth`` walks the axes of one query; ``evaluate_smooth_batch``
+evaluates every (query, axis, layer) lane of a batch with array expressions.
+Both compute through the same formula helpers, so their results agree bit
+for bit.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .model import (
+    DimensionMismatch,
     Estimate,
+    GradsurfError,
     MeshIndex,
     NoConvergence,
     TrainingSet,
     ValidationError,
     ZeroWidthSegment,
 )
-from .neighbors import Stencil1D, _mesh_cell, axis_stencil, is_extrapolation
+from .neighbors import Stencil1D, _axis_stencils, _mesh_cell, axis_stencil, is_extrapolation
 from .solvers import find_root
 
 TRIVIAL_SLOPE = 1e-12  # below this the rotation is skipped entirely
+FLAGS = ("corrected", "boundary-fallback", "chord-fallback", "newton-fallback")
+CORRECTED, BOUNDARY, CHORD, NEWTON = range(len(FLAGS))
+# flag code + len(FLAGS) * inflection -> flag text
+_FLAG_NAMES = np.array([f + s for s in ("", "+inflection") for f in FLAGS], dtype=object)
+INFLECTION_BLOCK = 256  # lanes per inflection test: each samples 255 points
 
 
 @dataclass(frozen=True)
@@ -42,9 +56,9 @@ class ApproxFunctionParams:
     d: float = 1.0
 
     def __post_init__(self):
-        if self.B <= 0:
+        if not self.B > 0:
             raise ValidationError("interval length B must be positive")
-        if self.d <= 0:
+        if not self.d > 0:
             raise ValidationError("shape exponent d must be positive")
 
     @property
@@ -52,18 +66,56 @@ class ApproxFunctionParams:
         return self.B ** -(self.d + 1.0)
 
 
+def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``base ** exponent`` element by element, as Python floats compute it.
+
+    numpy's vectorised power can round the last bit differently from the C
+    library's ``pow`` behind a Python float's ``**``; the batch kernel uses
+    this so that its arcs equal the scalar path's bit for bit.
+    """
+    if exponent == 1.0:
+        return base
+    if exponent == 0.0:
+        return np.ones_like(base)
+    each = map(pow, base.ravel().tolist(), repeat(exponent))
+    return np.fromiter(each, dtype=float, count=base.size).reshape(base.shape)
+
+
+def _arc(K, B, g1R, g2L, d, x, power=operator.pow):
+    """Height of the arc above the rotated baseline at x.
+
+    Scalars or arrays; the batch kernel passes ``power=_pow_each`` so that
+    its arrays round as the scalar path's floats do.
+    """
+    return K * x * (B - x) * (g1R * power(B - x, d) + g2L * power(x, d))
+
+
+def _arc_slope(K, B, g1R, g2L, d, x, power=operator.pow):
+    u = B - x
+    inner = g1R * power(u, d) + g2L * power(x, d)
+    d_inner = d * (g2L * power(x, d - 1.0) - g1R * power(u, d - 1.0))
+    return K * ((B - 2.0 * x) * inner + x * u * d_inner)
+
+
 def approx_eval(params: ApproxFunctionParams, x):
     """Height of the approximating arc above the rotated baseline at x."""
-    B, d = params.B, params.d
-    return params.K * x * (B - x) * (params.g1R * (B - x) ** d + params.g2L * x**d)
+    return _arc(params.K, params.B, params.g1R, params.g2L, params.d, x)
 
 
 def approx_deriv(params: ApproxFunctionParams, x: float) -> float:
-    B, d = params.B, params.d
-    u = B - x
-    inner = params.g1R * u**d + params.g2L * x**d
-    d_inner = d * (params.g2L * x ** (d - 1.0) - params.g1R * u ** (d - 1.0))
-    return params.K * ((B - 2.0 * x) * inner + x * u * d_inner)
+    return _arc_slope(params.K, params.B, params.g1R, params.g2L, params.d, x)
+
+
+def _inflects(K, B, g1R, g2L, d: float, samples: int = 257) -> np.ndarray:
+    """``has_interior_inflection`` for each lane of 1-D parameter arrays."""
+    xs = np.linspace(0.0, B, samples, axis=-1)[:, 1:-1]
+    h = (B / (samples * 4.0))[:, None]
+    K, B, g1R, g2L = (v[:, None] for v in (K, B, g1R, g2L))
+    ys, yp, ym = (_arc(K, B, g1R, g2L, d, x) for x in (xs, xs + h, xs - h))
+    curv = yp - 2.0 * ys + ym
+    mag = np.abs(curv)
+    kept = mag > 1e-14 * np.fmax(1.0, mag.max(axis=1, keepdims=True))
+    return (kept & (curv > 0)).any(axis=1) & (kept & (curv < 0)).any(axis=1)
 
 
 def has_interior_inflection(params: ApproxFunctionParams, samples: int = 257) -> bool:
@@ -72,12 +124,8 @@ def has_interior_inflection(params: ApproxFunctionParams, samples: int = 257) ->
     Relevant only for d > 1, where the polynomial family acquires inflection
     points that can wander into the approximation interval.
     """
-    xs = np.linspace(0.0, params.B, samples)[1:-1]
-    h = params.B / (samples * 4.0)
-    ys, yp, ym = (approx_eval(params, x) for x in (xs, xs + h, xs - h))
-    curv = yp - 2.0 * ys + ym
-    signs = np.sign(curv[np.abs(curv) > 1e-14 * max(1.0, np.abs(curv).max())])
-    return bool(len(signs) and (signs != signs[0]).any())
+    lane = (np.array([v]) for v in (params.K, params.B, params.g1R, params.g2L))
+    return bool(_inflects(*lane, params.d, samples)[0])
 
 
 @dataclass(frozen=True)
@@ -93,6 +141,16 @@ class StencilAngles:
     missing_upper: bool = False
 
 
+def _chord(x, y, i: int, j: int):
+    """Angle of the chord from stencil point i to point j."""
+    return np.arctan2(y[j] - y[i], x[j] - x[i])
+
+
+def _deviations(F0, F1, F2):
+    """Tangent deviations at Y1 and Y2: half the turning angle at each node."""
+    return -(F1 - F0) / 2.0, (F2 - F1) / 2.0
+
+
 def segment_angles(stencil: Stencil1D) -> StencilAngles:
     """Chord angles F0..F2 in the raw (x_i, y) plane and deviations Fg1, Fg2.
 
@@ -100,24 +158,23 @@ def segment_angles(stencil: Stencil1D) -> StencilAngles:
     chords, which keeps the first derivative continuous across segments.  A
     missing boundary segment contributes zero deviation on its side.
     """
+    x, y = stencil.x, stencil.y
 
     def chord(i: int, j: int) -> float:
-        dx = stencil.x[j] - stencil.x[i]
-        if dx == 0.0:
-            raise ZeroWidthSegment(f"stencil points {i},{j} share x={stencil.x[i]}")
-        return float(np.arctan2(stencil.y[j] - stencil.y[i], dx))
+        if x[j] - x[i] == 0.0:
+            raise ZeroWidthSegment(f"stencil points {i},{j} share x={x[i]}")
+        return float(_chord(x, y, i, j))
 
     F1 = chord(1, 2)
     F0 = chord(0, 1) if not stencil.missing_lower else F1
     F2 = chord(2, 3) if not stencil.missing_upper else F1
-    Fg1 = 0.0 if stencil.missing_lower else -(F1 - F0) / 2.0
-    Fg2 = 0.0 if stencil.missing_upper else (F2 - F1) / 2.0
+    Fg1, Fg2 = _deviations(F0, F1, F2)
     return StencilAngles(
         F0=F0,
         F1=F1,
         F2=F2,
-        Fg1=Fg1,
-        Fg2=Fg2,
+        Fg1=0.0 if stencil.missing_lower else Fg1,
+        Fg2=0.0 if stencil.missing_upper else Fg2,
         missing_lower=stencil.missing_lower,
         missing_upper=stencil.missing_upper,
     )
@@ -135,6 +192,22 @@ class IntersectionProblem:
     trivial: bool = False
 
 
+def _frame(x1, x2, q, F1, Fg1, Fg2):
+    """Baseline length, end gradients and the unclamped foot of the query line.
+
+    The end slope of the arc at B equals -g2L, so the bisector deviation Fg2
+    maps to the end gradient with its sign flipped.
+    """
+    cos1 = np.cos(F1)
+    return (x2 - x1) / cos1, np.tan(Fg1), -np.tan(Fg2), (q - x1) / cos1
+
+
+def _newton_start(K, B, g1R, g2L, d, x_p, tan1, power=operator.pow):
+    """Slope k and intercept c of the query line, and the unclamped first iterate."""
+    k = 1.0 / tan1
+    return k, -k * x_p, x_p + _arc(K, B, g1R, g2L, d, x_p, power) * tan1
+
+
 def build_intersection(
     stencil: Stencil1D,
     angles: StencilAngles,
@@ -150,26 +223,18 @@ def build_intersection(
     y = k x + c with k = 1 / tan F1, and the first Newton iterate starts at
     x0 = x_p + y_p tan F1 with y_p the arc height above the foot point.
     """
-    cos1 = np.cos(angles.F1)
-    B = (stencil.x[2] - stencil.x[1]) / cos1
-    g1R = float(np.tan(angles.Fg1))
-    # the arc's end slope at B equals -g2L, so the bisector deviation Fg2
-    # maps to the end gradient with its sign flipped
-    g2L = float(-np.tan(angles.Fg2))
-    params = ApproxFunctionParams(B=float(B), g1R=g1R, g2L=g2L, d=d)
-
-    x_p = float((query_x - stencil.x[1]) / cos1)
-    x_p = min(max(x_p, 0.0), float(B))
+    B, g1R, g2L, x_p = _frame(
+        stencil.x[1], stencil.x[2], query_x, angles.F1, angles.Fg1, angles.Fg2
+    )
+    params = ApproxFunctionParams(B=float(B), g1R=float(g1R), g2L=float(g2L), d=d)
+    x_p = min(max(float(x_p), 0.0), params.B)
     tan1 = np.tan(angles.F1)
     if abs(tan1) < TRIVIAL_SLOPE:
         return IntersectionProblem(
             params=params, x_p=x_p, k=0.0, c=0.0, x0=x_p, trivial=True
         )
-    k = 1.0 / tan1
-    c = -k * x_p
-    y_p = approx_eval(params, x_p)
-    x0 = x_p + y_p * tan1
-    x0 = min(max(x0, 0.0), float(B))
+    k, c, x0 = _newton_start(params.K, params.B, params.g1R, params.g2L, d, x_p, tan1)
+    x0 = min(max(x0, 0.0), params.B)
     return IntersectionProblem(params=params, x_p=x_p, k=float(k), c=float(c), x0=x0)
 
 
@@ -193,15 +258,45 @@ def solve_intersection(
     return float(root), approx_eval(params, float(root)), iters
 
 
+def _rotated_slope(F1, x_star, y_star, B):
+    return np.tan(F1 - np.arctan2(y_star, B - x_star))
+
+
 def adjust_gradient(F1: float, x_star: float, y_star: float, B: float) -> float:
     """Rotate the chord gradient toward the intersection point.
 
-    F2C is the angle subtended at the far end of the baseline by the
-    intersection point; at x* -> B it degenerates to +-pi/2, which atan2
-    resolves by the sign of y*.
+    F2C, the angle subtended at the far end of the baseline by the
+    intersection point, is subtracted from F1; at x* -> B it degenerates to
+    +-pi/2, which atan2 resolves by the sign of y*.
     """
-    F2C = float(np.arctan2(y_star, B - x_star))
-    return float(np.tan(F1 - F2C))
+    return float(_rotated_slope(F1, x_star, y_star, B))
+
+
+def _chord_increment(y_ref, y1, x1, q, F1):
+    """The chord through Y1 and Y2, extended to q: the uncorrected increment."""
+    return (y1 - y_ref) + np.tan(F1) * (q - x1)
+
+
+def _corrected_increment(y_ref, y1, y2, x2, q, g_cor):
+    return (y1 - y_ref) + (y2 - y1) + g_cor * (q - x2)
+
+
+def _check_arguments(mesh, d, tol, max_iter) -> None:
+    """The argument checks and the d > 1 warning shared by both entry points."""
+    if mesh is None:
+        raise ValidationError("the smooth method requires a mesh-structured dataset")
+    if not tol > 0:
+        raise ValidationError("tolerance must be positive")
+    if not d > 0:
+        raise ValidationError("shape exponent d must be positive")
+    if max_iter < 1:
+        raise ValidationError("max iterations must be >= 1")
+    if d > 1.0:
+        warnings.warn(
+            "shape exponent d > 1 admits inflection points inside the "
+            "approximation interval",
+            stacklevel=3,
+        )
 
 
 def evaluate_smooth(
@@ -219,20 +314,7 @@ def evaluate_smooth(
     back to the plain chord gradient for that axis and never abort the
     whole query.
     """
-    if mesh is None:
-        raise ValidationError("the smooth method requires a mesh-structured dataset")
-    if not tol > 0:
-        raise ValidationError("tolerance must be positive")
-    if not d > 0:
-        raise ValidationError("shape exponent d must be positive")
-    if max_iter < 1:
-        raise ValidationError("max iterations must be >= 1")
-    if d > 1.0:
-        warnings.warn(
-            "shape exponent d > 1 admits inflection points inside the "
-            "approximation interval",
-            stacklevel=2,
-        )
+    _check_arguments(mesh, d, tol, max_iter)
     query = np.asarray(query, dtype=float)
     cell, reference = _mesh_cell(mesh, query)
     y_ref = float(training.y[reference, layer])
@@ -246,8 +328,7 @@ def evaluate_smooth(
         y1, y2 = stencil.y[1], stencil.y[2]
         q = float(query[axis])
         angles = segment_angles(stencil)
-        # the chord through Y1 and Y2, extended to q: the uncorrected increment
-        delta = (y1 - y_ref) + np.tan(angles.F1) * (q - x1)
+        delta = _chord_increment(y_ref, y1, x1, q, angles.F1)
         iters, flag = 0, "chord-fallback"  # extrapolation or clamped edge cell
         if min(x1, x2) <= q <= max(x1, x2):
             problem = build_intersection(stencil, angles, q, d)
@@ -257,7 +338,7 @@ def evaluate_smooth(
                 iters, flag = max_iter, "newton-fallback"
             else:
                 g_cor = adjust_gradient(angles.F1, x_star, y_star, problem.params.B)
-                delta = (y1 - y_ref) + (y2 - y1) + g_cor * (q - x2)
+                delta = _corrected_increment(y_ref, y1, y2, x2, q, g_cor)
                 missing = stencil.missing_lower or stencil.missing_upper
                 flag = "boundary-fallback" if missing else "corrected"
                 if d > 1.0 and has_interior_inflection(problem.params):
@@ -274,4 +355,194 @@ def evaluate_smooth(
         newton_iterations=tuple(iterations),
         flags=tuple(flags),
         extrapolated=is_extrapolation(training, query),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class SmoothBatch:
+    """What ``evaluate_smooth_batch`` found for M queries, L layers and n axes.
+
+    Row i, layer l holds what ``evaluate_smooth(..., layer=layers[l])``
+    returns for query i.  A query whose scalar evaluation raised has its
+    error in ``errors`` (keyed by row, in input order), NaN estimates and
+    reference -1.
+    """
+
+    y_hat: np.ndarray  # (M, L)
+    newton_iterations: np.ndarray  # (M, L, n)
+    flags: np.ndarray  # (M, L, n) flag strings
+    reference_index: np.ndarray  # (M,)
+    extrapolated: np.ndarray  # (M,)
+    errors: dict
+
+
+def _newton_lanes(K, B, g1R, g2L, k, c, x0, d, tol, max_iter):
+    """``find_root``'s Newton phase over lanes, by its rules lane by lane.
+
+    Lane j solves arc(x) = k[j] x + c[j] from x0[j] on the bracket
+    [0, B[j]].  Returns the roots, the iteration counts, and the lanes that
+    leave Newton for bisection: they left the bracket, met a zero or
+    non-finite derivative, or ran out of iterations.
+    """
+
+    def f(p, x):
+        K, B, g1R, g2L, k, c = p
+        return _arc(K, B, g1R, g2L, d, x, _pow_each) - (k * x + c)
+
+    lane = (K, B, g1R, g2L, k, c)
+    root, iters = x0.copy(), np.zeros(len(x0), dtype=int)
+    rerun = np.zeros(len(x0), dtype=bool)
+    fx = f(lane, x0)
+    act = np.flatnonzero(fx != 0.0)  # f(x0) == 0 is a root after 0 iterations
+    x, fx, p = x0[act], fx[act], tuple(v[act] for v in lane)
+    for _ in range(max_iter):
+        if not len(act):
+            break
+        dfx = _arc_slope(*p[:4], d, x, _pow_each) - p[4]
+        step = fx / dfx
+        xn = x - step
+        go = (dfx != 0.0) & np.isfinite(dfx) & (0.0 <= xn) & (xn <= p[1])
+        rerun[act] = ~go
+        iters[act] += go
+        root[act] = np.where(go, xn, x)  # a converged lane's root is its last step
+        live = go & (np.abs(step) > tol)
+        if not live.all():
+            keep = np.flatnonzero(live)
+            act, xn, p = act[keep], xn[keep], tuple(v[keep] for v in p)
+        x = xn
+        fx = f(p, x)
+    rerun[act] = True
+    return root, iters, rerun
+
+
+def _intersect_lanes(x, y, y_ref, q, missing_lower, missing_upper, usable, d, tol, max_iter):
+    """Increments, Newton iterations, flag codes and inflections of N lanes.
+
+    ``x`` and ``y`` are (4, N): the stencil points' coordinates and outcomes.
+    The other arrays are (N,); only ``usable`` lanes with q inside their
+    bracket are intersected.  The formulas are ``evaluate_smooth``'s.
+    """
+    F1 = _chord(x, y, 1, 2)
+    Fg1, Fg2 = _deviations(_chord(x, y, 0, 1), F1, _chord(x, y, 2, 3))
+    Fg1 = np.where(missing_lower, 0.0, Fg1)
+    Fg2 = np.where(missing_upper, 0.0, Fg2)
+    delta = _chord_increment(y_ref, y[1], x[1], q, F1)
+    iters = np.zeros(len(q), dtype=int)
+    code = np.full(len(q), CHORD)
+    inflection = np.zeros(len(q), dtype=bool)
+
+    lanes = np.flatnonzero(usable & (x[1] <= q) & (q <= x[2]))
+    boundary = (missing_lower | missing_upper)[lanes]
+    F1, Fg1, Fg2, x1, x2, y1, y2, q, y_ref = (
+        v[lanes] for v in (F1, Fg1, Fg2, x[1], x[2], y[1], y[2], q, y_ref)
+    )
+    B, g1R, g2L, x_p = _frame(x1, x2, q, F1, Fg1, Fg2)
+    x_p = np.minimum(np.maximum(x_p, 0.0), B)  # as min(max(x_p, 0.0), B) on floats
+    K = _pow_each(B, -(d + 1.0))
+    tan1 = np.tan(F1)
+
+    # Newton on the lanes with a tilted chord; the rest are trivial (x* = x_p)
+    s = np.flatnonzero(np.abs(tan1) >= TRIVIAL_SLOPE)
+    Ks, Bs, g1Rs, g2Ls = K[s], B[s], g1R[s], g2L[s]
+    k, c, x0 = _newton_start(Ks, Bs, g1Rs, g2Ls, d, x_p[s], tan1[s], _pow_each)
+    x0 = np.minimum(np.maximum(x0, 0.0), Bs)
+    x_star, it = x_p.copy(), np.zeros(len(lanes), dtype=int)
+    x_star[s], it[s], rerun = _newton_lanes(Ks, Bs, g1Rs, g2Ls, k, c, x0, d, tol, max_iter)
+    y_star = _arc(K, B, g1R, g2L, d, x_star, _pow_each)
+    solved = np.ones(len(lanes), dtype=bool)
+    for j in np.flatnonzero(rerun):
+        # a lane that leaves Newton reruns find_root, bisection fallback and all
+        params = ApproxFunctionParams(B=float(Bs[j]), g1R=float(g1Rs[j]), g2L=float(g2Ls[j]), d=d)
+        problem = IntersectionProblem(params=params, x_p=float(x_p[s[j]]),
+                                      k=float(k[j]), c=float(c[j]), x0=float(x0[j]))
+        try:
+            x_star[s[j]], y_star[s[j]], it[s[j]] = solve_intersection(problem, tol, max_iter)
+        except NoConvergence:
+            it[s[j]], solved[s[j]] = max_iter, False
+
+    g_cor = _rotated_slope(F1, x_star, y_star, B)
+    corrected = _corrected_increment(y_ref, y1, y2, x2, q, g_cor)
+    delta[lanes] = np.where(solved, corrected, delta[lanes])
+    iters[lanes] = it
+    code[lanes] = np.where(solved, np.where(boundary, BOUNDARY, CORRECTED), NEWTON)
+    if d > 1.0:
+        bent = lanes[solved]
+        params = (K[solved], B[solved], g1R[solved], g2L[solved])
+        for b in range(0, len(bent), INFLECTION_BLOCK):
+            block = slice(b, b + INFLECTION_BLOCK)
+            inflection[bent[block]] = _inflects(*(v[block] for v in params), d)
+    return delta, iters, code, inflection
+
+
+def evaluate_smooth_batch(
+    training: TrainingSet,
+    queries,
+    mesh: MeshIndex,
+    d: float = 1.0,
+    tol: float = 1e-9,
+    max_iter: int = 20,
+    layers=(0,),
+) -> SmoothBatch:
+    """``evaluate_smooth`` for every query of an (M, n) array and every layer.
+
+    The stencils are gathered once per query for all ``layers``, and every
+    (query, axis, layer) lane goes through one set of array expressions.  Each
+    query's increments are summed in axis order, so every estimate, iteration
+    count and flag equals the scalar path's.  A query the kernel cannot
+    finish (absent reference or stencil core, a zero-width segment, or an
+    estimate that is not finite) is handed to ``evaluate_smooth`` itself,
+    layer by layer in input order, so that its result or error is the scalar
+    path's too.
+    """
+    _check_arguments(mesh, d, tol, max_iter)
+    queries = np.asarray(queries, dtype=float)
+    if queries.size == 0:
+        queries = queries.reshape(0, training.n)
+    if queries.shape[1:] != (training.n,):
+        raise DimensionMismatch(
+            f"queries must be an (M, {training.n}) array, got shape {queries.shape}"
+        )
+    layers = list(layers)
+    M, n, L = len(queries), training.n, len(layers)
+    reference, rows, x = _axis_stencils(training, mesh, mesh.cells_of(queries))
+    present = rows >= 0
+    bad = (reference < 0) | ~(present[..., 1] & present[..., 2]).all(axis=1)
+    width = np.diff(x, axis=-1)
+    bad |= ((width == 0.0) & present[..., 1:] & present[..., :-1]).any(axis=(1, 2))
+
+    def lanes(v):  # one lane per (query, axis, layer)
+        return np.broadcast_to(v, (M, n, L)).reshape(-1)
+
+    y = training.y[:, layers]
+    y_ref = y[reference][:, None, :]
+    with np.errstate(all="ignore"):
+        delta, iters, code, inflection = _intersect_lanes(
+            np.broadcast_to(x.transpose(2, 0, 1)[..., None], (4, M, n, L)).reshape(4, -1),
+            y[rows].transpose(2, 0, 1, 3).reshape(4, -1),
+            lanes(y_ref), lanes(queries[..., None]),
+            lanes(~present[..., :1]), lanes(~present[..., 3:]), lanes(~bad[:, None, None]),
+            d, tol, max_iter,
+        )
+        # the scalar path's running total: y_ref, then each axis in order
+        total = np.concatenate([y_ref, delta.reshape(M, n, L)], axis=1).cumsum(axis=1)
+    y_hat = total[:, -1, :].copy()
+    bad |= ~np.isfinite(y_hat).all(axis=1)
+
+    flags = _FLAG_NAMES[code + len(FLAGS) * inflection].reshape(M, n, L).transpose(0, 2, 1)
+    iters = iters.reshape(M, n, L).transpose(0, 2, 1)
+    errors = {}
+    for i in np.flatnonzero(bad):
+        try:
+            for l, layer in enumerate(layers):
+                est = evaluate_smooth(training, queries[i], mesh, d, tol, max_iter, layer)
+                y_hat[i, l] = est.y_hat
+                iters[i, l] = est.newton_iterations
+                flags[i, l] = est.flags
+        except GradsurfError as exc:
+            errors[int(i)] = exc
+            y_hat[i], reference[i] = np.nan, -1
+    lo, hi = training.bounding_box
+    return SmoothBatch(
+        y_hat=y_hat, newton_iterations=iters, flags=flags, reference_index=reference,
+        extrapolated=((queries < lo) | (queries > hi)).any(axis=1), errors=errors,
     )

@@ -9,20 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradsurf import (
+    GradsurfError,
     MeshIndex,
     ParseError,
     TEST_FUNCTIONS,
+    evaluate_layers,
     gen_mesh_dataset,
     load_dataset,
     load_queries,
     run_benchmark,
     ValidationError,
     save_dataset,
+    validate_query,
     validate_training_set,
     write_plot_csv,
     write_report,
 )
 from gradsurf.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from gradsurf.io import write_imputed
 
 
 def affine_files(tmp_path, with_mesh=True):
@@ -310,6 +314,110 @@ class TestDigitSeparators:
         data, _ = affine_files(tmp_path)
         assert main(["eval", "--data", str(data), "--at", "1_5,0.5"]) == EXIT_VALIDATION
         assert "bad --at coordinates: '_'" in capsys.readouterr().err
+
+
+class TestNonAsciiNumbers:
+    """Python's float() and int() read digits of any script ("١٠" is 10);
+    the file formats take plain ASCII numbers only."""
+
+    ARABIC_INDIC_TEN = "\u0661\u0660"
+
+    def test_dataset_cell(self, tmp_path):
+        files = s1_files(tmp_path)
+        lines = files["csv"].read_text().splitlines(keepends=True)
+        lines[2] = self.ARABIC_INDIC_TEN + lines[2][lines[2].index(","):]
+        files["csv"].write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"s1\.csv, line 3: a number must be plain ASCII"):
+            load_dataset(files["csv"])
+
+    def test_query_cell(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text(f"x1,x2\n0.5,0.25\n{self.ARABIC_INDIC_TEN},1.75\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"q\.csv, line 3: a number must be plain ASCII"):
+            load_queries(path)
+
+    def test_sidecar_index_map_key(self, tmp_path):
+        data, _ = affine_files(tmp_path)
+        sidecar = data.with_suffix(".mesh.json")
+        meta = json.loads(sidecar.read_text())
+        meta["index_map"] = {"0,\u0661": 0}
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match=r"malformed 'index_map': a number must be plain"):
+            load_dataset(data)
+
+    def test_eval_at(self, tmp_path, capsys):
+        data, _ = affine_files(tmp_path)
+        code = main(["eval", "--data", str(data), "--at", "\u0661,0.5"])
+        assert code == EXIT_VALIDATION
+        assert "bad --at coordinates: a number must be plain ASCII" in capsys.readouterr().err
+
+
+class TestIndexMapValues:
+    """A sidecar files each node under a row number, a JSON integer."""
+
+    @pytest.mark.parametrize("value", ["0", 1.9, 2.0, True])
+    def test_value_that_is_not_an_integer_raises_parse_error(self, tmp_path, value):
+        data, ts = affine_files(tmp_path)
+        sidecar = data.with_suffix(".mesh.json")
+        meta = json.loads(sidecar.read_text())
+        grid = np.stack(np.unravel_index(np.arange(ts.npoints), (5, 5)), axis=1)
+        meta["index_map"] = {f"{i},{j}": r for r, (i, j) in enumerate(grid.tolist())}
+        meta["index_map"]["1,0"] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match=r"data\.mesh\.json: index_map value of key '1,0'"):
+            load_dataset(data)
+
+
+def per_row_imputation(training, mesh, queries) -> list:
+    """Impute rows as one ``evaluate_layers`` call per query would give them."""
+    rows = []
+    for q in queries:
+        row = {"coords": list(q), "method": "smooth", "y_hat": None, "status": "ok", "flags": ""}
+        try:
+            result = evaluate_layers(training, validate_query(q, training.n), mesh=mesh)
+        except GradsurfError as exc:
+            row["status"] = f"error: {exc}"
+        else:
+            flags = {f for comp in result.components for f in comp.flags}
+            if any(comp.extrapolated for comp in result.components):
+                flags.add("extrapolated")
+            row.update(y_hat=list(result.y_hat), flags=";".join(sorted(flags)))
+        rows.append(row)
+    return rows
+
+
+class TestSmoothImpute:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_output_equals_per_row_evaluation(self, tmp_path, workers):
+        # a jittered 5^3 mesh with holes and two outcome layers; queries inside
+        # cells, on nodes, outside the domain, at holes, and one that is NaN
+        f1, f2 = TEST_FUNCTIONS["S1"], TEST_FUNCTIONS["S2"]
+        full, mesh = gen_mesh_dataset(f1, 5, x_jitter_fraction=0.2, seed=4)
+        rng = np.random.default_rng(4)
+        kept = np.flatnonzero(rng.random(full.npoints) < 0.85)
+        grid = np.stack(np.unravel_index(kept, mesh.shape), axis=1)
+        x = full.x[kept]
+        training = validate_training_set((x, np.stack([f1(x), f2(x)], axis=1)),
+                                         n=3, layer_count=2)
+        sparse = MeshIndex(axes=mesh.axes, jitter_fraction=0.2,
+                           index_map={tuple(g): i for i, g in enumerate(grid.tolist())})
+        data = tmp_path / "data.csv"
+        save_dataset(data, training, sparse)
+        queries = np.vstack([rng.uniform(1.6, 5.4, (40, 3)), full.x[:5],
+                             [[np.nan, 3.0, 3.0]]])
+        q_csv = tmp_path / "q.csv"
+        q_csv.write_text("x1,x2,x3\n" + "".join(
+            ",".join(repr(float(v)) for v in q) + "\n" for q in queries))
+        out, expected = tmp_path / "out.csv", tmp_path / "expected.csv"
+        code = main(["impute", "--data", str(data), "--queries", str(q_csv),
+                     "--output", str(out), "--workers", str(workers)])
+
+        training, sparse = load_dataset(data)
+        rows = per_row_imputation(training, sparse, load_queries(q_csv))
+        write_imputed(expected, rows, 2)
+        assert {r["status"] == "ok" for r in rows} == {True, False}
+        assert code == EXIT_RUNTIME
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestReports:

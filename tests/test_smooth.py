@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gradsurf import (
     ApproxFunctionParams,
+    Estimate,
     MeshIndex,
     ValidationError,
     adjust_gradient,
@@ -15,7 +16,9 @@ from gradsurf import (
     approx_eval,
     build_intersection,
     evaluate_gradient,
+    evaluate_batch,
     evaluate_smooth,
+    evaluate_smooth_batch,
     has_interior_inflection,
     segment_angles,
     select_simplex,
@@ -25,6 +28,7 @@ from gradsurf import (
 from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
 from gradsurf.model import ZeroWidthSegment
 from gradsurf.neighbors import Stencil1D, axis_stencil, locate_reference
+from gradsurf.solvers import find_root
 from tests_oracles import oracle_axis_stencil, oracle_evaluate_smooth, oracle_mesh_simplex
 
 
@@ -68,6 +72,12 @@ class TestApproxFunction:
             ApproxFunctionParams(B=0.0, g1R=0.0, g2L=0.0)
         with pytest.raises(ValidationError):
             ApproxFunctionParams(B=1.0, g1R=0.0, g2L=0.0, d=0.0)
+
+    @pytest.mark.parametrize("field", ["B", "d"])
+    def test_nan_parameter_rejected(self, field):
+        values = {"B": 1.0, "g1R": 0.0, "g2L": 0.0, "d": 1.0, field: float("nan")}
+        with pytest.raises(ValidationError):
+            ApproxFunctionParams(**values)
 
     @given(
         B=st.floats(0.1, 5.0),
@@ -406,3 +416,97 @@ class TestMeshNeighbourhoodOracle:
                     assert outcome(evaluate_smooth, ts, q, mesh, d=d) == outcome(
                         oracle_evaluate_smooth, ts, q, mesh, d=d
                     )
+
+
+def batch_estimate(batch, i, layer=0) -> Estimate:
+    """Row i, layer position ``layer`` of a SmoothBatch as an Estimate."""
+    return Estimate(
+        y_hat=float(batch.y_hat[i, layer]),
+        method="smooth",
+        reference_index=int(batch.reference_index[i]),
+        newton_iterations=tuple(int(v) for v in batch.newton_iterations[i, layer]),
+        flags=tuple(batch.flags[i, layer]),
+        extrapolated=bool(batch.extrapolated[i]),
+    )
+
+
+def assert_same(batch, i, layer, expected: Estimate):
+    got = batch_estimate(batch, i, layer)
+    assert got == expected
+    assert got.y_hat.hex() == expected.y_hat.hex()  # bit for bit, signed zeros too
+
+
+class TestSmoothBatch:
+    """The batch kernel returns what the per-axis scalar loop returns, bit for
+    bit, or hands the scalar path's error over in input order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        jitter=st.floats(0.0, 0.45),
+        sparse=st.booleans(),
+    )
+    def test_random_grids_match_the_scalar_path(self, seed, n, jitter, sparse):
+        x, y, mesh, rng = random_grid(seed, n, jitter, sparse)
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
+                                   n=n, layer_count=2)
+        queries = grid_queries(mesh, rng, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # d > 1 warns of inflections
+            for d in (1.0, 1.5, 2.0, 3.0):
+                batch = evaluate_smooth_batch(ts, queries, mesh, d=d, layers=(1, 0))
+                for i, q in enumerate(queries):
+                    for pos, layer in enumerate((1, 0)):
+                        expected = outcome(evaluate_smooth, ts, q, mesh, d=d, layer=layer)
+                        if isinstance(expected, type):
+                            assert type(batch.errors[i]) is expected
+                            break
+                        assert i not in batch.errors
+                        assert_same(batch, i, pos, expected)
+                scalar = [outcome(evaluate_smooth, ts, q, mesh, d=d) for q in queries]
+                errors = [e for e in scalar if isinstance(e, type)]
+                assert outcome(evaluate_batch, ts, queries, mesh=mesh, method="smooth",
+                               d=d) == (errors[0] if errors else [e.y_hat for e in scalar])
+
+    def test_high_dimensional_local_cell(self):
+        rng = np.random.default_rng(11)
+        ts, mesh, query, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], 99, 20, rng)
+        batch = evaluate_smooth_batch(ts, query[None, :], mesh)
+        assert_same(batch, 0, 0, evaluate_smooth(ts, query, mesh))
+
+    def test_lane_leaving_newton_matches_find_root(self):
+        # one Newton step cannot reach tol, so the lane reruns find_root, whose
+        # bisection fallback finishes it
+        ts, mesh = mesh_training_1d(np.linspace(0.0, 3.0, 7), lambda x: np.sin(2 * x) + x**2)
+        q, tol, max_iter = 1.3, 1e-12, 1
+        batch = evaluate_smooth_batch(ts, [[q]], mesh, tol=tol, max_iter=max_iter)
+
+        stencil = axis_stencil(ts, mesh, mesh.cell_of([q]), 0)
+        angles = segment_angles(stencil)
+        problem = build_intersection(stencil, angles, q)
+        params = problem.params
+        root, iters = find_root(
+            lambda x: approx_eval(params, x) - (problem.k * x + problem.c),
+            lambda x: approx_deriv(params, x) - problem.k,
+            problem.x0, tol=tol, max_iter=max_iter, bracket=(0.0, params.B),
+        )
+        assert iters > max_iter  # Newton's step, then bisection
+        g = adjust_gradient(angles.F1, root, approx_eval(params, root), params.B)
+        y_ref, (_, y1, y2, _), x2 = stencil.y[1], stencil.y, stencil.x[2]
+        y_hat = y_ref + ((y1 - y_ref) + (y2 - y1) + g * (q - x2))
+        assert batch.newton_iterations[0, 0, 0] == iters
+        assert batch.flags[0, 0, 0] == "corrected"
+        assert float(batch.y_hat[0, 0]).hex() == float(y_hat).hex()
+        assert_same(batch, 0, 0, evaluate_smooth(ts, [q], mesh, tol=tol, max_iter=max_iter))
+
+    def test_argument_errors_and_query_shape(self):
+        ts, mesh = mesh_training_1d(np.linspace(0.0, 3.0, 7), np.sin)
+        with pytest.raises(ValidationError):
+            evaluate_smooth_batch(ts, [[1.0]], None)
+        with pytest.raises(ValidationError):
+            evaluate_smooth_batch(ts, [[1.0]], mesh, tol=0.0)
+        with pytest.raises(ValidationError):
+            evaluate_smooth_batch(ts, [1.0, 2.0], mesh)  # not (M, n)
+        assert evaluate_smooth_batch(ts, [], mesh).y_hat.shape == (0, 1)
