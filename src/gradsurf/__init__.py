@@ -13,6 +13,7 @@ from .model import (
     EmptyInput,
     EmptyTrainingSet,
     Estimate,
+    EstimateBatch,
     GradsurfError,
     InsufficientPoints,
     MeshIndex,
@@ -27,11 +28,15 @@ from .model import (
     validate_training_set,
 )
 from .neighbors import Simplex, enumerate_combinations, locate_reference, select_simplex
-from .gradient import estimate_gradients, evaluate_gradient, extrapolate
+from .gradient import (
+    estimate_gradients,
+    evaluate_gradient,
+    evaluate_gradient_batch,
+    extrapolate,
+)
 from .smooth import (
     ApproxFunctionParams,
     IntersectionProblem,
-    SmoothBatch,
     adjust_gradient,
     approx_deriv,
     approx_eval,
@@ -67,6 +72,7 @@ __all__ = [
     "EmptyInput",
     "EmptyTrainingSet",
     "Estimate",
+    "EstimateBatch",
     "GradsurfError",
     "InsufficientPoints",
     "IntersectionProblem",
@@ -77,7 +83,6 @@ __all__ = [
     "ParseError",
     "Simplex",
     "SingularSystem",
-    "SmoothBatch",
     "TEST_FUNCTIONS",
     "TooFewPoints",
     "TrainingSet",
@@ -93,6 +98,7 @@ __all__ = [
     "estimate_gradients",
     "evaluate_batch",
     "evaluate_gradient",
+    "evaluate_gradient_batch",
     "evaluate_layers",
     "evaluate_smooth",
     "evaluate_smooth_batch",

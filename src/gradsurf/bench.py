@@ -17,9 +17,8 @@ from .model import (
     validate_training_set,
 )
 from .gradient import evaluate_gradient
-from .layers import _evaluate, _fan_out
+from .layers import _batch_kernel, _evaluate, _fan_out
 from .neighbors import STENCIL_STEPS
-from .smooth import evaluate_smooth_batch
 
 SENTINEL_RATIO = 1e12  # reported when a ratio's denominator vanishes
 
@@ -291,12 +290,13 @@ def compute_noise_ratios(noisy_y, computed_y, original_y) -> dict:
 
 
 def _eval_chunk(training, mesh, method, kwargs, queries) -> list:
-    if method == "smooth":
-        batch = evaluate_smooth_batch(training, queries, mesh, **kwargs)
-        if batch.errors:
-            raise batch.errors[min(batch.errors)]
-        return batch.y_hat[:, 0].tolist()
-    return [_evaluate(training, q, mesh, method, **kwargs).y_hat for q in queries]
+    kernel = _batch_kernel(mesh, method, kwargs)
+    if kernel is None:
+        return [_evaluate(training, q, mesh, method, **kwargs).y_hat for q in queries]
+    batch = kernel(training, queries)
+    if batch.errors:
+        raise batch.errors[min(batch.errors)]
+    return batch.y_hat[:, 0].tolist()
 
 
 def evaluate_batch(
@@ -309,9 +309,11 @@ def evaluate_batch(
 ) -> list:
     """Evaluate many queries, preserving input order regardless of scheduling.
 
-    The smooth method runs each worker's chunk through one call of
-    ``evaluate_smooth_batch``; an error raised for any query is the first
-    failing query's, as if the queries ran one by one.
+    Each worker's chunk goes through one call of the method's batch kernel
+    where one applies: ``evaluate_smooth_batch``, or ``evaluate_gradient_batch``
+    on a mesh with one combination.  Other gradient batches run query by
+    query.  An error raised for any query is the first failing query's, as if
+    the queries ran one by one.
     """
     return _fan_out(partial(_eval_chunk, training, mesh, method, kwargs), queries, workers)
 
@@ -340,7 +342,8 @@ def _mesh_scenario(function, m, seed, methods, workers=1) -> list:
 
 
 def _high_dim_scenario(function, n, m_queries, seed, methods, y_noise=None) -> list:
-    """(stats, wall time) per method over m_queries local cells, each built once.
+    """(stats, wall time) per method over m_queries local cells, each built
+    once and evaluated by each method as a batch of one.
 
     With ``y_noise`` the stats also hold the noise ratios at the queries.
     """
@@ -354,7 +357,7 @@ def _high_dim_scenario(function, n, m_queries, seed, methods, y_noise=None) -> l
         )
         for method in methods:
             t0 = time.perf_counter()
-            y_hat[method].append(_evaluate(training, query, mesh, method).y_hat)
+            y_hat[method] += _eval_chunk(training, mesh, method, {}, query[None, :])
             walls[method] += time.perf_counter() - t0
         truths.append(truth)
         refs.append(ref_y)

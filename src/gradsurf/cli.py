@@ -12,9 +12,8 @@ import numpy as np
 from . import bench as bench_mod
 from .io import ParseError, _numbers, load_dataset, load_queries
 from .io import write_imputed, write_plot_csv, write_report
-from .layers import _fan_out, evaluate_layers
+from .layers import _batch_kernel, _fan_out, evaluate_layers
 from .model import GradsurfError, ValidationError, validate_query
-from .smooth import evaluate_smooth_batch
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -105,36 +104,32 @@ def _impute_one(training, mesh, method, kwargs, coords) -> dict:
     return _impute_row(coords, method, result.y_hat, flags)
 
 
-def _impute_smooth(training, mesh, kwargs, chunk) -> list:
-    """Rows for a chunk of queries from one call of the smooth batch kernel,
-    which gathers each query's stencils once for every outcome layer."""
+def _impute_chunk(training, mesh, method, kwargs, chunk) -> list:
+    """Rows for a chunk of queries.  Where the method has a batch kernel, one
+    call of it serves the chunk and gathers each query's neighbourhood once
+    for every outcome layer; otherwise each row runs ``evaluate_layers``."""
+    kernel = _batch_kernel(mesh, method, kwargs)
+    if kernel is None:
+        return [_impute_one(training, mesh, method, kwargs, c) for c in chunk]
     valid = np.isfinite(chunk).all(axis=1)  # the others fail validate_query
     try:
-        batch = evaluate_smooth_batch(
-            training, chunk[valid], mesh, layers=range(training.layer_count), **kwargs
-        )
+        batch = kernel(training, chunk[valid], layers=range(training.layer_count))
     except GradsurfError:  # an argument error, which every row reports
-        return [_impute_one(training, mesh, "smooth", kwargs, c) for c in chunk]
+        return [_impute_one(training, mesh, method, kwargs, c) for c in chunk]
     rows, j = [], 0
     for coords, ok in zip(chunk, valid):
         if not ok:
-            rows.append(_impute_one(training, mesh, "smooth", kwargs, coords))
+            rows.append(_impute_one(training, mesh, method, kwargs, coords))
             continue
         if j in batch.errors:
-            rows.append(_impute_row(coords, "smooth", error=batch.errors[j]))
+            rows.append(_impute_row(coords, method, error=batch.errors[j]))
         else:
             flags = list(batch.flags[j].ravel())
             if batch.extrapolated[j]:
                 flags.append("extrapolated")
-            rows.append(_impute_row(coords, "smooth", batch.y_hat[j], flags))
+            rows.append(_impute_row(coords, method, batch.y_hat[j], flags))
         j += 1
     return rows
-
-
-def _impute_chunk(training, mesh, method, kwargs, chunk) -> list:
-    if method == "smooth":
-        return _impute_smooth(training, mesh, kwargs, chunk)
-    return [_impute_one(training, mesh, method, kwargs, c) for c in chunk]
 
 
 def impute_rows(training, mesh, args: argparse.Namespace, queries: np.ndarray) -> list:

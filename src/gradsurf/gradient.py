@@ -1,4 +1,9 @@
-"""Gradient-based reconstruction: local hyperplane through a simplex of points."""
+"""Gradient-based reconstruction: local hyperplane through a simplex of points.
+
+``evaluate_gradient`` solves one query's system; ``evaluate_gradient_batch``
+solves the mesh systems of a whole batch as (query, layer) lanes with array
+expressions, with the same arithmetic, so their results agree bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,25 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DegenerateNeighborhood, Estimate, MeshIndex, SingularSystem, TrainingSet
-from .neighbors import CombinationPlan, Simplex, enumerate_combinations, is_extrapolation
-from .solvers import solve_linear_system
+from .model import (
+    DegenerateNeighborhood,
+    Estimate,
+    EstimateBatch,
+    MeshIndex,
+    SingularSystem,
+    TrainingSet,
+    _finish_batch,
+    _query_rows,
+    _query_vector,
+)
+from .neighbors import (
+    CombinationPlan,
+    Simplex,
+    _grid_rows,
+    enumerate_combinations,
+    is_extrapolation,
+)
+from .solvers import solve_lanes, solve_linear_system
 
 
 def estimate_gradients(
@@ -56,7 +77,7 @@ def evaluate_gradient(
     Each simplex in the plan contributes one extrapolated value; degenerate
     combinations are skipped and the survivors averaged with equal weight.
     """
-    query = np.asarray(query, dtype=float)
+    query = _query_vector(query, training.n)
     if plan is None:
         plan = enumerate_combinations(training, query, combinations, mesh)
 
@@ -87,4 +108,45 @@ def evaluate_gradient(
         residual=residual,
         per_combination=tuple(values),
         extrapolated=is_extrapolation(training, query),
+    )
+
+
+def evaluate_gradient_batch(
+    training: TrainingSet, queries, mesh: MeshIndex, layers=(0,)
+) -> EstimateBatch:
+    """``evaluate_gradient`` on a mesh, one combination, for every query of an
+    (M, n) array and every layer.
+
+    Each query's simplex is gathered once for all ``layers``: the reference
+    at its cell and, along each axis, the next node up, or the one below at
+    the top node, as ``select_simplex`` picks them.  ``solve_lanes`` solves
+    every query's system with one right-hand side per layer, and the
+    expansion's dot goes through the same BLAS dot as the scalar path's, so
+    every estimate equals that path's.  A query the kernel cannot finish (an
+    absent simplex point, a singular system, or an estimate that is not
+    finite) is handed to ``evaluate_gradient`` itself, layer by layer in
+    input order, so that its result or error is the scalar path's too.
+    """
+    queries = _query_rows(queries, training.n)
+    layers = list(layers)
+    M, L = len(queries), len(layers)
+    cells = mesh.cells_of(queries)
+    up = cells + 1 < np.array(mesh.shape)
+    reference, aux = _grid_rows(mesh, cells, np.where(up, 1, -1)[..., None])
+    aux = aux[..., 0]
+    x, y = training.x, training.y[:, layers]
+    x_ref, y_ref = x[reference], y[reference]
+    p, singular = solve_lanes(x[aux] - x_ref[:, None], y[aux] - y_ref[:, None])
+    with np.errstate(all="ignore"):  # singular lanes may hold inf or NaN
+        dot = np.matmul(p[:, :, None, :], (queries - x_ref)[:, None, :, None])
+        y_hat = y_ref + dot[..., 0, 0]
+    redo = (reference < 0) | (aux < 0).any(axis=1) | singular
+    redo |= ~np.isfinite(y_hat).all(axis=1)
+
+    def scalar(query, layer):
+        return evaluate_gradient(training, query, mesh, layer=layer)
+
+    return _finish_batch(
+        training, queries, layers, scalar, redo, y_hat, reference,
+        np.zeros((M, L, 0), dtype=int), np.empty((M, L, 0), dtype=object),
     )

@@ -5,14 +5,15 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Estimate, MeshIndex, TrainingSet, ValidationError
-from .gradient import evaluate_gradient
+from .model import Estimate, MeshIndex, TrainingSet, ValidationError, _query_vector
+from .gradient import evaluate_gradient, evaluate_gradient_batch
 from .neighbors import enumerate_combinations
-from .smooth import evaluate_smooth
+from .smooth import evaluate_smooth, evaluate_smooth_batch
 
 
 def _evaluate(training, query, mesh, method: str, **kwargs) -> Estimate:
@@ -26,6 +27,21 @@ def _evaluate(training, query, mesh, method: str, **kwargs) -> Estimate:
     if method == "smooth":
         return evaluate_smooth(training, query, mesh=mesh, **kwargs)
     raise ValidationError(f"unknown method {method!r}")
+
+
+def _batch_kernel(mesh, method: str, kwargs: dict) -> Optional[Callable]:
+    """The array kernel that runs ``method`` with ``kwargs`` on a batch, or None
+    where only the per-query path applies.
+
+    The returned callable takes ``(training, queries, layers=...)`` and gives
+    an ``EstimateBatch``.  Every smooth batch has one; a gradient batch has
+    one on a mesh with one combination and no other option.
+    """
+    if method == "smooth":
+        return partial(evaluate_smooth_batch, mesh=mesh, **kwargs)
+    if method == "gradient" and mesh is not None and kwargs in ({}, {"combinations": 1}):
+        return partial(evaluate_gradient_batch, mesh=mesh)
+    return None
 
 
 def _fan_out(work: Callable[[np.ndarray], list], items, workers: int) -> list:
@@ -70,7 +86,7 @@ def evaluate_layers(
     point combinations do not depend on the layer, so they are built once.
     """
     if method == "gradient" and kwargs.get("plan") is None:
-        query = np.asarray(query, dtype=float)
+        query = _query_vector(query, training.n)
         kwargs["plan"] = enumerate_combinations(
             training, query, kwargs.get("combinations", 1), mesh
         )

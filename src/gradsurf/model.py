@@ -159,6 +159,25 @@ def validate_training_set(points, n: int, layer_count: int = 1) -> TrainingSet:
     return TrainingSet(x=x.copy(), y=y.copy(), n=n, layer_count=layer_count)
 
 
+def _query_vector(query, n: int) -> np.ndarray:
+    """``query`` as a float array of exactly n coordinates; the shape is all
+    that the single-query entry points check, which keeps them cheap."""
+    query = np.asarray(query, dtype=float)
+    if query.shape != (n,):
+        raise DimensionMismatch(f"query must have {n} coordinates, got shape {query.shape}")
+    return query
+
+
+def _query_rows(queries, n: int) -> np.ndarray:
+    """``queries`` as an (M, n) float array; an empty input is (0, n)."""
+    queries = np.asarray(queries, dtype=float)
+    if queries.size == 0:
+        queries = queries.reshape(0, n)
+    if queries.shape[1:] != (n,):
+        raise DimensionMismatch(f"queries must be an (M, {n}) array, got shape {queries.shape}")
+    return queries
+
+
 def validate_query(coords, n: int) -> np.ndarray:
     q = np.atleast_1d(np.asarray(coords, dtype=float))
     if q.shape != (n,):
@@ -262,3 +281,47 @@ class Estimate:
             raise NonFiniteValue("estimate is not finite")
         if self.combinations_used < 1:
             raise ValidationError("combination count must be >= 1")
+
+
+@dataclass(frozen=True, eq=False)
+class EstimateBatch:
+    """What a batch kernel found for M queries and L outcome layers.
+
+    Row i, layer l holds what the method's single-query function returns for
+    query i and ``layers[l]``.  The smooth method fills one Newton iteration
+    count and one flag per axis; the gradient method has neither, so those
+    arrays are (M, L, 0).  A query whose single-query evaluation raised has
+    its error in ``errors`` (keyed by row, in input order), NaN estimates and
+    reference -1.
+    """
+
+    y_hat: np.ndarray  # (M, L)
+    newton_iterations: np.ndarray  # (M, L, n) or (M, L, 0)
+    flags: np.ndarray  # (M, L, n) or (M, L, 0) flag strings
+    reference_index: np.ndarray  # (M,)
+    extrapolated: np.ndarray  # (M,)
+    errors: dict
+
+
+def _finish_batch(training, queries, layers, evaluate, redo, y_hat, reference,
+                  newton_iterations, flags) -> EstimateBatch:
+    """The kernel's arrays as an EstimateBatch, with each query in ``redo``
+    handed to ``evaluate(query, layer)``, the single-query path, layer by layer
+    in input order, so that its result or error is that path's."""
+    errors = {}
+    for i in np.flatnonzero(redo):
+        try:
+            for l, layer in enumerate(layers):
+                est = evaluate(queries[i], layer)
+                y_hat[i, l] = est.y_hat
+                newton_iterations[i, l] = est.newton_iterations
+                flags[i, l] = est.flags
+        except GradsurfError as exc:
+            errors[int(i)] = exc
+            y_hat[i], reference[i] = np.nan, -1
+    lo, hi = training.bounding_box
+    return EstimateBatch(
+        y_hat=y_hat, newton_iterations=newton_iterations, flags=flags,
+        reference_index=reference, extrapolated=((queries < lo) | (queries > hi)).any(axis=1),
+        errors=errors,
+    )

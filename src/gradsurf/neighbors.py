@@ -295,6 +295,35 @@ def axis_stencil(
     )
 
 
+def _grid_rows(mesh: MeshIndex, cells: np.ndarray, steps: np.ndarray):
+    """The rows of many cells and of nodes a few steps from each along each axis.
+
+    ``cells`` is an (M, n) array of grid indices on the grid and ``steps`` an
+    (M, n, K) integer array.  Returns each cell's row, (M,), and the rows of
+    the nodes ``steps[i, a, k]`` nodes from cell i along axis a, (M, n, K).
+    Row -1 marks a node off the grid or at a hole.  A complete grid finds rows
+    by row-major strides, a sparse one in its ``index_map``.
+    """
+    if mesh.index_map is None:
+        shape = np.array(mesh.shape)
+        strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)  # row-major
+        reference = cells @ strides
+        nodes = cells[..., None] + steps
+        rows = reference[:, None, None] + steps * strides[:, None]
+        return reference, np.where((nodes >= 0) & (nodes < shape[:, None]), rows, -1)
+    get = mesh.index_map.get
+    reference = np.array([get(tuple(c), -1) for c in cells.tolist()], dtype=int)
+    found = []
+    for cell, ref, cell_steps in zip(cells.tolist(), reference.tolist(), steps.tolist()):
+        node = list(cell)
+        for a, axis_steps in enumerate(cell_steps):
+            for k in axis_steps:
+                node[a] = cell[a] + k
+                found.append(ref if k == 0 else get(tuple(node), -1))
+            node[a] = cell[a]
+    return reference, np.array(found, dtype=int).reshape(steps.shape)
+
+
 def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray):
     """The reference and the ``axis_stencil`` points of many cells at once.
 
@@ -303,27 +332,10 @@ def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray):
     their coordinates along that axis, with the present points ordered by
     coordinate as ``axis_stencil`` orders them.  Row -1 marks an absent point.
     """
-    M, n = cells.shape
-    shape = np.array(mesh.shape)
-    lower = np.minimum(cells, shape - 2)  # clamp so the bracketing pair exists
-    if mesh.index_map is None:
-        strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)  # row-major
-        nodes = lower[..., None] + STENCIL_STEPS
-        reference = cells @ strides
-        rows = reference[:, None, None] + (nodes - cells[..., None]) * strides[:, None]
-        rows = np.where((nodes >= 0) & (nodes < shape[:, None]), rows, -1)
-    else:
-        get = mesh.index_map.get
-        reference = np.array([get(tuple(c), -1) for c in cells.tolist()], dtype=int)
-        found = []
-        for cell, low, ref in zip(cells.tolist(), lower.tolist(), reference.tolist()):
-            node = list(cell)
-            for a in range(n):
-                for k in STENCIL_STEPS:
-                    node[a] = low[a] + k
-                    found.append(ref if node[a] == cell[a] else get(tuple(node), -1))
-                node[a] = cell[a]
-        rows = np.array(found, dtype=int).reshape(M, n, 4)
+    n = cells.shape[1]
+    # clamp so the bracketing pair exists
+    lower = np.minimum(cells, np.array(mesh.shape) - 2)
+    reference, rows = _grid_rows(mesh, cells, (lower - cells)[..., None] + STENCIL_STEPS)
     # a stable sort keeps tied points in step order and absent ends in place;
     # a stencil without its core is left as found
     x = training.x[rows, np.arange(n)[:, None]]

@@ -22,14 +22,16 @@ from itertools import repeat
 import numpy as np
 
 from .model import (
-    DimensionMismatch,
     Estimate,
-    GradsurfError,
+    EstimateBatch,
     MeshIndex,
     NoConvergence,
     TrainingSet,
     ValidationError,
     ZeroWidthSegment,
+    _finish_batch,
+    _query_rows,
+    _query_vector,
 )
 from .neighbors import Stencil1D, _axis_stencils, _mesh_cell, axis_stencil, is_extrapolation
 from .solvers import find_root
@@ -315,7 +317,7 @@ def evaluate_smooth(
     whole query.
     """
     _check_arguments(mesh, d, tol, max_iter)
-    query = np.asarray(query, dtype=float)
+    query = _query_vector(query, training.n)
     cell, reference = _mesh_cell(mesh, query)
     y_ref = float(training.y[reference, layer])
 
@@ -356,24 +358,6 @@ def evaluate_smooth(
         flags=tuple(flags),
         extrapolated=is_extrapolation(training, query),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class SmoothBatch:
-    """What ``evaluate_smooth_batch`` found for M queries, L layers and n axes.
-
-    Row i, layer l holds what ``evaluate_smooth(..., layer=layers[l])``
-    returns for query i.  A query whose scalar evaluation raised has its
-    error in ``errors`` (keyed by row, in input order), NaN estimates and
-    reference -1.
-    """
-
-    y_hat: np.ndarray  # (M, L)
-    newton_iterations: np.ndarray  # (M, L, n)
-    flags: np.ndarray  # (M, L, n) flag strings
-    reference_index: np.ndarray  # (M,)
-    extrapolated: np.ndarray  # (M,)
-    errors: dict
 
 
 def _newton_lanes(K, B, g1R, g2L, k, c, x0, d, tol, max_iter):
@@ -482,7 +466,7 @@ def evaluate_smooth_batch(
     tol: float = 1e-9,
     max_iter: int = 20,
     layers=(0,),
-) -> SmoothBatch:
+) -> EstimateBatch:
     """``evaluate_smooth`` for every query of an (M, n) array and every layer.
 
     The stencils are gathered once per query for all ``layers``, and every
@@ -495,13 +479,7 @@ def evaluate_smooth_batch(
     path's too.
     """
     _check_arguments(mesh, d, tol, max_iter)
-    queries = np.asarray(queries, dtype=float)
-    if queries.size == 0:
-        queries = queries.reshape(0, training.n)
-    if queries.shape[1:] != (training.n,):
-        raise DimensionMismatch(
-            f"queries must be an (M, {training.n}) array, got shape {queries.shape}"
-        )
+    queries = _query_rows(queries, training.n)
     layers = list(layers)
     M, n, L = len(queries), training.n, len(layers)
     reference, rows, x = _axis_stencils(training, mesh, mesh.cells_of(queries))
@@ -530,19 +508,8 @@ def evaluate_smooth_batch(
 
     flags = _FLAG_NAMES[code + len(FLAGS) * inflection].reshape(M, n, L).transpose(0, 2, 1)
     iters = iters.reshape(M, n, L).transpose(0, 2, 1)
-    errors = {}
-    for i in np.flatnonzero(bad):
-        try:
-            for l, layer in enumerate(layers):
-                est = evaluate_smooth(training, queries[i], mesh, d, tol, max_iter, layer)
-                y_hat[i, l] = est.y_hat
-                iters[i, l] = est.newton_iterations
-                flags[i, l] = est.flags
-        except GradsurfError as exc:
-            errors[int(i)] = exc
-            y_hat[i], reference[i] = np.nan, -1
-    lo, hi = training.bounding_box
-    return SmoothBatch(
-        y_hat=y_hat, newton_iterations=iters, flags=flags, reference_index=reference,
-        extrapolated=((queries < lo) | (queries > hi)).any(axis=1), errors=errors,
-    )
+
+    def scalar(query, layer):
+        return evaluate_smooth(training, query, mesh, d, tol, max_iter, layer)
+
+    return _finish_batch(training, queries, layers, scalar, bad, y_hat, reference, iters, flags)

@@ -51,6 +51,44 @@ def solve_linear_system(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float
     return x, residual
 
 
+def solve_lanes(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_linear_system`` on many lanes: A is (M, n, n), b (M, n, L).
+
+    Each lane takes the scalar solver's steps: the same threshold, the first
+    largest pivot, the same swaps, and each row update as one outer product
+    per pivot column, so every element sees the same multiply and subtract.
+    The dots of the back-substitution go through stacked ``np.matmul``, which
+    calls the same BLAS dot as the scalar 1-D ``@``.  So a lane's solution for
+    right-hand side l equals ``solve_linear_system(A[i], b[i, :, l])`` bit for
+    bit.  Returns the (M, L, n) solutions and the (M,) mask of the lanes the
+    scalar solver would call singular; their solutions are meaningless.  No
+    residual is computed.
+    """
+    A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+    M, n, L = b.shape
+    scale = np.abs(A).max(axis=2)
+    scale[scale == 0.0] = 1.0
+    threshold = SINGULARITY_RTOL * scale.max(axis=1)
+    singular = np.zeros(M, dtype=bool)
+    lanes = np.arange(M)
+    with np.errstate(all="ignore"):  # singular lanes may divide by zero
+        for k in range(n - 1):
+            p = np.argmax(np.abs(A[:, k:, k]), axis=1) + k
+            singular |= np.abs(A[lanes, p, k]) <= threshold
+            A[lanes, k], A[lanes, p] = A[lanes, p], A[lanes, k]
+            b[lanes, k], b[lanes, p] = b[lanes, p], b[lanes, k]
+            lam = (A[:, k + 1 :, k] / A[:, k, k, None])[..., None]
+            A[:, k + 1 :, k + 1 :] -= lam * A[:, k, None, k + 1 :]
+            b[:, k + 1 :] -= lam * b[:, k, None]
+        singular |= np.abs(A[:, n - 1, n - 1]) <= threshold
+
+        x = np.empty((M, L, n))
+        for k in range(n - 1, -1, -1):
+            dot = np.matmul(A[:, None, None, k, k + 1 :], x[:, :, k + 1 :, None])
+            x[:, :, k] = (b[:, k] - dot[..., 0, 0]) / A[:, k, k, None]
+    return x, singular
+
+
 def find_root(
     f: Callable[[float], float],
     df: Callable[[float], float],

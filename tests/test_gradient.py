@@ -1,17 +1,23 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradsurf import (
     MeshIndex,
     Simplex,
     estimate_gradients,
+    evaluate_batch,
     evaluate_gradient,
+    evaluate_gradient_batch,
     extrapolate,
+    gradient,
     validate_training_set,
 )
-from gradsurf.bench import TEST_FUNCTIONS
+from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
+from tests_oracles import grid_queries, outcome, random_grid
 
 
 class TestEstimateGradients:
@@ -133,3 +139,90 @@ class TestEvaluateGradient:
         truth = q @ coeffs + intercept
         est = evaluate_gradient(ts, q)
         assert abs(est.y_hat - truth) <= 1e-9 * (1.0 + abs(truth))
+
+
+def batch_with_handovers(training, queries, mesh, layers=(0,)):
+    """The kernel's result and the rows it handed to ``evaluate_gradient``."""
+    handed = []
+
+    def scalar(training, query, *args, **kwargs):
+        handed.append(query)
+        return evaluate_gradient(training, query, *args, **kwargs)
+
+    with mock.patch.object(gradient, "evaluate_gradient", scalar):
+        batch = evaluate_gradient_batch(training, queries, mesh, layers=layers)
+    rows = {i for i, q in enumerate(queries) for h in handed
+            if np.array_equal(h, q, equal_nan=True)}
+    return batch, rows
+
+
+def assert_same(batch, i, layer, expected):
+    assert float(batch.y_hat[i, layer]).hex() == expected.y_hat.hex()  # bit for bit
+    assert batch.reference_index[i] == expected.reference_index
+    assert batch.extrapolated[i] == expected.extrapolated
+
+
+class TestGradientBatch:
+    """The mesh batch kernel returns what ``evaluate_gradient`` returns, bit for
+    bit, and hands a query to it only where that raises, in input order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        jitter=st.floats(0.0, 0.45),
+        sparse=st.booleans(),
+    )
+    def test_random_grids_match_the_scalar_path(self, seed, n, jitter, sparse):
+        x, y, mesh, rng = random_grid(seed, n, jitter, sparse)
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
+                                   n=n, layer_count=2)
+        queries = grid_queries(mesh, rng, 12)
+        batch, handed = batch_with_handovers(ts, queries, mesh, layers=(1, 0))
+        assert batch.newton_iterations.shape == batch.flags.shape == (12, 2, 0)
+        raised = set()
+        for i, q in enumerate(queries):
+            for pos, layer in enumerate((1, 0)):
+                expected = outcome(evaluate_gradient, ts, q, mesh, layer=layer)
+                if isinstance(expected, type):
+                    assert type(batch.errors[i]) is expected
+                    assert batch.reference_index[i] == -1
+                    raised.add(i)
+                    break
+                assert i not in batch.errors
+                assert_same(batch, i, pos, expected)
+        assert handed == raised
+        assert list(batch.errors) == sorted(raised)
+        scalar = [outcome(evaluate_gradient, ts, q, mesh) for q in queries]
+        errors = [e for e in scalar if isinstance(e, type)]
+        assert outcome(evaluate_batch, ts, queries, mesh=mesh, method="gradient") == (
+            errors[0] if errors else [e.y_hat for e in scalar]
+        )
+
+    def test_high_dimensional_local_cell(self):
+        rng = np.random.default_rng(11)
+        ts, mesh, query, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], 99, 20, rng)
+        batch, handed = batch_with_handovers(ts, query[None, :], mesh)
+        assert not handed
+        assert_same(batch, 0, 0, evaluate_gradient(ts, query, mesh=mesh))
+
+    def test_singular_system_and_nan_query_are_handed_over(self):
+        # node (0, 1) lies on the x1 axis, so the first cell's system is
+        # singular; a NaN query gives an estimate that is not finite
+        x = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        ts = validate_training_set((x, x.sum(axis=1)), n=2)
+        mesh = MeshIndex(axes=(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+        queries = [[0.5, 0.5], [np.nan, 0.5], [1.0, 1.0]]
+        batch, handed = batch_with_handovers(ts, queries, mesh)
+        assert handed == {0, 1}
+        for i in (0, 1):
+            assert type(batch.errors[i]) is outcome(evaluate_gradient, ts, queries[i], mesh)
+        assert_same(batch, 2, 0, evaluate_gradient(ts, queries[2], mesh=mesh))
+
+    def test_query_shape(self):
+        nodes = np.linspace(0.0, 1.0, 3)
+        x = np.stack([g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij")], axis=1)
+        ts = validate_training_set((x, x.sum(axis=1)), n=2)
+        mesh = MeshIndex(axes=(nodes, nodes))
+        assert evaluate_gradient_batch(ts, [], mesh).y_hat.shape == (0, 1)

@@ -368,13 +368,14 @@ class TestIndexMapValues:
             load_dataset(data)
 
 
-def per_row_imputation(training, mesh, queries) -> list:
+def per_row_imputation(training, mesh, queries, method) -> list:
     """Impute rows as one ``evaluate_layers`` call per query would give them."""
     rows = []
     for q in queries:
-        row = {"coords": list(q), "method": "smooth", "y_hat": None, "status": "ok", "flags": ""}
+        row = {"coords": list(q), "method": method, "y_hat": None, "status": "ok", "flags": ""}
         try:
-            result = evaluate_layers(training, validate_query(q, training.n), mesh=mesh)
+            result = evaluate_layers(training, validate_query(q, training.n), mesh=mesh,
+                                     method=method)
         except GradsurfError as exc:
             row["status"] = f"error: {exc}"
         else:
@@ -386,38 +387,48 @@ def per_row_imputation(training, mesh, queries) -> list:
     return rows
 
 
+def assert_impute_equals_per_row_evaluation(tmp_path, workers, method):
+    # a jittered 5^3 mesh with holes and two outcome layers; queries inside
+    # cells, on nodes, outside the domain, at holes, and one that is NaN
+    f1, f2 = TEST_FUNCTIONS["S1"], TEST_FUNCTIONS["S2"]
+    full, mesh = gen_mesh_dataset(f1, 5, x_jitter_fraction=0.2, seed=4)
+    rng = np.random.default_rng(4)
+    kept = np.flatnonzero(rng.random(full.npoints) < 0.85)
+    grid = np.stack(np.unravel_index(kept, mesh.shape), axis=1)
+    x = full.x[kept]
+    training = validate_training_set((x, np.stack([f1(x), f2(x)], axis=1)),
+                                     n=3, layer_count=2)
+    sparse = MeshIndex(axes=mesh.axes, jitter_fraction=0.2,
+                       index_map={tuple(g): i for i, g in enumerate(grid.tolist())})
+    data = tmp_path / "data.csv"
+    save_dataset(data, training, sparse)
+    queries = np.vstack([rng.uniform(1.6, 5.4, (40, 3)), full.x[:5],
+                         [[np.nan, 3.0, 3.0]]])
+    q_csv = tmp_path / "q.csv"
+    q_csv.write_text("x1,x2,x3\n" + "".join(
+        ",".join(repr(float(v)) for v in q) + "\n" for q in queries))
+    out, expected = tmp_path / "out.csv", tmp_path / "expected.csv"
+    code = main(["impute", "--data", str(data), "--queries", str(q_csv), "--output", str(out),
+                 "--workers", str(workers), "--method", method])
+
+    training, sparse = load_dataset(data)
+    rows = per_row_imputation(training, sparse, load_queries(q_csv), method)
+    write_imputed(expected, rows, 2)
+    assert {r["status"] == "ok" for r in rows} == {True, False}
+    assert code == EXIT_RUNTIME
+    assert out.read_bytes() == expected.read_bytes()
+
+
 class TestSmoothImpute:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_output_equals_per_row_evaluation(self, tmp_path, workers):
-        # a jittered 5^3 mesh with holes and two outcome layers; queries inside
-        # cells, on nodes, outside the domain, at holes, and one that is NaN
-        f1, f2 = TEST_FUNCTIONS["S1"], TEST_FUNCTIONS["S2"]
-        full, mesh = gen_mesh_dataset(f1, 5, x_jitter_fraction=0.2, seed=4)
-        rng = np.random.default_rng(4)
-        kept = np.flatnonzero(rng.random(full.npoints) < 0.85)
-        grid = np.stack(np.unravel_index(kept, mesh.shape), axis=1)
-        x = full.x[kept]
-        training = validate_training_set((x, np.stack([f1(x), f2(x)], axis=1)),
-                                         n=3, layer_count=2)
-        sparse = MeshIndex(axes=mesh.axes, jitter_fraction=0.2,
-                           index_map={tuple(g): i for i, g in enumerate(grid.tolist())})
-        data = tmp_path / "data.csv"
-        save_dataset(data, training, sparse)
-        queries = np.vstack([rng.uniform(1.6, 5.4, (40, 3)), full.x[:5],
-                             [[np.nan, 3.0, 3.0]]])
-        q_csv = tmp_path / "q.csv"
-        q_csv.write_text("x1,x2,x3\n" + "".join(
-            ",".join(repr(float(v)) for v in q) + "\n" for q in queries))
-        out, expected = tmp_path / "out.csv", tmp_path / "expected.csv"
-        code = main(["impute", "--data", str(data), "--queries", str(q_csv),
-                     "--output", str(out), "--workers", str(workers)])
+        assert_impute_equals_per_row_evaluation(tmp_path, workers, "smooth")
 
-        training, sparse = load_dataset(data)
-        rows = per_row_imputation(training, sparse, load_queries(q_csv))
-        write_imputed(expected, rows, 2)
-        assert {r["status"] == "ok" for r in rows} == {True, False}
-        assert code == EXIT_RUNTIME
-        assert out.read_bytes() == expected.read_bytes()
+
+class TestGradientImpute:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_output_equals_per_row_evaluation(self, tmp_path, workers):
+        assert_impute_equals_per_row_evaluation(tmp_path, workers, "gradient")
 
 
 class TestReports:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from gradsurf import (
+    DimensionMismatch,
     MeshIndex,
     ValidationError,
+    evaluate_batch,
     evaluate_gradient,
     evaluate_layers,
     evaluate_smooth,
@@ -112,3 +114,28 @@ def test_gradient_plan_built_once_for_all_layers(mode, monkeypatch):
         assert len(out.components) == 3
         for j, component in enumerate(out.components):
             assert component == evaluate_gradient(ts, q, mesh=mesh, layer=j, **kwargs)
+
+
+ENTRY_POINTS = {
+    "evaluate_gradient": lambda ts, q, mesh, method: evaluate_gradient(ts, q, mesh=mesh),
+    "evaluate_smooth": lambda ts, q, mesh, method: evaluate_smooth(ts, q, mesh),
+    "evaluate_layers": lambda ts, q, mesh, method: evaluate_layers(ts, q, mesh=mesh,
+                                                                   method=method),
+    "evaluate_batch": lambda ts, q, mesh, method: evaluate_batch(ts, [q, q], mesh=mesh,
+                                                                 method=method),
+}
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("entry,method,mode", [
+    (entry, method, mode)
+    for entry, method in (("evaluate_gradient", "gradient"), ("evaluate_smooth", "smooth"),
+                          ("evaluate_layers", "gradient"), ("evaluate_layers", "smooth"),
+                          ("evaluate_batch", "gradient"), ("evaluate_batch", "smooth"))
+    for mode in ("mesh", "scattered")
+    if mode == "mesh" or method == "gradient"  # the smooth method needs a mesh
+])
+def test_query_of_wrong_length_raises_dimension_mismatch(entry, method, mode, length):
+    ts, mesh = layered_mesh([lambda x: x[:, 0] * x[:, 1]])
+    with pytest.raises(DimensionMismatch):
+        ENTRY_POINTS[entry](ts, np.full(length, 1.5), mesh if mode == "mesh" else None, method)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradsurf import NoConvergence, SingularSystem
-from gradsurf.solvers import find_root, solve_linear_system
+from gradsurf.solvers import SINGULARITY_RTOL, find_root, solve_lanes, solve_linear_system
 from gradsurf.smooth import ApproxFunctionParams, approx_eval, approx_deriv
 from tests_oracles import grid_bisection_root
 
@@ -38,6 +38,55 @@ class TestSolveLinearSystem:
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         x, _ = solve_linear_system(A, np.array([2.0, 3.0]))
         assert np.allclose(x, [3.0, 2.0])
+
+
+def lane_systems(rng, n, L):
+    """Random (A, b) lanes, plus lanes built to stress each rule of the solver:
+    a zero leading entry (a row swap), tied pivot candidates, an exactly zero
+    column, and a first pivot just below and just above the threshold."""
+    A = rng.normal(size=(8, n, n))
+    b = rng.normal(size=(8, n, L))
+    A[1, 0, 0] = 0.0
+    A[2, :, 0] = rng.choice((-1.0, 1.0), n) * 0.75
+    A[3, :, rng.integers(n)] = 0.0
+    for lane, factor in ((4, 0.99), (5, 1.01)):  # the threshold is RTOL * rest
+        rest = np.abs(A[lane, :, 1:]).max() if n > 1 else 1.0
+        A[lane, :, 0] *= factor * SINGULARITY_RTOL * rest / np.abs(A[lane, :, 0]).max()
+    A[6] = np.triu(A[6])  # nothing to eliminate
+    return A, b
+
+
+def assert_lanes_match(A, b):
+    x, singular = solve_lanes(A, b)
+    assert x.shape == (len(A), b.shape[2], A.shape[1])
+    for i in range(len(A)):
+        for l in range(b.shape[2]):
+            try:
+                expected, _ = solve_linear_system(A[i], b[i, :, l])
+            except SingularSystem:
+                assert singular[i]
+                break
+            assert not singular[i]
+            assert x[i, l].tobytes() == expected.tobytes()  # bit for bit
+
+
+class TestSolveLanes:
+    """Each lane's solution is ``solve_linear_system``'s, bit for bit, and a
+    lane is singular exactly where that raises."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), L=st.integers(1, 3))
+    def test_random_and_stressed_systems(self, seed, n, L):
+        assert_lanes_match(*lane_systems(np.random.default_rng(seed), n, L))
+
+    def test_n99(self):
+        assert_lanes_match(*lane_systems(np.random.default_rng(99), 99, 2))
+
+    def test_stressed_lanes_take_their_branch(self):
+        A, b = lane_systems(np.random.default_rng(4), 4, 1)
+        _, singular = solve_lanes(A, b)
+        assert singular.tolist() == [False, False, False, True, True, False, False, False]
+        assert solve_lanes(A[:0], b[:0])[0].shape == (0, 1, 4)
 
 
 class TestFindRoot:

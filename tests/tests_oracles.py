@@ -1,11 +1,12 @@
-"""Independent numeric oracles shared across test modules."""
+"""Independent numeric oracles, and the random inputs they are checked on,
+shared across test modules."""
 
 import itertools
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
-from gradsurf import DegenerateNeighborhood, InsufficientPoints
+from gradsurf import DegenerateNeighborhood, InsufficientPoints, MeshIndex
 
 
 def grid_bisection_root(f, lo, hi, cells=4096, tol=1e-12, nearest_to=None):
@@ -331,3 +332,51 @@ def oracle_evaluate_smooth(training, query, mesh, d=1.0, tol=1e-9, max_iter=20, 
         flags=tuple(flags),
         extrapolated=is_extrapolation(training, query),
     )
+
+
+# -- random grids and queries for the mesh properties, and a call's outcome
+
+
+def random_grid(seed, n, jitter, sparse):
+    """A jittered grid of 2-6 nodes per axis; sparse grids drop about a quarter
+    of the nodes and file the rest in shuffled order through ``index_map``."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(m) for m in rng.integers(2, 7, size=n))
+    axes = tuple(np.cumsum(rng.uniform(0.5, 2.0, m)) for m in shape)
+    grid = np.stack(np.unravel_index(np.arange(prod(shape)), shape), axis=1)
+    x = np.empty(grid.shape)
+    for a, nodes in enumerate(axes):
+        gaps = np.diff(nodes)
+        h = np.minimum(np.append(gaps[0], gaps), np.append(gaps, gaps[-1]))[grid[:, a]]
+        x[:, a] = nodes[grid[:, a]] + jitter * h * rng.uniform(-1.0, 1.0, len(grid))
+    y = np.sin(x).sum(axis=1) + 0.3 * x[:, 0] ** 2 + rng.normal(0.0, 0.05, len(grid))
+    index_map = None
+    if sparse:
+        rows = rng.permutation(np.flatnonzero(rng.random(len(grid)) < 0.75))
+        index_map = {tuple(grid[r].tolist()): i for i, r in enumerate(rows)}
+        x, y = x[rows], y[rows]
+    return x, y, MeshIndex(axes=axes, jitter_fraction=jitter, index_map=index_map), rng
+
+
+def grid_queries(mesh, rng, count):
+    """Each coordinate inside a cell, on a node, on the top node, or outside."""
+    queries = np.empty((count, mesh.n))
+    for a, nodes in enumerate(mesh.axes):
+        for i in range(count):
+            kind = rng.integers(5)
+            j = rng.integers(len(nodes) - 1)
+            queries[i, a] = (
+                nodes[j] + rng.uniform(0.01, 0.99) * (nodes[j + 1] - nodes[j]),
+                nodes[rng.integers(len(nodes))],
+                nodes[-1],
+                nodes[0] - rng.uniform(0.1, 1.0),
+                nodes[-1] + rng.uniform(0.1, 1.0),
+            )[kind]
+    return queries
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the error type is part of the result
+        return type(exc)
