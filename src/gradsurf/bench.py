@@ -17,7 +17,7 @@ from .model import (
     validate_training_set,
 )
 from .gradient import evaluate_gradient
-from .layers import _batch_kernel, _evaluate, _fan_out
+from .layers import _fan_out, _method_batch
 from .neighbors import STENCIL_STEPS
 
 SENTINEL_RATIO = 1e12  # reported when a ratio's denominator vanishes
@@ -289,14 +289,11 @@ def compute_noise_ratios(noisy_y, computed_y, original_y) -> dict:
 # batch evaluation (optionally parallel)
 
 
-def _eval_chunk(training, mesh, method, kwargs, queries) -> list:
-    kernel = _batch_kernel(mesh, method, kwargs)
-    if kernel is None:
-        return [_evaluate(training, q, mesh, method, **kwargs).y_hat for q in queries]
-    batch = kernel(training, queries)
-    if batch.errors:
-        raise batch.errors[min(batch.errors)]
-    return batch.y_hat[:, 0].tolist()
+def _eval_chunk(batch, training, queries) -> list:
+    result = batch(training, queries)
+    if result.errors:
+        raise result.errors[min(result.errors)]
+    return result.y_hat[:, 0].tolist()
 
 
 def evaluate_batch(
@@ -307,15 +304,16 @@ def evaluate_batch(
     workers: int = 1,
     **kwargs,
 ) -> list:
-    """Evaluate many queries, preserving input order regardless of scheduling.
+    """Layer 0's estimates for many queries, in input order.
 
-    Each worker's chunk goes through one call of the method's batch kernel
-    where one applies: ``evaluate_smooth_batch``, or ``evaluate_gradient_batch``
-    on a mesh with one combination.  Other gradient batches run query by
-    query.  An error raised for any query is the first failing query's, as if
+    Each worker's chunk goes through one call of the method's batch function,
+    ``evaluate_gradient_batch`` or ``evaluate_smooth_batch``, with ``kwargs``.
+    A keyword that function does not take raises ValidationError before any
+    work.  An error raised for any query is the first failing query's, as if
     the queries ran one by one.
     """
-    return _fan_out(partial(_eval_chunk, training, mesh, method, kwargs), queries, workers)
+    batch = _method_batch(mesh, method, kwargs)
+    return _fan_out(partial(_eval_chunk, batch, training), queries, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,7 @@ def _high_dim_scenario(function, n, m_queries, seed, methods, y_noise=None) -> l
         )
         for method in methods:
             t0 = time.perf_counter()
-            y_hat[method] += _eval_chunk(training, mesh, method, {}, query[None, :])
+            y_hat[method] += evaluate_batch(training, query[None, :], mesh=mesh, method=method)
             walls[method] += time.perf_counter() - t0
         truths.append(truth)
         refs.append(ref_y)

@@ -12,7 +12,7 @@ import numpy as np
 from . import bench as bench_mod
 from .io import ParseError, _numbers, load_dataset, load_queries
 from .io import write_imputed, write_plot_csv, write_report
-from .layers import _batch_kernel, _fan_out, evaluate_layers
+from .layers import _fan_out, _method_batch, evaluate_layers
 from .model import GradsurfError, ValidationError, validate_query
 
 EXIT_OK = 0
@@ -92,50 +92,41 @@ def _impute_row(coords, method, y_hat=(), flags=(), error=None) -> dict:
             "status": "ok", "flags": ";".join(sorted(set(flags)))}
 
 
-def _impute_one(training, mesh, method, kwargs, coords) -> dict:
+def _query_error(coords, n: int) -> Optional[GradsurfError]:
+    """``validate_query``'s error for ``coords``, or None."""
     try:
-        query = validate_query(coords, training.n)
-        result = evaluate_layers(training, query, mesh=mesh, method=method, **kwargs)
+        validate_query(coords, n)
     except GradsurfError as exc:
-        return _impute_row(coords, method, error=exc)
-    flags = [f for comp in result.components for f in comp.flags]
-    if any(comp.extrapolated for comp in result.components):
-        flags.append("extrapolated")
-    return _impute_row(coords, method, result.y_hat, flags)
+        return exc
 
 
-def _impute_chunk(training, mesh, method, kwargs, chunk) -> list:
-    """Rows for a chunk of queries.  Where the method has a batch kernel, one
-    call of it serves the chunk and gathers each query's neighbourhood once
-    for every outcome layer; otherwise each row runs ``evaluate_layers``."""
-    kernel = _batch_kernel(mesh, method, kwargs)
-    if kernel is None:
-        return [_impute_one(training, mesh, method, kwargs, c) for c in chunk]
-    valid = np.isfinite(chunk).all(axis=1)  # the others fail validate_query
+def _impute_chunk(training, batch, method, chunk) -> list:
+    """Rows for a chunk of queries from one call of the method's batch
+    function, which gathers each query's neighbourhood once for every outcome
+    layer.  A row that is not finite gets ``validate_query``'s error."""
+    valid = np.isfinite(chunk).all(axis=1)
     try:
-        batch = kernel(training, chunk[valid], layers=range(training.layer_count))
-    except GradsurfError:  # an argument error, which every row reports
-        return [_impute_one(training, mesh, method, kwargs, c) for c in chunk]
-    rows, j = [], 0
-    for coords, ok in zip(chunk, valid):
-        if not ok:
-            rows.append(_impute_one(training, mesh, method, kwargs, coords))
+        result = batch(training, chunk[valid])
+        errors = result.errors
+    except GradsurfError as exc:  # an argument error, which every row reports
+        errors = dict.fromkeys(range(int(valid.sum())), exc)
+    rows = []
+    for coords, ok, j in zip(chunk, valid, np.cumsum(valid) - 1):
+        error = errors.get(j) if ok else _query_error(coords, training.n)
+        if error is not None:
+            rows.append(_impute_row(coords, method, error=error))
             continue
-        if j in batch.errors:
-            rows.append(_impute_row(coords, method, error=batch.errors[j]))
-        else:
-            flags = list(batch.flags[j].ravel())
-            if batch.extrapolated[j]:
-                flags.append("extrapolated")
-            rows.append(_impute_row(coords, method, batch.y_hat[j], flags))
-        j += 1
+        flags = list(result.flags[j].ravel())
+        if result.extrapolated[j]:
+            flags.append("extrapolated")
+        rows.append(_impute_row(coords, method, result.y_hat[j], flags))
     return rows
 
 
 def impute_rows(training, mesh, args: argparse.Namespace, queries: np.ndarray) -> list:
     """One output row per query, in input order, fanned out across workers."""
-    work = partial(_impute_chunk, training, mesh, args.method, _method_kwargs(args))
-    return _fan_out(work, queries, args.workers)
+    batch = _method_batch(mesh, args.method, _method_kwargs(args))
+    return _fan_out(partial(_impute_chunk, training, batch, args.method), queries, args.workers)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

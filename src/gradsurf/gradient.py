@@ -1,12 +1,14 @@
 """Gradient-based reconstruction: local hyperplane through a simplex of points.
 
 ``evaluate_gradient`` solves one query's system; ``evaluate_gradient_batch``
-solves the mesh systems of a whole batch as (query, layer) lanes with array
-expressions, with the same arithmetic, so their results agree bit for bit.
+solves a mesh batch's as (query, layer) lanes with array expressions, with the
+same arithmetic, so their results agree bit for bit.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -77,7 +79,7 @@ def evaluate_gradient(
     Each simplex in the plan contributes one extrapolated value; degenerate
     combinations are skipped and the survivors averaged with equal weight.
     """
-    query = _query_vector(query, training.n)
+    query = _query_vector(query, training, layer)
     if plan is None:
         plan = enumerate_combinations(training, query, combinations, mesh)
 
@@ -111,42 +113,50 @@ def evaluate_gradient(
     )
 
 
-def evaluate_gradient_batch(
-    training: TrainingSet, queries, mesh: MeshIndex, layers=(0,)
-) -> EstimateBatch:
-    """``evaluate_gradient`` on a mesh, one combination, for every query of an
-    (M, n) array and every layer.
+def _gradient_layers(training: TrainingSet, query, mesh=None, combinations=1) -> tuple:
+    """``evaluate_gradient`` on every layer of one query.  The point
+    combinations do not depend on the layer, so they are built once."""
+    query = _query_vector(query, training)
+    plan = enumerate_combinations(training, query, combinations, mesh)
+    layers = range(training.layer_count)
+    return tuple(evaluate_gradient(training, query, mesh, layer=l, plan=plan) for l in layers)
 
-    Each query's simplex is gathered once for all ``layers``: the reference
-    at its cell and, along each axis, the next node up, or the one below at
-    the top node, as ``select_simplex`` picks them.  ``solve_lanes`` solves
-    every query's system with one right-hand side per layer, and the
-    expansion's dot goes through the same BLAS dot as the scalar path's, so
-    every estimate equals that path's.  A query the kernel cannot finish (an
-    absent simplex point, a singular system, or an estimate that is not
-    finite) is handed to ``evaluate_gradient`` itself, layer by layer in
-    input order, so that its result or error is the scalar path's too.
+
+def evaluate_gradient_batch(
+    training: TrainingSet, queries, mesh: Optional[MeshIndex] = None, combinations: int = 1
+) -> EstimateBatch:
+    """``evaluate_gradient`` for every query of an (M, n) array and every layer.
+
+    On a mesh with one combination, each query's simplex is gathered once for
+    all layers: the reference at its cell and, along each axis, the next node
+    up, or the one below at the top node, as ``select_simplex`` picks them.
+    ``solve_lanes`` solves every system with one right-hand side per layer, and
+    the expansion's dot goes through the scalar path's BLAS dot, so every
+    estimate equals that path's.  Every other query (scattered data, several
+    combinations, an absent simplex point, a singular system, or an estimate
+    that is not finite) goes to ``evaluate_gradient``, one plan for all layers,
+    so that its result or error is the scalar path's too.
     """
     queries = _query_rows(queries, training.n)
-    layers = list(layers)
-    M, L = len(queries), len(layers)
-    cells = mesh.cells_of(queries)
-    up = cells + 1 < np.array(mesh.shape)
-    reference, aux = _grid_rows(mesh, cells, np.where(up, 1, -1)[..., None])
-    aux = aux[..., 0]
-    x, y = training.x, training.y[:, layers]
-    x_ref, y_ref = x[reference], y[reference]
-    p, singular = solve_lanes(x[aux] - x_ref[:, None], y[aux] - y_ref[:, None])
-    with np.errstate(all="ignore"):  # singular lanes may hold inf or NaN
-        dot = np.matmul(p[:, :, None, :], (queries - x_ref)[:, None, :, None])
-        y_hat = y_ref + dot[..., 0, 0]
-    redo = (reference < 0) | (aux < 0).any(axis=1) | singular
-    redo |= ~np.isfinite(y_hat).all(axis=1)
+    M, L = len(queries), training.layer_count
+    y_hat, reference = np.full((M, L), np.nan), np.full(M, -1)
+    redo = np.ones(M, dtype=bool)
+    if mesh is not None and combinations == 1 and isinstance(combinations, Integral):
+        cells = mesh.cells_of(queries)
+        up = cells + 1 < np.array(mesh.shape)
+        reference, aux = _grid_rows(mesh, cells, np.where(up, 1, -1)[..., None])
+        aux = aux[..., 0]
+        x, y = training.x, training.y  # every layer is one right-hand side
+        x_ref, y_ref = x[reference], y[reference]
+        p, singular = solve_lanes(x[aux] - x_ref[:, None], y[aux] - y_ref[:, None])
+        with np.errstate(all="ignore"):  # singular lanes may hold inf or NaN
+            dot = np.matmul(p[:, :, None, :], (queries - x_ref)[:, None, :, None])
+            y_hat = y_ref + dot[..., 0, 0]
+        redo = (reference < 0) | (aux < 0).any(axis=1) | singular
+        redo |= ~np.isfinite(y_hat).all(axis=1)
 
-    def scalar(query, layer):
-        return evaluate_gradient(training, query, mesh, layer=layer)
-
+    each_layer = partial(_gradient_layers, training, mesh=mesh, combinations=combinations)
     return _finish_batch(
-        training, queries, layers, scalar, redo, y_hat, reference,
+        training, queries, each_layer, redo, y_hat, reference,
         np.zeros((M, L, 0), dtype=int), np.empty((M, L, 0), dtype=object),
     )

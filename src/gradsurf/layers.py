@@ -3,6 +3,7 @@ and worker fan-out that every multi-query caller shares."""
 
 from __future__ import annotations
 
+import inspect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -10,38 +11,33 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Estimate, MeshIndex, TrainingSet, ValidationError, _query_vector
-from .gradient import evaluate_gradient, evaluate_gradient_batch
-from .neighbors import enumerate_combinations
-from .smooth import evaluate_smooth, evaluate_smooth_batch
+from .model import MeshIndex, TrainingSet, ValidationError
+from .gradient import _gradient_layers, evaluate_gradient_batch
+from .smooth import _smooth_layers, evaluate_smooth_batch
 
 
-def _evaluate(training, query, mesh, method: str, **kwargs) -> Estimate:
-    """Run the named method on one query; unknown names raise ValidationError.
-
-    The methods are looked up by module-global name on every call, so a
-    function replaced on this module (by a tracer, say) is the one that runs.
-    """
+def _method(method: str) -> tuple:
+    """The named method's batch function and its single-query function over
+    every layer; unknown names raise ValidationError.  They are looked up by
+    module-global name on every call, so a function replaced on this module
+    (by a tracer, say) is the one that runs."""
     if method == "gradient":
-        return evaluate_gradient(training, query, mesh=mesh, **kwargs)
+        return evaluate_gradient_batch, _gradient_layers
     if method == "smooth":
-        return evaluate_smooth(training, query, mesh=mesh, **kwargs)
+        return evaluate_smooth_batch, _smooth_layers
     raise ValidationError(f"unknown method {method!r}")
 
 
-def _batch_kernel(mesh, method: str, kwargs: dict) -> Optional[Callable]:
-    """The array kernel that runs ``method`` with ``kwargs`` on a batch, or None
-    where only the per-query path applies.
-
-    The returned callable takes ``(training, queries, layers=...)`` and gives
-    an ``EstimateBatch``.  Every smooth batch has one; a gradient batch has
-    one on a mesh with one combination and no other option.
-    """
-    if method == "smooth":
-        return partial(evaluate_smooth_batch, mesh=mesh, **kwargs)
-    if method == "gradient" and mesh is not None and kwargs in ({}, {"combinations": 1}):
-        return partial(evaluate_gradient_batch, mesh=mesh)
-    return None
+def _method_batch(mesh, method: str, kwargs: dict) -> Callable:
+    """The named method's batch function, taking ``(training, queries)``, with
+    ``mesh`` and ``kwargs`` bound.  A keyword the function does not take raises
+    ValidationError before any work."""
+    batch = _method(method)[0]
+    try:
+        inspect.signature(batch).bind(None, None, mesh, **kwargs)
+    except TypeError as exc:
+        raise ValidationError(f"{method} method: {exc}") from None
+    return partial(batch, mesh=mesh, **kwargs)
 
 
 def _fan_out(work: Callable[[np.ndarray], list], items, workers: int) -> list:
@@ -85,12 +81,5 @@ def evaluate_layers(
     propagate as the corresponding component's error.  The gradient method's
     point combinations do not depend on the layer, so they are built once.
     """
-    if method == "gradient" and kwargs.get("plan") is None:
-        query = _query_vector(query, training.n)
-        kwargs["plan"] = enumerate_combinations(
-            training, query, kwargs.get("combinations", 1), mesh
-        )
-    return LayeredResult(components=tuple(
-        _evaluate(training, query, mesh, method, layer=layer, **kwargs)
-        for layer in range(training.layer_count)
-    ))
+    each_layer = _method(method)[1]
+    return LayeredResult(components=each_layer(training, query, mesh, **kwargs))

@@ -159,12 +159,16 @@ def validate_training_set(points, n: int, layer_count: int = 1) -> TrainingSet:
     return TrainingSet(x=x.copy(), y=y.copy(), n=n, layer_count=layer_count)
 
 
-def _query_vector(query, n: int) -> np.ndarray:
-    """``query`` as a float array of exactly n coordinates; the shape is all
-    that the single-query entry points check, which keeps them cheap."""
+def _query_vector(query, training: TrainingSet, layer: int = 0) -> np.ndarray:
+    """``query`` as a float array of exactly n coordinates, for an outcome
+    layer of ``training``; the shape and the layer are all that the
+    single-query entry points check, which keeps them cheap."""
     query = np.asarray(query, dtype=float)
+    n = training.n
     if query.shape != (n,):
         raise DimensionMismatch(f"query must have {n} coordinates, got shape {query.shape}")
+    if not 0 <= layer < training.layer_count:
+        raise ValidationError(f"layer must lie in [0, {training.layer_count}), got {layer!r}")
     return query
 
 
@@ -285,10 +289,10 @@ class Estimate:
 
 @dataclass(frozen=True, eq=False)
 class EstimateBatch:
-    """What a batch kernel found for M queries and L outcome layers.
+    """What a method's batch function found for M queries and L outcome layers.
 
     Row i, layer l holds what the method's single-query function returns for
-    query i and ``layers[l]``.  The smooth method fills one Newton iteration
+    query i and layer l.  The smooth method fills one Newton iteration
     count and one flag per axis; the gradient method has neither, so those
     arrays are (M, L, 0).  A query whose single-query evaluation raised has
     its error in ``errors`` (keyed by row, in input order), NaN estimates and
@@ -303,19 +307,19 @@ class EstimateBatch:
     errors: dict
 
 
-def _finish_batch(training, queries, layers, evaluate, redo, y_hat, reference,
+def _finish_batch(training, queries, each_layer, redo, y_hat, reference,
                   newton_iterations, flags) -> EstimateBatch:
     """The kernel's arrays as an EstimateBatch, with each query in ``redo``
-    handed to ``evaluate(query, layer)``, the single-query path, layer by layer
-    in input order, so that its result or error is that path's."""
+    handed to ``each_layer(query)``, the single-query path's Estimate of every
+    layer in order, so that its result or error is that path's."""
     errors = {}
     for i in np.flatnonzero(redo):
         try:
-            for l, layer in enumerate(layers):
-                est = evaluate(queries[i], layer)
+            for l, est in enumerate(each_layer(queries[i])):
                 y_hat[i, l] = est.y_hat
                 newton_iterations[i, l] = est.newton_iterations
                 flags[i, l] = est.flags
+                reference[i] = est.reference_index
         except GradsurfError as exc:
             errors[int(i)] = exc
             y_hat[i], reference[i] = np.nan, -1

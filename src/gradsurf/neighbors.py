@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -15,6 +16,7 @@ from .model import (
     InsufficientPoints,
     MeshIndex,
     TrainingSet,
+    ValidationError,
 )
 
 RANK_RTOL = 1e-10
@@ -195,6 +197,8 @@ def enumerate_combinations(
     which keeps their outcome errors independent; small datasets fall back
     to exhaustive subset enumeration ordered by aggregate distance.
     """
+    if not isinstance(c, Integral):
+        raise ValidationError(f"combination count must be an integer, got {c!r}")
     if c < 1:
         raise InsufficientPoints("combination count must be >= 1")
     if c == 1:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
+from numbers import Integral
 
 import numpy as np
 
@@ -291,8 +293,8 @@ def _check_arguments(mesh, d, tol, max_iter) -> None:
         raise ValidationError("tolerance must be positive")
     if not d > 0:
         raise ValidationError("shape exponent d must be positive")
-    if max_iter < 1:
-        raise ValidationError("max iterations must be >= 1")
+    if not isinstance(max_iter, Integral) or max_iter < 1:
+        raise ValidationError(f"max iterations must be an integer >= 1, got {max_iter!r}")
     if d > 1.0:
         warnings.warn(
             "shape exponent d > 1 admits inflection points inside the "
@@ -317,7 +319,7 @@ def evaluate_smooth(
     whole query.
     """
     _check_arguments(mesh, d, tol, max_iter)
-    query = _query_vector(query, training.n)
+    query = _query_vector(query, training, layer)
     cell, reference = _mesh_cell(mesh, query)
     y_ref = float(training.y[reference, layer])
 
@@ -358,6 +360,12 @@ def evaluate_smooth(
         flags=tuple(flags),
         extrapolated=is_extrapolation(training, query),
     )
+
+
+def _smooth_layers(training: TrainingSet, query, mesh: MeshIndex, **kwargs) -> tuple:
+    """``evaluate_smooth`` with ``kwargs`` on every layer of one query, in order."""
+    layers = range(training.layer_count)
+    return tuple(evaluate_smooth(training, query, mesh, layer=l, **kwargs) for l in layers)
 
 
 def _newton_lanes(K, B, g1R, g2L, k, c, x0, d, tol, max_iter):
@@ -465,23 +473,20 @@ def evaluate_smooth_batch(
     d: float = 1.0,
     tol: float = 1e-9,
     max_iter: int = 20,
-    layers=(0,),
 ) -> EstimateBatch:
     """``evaluate_smooth`` for every query of an (M, n) array and every layer.
 
-    The stencils are gathered once per query for all ``layers``, and every
+    The stencils are gathered once per query for all layers, and every
     (query, axis, layer) lane goes through one set of array expressions.  Each
     query's increments are summed in axis order, so every estimate, iteration
     count and flag equals the scalar path's.  A query the kernel cannot
     finish (absent reference or stencil core, a zero-width segment, or an
     estimate that is not finite) is handed to ``evaluate_smooth`` itself,
-    layer by layer in input order, so that its result or error is the scalar
-    path's too.
+    layer by layer, so that its result or error is the scalar path's too.
     """
     _check_arguments(mesh, d, tol, max_iter)
     queries = _query_rows(queries, training.n)
-    layers = list(layers)
-    M, n, L = len(queries), training.n, len(layers)
+    M, n, L = len(queries), training.n, training.layer_count
     reference, rows, x = _axis_stencils(training, mesh, mesh.cells_of(queries))
     present = rows >= 0
     bad = (reference < 0) | ~(present[..., 1] & present[..., 2]).all(axis=1)
@@ -491,12 +496,11 @@ def evaluate_smooth_batch(
     def lanes(v):  # one lane per (query, axis, layer)
         return np.broadcast_to(v, (M, n, L)).reshape(-1)
 
-    y = training.y[:, layers]
-    y_ref = y[reference][:, None, :]
+    y_ref = training.y[reference][:, None, :]
     with np.errstate(all="ignore"):
         delta, iters, code, inflection = _intersect_lanes(
             np.broadcast_to(x.transpose(2, 0, 1)[..., None], (4, M, n, L)).reshape(4, -1),
-            y[rows].transpose(2, 0, 1, 3).reshape(4, -1),
+            training.y[rows].transpose(2, 0, 1, 3).reshape(4, -1),
             lanes(y_ref), lanes(queries[..., None]),
             lanes(~present[..., :1]), lanes(~present[..., 3:]), lanes(~bad[:, None, None]),
             d, tol, max_iter,
@@ -509,7 +513,5 @@ def evaluate_smooth_batch(
     flags = _FLAG_NAMES[code + len(FLAGS) * inflection].reshape(M, n, L).transpose(0, 2, 1)
     iters = iters.reshape(M, n, L).transpose(0, 2, 1)
 
-    def scalar(query, layer):
-        return evaluate_smooth(training, query, mesh, d, tol, max_iter, layer)
-
-    return _finish_batch(training, queries, layers, scalar, bad, y_hat, reference, iters, flags)
+    each_layer = partial(_smooth_layers, training, mesh=mesh, d=d, tol=tol, max_iter=max_iter)
+    return _finish_batch(training, queries, each_layer, bad, y_hat, reference, iters, flags)

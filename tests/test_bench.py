@@ -262,3 +262,19 @@ def test_unknown_method_rejected_serial_and_fanned_out():
     for workers in (1, 2):
         with pytest.raises(ValidationError):
             evaluate_batch(ts, q, mesh=mesh, method="gradiant", workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("method,keyword", [("gradient", "layer"), ("gradient", "plan"),
+                                            ("gradient", "d"), ("smooth", "combinations")])
+def test_unknown_keyword_rejected_before_any_work(method, keyword, workers, monkeypatch):
+    f = TEST_FUNCTIONS["S1"]
+    ts, mesh = gen_mesh_dataset(f, 8)
+    q, _, _ = gen_queries(mesh, f, ts, budget=20, seed=4)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the batch ran")
+
+    monkeypatch.setattr(bench, "_fan_out", no_work)
+    with pytest.raises(ValidationError, match=f"'{keyword}'"):
+        evaluate_batch(ts, q, mesh=mesh, method=method, workers=workers, **{keyword: 0})

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gradsurf import (
     MeshIndex,
     Simplex,
+    ValidationError,
     estimate_gradients,
     evaluate_batch,
     evaluate_gradient,
@@ -114,6 +115,24 @@ class TestEvaluateGradient:
         est = evaluate_gradient(ts, np.array([2.0, 2.0]))
         assert est.extrapolated
 
+    @pytest.mark.parametrize("c", [2.5, 1.0, float("nan"), "2"])
+    def test_non_integer_combination_count_is_rejected(self, c):
+        rng = np.random.default_rng(0)
+        ts = validate_training_set((rng.uniform(0, 1, (20, 2)), rng.uniform(0, 1, 20)), n=2)
+        with pytest.raises(ValidationError, match="combination count must be an integer"):
+            evaluate_gradient(ts, np.array([0.5, 0.5]), combinations=c)
+        q = np.array([0.5, 0.5])
+        assert evaluate_gradient(ts, q, combinations=np.int64(3)) == evaluate_gradient(
+            ts, q, combinations=3)
+
+    @pytest.mark.parametrize("layer", [2, 5, -1])
+    def test_layer_out_of_range_is_rejected(self, layer):
+        x = np.vstack([np.zeros(2), np.eye(2)])
+        ts = validate_training_set((x, np.stack([x.sum(axis=1)] * 2, axis=1)), n=2,
+                                   layer_count=2)
+        with pytest.raises(ValidationError, match="layer must lie in"):
+            evaluate_gradient(ts, np.array([0.3, 0.3]), layer=layer)
+
     def test_layer_selection(self):
         x = np.vstack([np.zeros(2), np.eye(2)])
         y = np.stack([x.sum(axis=1), 5 * x.sum(axis=1)], axis=1)
@@ -141,16 +160,17 @@ class TestEvaluateGradient:
         assert abs(est.y_hat - truth) <= 1e-9 * (1.0 + abs(truth))
 
 
-def batch_with_handovers(training, queries, mesh, layers=(0,)):
-    """The kernel's result and the rows it handed to ``evaluate_gradient``."""
+def batch_with_handovers(training, queries, mesh):
+    """The kernel's result and the rows it handed to the single-query path."""
     handed = []
+    each_layer = gradient._gradient_layers
 
     def scalar(training, query, *args, **kwargs):
         handed.append(query)
-        return evaluate_gradient(training, query, *args, **kwargs)
+        return each_layer(training, query, *args, **kwargs)
 
-    with mock.patch.object(gradient, "evaluate_gradient", scalar):
-        batch = evaluate_gradient_batch(training, queries, mesh, layers=layers)
+    with mock.patch.object(gradient, "_gradient_layers", scalar):
+        batch = evaluate_gradient_batch(training, queries, mesh)
     rows = {i for i, q in enumerate(queries) for h in handed
             if np.array_equal(h, q, equal_nan=True)}
     return batch, rows
@@ -160,6 +180,21 @@ def assert_same(batch, i, layer, expected):
     assert float(batch.y_hat[i, layer]).hex() == expected.y_hat.hex()  # bit for bit
     assert batch.reference_index[i] == expected.reference_index
     assert batch.extrapolated[i] == expected.extrapolated
+
+
+def assert_batch_matches_scalar(ts, queries, mesh, c):
+    """Every query and layer of the batch is ``evaluate_gradient``'s, bit for
+    bit, or that function's error type."""
+    batch = evaluate_gradient_batch(ts, queries, mesh, combinations=c)
+    for i, q in enumerate(queries):
+        for layer in range(ts.layer_count):
+            expected = outcome(evaluate_gradient, ts, q, mesh, combinations=c, layer=layer)
+            if isinstance(expected, type):
+                assert type(batch.errors[i]) is expected
+                assert batch.reference_index[i] == -1
+                break
+            assert i not in batch.errors
+            assert_same(batch, i, layer, expected)
 
 
 class TestGradientBatch:
@@ -179,11 +214,11 @@ class TestGradientBatch:
         ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
                                    n=n, layer_count=2)
         queries = grid_queries(mesh, rng, 12)
-        batch, handed = batch_with_handovers(ts, queries, mesh, layers=(1, 0))
+        batch, handed = batch_with_handovers(ts, queries, mesh)
         assert batch.newton_iterations.shape == batch.flags.shape == (12, 2, 0)
         raised = set()
         for i, q in enumerate(queries):
-            for pos, layer in enumerate((1, 0)):
+            for layer in range(2):
                 expected = outcome(evaluate_gradient, ts, q, mesh, layer=layer)
                 if isinstance(expected, type):
                     assert type(batch.errors[i]) is expected
@@ -191,7 +226,7 @@ class TestGradientBatch:
                     raised.add(i)
                     break
                 assert i not in batch.errors
-                assert_same(batch, i, pos, expected)
+                assert_same(batch, i, layer, expected)
         assert handed == raised
         assert list(batch.errors) == sorted(raised)
         scalar = [outcome(evaluate_gradient, ts, q, mesh) for q in queries]
@@ -219,6 +254,37 @@ class TestGradientBatch:
         for i in (0, 1):
             assert type(batch.errors[i]) is outcome(evaluate_gradient, ts, queries[i], mesh)
         assert_same(batch, 2, 0, evaluate_gradient(ts, queries[2], mesh=mesh))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        c=st.sampled_from([1, 4]),
+        count=st.integers(2, 30),
+    )
+    def test_scattered_sets_match_the_scalar_path(self, seed, n, c, count):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (count, n))
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, np.stack([np.sin(3 * x).sum(axis=1),
+                                                 x.prod(axis=1)], axis=1)),
+                                   n=n, layer_count=2)
+        queries = rng.uniform(-0.2, 1.2, (8, n))
+        assert_batch_matches_scalar(ts, queries, None, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        jitter=st.floats(0.0, 0.45),
+        sparse=st.booleans(),
+    )
+    def test_mesh_averaging_matches_the_scalar_path(self, seed, n, jitter, sparse):
+        x, y, mesh, rng = random_grid(seed, n, jitter, sparse)
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
+                                   n=n, layer_count=2)
+        assert_batch_matches_scalar(ts, grid_queries(mesh, rng, 8), mesh, 4)
 
     def test_query_shape(self):
         nodes = np.linspace(0.0, 1.0, 3)

@@ -368,14 +368,14 @@ class TestIndexMapValues:
             load_dataset(data)
 
 
-def per_row_imputation(training, mesh, queries, method) -> list:
+def per_row_imputation(training, mesh, queries, method, **kwargs) -> list:
     """Impute rows as one ``evaluate_layers`` call per query would give them."""
     rows = []
     for q in queries:
         row = {"coords": list(q), "method": method, "y_hat": None, "status": "ok", "flags": ""}
         try:
             result = evaluate_layers(training, validate_query(q, training.n), mesh=mesh,
-                                     method=method)
+                                     method=method, **kwargs)
         except GradsurfError as exc:
             row["status"] = f"error: {exc}"
         else:
@@ -387,34 +387,50 @@ def per_row_imputation(training, mesh, queries, method) -> list:
     return rows
 
 
-def assert_impute_equals_per_row_evaluation(tmp_path, workers, method):
-    # a jittered 5^3 mesh with holes and two outcome layers; queries inside
-    # cells, on nodes, outside the domain, at holes, and one that is NaN
+def impute_inputs(tmp_path, layout):
+    """A data CSV with two outcome layers and a query CSV for it.
+
+    ``layout`` "mesh" is a jittered 5^3 mesh with holes; "scattered" is 60
+    uniform points without a mesh.  The queries lie inside cells, on training
+    points, outside the domain, at holes, and one is NaN.
+    """
     f1, f2 = TEST_FUNCTIONS["S1"], TEST_FUNCTIONS["S2"]
     full, mesh = gen_mesh_dataset(f1, 5, x_jitter_fraction=0.2, seed=4)
     rng = np.random.default_rng(4)
-    kept = np.flatnonzero(rng.random(full.npoints) < 0.85)
-    grid = np.stack(np.unravel_index(kept, mesh.shape), axis=1)
-    x = full.x[kept]
+    if layout == "mesh":
+        kept = np.flatnonzero(rng.random(full.npoints) < 0.85)
+        grid = np.stack(np.unravel_index(kept, mesh.shape), axis=1)
+        x = full.x[kept]
+        mesh = MeshIndex(axes=mesh.axes, jitter_fraction=0.2,
+                         index_map={tuple(g): i for i, g in enumerate(grid.tolist())})
+    else:
+        x, mesh = rng.uniform(1.0, 5.0, (60, 3)), None
     training = validate_training_set((x, np.stack([f1(x), f2(x)], axis=1)),
                                      n=3, layer_count=2)
-    sparse = MeshIndex(axes=mesh.axes, jitter_fraction=0.2,
-                       index_map={tuple(g): i for i, g in enumerate(grid.tolist())})
     data = tmp_path / "data.csv"
-    save_dataset(data, training, sparse)
-    queries = np.vstack([rng.uniform(1.6, 5.4, (40, 3)), full.x[:5],
-                         [[np.nan, 3.0, 3.0]]])
+    save_dataset(data, training, mesh)
+    queries = np.vstack([rng.uniform(1.6, 5.4, (40, 3)), x[:5], [[np.nan, 3.0, 3.0]]])
     q_csv = tmp_path / "q.csv"
     q_csv.write_text("x1,x2,x3\n" + "".join(
         ",".join(repr(float(v)) for v in q) + "\n" for q in queries))
+    return data, q_csv
+
+
+def assert_impute_equals_per_row_evaluation(tmp_path, workers, method, layout="mesh",
+                                            combinations=1):
+    data, q_csv = impute_inputs(tmp_path, layout)
     out, expected = tmp_path / "out.csv", tmp_path / "expected.csv"
     code = main(["impute", "--data", str(data), "--queries", str(q_csv), "--output", str(out),
-                 "--workers", str(workers), "--method", method])
+                 "--workers", str(workers), "--method", method,
+                 "--combinations", str(combinations)])
 
-    training, sparse = load_dataset(data)
-    rows = per_row_imputation(training, sparse, load_queries(q_csv), method)
+    training, mesh = load_dataset(data)
+    kwargs = {"combinations": combinations} if method == "gradient" else {}
+    rows = per_row_imputation(training, mesh, load_queries(q_csv), method, **kwargs)
     write_imputed(expected, rows, 2)
-    assert {r["status"] == "ok" for r in rows} == {True, False}
+    # the smooth method needs a mesh, so every scattered row fails
+    ok = {False} if (method, layout) == ("smooth", "scattered") else {True, False}
+    assert {r["status"] == "ok" for r in rows} == ok
     assert code == EXIT_RUNTIME
     assert out.read_bytes() == expected.read_bytes()
 
@@ -424,11 +440,24 @@ class TestSmoothImpute:
     def test_output_equals_per_row_evaluation(self, tmp_path, workers):
         assert_impute_equals_per_row_evaluation(tmp_path, workers, "smooth")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scattered_rows_report_the_argument_error(self, tmp_path, workers):
+        assert_impute_equals_per_row_evaluation(tmp_path, workers, "smooth", "scattered")
+
 
 class TestGradientImpute:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_output_equals_per_row_evaluation(self, tmp_path, workers):
         assert_impute_equals_per_row_evaluation(tmp_path, workers, "gradient")
+
+    @pytest.mark.parametrize("layout,combinations", [("mesh", 4), ("scattered", 1),
+                                                     ("scattered", 4)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scattered_and_averaged_output_equals_per_row_evaluation(
+        self, tmp_path, workers, layout, combinations
+    ):
+        assert_impute_equals_per_row_evaluation(tmp_path, workers, "gradient", layout,
+                                                combinations)
 
 
 class TestReports:

@@ -7,6 +7,7 @@ from gradsurf import (
     ValidationError,
     evaluate_batch,
     evaluate_gradient,
+    evaluate_gradient_batch,
     evaluate_layers,
     evaluate_smooth,
     validate_training_set,
@@ -87,17 +88,18 @@ def scattered_layers(seed=0, count=60):
     return validate_training_set((x, y), n=3, layer_count=3), rng.uniform(0.2, 0.8, (5, 3))
 
 
-@pytest.mark.parametrize("mode", ["mesh", "scattered C=4"])
+@pytest.mark.parametrize("mode", ["mesh", "mesh C=4", "scattered C=4"])
 def test_gradient_plan_built_once_for_all_layers(mode, monkeypatch):
-    from gradsurf import gradient, layers, neighbors
+    from gradsurf import gradient, neighbors
 
-    if mode == "mesh":
-        fns = [lambda x: x[:, 0] + x[:, 1], lambda x: np.cos(x[:, 0]), lambda x: x[:, 1] ** 1.5]
-        ts, mesh = layered_mesh(fns)
-        queries, kwargs = [np.array([0.7, 1.9]), np.array([2.2, 0.4])], {}
-    else:
+    if mode == "scattered C=4":
         ts, queries = scattered_layers()
         mesh, kwargs = None, {"combinations": 4}
+    else:
+        fns = [lambda x: x[:, 0] + x[:, 1], lambda x: np.cos(x[:, 0]), lambda x: x[:, 1] ** 1.5]
+        ts, mesh = layered_mesh(fns)
+        queries = [np.array([0.7, 1.9]), np.array([2.2, 0.4])]
+        kwargs = {"combinations": 4} if mode == "mesh C=4" else {}
 
     calls = []
 
@@ -105,7 +107,6 @@ def test_gradient_plan_built_once_for_all_layers(mode, monkeypatch):
         calls.append(1)
         return neighbors.enumerate_combinations(*args, **kw)
 
-    monkeypatch.setattr(layers, "enumerate_combinations", counted)
     monkeypatch.setattr(gradient, "enumerate_combinations", counted)
     for q in queries:
         calls.clear()
@@ -114,6 +115,18 @@ def test_gradient_plan_built_once_for_all_layers(mode, monkeypatch):
         assert len(out.components) == 3
         for j, component in enumerate(out.components):
             assert component == evaluate_gradient(ts, q, mesh=mesh, layer=j, **kwargs)
+
+    # the batch route: one plan per query that leaves the mesh kernel, and
+    # the mesh kernel (one combination) builds none
+    calls.clear()
+    batch = evaluate_gradient_batch(ts, queries, mesh, **kwargs)
+    assert len(calls) == (0 if mode == "mesh" else len(queries))
+    assert not batch.errors
+    for i, q in enumerate(queries):
+        for j, component in enumerate(out.components):
+            expected = evaluate_gradient(ts, q, mesh=mesh, layer=j, **kwargs)
+            assert float(batch.y_hat[i, j]).hex() == expected.y_hat.hex()
+        assert batch.reference_index[i] == expected.reference_index
 
 
 ENTRY_POINTS = {

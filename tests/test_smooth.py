@@ -274,6 +274,23 @@ class TestEvaluateSmooth:
                 with pytest.raises(ValidationError):
                     evaluate_smooth(ts, np.array([q]), mesh, **kwargs)
 
+    @pytest.mark.parametrize("max_iter", [2.5, np.nan, 20.0, "20"])
+    def test_non_integer_max_iter_is_rejected(self, max_iter):
+        ts, mesh = mesh_training_1d(np.linspace(2.0, 5.0, 16), np.sqrt)
+        with pytest.raises(ValidationError, match="max iterations must be an integer"):
+            evaluate_smooth(ts, np.array([3.33]), mesh, max_iter=max_iter)
+        with pytest.raises(ValidationError, match="max iterations must be an integer"):
+            evaluate_smooth_batch(ts, [[3.33]], mesh, max_iter=max_iter)
+        q = np.array([3.33])
+        assert evaluate_smooth(ts, q, mesh, max_iter=np.int64(3)) == evaluate_smooth(
+            ts, q, mesh, max_iter=3)
+
+    @pytest.mark.parametrize("layer", [1, 5, -1])
+    def test_layer_out_of_range_is_rejected(self, layer):
+        ts, mesh = mesh_training_1d(np.linspace(2.0, 5.0, 16), np.sqrt)
+        with pytest.raises(ValidationError, match="layer must lie in"):
+            evaluate_smooth(ts, np.array([3.33]), mesh, layer=layer)
+
     def test_jittered_reference_in_high_dimension(self):
         # the reference sits 0.2 h below its node on axis 0, so the lower
         # corner of its own coordinates' cell is the node below it; the grid
@@ -417,15 +434,15 @@ class TestSmoothBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # d > 1 warns of inflections
             for d in (1.0, 1.5, 2.0, 3.0):
-                batch = evaluate_smooth_batch(ts, queries, mesh, d=d, layers=(1, 0))
+                batch = evaluate_smooth_batch(ts, queries, mesh, d=d)
                 for i, q in enumerate(queries):
-                    for pos, layer in enumerate((1, 0)):
+                    for layer in range(2):
                         expected = outcome(evaluate_smooth, ts, q, mesh, d=d, layer=layer)
                         if isinstance(expected, type):
                             assert type(batch.errors[i]) is expected
                             break
                         assert i not in batch.errors
-                        assert_same(batch, i, pos, expected)
+                        assert_same(batch, i, layer, expected)
                 scalar = [outcome(evaluate_smooth, ts, q, mesh, d=d) for q in queries]
                 errors = [e for e in scalar if isinstance(e, type)]
                 assert outcome(evaluate_batch, ts, queries, mesh=mesh, method="smooth",

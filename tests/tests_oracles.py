@@ -194,7 +194,9 @@ def oracle_high_dim_scenario(function, n, m_queries, seed, method, nodes_per_axi
                              y_noise=None, collect_noise=False):
     """Stats (and noise ratios) of one method over local cells built for this call."""
     from gradsurf.bench import compute_noise_ratios, compute_stats, gen_local_cell_dataset
-    from gradsurf.layers import _evaluate
+    from gradsurf import evaluate_gradient, evaluate_smooth
+
+    evaluate = {"gradient": evaluate_gradient, "smooth": evaluate_smooth}[method]
 
     rng = np.random.default_rng(seed)
     y_hat, truths, refs, noisy_at_query = [], [], [], []
@@ -202,7 +204,7 @@ def oracle_high_dim_scenario(function, n, m_queries, seed, method, nodes_per_axi
         training, mesh, query, truth, ref_y = gen_local_cell_dataset(
             function, n, nodes_per_axis, rng, y_noise=y_noise
         )
-        y_hat.append(_evaluate(training, query, mesh, method).y_hat)
+        y_hat.append(evaluate(training, query, mesh=mesh).y_hat)
         truths.append(truth)
         refs.append(ref_y)
         if collect_noise:
