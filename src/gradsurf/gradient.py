@@ -130,9 +130,12 @@ def evaluate_gradient_batch(
     On a mesh with one combination, each query's simplex is gathered once for
     all layers: the reference at its cell and, along each axis, the next node
     up, or the one below at the top node, as ``select_simplex`` picks them.
-    ``solve_lanes`` solves every system with one right-hand side per layer, and
-    the expansion's dot goes through the scalar path's BLAS dot, so every
-    estimate equals that path's.  Every other query (scattered data, several
+    ``solve_lanes`` solves every system with one right-hand side per layer; on
+    an unjittered mesh each system is diagonal, and a lane whose right-hand
+    sides hold no ``-0.0`` takes the quotient instead of the elimination (the
+    conditions are ``solve_lanes``'s).  The
+    expansion's dot goes through the scalar path's BLAS dot, so every estimate
+    equals that path's.  Every other query (scattered data, several
     combinations, an absent simplex point, a singular system, or an estimate
     that is not finite) goes to ``evaluate_gradient``, one plan for all layers,
     so that its result or error is the scalar path's too.

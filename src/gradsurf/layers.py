@@ -6,7 +6,7 @@ from __future__ import annotations
 import inspect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,27 +16,41 @@ from .gradient import _gradient_layers, evaluate_gradient_batch
 from .smooth import _smooth_layers, evaluate_smooth_batch
 
 
-def _method(method: str) -> tuple:
+@cache
+def _keyword_error(function: Callable, names: tuple) -> Optional[str]:
+    """Why ``function(training, queries, mesh, **{name: ...})`` does not bind
+    for these keyword ``names``, or None; worked out once per function object
+    and tuple of names, so the check costs a lookup on the hot path."""
+    try:
+        inspect.signature(function).bind(None, None, None, **dict.fromkeys(names))
+    except TypeError as exc:
+        return str(exc)
+    return None
+
+
+def _method(method: str, kwargs: dict) -> tuple:
     """The named method's batch function and its single-query function over
-    every layer; unknown names raise ValidationError.  They are looked up by
-    module-global name on every call, so a function replaced on this module
-    (by a tracer, say) is the one that runs."""
+    every layer.  An unknown name, or a keyword in ``kwargs`` that the batch
+    function does not take, raises ValidationError before any work.  The
+    functions are looked up by module-global name on every call, so a
+    function replaced on this module (by a tracer, say) is the one that runs
+    and the one whose keywords are checked."""
     if method == "gradient":
-        return evaluate_gradient_batch, _gradient_layers
-    if method == "smooth":
-        return evaluate_smooth_batch, _smooth_layers
-    raise ValidationError(f"unknown method {method!r}")
+        functions = evaluate_gradient_batch, _gradient_layers
+    elif method == "smooth":
+        functions = evaluate_smooth_batch, _smooth_layers
+    else:
+        raise ValidationError(f"unknown method {method!r}")
+    error = _keyword_error(functions[0], tuple(kwargs))
+    if error is not None:
+        raise ValidationError(f"{method} method: {error}")
+    return functions
 
 
 def _method_batch(mesh, method: str, kwargs: dict) -> Callable:
     """The named method's batch function, taking ``(training, queries)``, with
-    ``mesh`` and ``kwargs`` bound.  A keyword the function does not take raises
-    ValidationError before any work."""
-    batch = _method(method)[0]
-    try:
-        inspect.signature(batch).bind(None, None, mesh, **kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"{method} method: {exc}") from None
+    ``mesh`` and ``kwargs`` bound and checked by ``_method``."""
+    batch = _method(method, kwargs)[0]
     return partial(batch, mesh=mesh, **kwargs)
 
 
@@ -77,9 +91,10 @@ def evaluate_layers(
 
     Layers never mix: component j is exactly the scalar method applied to
     layer j's outcomes.  ``kwargs`` go to the method (``combinations`` for
-    gradient; ``d``, ``tol``, ``max_iter`` for smooth).  Per-layer failures
+    gradient; ``d``, ``tol``, ``max_iter`` for smooth); any other keyword
+    raises ValidationError, as in ``evaluate_batch``.  Per-layer failures
     propagate as the corresponding component's error.  The gradient method's
     point combinations do not depend on the layer, so they are built once.
     """
-    each_layer = _method(method)[1]
+    each_layer = _method(method, kwargs)[1]
     return LayeredResult(components=each_layer(training, query, mesh, **kwargs))

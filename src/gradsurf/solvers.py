@@ -54,21 +54,48 @@ def solve_linear_system(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float
 def solve_lanes(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``solve_linear_system`` on many lanes: A is (M, n, n), b (M, n, L).
 
-    Each lane takes the scalar solver's steps: the same threshold, the first
-    largest pivot, the same swaps, and each row update as one outer product
-    per pivot column, so every element sees the same multiply and subtract.
-    The dots of the back-substitution go through stacked ``np.matmul``, which
-    calls the same BLAS dot as the scalar 1-D ``@``.  So a lane's solution for
-    right-hand side l equals ``solve_linear_system(A[i], b[i, :, l])`` bit for
-    bit.  Returns the (M, L, n) solutions and the (M,) mask of the lanes the
-    scalar solver would call singular; their solutions are meaningless.  No
-    residual is computed.
+    Lanes fall into two groups.  A lane whose off-diagonal entries are all
+    zero (of either sign), whose ``b`` holds no ``-0.0`` and whose quotient
+    ``b / diag(A)`` is finite takes that quotient, and is singular where some
+    ``|A[k, k]|`` is at or below the threshold.  On such a lane elimination
+    changes nothing: no row is swapped, every multiplier and every
+    back-substitution dot is a zero, and subtracting a zero leaves every
+    nonzero and every ``+0.0`` as it is.  It can turn a ``-0.0`` in ``b`` into
+    ``+0.0``, and a zero times an infinity makes a NaN, hence the other two
+    conditions.  An unjittered mesh gives such lanes: each simplex row steps
+    one node along one axis.  Every other lane goes through ``_eliminate``.
+    Either way a lane's solution for right-hand side l equals
+    ``solve_linear_system(A[i], b[i, :, l])`` bit for bit.  Returns the
+    (M, L, n) solutions and the (M,) mask of the lanes the scalar solver would
+    call singular; their solutions are meaningless.  No residual is computed.
     """
-    A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     M, n, L = b.shape
     scale = np.abs(A).max(axis=2)
     scale[scale == 0.0] = 1.0
     threshold = SINGULARITY_RTOL * scale.max(axis=1)
+    diag = A.diagonal(axis1=1, axis2=2)
+    x = np.empty((M, L, n))
+    with np.errstate(all="ignore"):  # lanes with a zero diagonal entry divide by zero
+        np.divide(b.transpose(0, 2, 1), diag[:, None, :], out=x)
+    singular = (np.abs(diag) <= threshold[:, None]).any(axis=1)
+    quotient = np.count_nonzero(A, axis=(1, 2)) == np.count_nonzero(diag, axis=1)
+    quotient &= ~((b == 0.0) & np.signbit(b)).any(axis=(1, 2))
+    quotient &= np.isfinite(x).all(axis=(1, 2))
+    rest = ~quotient
+    if rest.any():
+        x[rest], singular[rest] = _eliminate(A[rest], b[rest], threshold[rest])
+    return x, singular
+
+
+def _eliminate(A: np.ndarray, b: np.ndarray, threshold: np.ndarray) -> tuple:
+    """The scalar solver's steps on every lane of ``(A, b)``, which it
+    overwrites: the same threshold, the first largest pivot, the same swaps,
+    and each row update as one outer product per pivot column, so every
+    element sees the same multiply and subtract.  The dots of the
+    back-substitution go through stacked ``np.matmul``, which calls the same
+    BLAS dot as the scalar 1-D ``@``.  Returns ``solve_lanes``'s pair."""
+    M, n, L = b.shape
     singular = np.zeros(M, dtype=bool)
     lanes = np.arange(M)
     with np.errstate(all="ignore"):  # singular lanes may divide by zero

@@ -18,7 +18,7 @@ from gradsurf import (
     validate_training_set,
 )
 from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
-from tests_oracles import grid_queries, outcome, random_grid
+from tests_oracles import eliminations, grid_queries, outcome, random_grid
 
 
 class TestEstimateGradients:
@@ -182,6 +182,17 @@ def assert_same(batch, i, layer, expected):
     assert batch.extrapolated[i] == expected.extrapolated
 
 
+def signed_zero_layers(rng, y):
+    """Three outcome layers with zeros of either sign: y with some entries
+    zeroed, zeros only, and y with some entries minus zeros and row 0 (the
+    reference of a local cell) a plus zero."""
+    signs = rng.choice((-0.0, 0.0), len(y))
+    layers = np.stack([np.where(rng.random(len(y)) < 0.3, signs, y), signs,
+                       np.where(rng.random(len(y)) < 0.3, -0.0, y)], axis=1)
+    layers[0, 2] = 0.0
+    return layers
+
+
 def assert_batch_matches_scalar(ts, queries, mesh, c):
     """Every query and layer of the batch is ``evaluate_gradient``'s, bit for
     bit, or that function's error type."""
@@ -285,6 +296,33 @@ class TestGradientBatch:
         ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
                                    n=n, layer_count=2)
         assert_batch_matches_scalar(ts, grid_queries(mesh, rng, 8), mesh, 4)
+
+    @pytest.mark.parametrize("n", [9, 99])
+    def test_signed_zero_layers_on_a_local_cell(self, n):
+        rng = np.random.default_rng(n)
+        ts, mesh, query, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], n, 20, rng)
+        h = mesh.axes[0][1] - mesh.axes[0][0]
+        queries = query + rng.uniform(-0.1, 0.1, (4, n)) * h  # all in the query's cell
+        y = signed_zero_layers(rng, ts.y[:, 0])
+        # a minus-zero reference gives no minus zero in b, so the lanes take
+        # the quotient; a plus-zero one gives some, so they are eliminated
+        for reference in (-0.0, 0.0):
+            y[0] = reference
+            ts = validate_training_set((ts.x, y), n=n, layer_count=3)
+            assert_batch_matches_scalar(ts, queries, mesh, 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_signed_zero_layers_on_a_sparse_grid(self, seed):
+        x, y, mesh, rng = random_grid(seed, 1 + seed % 3, 0.0, True)
+        ts = validate_training_set((x, signed_zero_layers(rng, y)), n=mesh.n, layer_count=3)
+        assert_batch_matches_scalar(ts, grid_queries(mesh, rng, 12), mesh, 1)
+
+    def test_unjittered_cell_skips_the_elimination(self):
+        ts, mesh, query, _, _ = gen_local_cell_dataset(
+            TEST_FUNCTIONS["H1"], 99, 20, np.random.default_rng(5))
+        with eliminations() as sent:
+            batch = evaluate_gradient_batch(ts, np.stack([query, query]), mesh)
+        assert sent == [] and not batch.errors
 
     def test_query_shape(self):
         nodes = np.linspace(0.0, 1.0, 3)

@@ -152,3 +152,25 @@ def test_query_of_wrong_length_raises_dimension_mismatch(entry, method, mode, le
     ts, mesh = layered_mesh([lambda x: x[:, 0] * x[:, 1]])
     with pytest.raises(DimensionMismatch):
         ENTRY_POINTS[entry](ts, np.full(length, 1.5), mesh if mode == "mesh" else None, method)
+
+
+@pytest.mark.parametrize("method,keyword", [("gradient", "layer"), ("gradient", "d"),
+                                            ("smooth", "combinations"), ("smooth", "layer")])
+def test_evaluate_layers_rejects_a_keyword_its_method_does_not_take(method, keyword):
+    ts, mesh = layered_mesh([lambda x: x[:, 0] * x[:, 1]])
+    with pytest.raises(ValidationError, match=f"'{keyword}'"):
+        evaluate_layers(ts, np.array([1.2, 1.7]), mesh=mesh, method=method, **{keyword: 1})
+
+
+def test_keywords_are_checked_against_a_swapped_batch_function(monkeypatch):
+    from gradsurf import layers
+
+    layers._method_batch(None, "gradient", {"combinations": 2})  # the original, cached
+
+    def traced(training, queries, mesh=None, scale=1.0):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(layers, "evaluate_gradient_batch", traced)
+    assert layers._method_batch(None, "gradient", {"scale": 2.0}).func is traced
+    with pytest.raises(ValidationError, match="'combinations'"):
+        layers._method_batch(None, "gradient", {"combinations": 2})

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gradsurf import NoConvergence, SingularSystem
 from gradsurf.solvers import SINGULARITY_RTOL, find_root, solve_lanes, solve_linear_system
 from gradsurf.smooth import ApproxFunctionParams, approx_eval, approx_deriv
-from tests_oracles import grid_bisection_root
+from tests_oracles import eliminations, grid_bisection_root
 
 
 class TestSolveLinearSystem:
@@ -87,6 +87,109 @@ class TestSolveLanes:
         _, singular = solve_lanes(A, b)
         assert singular.tolist() == [False, False, False, True, True, False, False, False]
         assert solve_lanes(A[:0], b[:0])[0].shape == (0, 1, 4)
+
+
+def diagonal_lanes(rng, n, L, M=6, zero_share=0.3):
+    """Diagonal (A, b) lanes: negative diagonal entries, zeros of either sign
+    off the diagonal, and zeros of either sign mixed into b."""
+    A = np.where(rng.random((M, n, n)) < 0.5, -0.0, 0.0)
+    A[:, range(n), range(n)] = rng.normal(size=(M, n)) * rng.uniform(0.1, 10.0, (M, 1))
+    b = rng.normal(size=(M, n, L))
+    zeros = rng.random((M, n, L)) < zero_share
+    b[zeros] = rng.choice((-0.0, 0.0), zeros.sum())
+    return A, b
+
+
+def eliminated(A, b):
+    """``solve_lanes``'s result and the indices of the lanes it sent through
+    the elimination loop."""
+    with eliminations() as sent:
+        result = solve_lanes(A, b)
+    sent = {a.tobytes() + r.tobytes() for a, r in sent}
+    return result, [i for i in range(len(A)) if A[i].tobytes() + b[i].tobytes() in sent]
+
+
+def negative_zero(b):
+    return ((b == 0.0) & np.signbit(b)).any(axis=(1, 2))
+
+
+def at_threshold(rng, n, factors):
+    """Diagonal lanes whose entry 0 is ``factor`` times the singularity
+    threshold, one lane per factor."""
+    A, b = diagonal_lanes(rng, n, 1, M=len(factors), zero_share=0.0)
+    for lane, factor in enumerate(factors):
+        rest = np.abs(A[lane].diagonal()[1:]).max()
+        A[lane, 0, 0] = -factor * SINGULARITY_RTOL * rest
+    return A, b
+
+
+class TestDiagonalLanes:
+    """A diagonal lane with no ``-0.0`` in b and a finite quotient skips the
+    elimination, and its solution and singular flag are still
+    ``solve_linear_system``'s, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), L=st.integers(1, 3),
+           zero_share=st.sampled_from([0.0, 0.3, 1.0]), zero_diagonal=st.booleans())
+    def test_signed_zeros(self, seed, n, L, zero_share, zero_diagonal):
+        rng = np.random.default_rng(seed)
+        A, b = diagonal_lanes(rng, n, L, zero_share=zero_share)
+        if zero_diagonal:
+            A[0, rng.integers(n), rng.integers(n)] *= 0.0  # may be off the diagonal
+        assert_lanes_match(A, b)
+        (_, singular), sent = eliminated(A, b)
+        zero_on_diagonal = (A.diagonal(axis1=1, axis2=2) == 0.0).any(axis=1)
+        assert sent == np.flatnonzero(negative_zero(b) | zero_on_diagonal).tolist()
+        assert singular.tolist() == zero_on_diagonal.tolist()
+
+    def test_threshold(self):
+        A, b = at_threshold(np.random.default_rng(7), 4, (0.99, 1.01))
+        (_, singular), sent = eliminated(A, b)
+        assert singular.tolist() == [True, False] and sent == []
+        assert_lanes_match(A, b)
+
+    def test_one_and_ninety_nine_unknowns(self):
+        rng = np.random.default_rng(99)
+        for n in (1, 99):
+            A, b = diagonal_lanes(rng, n, 2, M=8)
+            A[1, 0, 0] = 0.0
+            b[2, 0, 0], b[3, 0, 0], b[4, 0, :] = -0.0, 0.0, 0.0
+            assert_lanes_match(A, b)
+            _, sent = eliminated(A, b)
+            assert sent == np.flatnonzero(negative_zero(b) | (np.arange(8) == 1)).tolist()
+
+    def test_non_finite_quotient_is_eliminated(self):
+        # 1e308 / 1e-10 overflows, and a zero times that infinity is NaN in
+        # the back-substitution, so only the elimination gives the scalar result
+        A = np.zeros((3, 2, 2))
+        A[:, 0, 0], A[:, 1, 1] = 1.0, 1e-10
+        b = np.array([[1.0, 1e308], [1.0, 1.0], [np.inf, 1.0]])[..., None]
+        assert_lanes_match(A, b)
+        assert eliminated(A, b)[1] == [0, 2]
+
+    def test_mixed_batch(self):
+        rng = np.random.default_rng(3)
+        n = 5
+        dense = lane_systems(rng, n, 2)
+        diagonal = diagonal_lanes(rng, n, 2, zero_share=0.0)
+        minus_zero = diagonal_lanes(rng, n, 2, M=2, zero_share=0.0)
+        minus_zero[1][:, 1, 0] = -0.0
+        threshold = at_threshold(rng, n, (0.99, 1.01))
+        zero = diagonal_lanes(rng, n, 2, M=1, zero_share=0.0)
+        zero[0][0, 2, 2] = 0.0
+        parts = [dense, diagonal, minus_zero, (threshold[0], threshold[1].repeat(2, axis=2)),
+                 zero]
+        A = np.concatenate([a for a, _ in parts])
+        b = np.concatenate([r for _, r in parts])
+        order = rng.permutation(len(A))
+        A, b = A[order], b[order]
+        assert_lanes_match(A, b)
+        (_, singular), sent = eliminated(A, b)
+        kind = np.repeat(["dense", "diagonal", "minus zero", "threshold", "zero"],
+                         [len(a) for a, _ in parts])[order]
+        assert sent == np.flatnonzero(np.isin(kind, ["dense", "minus zero", "zero"])).tolist()
+        assert singular[kind == "zero"].all() and singular[kind == "threshold"].sum() == 1
+        assert not singular[kind == "diagonal"].any()
 
 
 class TestFindRoot:

@@ -2,11 +2,13 @@
 shared across test modules."""
 
 import itertools
+from contextlib import contextmanager
 from math import comb, prod
+from unittest import mock
 
 import numpy as np
 
-from gradsurf import DegenerateNeighborhood, InsufficientPoints, MeshIndex
+from gradsurf import DegenerateNeighborhood, InsufficientPoints, MeshIndex, solvers
 
 
 def grid_bisection_root(f, lo, hi, cells=4096, tol=1e-12, nearest_to=None):
@@ -382,3 +384,18 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:  # the error type is part of the result
         return type(exc)
+
+
+@contextmanager
+def eliminations():
+    """Collect the ``(A, b)`` lanes that ``solve_lanes`` sends through its
+    elimination loop rather than the diagonal quotient."""
+    sent = []
+    eliminate = solvers._eliminate
+
+    def counted(A, b, threshold):
+        sent.extend(zip(A.copy(), b.copy()))  # the loop overwrites its input
+        return eliminate(A, b, threshold)
+
+    with mock.patch.object(solvers, "_eliminate", counted):
+        yield sent
