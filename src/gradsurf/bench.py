@@ -313,7 +313,8 @@ def evaluate_batch(
     the queries ran one by one.
     """
     batch = _method_batch(mesh, method, kwargs)
-    return _fan_out(partial(_eval_chunk, batch, training), queries, workers)
+    parts = _fan_out(partial(_eval_chunk, batch, training), queries, workers)
+    return [y for part in parts for y in part]
 
 
 # ---------------------------------------------------------------------------

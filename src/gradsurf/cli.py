@@ -83,15 +83,6 @@ def _method_kwargs(args: argparse.Namespace) -> dict:
     return {"d": args.d, "tol": args.tolerance, "max_iter": args.max_iter}
 
 
-def _impute_row(coords, method, y_hat=(), flags=(), error=None) -> dict:
-    """One output row: the estimates and the union of their flags, or the error."""
-    if error is not None:
-        return {"coords": list(coords), "method": method, "y_hat": None,
-                "status": f"error: {error}", "flags": ""}
-    return {"coords": list(coords), "method": method, "y_hat": list(y_hat),
-            "status": "ok", "flags": ";".join(sorted(set(flags)))}
-
-
 def _query_error(coords, n: int) -> Optional[GradsurfError]:
     """``validate_query``'s error for ``coords``, or None."""
     try:
@@ -100,33 +91,48 @@ def _query_error(coords, n: int) -> Optional[GradsurfError]:
         return exc
 
 
-def _impute_chunk(training, batch, method, chunk) -> list:
-    """Rows for a chunk of queries from one call of the method's batch
-    function, which gathers each query's neighbourhood once for every outcome
-    layer.  A row that is not finite gets ``validate_query``'s error."""
-    valid = np.isfinite(chunk).all(axis=1)
-    try:
-        result = batch(training, chunk[valid])
-        errors = result.errors
-    except GradsurfError as exc:  # an argument error, which every row reports
-        errors = dict.fromkeys(range(int(valid.sum())), exc)
-    rows = []
-    for coords, ok, j in zip(chunk, valid, np.cumsum(valid) - 1):
-        error = errors.get(j) if ok else _query_error(coords, training.n)
-        if error is not None:
-            rows.append(_impute_row(coords, method, error=error))
-            continue
-        flags = list(result.flags[j].ravel())
-        if result.extrapolated[j]:
-            flags.append("extrapolated")
-        rows.append(_impute_row(coords, method, result.y_hat[j], flags))
-    return rows
+def _flag_column(flags: np.ndarray, extrapolated: np.ndarray) -> np.ndarray:
+    """Each row's flags, over every layer and axis, plus "extrapolated", as
+    the sorted set joined by ';'.  Each distinct set is joined once."""
+    names = sorted(set(flags.ravel().tolist()) | {"extrapolated"})
+    bit = {name: 1 << k for k, name in enumerate(names)}
+    codes = np.fromiter(map(bit.get, flags.ravel().tolist()), dtype=np.int64, count=flags.size)
+    codes = np.bitwise_or.reduce(codes.reshape(flags.shape), axis=(1, 2))
+    codes |= np.where(extrapolated, bit["extrapolated"], 0)
+    unique, inverse = np.unique(codes, return_inverse=True)
+    text = [";".join(n for k, n in enumerate(names) if code >> k & 1) for code in unique.tolist()]
+    return np.array(text, dtype=object)[inverse]
 
 
-def impute_rows(training, mesh, args: argparse.Namespace, queries: np.ndarray) -> list:
-    """One output row per query, in input order, fanned out across workers."""
+def impute_rows(training, mesh, args: argparse.Namespace, queries: np.ndarray) -> tuple:
+    """The estimates (M, L), status column and flag column of every query, in
+    input order.
+
+    The finite queries are fanned out across workers, one batch call per
+    chunk, and come back as EstimateBatch arrays.  A failed row's status is
+    "error: " and its error, and its flags are empty.  A query that is not
+    finite gets ``validate_query``'s error; an argument error that a batch
+    call raises is every finite query's error.
+    """
     batch = _method_batch(mesh, args.method, _method_kwargs(args))
-    return _fan_out(partial(_impute_chunk, training, batch, args.method), queries, args.workers)
+    finite = np.isfinite(queries).all(axis=1)
+    y_hat = np.full((len(queries), training.layer_count), np.nan)
+    status = np.full(len(queries), "ok", dtype=object)
+    flags = np.full(len(queries), "", dtype=object)
+    rows = np.flatnonzero(finite)
+    try:
+        parts = _fan_out(partial(batch, training), queries[finite], args.workers)
+    except GradsurfError as exc:
+        parts, status[rows] = [], f"error: {exc}"
+    for part in parts:
+        here, rows = rows[:len(part.y_hat)], rows[len(part.y_hat):]
+        y_hat[here] = part.y_hat
+        flags[here] = _flag_column(part.flags, part.extrapolated)
+        for j, error in part.errors.items():
+            status[here[j]], flags[here[j]] = f"error: {error}", ""
+    for i in np.flatnonzero(~finite):
+        status[i] = f"error: {_query_error(queries[i], training.n)}"
+    return y_hat, status, flags
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -151,11 +157,11 @@ def cmd_impute(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"queries have {queries.shape[1]} coordinates, dataset has {training.n}"
         )
-    rows = impute_rows(training, mesh, args, queries)
-    write_imputed(args.output, rows, training.layer_count)
-    failed = sum(1 for r in rows if r["status"] != "ok")
+    y_hat, status, flags = impute_rows(training, mesh, args, queries)
+    write_imputed(args.output, queries, y_hat, args.method, status, flags)
+    failed = int((status != "ok").sum())
     if failed:
-        print(f"{failed} of {len(rows)} queries failed; see status column",
+        print(f"{failed} of {len(queries)} queries failed; see status column",
               file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

@@ -108,7 +108,6 @@ def evaluate_gradient(
         reference_index=plan.simplexes[0].reference,
         combinations_used=len(values),
         residual=residual,
-        per_combination=tuple(values),
         extrapolated=is_extrapolation(training, query),
     )
 

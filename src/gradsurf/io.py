@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import re
+from functools import partial
+from itertools import repeat
 from math import prod
 from pathlib import Path
 from typing import Optional
@@ -87,12 +89,70 @@ def _read_rows(reader, path, width: int) -> tuple[np.ndarray, list]:
     return np.asarray(rows, dtype=float).reshape(-1, width), linenos
 
 
+# what a body of plain numbers may hold: digits, signs, points, exponents, the
+# letters of nan, inf and infinity, and the field and line separators
+_NUMBER_TEXT = b"0123456789+-.eE,\r\nnaifty"
+_BLOCK_CHARS = 1 << 17  # text converted at a time (about 1k rows of 6 numbers)
+
+
+def _fast_rows(body: str, width: int) -> Optional[np.ndarray]:
+    """The rows of ``body``, a file's text after its header, or None when the
+    per-row reader must judge it.
+
+    The body is converted in blocks of whole lines, which bounds the strings
+    held at once.  A block of ``_NUMBER_TEXT`` alone holds no quote, space,
+    '_' or digit of another script, so each of its lines splits on ',' as
+    ``csv.reader`` splits it.  Every line must hold ``width`` fields that
+    ``float`` reads; an empty field (a blank line among them) or a field
+    longer than the csv module's limit sends the file to the per-row reader.
+    """
+    blocks, start = [], 0
+    while start < len(body):
+        end = body.find("\n", start + _BLOCK_CHARS) + 1 or len(body)
+        block, start = body[start:end], end
+        if not block.isascii() or block.encode("ascii").translate(None, _NUMBER_TEXT):
+            return None
+        lines = block.splitlines()
+        if set(map(str.count, lines, repeat(","))) - {width - 1}:
+            return None
+        if max(map(len, lines)) > csv.field_size_limit():
+            return None
+        try:
+            values = list(map(float, ",".join(lines).split(",")))
+        except ValueError:
+            return None
+        blocks.append(np.array(values).reshape(-1, width))
+    return np.concatenate(blocks) if blocks else np.empty((0, width))
+
+
+def _read_table(path, check_header) -> tuple:
+    """``check_header(cols)`` for the header's stripped cells, then the data
+    rows of a CSV file of numbers and the file line number of each row.
+
+    The header goes through ``csv.reader`` and the rest of the file is read
+    whole for ``_fast_rows``.  When the text is not UTF-8 or ``_fast_rows``
+    returns None, the per-row reader reads the file again from the start, so
+    every error and line number is that reader's.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            cols = _read_header(reader, path)
+            header = check_header(cols)
+            data = _fast_rows(fh.read(), len(cols))
+        if data is not None:
+            return header, data, range(2, len(data) + 2)
+    except UnicodeDecodeError:
+        pass
+    reader = _csv_reader(path)
+    cols = _read_header(reader, path)
+    return (check_header(cols), *_read_rows(reader, path, len(cols)))
+
+
 def load_dataset(path) -> tuple[TrainingSet, Optional[MeshIndex]]:
     """Load a CSV dataset, plus its mesh sidecar when one sits next to it."""
     path = Path(path)
-    reader = _csv_reader(path)
-    n, layers = _parse_header(_read_header(reader, path), path)
-    data, linenos = _read_rows(reader, path, n + layers)
+    (n, layers), data, linenos = _read_table(path, partial(_parse_header, path=path))
     training = validate_training_set((data[:, :n], data[:, n:]), n=n, layer_count=layers)
 
     mesh = None
@@ -210,45 +270,43 @@ def save_dataset(path, training: TrainingSet, mesh: Optional[MeshIndex] = None) 
             fh.write("\n")
 
 
+def _check_query_header(cols: list, path) -> None:
+    if not cols or cols != [f"x{i + 1}" for i in range(len(cols))]:
+        raise ParseError(f"{path}, line 1: query header must be x1..xn, got {cols!r}")
+
+
 def load_queries(path) -> np.ndarray:
     """Load a query CSV with header x1..xn."""
     path = Path(path)
-    reader = _csv_reader(path)
-    cols = _read_header(reader, path)
-    if not all(_X_COL.match(c) for c in cols) or cols != [
-        f"x{i + 1}" for i in range(len(cols))
-    ]:
-        raise ParseError(f"{path}, line 1: query header must be x1..xn, got {cols!r}")
-    return _read_rows(reader, path, len(cols))[0]
+    return _read_table(path, partial(_check_query_header, path=path))[1]
 
 
-def write_imputed(path, rows: list, layers: int) -> None:
-    """Write imputation output: coordinates, per-layer estimates, status, flags.
+def write_imputed(path, coords: np.ndarray, y_hat: np.ndarray, method: str,
+                  status, flags) -> None:
+    """Write imputation output: coordinates, per-layer estimates, method,
+    status, flags.
 
-    Each row is a dict with keys "coords" (sequence), "y_hat" (sequence of
-    ``layers`` values, or None for a failed row), "method", "status", "flags"
-    (string).  ``layers`` is the dataset's outcome layer count.
+    ``coords`` is the (M, n) array of queries and ``y_hat`` the (M, L) array
+    of estimates; ``status`` and ``flags`` hold one string per row.  A row
+    whose status is not "ok" gets empty estimate fields.  Numbers are written
+    as ``repr(float)`` text, which reads back to the same float.
     """
-    if not rows:
+    if not len(coords):
         raise ValidationError("no output rows to write")
-    n = len(rows[0]["coords"])
+    n, layers = coords.shape[1], y_hat.shape[1]
     header = [f"x{i + 1}" for i in range(n)]
     header += ["y_hat"] if layers == 1 else [f"y_hat{i + 1}" for i in range(layers)]
     header += ["method", "status", "flags"]
+    no_estimates = [""] * layers
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)  # writes a float as its repr
         writer.writerow(header)
-        for r in rows:
-            y = (
-                [repr(float(v)) for v in r["y_hat"]]
-                if r["y_hat"] is not None
-                else [""] * layers
-            )
-            writer.writerow(
-                [repr(float(v)) for v in r["coords"]]
-                + y
-                + [r["method"], r["status"], r.get("flags", "")]
-            )
+        # lists are made one row at a time: lists of the whole arrays would
+        # keep thousands of objects alive for the garbage collector to scan
+        writer.writerows(
+            x.tolist() + (y.tolist() if s == "ok" else no_estimates) + [method, s, f]
+            for x, y, s, f in zip(coords, y_hat, status, flags)
+        )
 
 
 def write_report(path, report: dict) -> None:

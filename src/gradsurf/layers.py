@@ -54,19 +54,19 @@ def _method_batch(mesh, method: str, kwargs: dict) -> Callable:
     return partial(batch, mesh=mesh, **kwargs)
 
 
-def _fan_out(work: Callable[[np.ndarray], list], items, workers: int) -> list:
+def _fan_out(work: Callable[[np.ndarray], object], items, workers: int) -> list:
     """``work`` over ``items`` split into one chunk per worker process.
 
-    Results come back flattened in input order.  Small inputs, or one worker,
-    run in this process.  ``work`` must pickle (a module-level function or a
-    ``functools.partial`` of one).
+    The results come back as a list, one per chunk, in input order.  Small
+    inputs, or one worker, run in this process as one chunk.  ``work`` must
+    pickle (a module-level function or a ``functools.partial`` of one), and
+    so must its results.
     """
     if workers <= 1 or len(items) < 2 * workers:
-        return work(items)
+        return [work(items)]
     chunks = [c for c in np.array_split(np.asarray(items), workers) if len(c)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(work, chunks))
-    return [r for part in parts for r in part]
+        return list(pool.map(work, chunks))
 
 
 @dataclass(frozen=True)

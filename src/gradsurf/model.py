@@ -277,7 +277,6 @@ class Estimate:
     residual: float = 0.0
     newton_iterations: tuple = ()
     flags: tuple = ()
-    per_combination: tuple = ()
     extrapolated: bool = False
 
     def __post_init__(self):

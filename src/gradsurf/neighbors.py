@@ -200,7 +200,7 @@ def enumerate_combinations(
     if not isinstance(c, Integral):
         raise ValidationError(f"combination count must be an integer, got {c!r}")
     if c < 1:
-        raise InsufficientPoints("combination count must be >= 1")
+        raise ValidationError(f"combination count must be >= 1, got {c!r}")
     if c == 1:
         return CombinationPlan(simplexes=(select_simplex(training, query, mesh),))
 

@@ -1,12 +1,16 @@
+import csv
 import json
 import re
 import tempfile
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradsurf import (
     GradsurfError,
@@ -25,8 +29,8 @@ from gradsurf import (
     write_plot_csv,
     write_report,
 )
+from gradsurf import io as gio
 from gradsurf.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from gradsurf.io import write_imputed
 
 
 def affine_files(tmp_path, with_mesh=True):
@@ -368,22 +372,148 @@ class TestIndexMapValues:
             load_dataset(data)
 
 
+def table_outcome(path):
+    """The shape, bits and line numbers of a query file's rows, or the type
+    and text of the error that reading it raises."""
+    try:
+        _, data, linenos = gio._read_table(path, partial(gio._check_query_header, path=path))
+    except Exception as exc:  # the error is part of the outcome
+        return type(exc), str(exc)
+    return data.shape, data.view(np.int64).tobytes(), list(linenos)
+
+
+def read_both_ways(path) -> tuple:
+    """``table_outcome`` through the whole-file fast path and through the
+    per-row reader alone, and whether the fast path returned the rows."""
+    returned = []
+
+    def spy(body, width):
+        rows = fast_rows(body, width)
+        returned.append(rows is not None)
+        return rows
+
+    fast_rows = gio._fast_rows
+    with mock.patch.object(gio, "_fast_rows", spy):
+        fast = table_outcome(path)
+    with mock.patch.object(gio, "_fast_rows", return_value=None):
+        per_row = table_outcome(path)
+    return fast, per_row, returned == [True]
+
+
+FIELDS = ["0.5", "-1.25e-07", "1e+16", "nan", "inf", "-inf", "infinity", "+.5", "5.", "-0.0",
+          "", " 1", "1 ", '"2"', "1_0", "\u0661", "NaN", "e", ".", "1e", "--1", "\t3"]
+
+
+class TestWholeFileParse:
+    """``load_dataset`` and ``load_queries`` read a body of plain numbers in
+    one pass; any other body goes to the per-row reader, with its errors."""
+
+    @given(matrix=hnp.arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 5)),
+                             elements=st.floats(allow_nan=True, allow_infinity=True)),
+           block_chars=st.sampled_from([1, 40, gio._BLOCK_CHARS]))
+    @settings(max_examples=150, deadline=None)
+    def test_repr_written_matrix_reads_bit_for_bit(self, matrix, block_chars):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "q.csv"
+            header = ",".join(f"x{i + 1}" for i in range(matrix.shape[1]))
+            path.write_text(header + "\n" + "".join(
+                ",".join(repr(float(v)) for v in row) + "\n" for row in matrix))
+            with mock.patch.object(gio, "_BLOCK_CHARS", block_chars):
+                fast, per_row, took_fast_path = read_both_ways(path)
+        assert took_fast_path
+        assert fast == per_row
+        shape, bits, linenos = fast
+        data = np.frombuffer(bits, dtype=np.float64).reshape(shape)
+        assert linenos == list(range(2, len(matrix) + 2))
+        assert np.array_equal(np.isnan(data), np.isnan(matrix))
+        same = ~np.isnan(matrix)
+        assert np.array_equal(data[same].view(np.int64), matrix[same].view(np.int64))
+
+    @given(lines=st.lists(st.tuples(
+               st.lists(st.sampled_from(FIELDS) | st.floats().map(repr), max_size=4),
+               st.sampled_from(["\n", "\r\n", "\r", ""])), max_size=8),
+           width=st.integers(1, 3), block_chars=st.sampled_from([1, 10, gio._BLOCK_CHARS]))
+    @settings(max_examples=300, deadline=None)
+    def test_any_body_reads_as_the_per_row_reader_reads_it(self, lines, width, block_chars):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "q.csv"
+            header = ",".join(f"x{i + 1}" for i in range(width))
+            body = "".join(",".join(fields) + end for fields, end in lines)
+            path.write_text(header + "\n" + body, encoding="utf-8", newline="")
+            with mock.patch.object(gio, "_BLOCK_CHARS", block_chars):
+                fast, per_row, _ = read_both_ways(path)
+        assert fast == per_row
+
+    @pytest.mark.parametrize("body,fast", [
+        ('0.5,"0.25"\n1.5,1.75\n', False),  # a quoted field
+        ("0.5, 0.25\n1.5,1.75\n", False),  # a space before a number
+        ("0.5,0.25 \n1.5,1.75\n", False),  # a space after a number
+        ("0.5,0.25\n  \n1.5,1.75\n", False),  # a whitespace-only line
+        ("0.5,0.25\n\n1.5,1.75\n", False),  # an empty line
+        ("0.5,0.25\r\n1.5,1.75\r\n", True),  # \r\n endings
+        ("0.5,0.25\rnan,1.75\r", True),  # \r endings and a nan row
+        ("nan,nan\n1.5,1.75\n", True),  # a nan query row
+        ("0.5,0.25\n1_0,1.75\n", False),  # a digit separator
+        ("0.5,0.25\n\u0661\u0660,1.75\n", False),  # Arabic-Indic digits
+        ("0.5,0.25\n1.5,1.75\n2.5,2.75,3.0\n", False),  # 3 fields on line 4
+        ("0.5,0.25\n1.5\n", False),  # 1 field on line 3
+        ("0.5,0.25\n1.5,zap\n", False),  # not a number on line 3
+    ])
+    def test_file_reads_as_the_per_row_reader_reads_it(self, tmp_path, body, fast):
+        path = tmp_path / "q.csv"
+        path.write_text("x1,x2\n" + body, encoding="utf-8", newline="")
+        got, per_row, took_fast_path = read_both_ways(path)
+        assert got == per_row
+        assert took_fast_path == fast
+
+    def test_wrong_field_count_names_its_line(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("x1,x2\n0.5,0.25\n1.5,1.75\n2.5,2.75,3.0\n")
+        with pytest.raises(ParseError) as exc:
+            load_queries(path)
+        assert str(exc.value) == f"{path}, line 4: expected 2 fields, got 3"
+
+    def test_field_past_the_csv_limit_reads_as_the_per_row_reader_reads_it(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("x1\n" + "1" * (csv.field_size_limit() + 1) + "\n")
+        got, per_row, took_fast_path = read_both_ways(path)
+        assert got == per_row and not took_fast_path
+
+    def test_empty_query_header_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("\n")
+        with pytest.raises(ParseError, match=r"q\.csv, line 1: query header must be x1\.\.xn"):
+            load_queries(path)
+
+    def test_dataset_rows_equal_the_per_row_reader_rows(self, tmp_path):
+        data, _ = impute_inputs(tmp_path, "mesh")
+        fast = load_dataset(data)
+        with mock.patch.object(gio, "_fast_rows", return_value=None):
+            per_row = load_dataset(data)
+        assert fast[0] == per_row[0]
+        assert fast[1].index_map == per_row[1].index_map
+
+
 def per_row_imputation(training, mesh, queries, method, **kwargs) -> list:
-    """Impute rows as one ``evaluate_layers`` call per query would give them."""
+    """Impute output rows as text fields, as one ``evaluate_layers`` call per
+    query gives them, in the documented layout: x1..xn, one estimate per
+    layer (empty in a failed row), method, status ("ok" or "error: " and the
+    error), and the sorted flags of every layer plus "extrapolated", joined
+    by ';' (empty in a failed row)."""
     rows = []
     for q in queries:
-        row = {"coords": list(q), "method": method, "y_hat": None, "status": "ok", "flags": ""}
         try:
             result = evaluate_layers(training, validate_query(q, training.n), mesh=mesh,
                                      method=method, **kwargs)
         except GradsurfError as exc:
-            row["status"] = f"error: {exc}"
+            y, status, flags = [""] * training.layer_count, f"error: {exc}", ""
         else:
-            flags = {f for comp in result.components for f in comp.flags}
+            found = {f for comp in result.components for f in comp.flags}
             if any(comp.extrapolated for comp in result.components):
-                flags.add("extrapolated")
-            row.update(y_hat=list(result.y_hat), flags=";".join(sorted(flags)))
-        rows.append(row)
+                found.add("extrapolated")
+            y, status = [repr(float(v)) for v in result.y_hat], "ok"
+            flags = ";".join(sorted(found))
+        rows.append([repr(float(v)) for v in q] + y + [method, status, flags])
     return rows
 
 
@@ -427,10 +557,12 @@ def assert_impute_equals_per_row_evaluation(tmp_path, workers, method, layout="m
     training, mesh = load_dataset(data)
     kwargs = {"combinations": combinations} if method == "gradient" else {}
     rows = per_row_imputation(training, mesh, load_queries(q_csv), method, **kwargs)
-    write_imputed(expected, rows, 2)
+    header = ["x1", "x2", "x3", "y_hat1", "y_hat2", "method", "status", "flags"]
+    with open(expected, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
     # the smooth method needs a mesh, so every scattered row fails
     ok = {False} if (method, layout) == ("smooth", "scattered") else {True, False}
-    assert {r["status"] == "ok" for r in rows} == ok
+    assert {r[-2] == "ok" for r in rows} == ok
     assert code == EXIT_RUNTIME
     assert out.read_bytes() == expected.read_bytes()
 

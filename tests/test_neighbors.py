@@ -7,6 +7,7 @@ from gradsurf import (
     DegenerateNeighborhood,
     InsufficientPoints,
     MeshIndex,
+    ValidationError,
     enumerate_combinations,
     evaluate_batch,
     evaluate_gradient,
@@ -109,7 +110,7 @@ class TestEnumerateCombinations:
 
     def test_invalid_count(self):
         ts = self.quad()
-        with pytest.raises(InsufficientPoints):
+        with pytest.raises(ValidationError, match="combination count must be >= 1"):
             enumerate_combinations(ts, np.array([0.4, 0.4]), 0)
 
     def test_disjoint_blocks_when_points_abound(self):

@@ -8,7 +8,8 @@ from unittest import mock
 
 import numpy as np
 
-from gradsurf import DegenerateNeighborhood, InsufficientPoints, MeshIndex, solvers
+from gradsurf import (DegenerateNeighborhood, InsufficientPoints, MeshIndex, ValidationError,
+                      solvers)
 
 
 def grid_bisection_root(f, lo, hi, cells=4096, tol=1e-12, nearest_to=None):
@@ -92,7 +93,7 @@ def oracle_scattered_simplex(training, query):
 def oracle_scattered_plan(training, query, c):
     """C distinct (reference, auxiliaries) pairs: base, disjoint blocks, subsets."""
     if c < 1:
-        raise InsufficientPoints("combination count must be >= 1")
+        raise ValidationError("combination count must be >= 1")
     n = training.n
     base = oracle_scattered_simplex(training, query)
     plans = [base]
