@@ -21,6 +21,7 @@ from .layers import _fan_out, _method_batch
 from .neighbors import STENCIL_STEPS
 
 SENTINEL_RATIO = 1e12  # reported when a ratio's denominator vanishes
+QUERY_OFFSETS = (0.3, 0.5)  # range of a query's per-axis offset into its cell, in cells
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +151,15 @@ def gen_queries(
     mesh: MeshIndex,
     function: TestFunction,
     training: TrainingSet,
-    offset_range: tuple = (0.3, 0.5),
     seed: int = 0,
     budget: int = 5000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One query per interior mesh cell, capped at ``budget``.
 
-    Per-axis offsets are drawn inside ``offset_range`` and kept pairwise
+    Per-axis offsets are drawn inside ``QUERY_OFFSETS`` and kept pairwise
     distinct within each query, so no query shares a 2-D coordinate plane
     with the mesh.  Returns (queries, true values, reference y-values).
     """
-    lo_off, hi_off = offset_range
-    if not (0.0 < lo_off < hi_off <= 0.5):
-        raise ValidationError("offset range must satisfy 0 < lo < hi <= 0.5")
-
     n = mesh.n
     interior = [np.arange(1, m - 2) for m in mesh.shape]
     counts = [len(r) for r in interior]
@@ -183,9 +179,9 @@ def gen_queries(
     queries = np.empty((len(cells), n))
     ref_truths = np.empty(len(cells))
     for i, cell in enumerate(cells):
-        off = rng.uniform(lo_off, hi_off, n)
+        off = rng.uniform(*QUERY_OFFSETS, n)
         while len(np.unique(off)) < n:
-            off = rng.uniform(lo_off, hi_off, n)
+            off = rng.uniform(*QUERY_OFFSETS, n)
         lower = np.array([mesh.axes[a][cell[a]] for a in range(n)])
         upper = np.array([mesh.axes[a][cell[a] + 1] for a in range(n)])
         queries[i] = lower + off * (upper - lower)
@@ -202,7 +198,6 @@ def gen_local_cell_dataset(
     rng: np.random.Generator,
     domain: Optional[tuple] = None,
     y_noise: Optional[NoiseSpec] = None,
-    offset_range: tuple = (0.3, 0.5),
 ) -> tuple[TrainingSet, MeshIndex, np.ndarray, float, float]:
     """Materialize only the points one query needs, for high-dimensional runs.
 
@@ -228,9 +223,9 @@ def gen_local_cell_dataset(
     index_map = {tuple(g): i for i, g in enumerate(grid.tolist())}
     mesh = MeshIndex(axes=tuple([nodes] * n), index_map=index_map)
 
-    off = rng.uniform(offset_range[0], offset_range[1], n)
+    off = rng.uniform(*QUERY_OFFSETS, n)
     while len(np.unique(off)) < n:
-        off = rng.uniform(offset_range[0], offset_range[1], n)
+        off = rng.uniform(*QUERY_OFFSETS, n)
     h = nodes[1] - nodes[0]
     query = nodes[cell] + off * h
     truth = float(function(query))
@@ -430,7 +425,10 @@ def run_benchmark(table_id: str, scale: str = "small", seed: int = 0,
     Returns a report dict with one row per scenario; the rows are
     deterministic for a fixed seed and worker count.  Wall times go to
     ``report["timing"]``, one record per row of the timed tables T1-T4.
+    An unknown table id or scale raises ValidationError.
     """
+    if scale not in T1_SCALES:
+        raise ValidationError(f"unknown scale {scale!r}")
     report = {
         "table": table_id,
         "scale": scale,

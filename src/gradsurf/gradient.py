@@ -27,24 +27,20 @@ from .model import (
 from .neighbors import (
     CombinationPlan,
     Simplex,
-    _grid_rows,
+    _mesh_simplexes,
     enumerate_combinations,
     is_extrapolation,
 )
 from .solvers import solve_lanes, solve_linear_system
 
 
-def estimate_gradients(
-    training: TrainingSet, simplex: Simplex, layer: int = 0
-) -> tuple[np.ndarray, float]:
+def estimate_gradients(training: TrainingSet, simplex: Simplex, layer: int = 0) -> np.ndarray:
     """Solve the n-by-n difference system for the partial derivatives.
 
-    Returns the partial derivatives p at the reference point and the
-    infinity norm of the system's residual.
-
-    Row m is (x_aux[m] - x_ref) with right-hand side (y_aux[m] - y_ref);
-    axis-aligned neighborhoods reduce to plain difference quotients through
-    the same pivoting solver.
+    Returns the partial derivatives p at the reference point.  Row m is
+    (x_aux[m] - x_ref) with right-hand side (y_aux[m] - y_ref); axis-aligned
+    neighborhoods reduce to plain difference quotients through the same
+    pivoting solver.
     """
     ref = simplex.reference
     aux = list(simplex.auxiliaries)
@@ -84,10 +80,9 @@ def evaluate_gradient(
         plan = enumerate_combinations(training, query, combinations, mesh)
 
     values = []
-    residual = 0.0
     for simplex in plan.simplexes:
         try:
-            p, res = estimate_gradients(training, simplex, layer)
+            p = estimate_gradients(training, simplex, layer)
         except DegenerateNeighborhood:
             continue
         values.append(
@@ -98,7 +93,6 @@ def evaluate_gradient(
                 query,
             )
         )
-        residual = max(residual, res)
     if not values:
         raise DegenerateNeighborhood("all point combinations were degenerate")
 
@@ -107,7 +101,6 @@ def evaluate_gradient(
         method="gradient",
         reference_index=plan.simplexes[0].reference,
         combinations_used=len(values),
-        residual=residual,
         extrapolated=is_extrapolation(training, query),
     )
 
@@ -127,8 +120,7 @@ def evaluate_gradient_batch(
     """``evaluate_gradient`` for every query of an (M, n) array and every layer.
 
     On a mesh with one combination, each query's simplex is gathered once for
-    all layers: the reference at its cell and, along each axis, the next node
-    up, or the one below at the top node, as ``select_simplex`` picks them.
+    all layers, as ``select_simplex`` picks it (``_mesh_simplexes``).
     ``solve_lanes`` solves every system with one right-hand side per layer; on
     an unjittered mesh each system is diagonal, and a lane whose right-hand
     sides hold no ``-0.0`` takes the quotient instead of the elimination (the
@@ -144,10 +136,7 @@ def evaluate_gradient_batch(
     y_hat, reference = np.full((M, L), np.nan), np.full(M, -1)
     redo = np.ones(M, dtype=bool)
     if mesh is not None and combinations == 1 and isinstance(combinations, Integral):
-        cells = mesh.cells_of(queries)
-        up = cells + 1 < np.array(mesh.shape)
-        reference, aux = _grid_rows(mesh, cells, np.where(up, 1, -1)[..., None])
-        aux = aux[..., 0]
+        reference, aux = _mesh_simplexes(mesh, mesh.cells_of(queries))
         x, y = training.x, training.y  # every layer is one right-hand side
         x_ref, y_ref = x[reference], y[reference]
         p, singular = solve_lanes(x[aux] - x_ref[:, None], y[aux] - y_ref[:, None])

@@ -47,12 +47,16 @@ def _parse_header(cols: list, path) -> tuple[int, int]:
 
 
 def _csv_reader(path):
-    """The rows of a UTF-8 CSV file; a byte that is not UTF-8 raises ParseError."""
+    """The rows of a UTF-8 CSV file; a byte that is not UTF-8, or a line that
+    ``csv.reader`` rejects (a field past its size limit), raises ParseError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            yield from csv.reader(fh)
+            reader = csv.reader(fh)
+            yield from reader
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
 def _read_header(reader, path) -> list:
@@ -130,9 +134,9 @@ def _read_table(path, check_header) -> tuple:
     rows of a CSV file of numbers and the file line number of each row.
 
     The header goes through ``csv.reader`` and the rest of the file is read
-    whole for ``_fast_rows``.  When the text is not UTF-8 or ``_fast_rows``
-    returns None, the per-row reader reads the file again from the start, so
-    every error and line number is that reader's.
+    whole for ``_fast_rows``.  When the text is not UTF-8, csv rejects the
+    header or ``_fast_rows`` returns None, the per-row reader reads the file
+    again from the start, so every error and line number is that reader's.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -142,7 +146,7 @@ def _read_table(path, check_header) -> tuple:
             data = _fast_rows(fh.read(), len(cols))
         if data is not None:
             return header, data, range(2, len(data) + 2)
-    except UnicodeDecodeError:
+    except (UnicodeDecodeError, csv.Error):
         pass
     reader = _csv_reader(path)
     cols = _read_header(reader, path)

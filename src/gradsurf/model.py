@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -110,24 +111,20 @@ class TrainingSet:
 
 
 def validate_training_set(points, n: int, layer_count: int = 1) -> TrainingSet:
-    """Validate raw point data and return an immutable TrainingSet.
+    """Validate a pair of arrays ``(x, y)`` and return an immutable TrainingSet.
 
-    ``points`` is either a TrainingSet (validated idempotently), a pair of
-    arrays (x, y), or an iterable of (coords, outcome) pairs.
+    ``x`` holds one row of n predictors per point and ``y`` one row of
+    ``layer_count`` outcomes; a 1-D array is one column.  Any other input
+    raises ValidationError.
     """
-    if isinstance(points, TrainingSet):
-        x, y = np.array(points.x), np.array(points.y)
-    elif isinstance(points, tuple) and len(points) == 2:
-        x = np.asarray(points[0], dtype=float)
-        y = np.asarray(points[1], dtype=float)
-    else:
-        coords, outs = [], []
-        for c, o in points:
-            coords.append(np.atleast_1d(np.asarray(c, dtype=float)))
-            outs.append(np.atleast_1d(np.asarray(o, dtype=float)))
-        x = np.asarray(coords, dtype=float) if coords else np.empty((0, n))
-        y = np.asarray(outs, dtype=float) if outs else np.empty((0, layer_count))
-
+    if not (isinstance(points, tuple) and len(points) == 2):
+        raise ValidationError("training data must be a pair of arrays (x, y)")
+    try:
+        x, y = (np.asarray(v, dtype=float) for v in points)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"training data must be arrays of numbers: {exc}") from exc
+    if not (1 <= x.ndim <= 2 and 1 <= y.ndim <= 2):
+        raise DimensionMismatch(f"x and y need one or two axes, got shapes {x.shape}, {y.shape}")
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     if y.ndim == 1:
@@ -160,15 +157,17 @@ def validate_training_set(points, n: int, layer_count: int = 1) -> TrainingSet:
 
 
 def _query_vector(query, training: TrainingSet, layer: int = 0) -> np.ndarray:
-    """``query`` as a float array of exactly n coordinates, for an outcome
-    layer of ``training``; the shape and the layer are all that the
+    """``query`` as a float array of exactly n coordinates, for an integer
+    outcome layer of ``training``; the shape and the layer are all that the
     single-query entry points check, which keeps them cheap."""
     query = np.asarray(query, dtype=float)
     n = training.n
     if query.shape != (n,):
         raise DimensionMismatch(f"query must have {n} coordinates, got shape {query.shape}")
-    if not 0 <= layer < training.layer_count:
-        raise ValidationError(f"layer must lie in [0, {training.layer_count}), got {layer!r}")
+    if not (isinstance(layer, Integral) and 0 <= layer < training.layer_count):
+        raise ValidationError(
+            f"layer must lie in [0, {training.layer_count}) and be an integer, got {layer!r}"
+        )
     return query
 
 
@@ -274,7 +273,6 @@ class Estimate:
     method: str  # "gradient" | "smooth"
     reference_index: int
     combinations_used: int = 1
-    residual: float = 0.0
     newton_iterations: tuple = ()
     flags: tuple = ()
     extrapolated: bool = False

@@ -12,7 +12,6 @@ import numpy as np
 
 from .model import (
     DegenerateNeighborhood,
-    EmptyTrainingSet,
     InsufficientPoints,
     MeshIndex,
     TrainingSet,
@@ -39,10 +38,6 @@ class Simplex:
 @dataclass(frozen=True)
 class CombinationPlan:
     simplexes: tuple
-
-    @property
-    def c(self) -> int:
-        return len(self.simplexes)
 
 
 @dataclass(frozen=True)
@@ -100,8 +95,6 @@ def locate_reference(
     Mesh mode returns the lower corner of the cell containing the query;
     scattered mode the nearest point under per-axis range normalization.
     """
-    if training.npoints == 0:
-        raise EmptyTrainingSet("cannot locate a reference in an empty set")
     if mesh is not None:
         return _mesh_cell(mesh, query)[1]
     return int(np.argmin(_normalised_d2(training, query)))
@@ -326,6 +319,14 @@ def _grid_rows(mesh: MeshIndex, cells: np.ndarray, steps: np.ndarray):
                 found.append(ref if k == 0 else get(tuple(node), -1))
             node[a] = cell[a]
     return reference, np.array(found, dtype=int).reshape(steps.shape)
+
+
+def _mesh_simplexes(mesh: MeshIndex, cells: np.ndarray):
+    """``select_simplex``'s reference row, (M,), and auxiliary rows, (M, n),
+    for each row of an (M, n) array of cells; row -1 marks an absent point."""
+    up = cells + 1 < np.array(mesh.shape)  # else the node below, at the top node
+    reference, aux = _grid_rows(mesh, cells, np.where(up, 1, -1)[..., None])
+    return reference, aux[..., 0]
 
 
 def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray):

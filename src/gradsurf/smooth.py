@@ -43,6 +43,7 @@ FLAGS = ("corrected", "boundary-fallback", "chord-fallback", "newton-fallback")
 CORRECTED, BOUNDARY, CHORD, NEWTON = range(len(FLAGS))
 # flag code + len(FLAGS) * inflection -> flag text
 _FLAG_NAMES = np.array([f + s for s in ("", "+inflection") for f in FLAGS], dtype=object)
+INFLECTION_SAMPLES = 257  # grid points over [0, B] of the inflection test, ends included
 INFLECTION_BLOCK = 256  # lanes per inflection test: each samples 255 points
 
 
@@ -110,10 +111,10 @@ def approx_deriv(params: ApproxFunctionParams, x: float) -> float:
     return _arc_slope(params.K, params.B, params.g1R, params.g2L, params.d, x)
 
 
-def _inflects(K, B, g1R, g2L, d: float, samples: int = 257) -> np.ndarray:
+def _inflects(K, B, g1R, g2L, d: float) -> np.ndarray:
     """``has_interior_inflection`` for each lane of 1-D parameter arrays."""
-    xs = np.linspace(0.0, B, samples, axis=-1)[:, 1:-1]
-    h = (B / (samples * 4.0))[:, None]
+    xs = np.linspace(0.0, B, INFLECTION_SAMPLES, axis=-1)[:, 1:-1]
+    h = (B / (INFLECTION_SAMPLES * 4.0))[:, None]
     K, B, g1R, g2L = (v[:, None] for v in (K, B, g1R, g2L))
     ys, yp, ym = (_arc(K, B, g1R, g2L, d, x) for x in (xs, xs + h, xs - h))
     curv = yp - 2.0 * ys + ym
@@ -122,14 +123,14 @@ def _inflects(K, B, g1R, g2L, d: float, samples: int = 257) -> np.ndarray:
     return (kept & (curv > 0)).any(axis=1) & (kept & (curv < 0)).any(axis=1)
 
 
-def has_interior_inflection(params: ApproxFunctionParams, samples: int = 257) -> bool:
+def has_interior_inflection(params: ApproxFunctionParams) -> bool:
     """Whether the arc's curvature changes sign inside (0, B).
 
     Relevant only for d > 1, where the polynomial family acquires inflection
     points that can wander into the approximation interval.
     """
     lane = (np.array([v]) for v in (params.K, params.B, params.g1R, params.g2L))
-    return bool(_inflects(*lane, params.d, samples)[0])
+    return bool(_inflects(*lane, params.d)[0])
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,6 @@ class StencilAngles:
     F2: float
     Fg1: float
     Fg2: float
-    missing_lower: bool = False
-    missing_upper: bool = False
 
 
 def _chord(x, y, i: int, j: int):
@@ -179,8 +178,6 @@ def segment_angles(stencil: Stencil1D) -> StencilAngles:
         F2=F2,
         Fg1=0.0 if stencil.missing_lower else Fg1,
         Fg2=0.0 if stencil.missing_upper else Fg2,
-        missing_lower=stencil.missing_lower,
-        missing_upper=stencil.missing_upper,
     )
 
 
@@ -316,7 +313,8 @@ def evaluate_smooth(
 
     Requires mesh (or jittered-mesh) structure.  Axis-level failures fall
     back to the plain chord gradient for that axis and never abort the
-    whole query.
+    whole query; only a shape exponent that takes an arc past the float
+    range does, with ValidationError.
     """
     _check_arguments(mesh, d, tol, max_iter)
     query = _query_vector(query, training, layer)
@@ -335,11 +333,14 @@ def evaluate_smooth(
         delta = _chord_increment(y_ref, y1, x1, q, angles.F1)
         iters, flag = 0, "chord-fallback"  # extrapolation or clamped edge cell
         if min(x1, x2) <= q <= max(x1, x2):
-            problem = build_intersection(stencil, angles, q, d)
             try:
+                problem = build_intersection(stencil, angles, q, d)
                 x_star, y_star, iters = solve_intersection(problem, tol, max_iter)
             except NoConvergence:
                 iters, flag = max_iter, "newton-fallback"
+            except OverflowError as exc:  # from a float ``**``, such as the scale K
+                raise ValidationError(f"shape exponent d={d!r} takes the arc along axis "
+                                      f"{axis} past the float range") from exc
             else:
                 g_cor = adjust_gradient(angles.F1, x_star, y_star, problem.params.B)
                 delta = _corrected_increment(y_ref, y1, y2, x2, q, g_cor)
@@ -480,9 +481,10 @@ def evaluate_smooth_batch(
     (query, axis, layer) lane goes through one set of array expressions.  Each
     query's increments are summed in axis order, so every estimate, iteration
     count and flag equals the scalar path's.  A query the kernel cannot
-    finish (absent reference or stencil core, a zero-width segment, or an
-    estimate that is not finite) is handed to ``evaluate_smooth`` itself,
-    layer by layer, so that its result or error is the scalar path's too.
+    finish (absent reference or stencil core, a zero-width segment, an
+    estimate that is not finite, or any query of a batch in which a power
+    overflows) is handed to ``evaluate_smooth`` itself, layer by layer, so
+    that its result or error is the scalar path's too.
     """
     _check_arguments(mesh, d, tol, max_iter)
     queries = _query_rows(queries, training.n)
@@ -498,13 +500,17 @@ def evaluate_smooth_batch(
 
     y_ref = training.y[reference][:, None, :]
     with np.errstate(all="ignore"):
-        delta, iters, code, inflection = _intersect_lanes(
-            np.broadcast_to(x.transpose(2, 0, 1)[..., None], (4, M, n, L)).reshape(4, -1),
-            training.y[rows].transpose(2, 0, 1, 3).reshape(4, -1),
-            lanes(y_ref), lanes(queries[..., None]),
-            lanes(~present[..., :1]), lanes(~present[..., 3:]), lanes(~bad[:, None, None]),
-            d, tol, max_iter,
-        )
+        try:
+            delta, iters, code, inflection = _intersect_lanes(
+                np.broadcast_to(x.transpose(2, 0, 1)[..., None], (4, M, n, L)).reshape(4, -1),
+                training.y[rows].transpose(2, 0, 1, 3).reshape(4, -1),
+                lanes(y_ref), lanes(queries[..., None]),
+                lanes(~present[..., :1]), lanes(~present[..., 3:]), lanes(~bad[:, None, None]),
+                d, tol, max_iter,
+            )
+        except OverflowError:  # NaN sends every query to evaluate_smooth and its errors
+            N = M * n * L
+            delta, iters, code, inflection = (np.full(N, v) for v in (np.nan, 0, CHORD, False))
         # the scalar path's running total: y_ref, then each axis in order
         total = np.concatenate([y_ref, delta.reshape(M, n, L)], axis=1).cumsum(axis=1)
     y_hat = total[:, -1, :].copy()

@@ -11,19 +11,17 @@ from .model import NoConvergence, SingularSystem
 SINGULARITY_RTOL = 1e-12
 
 
-def solve_linear_system(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+def solve_linear_system(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve Ax = b by Gauss elimination with row partial pivoting.
 
     ``A`` is a finite square float matrix and ``b`` a matching vector; the
     callers build both from a validated TrainingSet, so neither is checked
-    here.  Returns the solution together with the infinity norm of the
-    residual.  Raises SingularSystem when a pivot falls below 1e-12 relative
-    to the largest entry of its row block.  The gradient method then skips
-    that point combination when averaging; it does not retry another one.
+    here, and neither is changed.  Returns the solution.  Raises
+    SingularSystem when a pivot falls below 1e-12 relative to the largest
+    entry of its row block.  The gradient method then skips that point
+    combination when averaging; it does not retry another one.
     """
-    A0 = np.asarray(A, dtype=float)
-    b0 = np.asarray(b, dtype=float)
-    A, b = A0.copy(), b0.copy()
+    A, b = np.array(A, dtype=float), np.array(b, dtype=float)
     n = len(b)
     scale = np.abs(A).max(axis=1)
     scale[scale == 0.0] = 1.0
@@ -46,9 +44,7 @@ def solve_linear_system(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float
     x = np.empty(n)
     for k in range(n - 1, -1, -1):
         x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
-
-    residual = float(np.abs(A0 @ x - b0).max())
-    return x, residual
+    return x
 
 
 def solve_lanes(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +63,7 @@ def solve_lanes(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Either way a lane's solution for right-hand side l equals
     ``solve_linear_system(A[i], b[i, :, l])`` bit for bit.  Returns the
     (M, L, n) solutions and the (M,) mask of the lanes the scalar solver would
-    call singular; their solutions are meaningless.  No residual is computed.
+    call singular; their solutions are meaningless.
     """
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     M, n, L = b.shape

@@ -107,12 +107,6 @@ class TestGenQueries:
             assert ((off >= 0.3) & (off < 0.5)).all()
             assert len(np.unique(np.round(off, 12))) == 3
 
-    def test_degenerate_offset_range_rejected(self):
-        f = TEST_FUNCTIONS["T1"]
-        ts, mesh = gen_mesh_dataset(f, 8)
-        with pytest.raises(ValidationError):
-            gen_queries(mesh, f, ts, offset_range=(0.3, 0.3))
-
 
 class TestLocalCellDataset:
     def test_point_budget_is_linear_in_dimension(self):
@@ -244,6 +238,11 @@ class TestRunBenchmark:
     def test_unknown_table_rejected(self):
         with pytest.raises(ValidationError):
             run_benchmark("T9")
+
+    @pytest.mark.parametrize("table", ["T1", "T2", "T3", "T4", "averaging"])
+    def test_unknown_scale_rejected(self, table):
+        with pytest.raises(ValidationError, match="unknown scale 'huge'"):
+            run_benchmark(table, scale="huge")
 
 
 def test_evaluate_batch_preserves_order():

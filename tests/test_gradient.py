@@ -27,14 +27,14 @@ class TestEstimateGradients:
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         y = np.array([1.0, 3.0, 4.0])
         ts = validate_training_set((x, y), n=2)
-        p, _ = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2)))
+        p = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2)))
         assert np.allclose(p, [2.0, 3.0], atol=1e-12)
 
     def test_axis_aligned_reduces_to_difference_quotients(self):
         x = np.array([[1.0, 2.0], [1.5, 2.0], [1.0, 2.25]])
         y = np.array([5.0, 6.0, 4.0])
         ts = validate_training_set((x, y), n=2)
-        p, _ = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2)))
+        p = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2)))
         assert np.isclose(p[0], (6.0 - 5.0) / 0.5)
         assert np.isclose(p[1], (4.0 - 5.0) / 0.25)
 
@@ -45,7 +45,7 @@ class TestEstimateGradients:
         base = np.array([1.0, 1.0, 1.0])
         x = np.array([base, base + [h, 0, 0], base + [0, h, 0], base + [0, 0, h]])
         ts = validate_training_set((x, f(x)), n=3)
-        p, _ = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2, 3)))
+        p = estimate_gradients(ts, Simplex(reference=0, auxiliaries=(1, 2, 3)))
         assert abs(p[0] - 3.0) <= 10 * h
 
 
@@ -73,7 +73,7 @@ class TestEvaluateGradient:
         ref = locate_reference(ts, q)
         simplex = select_simplex(ts, q)
         assert simplex.reference == ref
-        p, _ = estimate_gradients(ts, simplex)
+        p = estimate_gradients(ts, simplex)
         direct = extrapolate(ts.x[ref], float(ts.y[ref, 0]), p, q)
         assert est.y_hat == pytest.approx(direct, abs=1e-14)
         assert est.combinations_used == 1
@@ -125,7 +125,7 @@ class TestEvaluateGradient:
         assert evaluate_gradient(ts, q, combinations=np.int64(3)) == evaluate_gradient(
             ts, q, combinations=3)
 
-    @pytest.mark.parametrize("layer", [2, 5, -1])
+    @pytest.mark.parametrize("layer", [2, 5, -1, 0.5, np.float64(1.0)])
     def test_layer_out_of_range_is_rejected(self, layer):
         x = np.vstack([np.zeros(2), np.eye(2)])
         ts = validate_training_set((x, np.stack([x.sum(axis=1)] * 2, axis=1)), n=2,

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import tempfile
+import warnings
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -257,7 +258,8 @@ class TestMalformedInput:
         with pytest.raises(ParseError, match="axes"):
             load_dataset(files["csv"])
 
-    @pytest.mark.parametrize("case", ["csv", "sidecar", "queries", "jitter x", "jitter null"])
+    @pytest.mark.parametrize("case", ["csv", "sidecar", "queries", "jitter x", "jitter null",
+                                      "long csv", "long queries"])
     def test_impute_exits_with_validation_code(self, tmp_path, capsys, case):
         files = s1_files(tmp_path)
         if case.startswith("jitter"):
@@ -265,6 +267,11 @@ class TestMalformedInput:
             meta = json.loads(path.read_text())
             meta["jitter_fraction"] = "x" if case == "jitter x" else None
             path.write_text(json.dumps(meta))
+        elif case.startswith("long"):  # a field past the csv module's limit, in line 3
+            path = files[case.split()[1]]
+            lines = path.read_text().splitlines(keepends=True)
+            lines[2] = "1" * (csv.field_size_limit() + 1) + lines[2][lines[2].index(","):]
+            path.write_text("".join(lines))
         else:
             path = files[case]
             path.write_bytes(path.read_bytes() + NOT_UTF8)
@@ -272,7 +279,10 @@ class TestMalformedInput:
         code = main(["impute", "--data", str(files["csv"]), "--queries",
                      str(files["queries"]), "--output", str(out)])
         assert code == EXIT_VALIDATION
-        assert path.name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert path.name in err
+        if case.startswith("long"):
+            assert f"{path.name}, line 3: field larger than field limit" in err
         assert not out.exists()
 
 
@@ -662,6 +672,30 @@ class TestCli:
                      "--output", str(out)]) == EXIT_OK
         y_hat = float(out.read_text().splitlines()[1].split(",")[3])
         assert y_hat == pytest.approx(float(ts.y[31, 0]), abs=1e-9)
+
+    def test_shape_exponent_past_the_float_range_is_a_typed_error(self, tmp_path, capsys):
+        """Cells 3/19 wide put the arc scale 1 / B^(d+1) past the float range
+        at d = 400: eval exits 2, and impute reports the error in each row."""
+        ts, mesh = gen_mesh_dataset(TEST_FUNCTIONS["S1"], 20)
+        data, q = tmp_path / "s1.csv", tmp_path / "q.csv"
+        save_dataset(data, ts, mesh)
+        q.write_text("x1,x2,x3\n3.1,3.2,3.3\n4.1,2.5,2.9\n2.3,4.4,3.7\n3.6,3.9,4.6\n")
+        message = "shape exponent d=400.0 takes the arc along axis 0 past the float range"
+        with pytest.warns(UserWarning, match="inflection"):
+            code = main(["eval", "--data", str(data), "--at", "3.1,3.2,3.3",
+                         "--d-exponent", "400"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # d > 1 warns about inflections
+                code = main(["impute", "--data", str(data), "--queries", str(q),
+                             "--output", str(out), "--d-exponent", "400",
+                             "--workers", workers])
+            assert code == EXIT_RUNTIME
+            rows = list(csv.reader(out.read_text().splitlines()))[1:]
+            assert [r[3:] for r in rows] == [["", "smooth", f"error: {message}", ""]] * 4
 
     def test_validation_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

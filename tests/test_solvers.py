@@ -11,16 +11,15 @@ from tests_oracles import eliminations, grid_bisection_root
 
 class TestSolveLinearSystem:
     def test_identity(self):
-        x, res = solve_linear_system(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(x, [1.0, 2.0, 3.0])
-        assert res == 0.0
+        x = solve_linear_system(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        assert x.tolist() == [1.0, 2.0, 3.0]
 
     def test_rank_deficient_raises(self):
         with pytest.raises(SingularSystem):
             solve_linear_system(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
 
     def test_two_by_two_hand_case(self):
-        x, _ = solve_linear_system(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([5.0, 10.0]))
+        x = solve_linear_system(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([5.0, 10.0]))
         assert np.allclose(x, [1.0, 3.0], atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 20, 100])
@@ -30,13 +29,14 @@ class TestSolveLinearSystem:
             # diagonally dominated -> well conditioned
             A = rng.normal(size=(n, n)) + n * np.eye(n)
             b = rng.normal(size=n)
-            x, res = solve_linear_system(A, b)
+            x = solve_linear_system(A, b)
+            res = np.abs(A @ x - b).max()
             assert res <= 1e-8 * (1.0 + np.abs(b).max())
             assert np.allclose(x, np.linalg.solve(A, b), atol=1e-8)
 
     def test_pivoting_handles_zero_leading_entry(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x, _ = solve_linear_system(A, np.array([2.0, 3.0]))
+        x = solve_linear_system(A, np.array([2.0, 3.0]))
         assert np.allclose(x, [3.0, 2.0])
 
 
@@ -62,7 +62,7 @@ def assert_lanes_match(A, b):
     for i in range(len(A)):
         for l in range(b.shape[2]):
             try:
-                expected, _ = solve_linear_system(A[i], b[i, :, l])
+                expected = solve_linear_system(A[i], b[i, :, l])
             except SingularSystem:
                 assert singular[i]
                 break
