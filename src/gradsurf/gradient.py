@@ -1,8 +1,8 @@
 """Gradient-based reconstruction: local hyperplane through a simplex of points.
 
-``evaluate_gradient`` solves one query's system; ``evaluate_gradient_batch``
-solves a mesh batch's as (query, layer) lanes with array expressions, with the
-same arithmetic, so their results agree bit for bit.
+``evaluate_gradient`` solves one query's systems; ``evaluate_gradient_batch``
+solves a batch's as (query, combination) lanes with array expressions, with
+the same arithmetic, so their results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .model import (
     DegenerateNeighborhood,
     Estimate,
     EstimateBatch,
+    GradsurfError,
     MeshIndex,
     SingularSystem,
     TrainingSet,
@@ -114,38 +115,101 @@ def _gradient_layers(training: TrainingSet, query, mesh=None, combinations=1) ->
     return tuple(evaluate_gradient(training, query, mesh, layer=l, plan=plan) for l in layers)
 
 
+def _lane_estimates(training: TrainingSet, queries, reference, aux) -> tuple:
+    """The expansion of each lane's simplex at its query, for every layer.
+
+    ``queries`` is (K, n), ``reference`` (K,) and ``aux`` (K, n) rows of
+    ``training``.  ``solve_lanes`` solves every system with one right-hand
+    side per layer; the expansion's dot goes through the scalar path's BLAS
+    dot, so each value equals ``extrapolate``'s.  Returns the (K, L) values
+    and the (K,) mask of singular lanes, whose values are meaningless.
+    """
+    x, y = training.x, training.y  # every layer is one right-hand side
+    x_ref, y_ref = x[reference], y[reference]
+    p, singular = solve_lanes(x[aux] - x_ref[:, None], y[aux] - y_ref[:, None])
+    with np.errstate(all="ignore"):  # singular lanes may hold inf or NaN
+        dot = np.matmul(p[:, :, None, :], (queries - x_ref)[:, None, :, None])
+        return y_ref + dot[..., 0, 0], singular
+
+
+def _planned_lanes(training: TrainingSet, queries, mesh, combinations) -> tuple:
+    """Each query's ``enumerate_combinations`` plan, shared by every layer.
+
+    Returns the rows of the queries that have a plan, (P,), and their plans
+    as (P, C) reference and (P, C, n) auxiliary rows of ``training``.
+    """
+    rows, plans = [], []
+    for i, query in enumerate(queries):
+        try:
+            plans.append(enumerate_combinations(training, query, combinations, mesh).simplexes)
+        except GradsurfError:
+            continue
+        rows.append(i)
+    C = len(plans[0]) if plans else 1
+    reference = np.array([[s.reference for s in plan] for plan in plans], dtype=int)
+    aux = np.array([[s.auxiliaries for s in plan] for plan in plans], dtype=int)
+    return np.array(rows, dtype=int), reference.reshape(-1, C), aux.reshape(-1, C, training.n)
+
+
+def _average(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``np.mean`` over the kept combinations of each (query, layer).
+
+    ``values`` is (M, C, L) and ``kept`` (M, C).  The mean runs along the
+    last axis of a contiguous (M, L, C) copy, which sums each row as
+    ``np.mean`` sums a 1-D array, so each mean equals the scalar path's
+    ``np.mean(values)`` bit for bit.  A query that keeps no combination gets
+    NaN.
+    """
+    rows = np.ascontiguousarray(values.transpose(0, 2, 1))
+    mean = np.full(rows.shape[:2], np.nan)
+    full = kept.all(axis=1)
+    with np.errstate(all="ignore"):  # a non-finite estimate is redone
+        mean[full] = rows[full].mean(axis=-1)
+        for i in np.flatnonzero(~full & kept.any(axis=1)):
+            mean[i] = rows[i][:, kept[i]].mean(axis=-1)
+    return mean
+
+
 def evaluate_gradient_batch(
     training: TrainingSet, queries, mesh: Optional[MeshIndex] = None, combinations: int = 1
 ) -> EstimateBatch:
     """``evaluate_gradient`` for every query of an (M, n) array and every layer.
 
-    On a mesh with one combination, each query's simplex is gathered once for
-    all layers, as ``select_simplex`` picks it (``_mesh_simplexes``).
-    ``solve_lanes`` solves every system with one right-hand side per layer; on
-    an unjittered mesh each system is diagonal, and a lane whose right-hand
+    On a mesh with one combination, each query's simplex is gathered as
+    ``select_simplex`` picks it (``_mesh_simplexes``).  Every other query
+    (scattered data, several combinations) gets its ``enumerate_combinations``
+    plan, one for all layers.  One ``solve_lanes`` call solves every
+    (query, combination) system with one right-hand side per layer; on an
+    unjittered mesh each system is diagonal, and a lane whose right-hand
     sides hold no ``-0.0`` takes the quotient instead of the elimination (the
-    conditions are ``solve_lanes``'s).  The
-    expansion's dot goes through the scalar path's BLAS dot, so every estimate
-    equals that path's.  Every other query (scattered data, several
-    combinations, an absent simplex point, a singular system, or an estimate
-    that is not finite) goes to ``evaluate_gradient``, one plan for all layers,
-    so that its result or error is the scalar path's too.
+    conditions are ``solve_lanes``'s).  A singular system is skipped, as
+    ``evaluate_gradient`` skips it, and the rest averaged as it averages
+    them, so every estimate equals that function's bit for bit.  A query
+    without a plan (an absent simplex point, too few points), without a
+    nonsingular system, or with an estimate that is not finite goes to
+    ``evaluate_gradient``, one plan for all layers, so that its result or
+    error is the scalar path's too.
     """
     queries = _query_rows(queries, training.n)
-    M, L = len(queries), training.layer_count
-    y_hat, reference = np.full((M, L), np.nan), np.full(M, -1)
-    redo = np.ones(M, dtype=bool)
     if mesh is not None and combinations == 1 and isinstance(combinations, Integral):
         reference, aux = _mesh_simplexes(mesh, mesh.cells_of(queries))
-        x, y = training.x, training.y  # every layer is one right-hand side
-        x_ref, y_ref = x[reference], y[reference]
-        p, singular = solve_lanes(x[aux] - x_ref[:, None], y[aux] - y_ref[:, None])
-        with np.errstate(all="ignore"):  # singular lanes may hold inf or NaN
-            dot = np.matmul(p[:, :, None, :], (queries - x_ref)[:, None, :, None])
-            y_hat = y_ref + dot[..., 0, 0]
+        y_hat, singular = _lane_estimates(training, queries, reference, aux)
         redo = (reference < 0) | (aux < 0).any(axis=1) | singular
-        redo |= ~np.isfinite(y_hat).all(axis=1)
+    else:
+        planned, plans, aux = _planned_lanes(training, queries, mesh, combinations)
+        C = plans.shape[1]
+        values, singular = _lane_estimates(
+            training, np.repeat(queries[planned], C, axis=0), plans.ravel(),
+            aux.reshape(-1, training.n),
+        )
+        kept = ~singular.reshape(-1, C)
+        y_hat = np.full((len(queries), training.layer_count), np.nan)
+        y_hat[planned] = _average(values.reshape(-1, C, training.layer_count), kept)
+        reference, redo = np.full(len(queries), -1), np.ones(len(queries), dtype=bool)
+        reference[planned], redo[planned] = plans[:, 0], ~kept.any(axis=1)
+    redo |= ~np.isfinite(y_hat).all(axis=1)
 
+    M, L = y_hat.shape
     each_layer = partial(_gradient_layers, training, mesh=mesh, combinations=combinations)
     return _finish_batch(
         training, queries, each_layer, redo, y_hat, reference,

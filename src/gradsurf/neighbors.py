@@ -100,10 +100,43 @@ def locate_reference(
     return int(np.argmin(_normalised_d2(training, query)))
 
 
-def _distance_order(training: TrainingSet, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Training points nearest first (stable on ties), and the normalised d2."""
-    d2 = _normalised_d2(training, query)
-    return np.argsort(d2, kind="stable"), d2
+def _nearest_prefix(d2: np.ndarray, k: int) -> np.ndarray:
+    """At least the first k entries of ``np.argsort(d2, kind="stable")``.
+
+    ``argpartition`` finds the k-th distance; every point at or below it is
+    kept, so ties stay, and the kept points, in index order, are stably
+    sorted.  All of the order when k reaches N or the k-th distance is NaN
+    (a NaN query makes every distance NaN, and none is at or below NaN).
+    """
+    if k < len(d2):
+        kth = d2[np.argpartition(d2, k - 1)[k - 1]]
+        if not np.isnan(kth):
+            near = np.flatnonzero(d2 <= kth)
+            return near[np.argsort(d2[near], kind="stable")]
+    return np.argsort(d2, kind="stable")
+
+
+class _DistanceOrder:
+    """The training points nearest first, stable on ties, as a prefix of that
+    order taken from one set of distances; a consumer that reads past the
+    prefix doubles it."""
+
+    def __init__(self, d2: np.ndarray, k: int):
+        self.d2 = d2
+        self.prefix = _nearest_prefix(d2, k)
+
+    def head(self, k: int) -> np.ndarray:
+        """At least the first k entries, or all N if k exceeds N."""
+        while len(self.prefix) < min(k, len(self.d2)):
+            self.prefix = _nearest_prefix(self.d2, max(k, 2 * len(self.prefix)))
+        return self.prefix
+
+    def __iter__(self):
+        start = 0
+        while start < len(self.d2):
+            prefix = self.head(start + 1)
+            yield from prefix[start:].tolist()
+            start = len(prefix)
 
 
 def _build_simplex(
@@ -141,7 +174,8 @@ def _build_simplex(
 
 
 def _nearest_simplex(training: TrainingSet, order: np.ndarray) -> Simplex:
-    """The nearest point and the first independent ones among the next 3n."""
+    """The nearest point and the first independent ones among the next 3n;
+    ``order`` holds at least the first 3n + 1 points of the distance order."""
     budget = min(training.npoints - 1, CANDIDATE_FACTOR * training.n)
     simplex = _build_simplex(training, order[0], order[1 : budget + 1])
     if simplex is None:
@@ -174,7 +208,8 @@ def select_simplex(
                 )
             aux.append(idx)
         return Simplex(reference=reference, auxiliaries=tuple(aux))
-    return _nearest_simplex(training, _distance_order(training, query)[0])
+    d2 = _normalised_d2(training, query)
+    return _nearest_simplex(training, _nearest_prefix(d2, CANDIDATE_FACTOR * training.n + 1))
 
 
 def enumerate_combinations(
@@ -197,11 +232,14 @@ def enumerate_combinations(
     if c == 1:
         return CombinationPlan(simplexes=(select_simplex(training, query, mesh),))
 
-    order, d2 = _distance_order(training, query)
+    n = training.n
+    d2 = _normalised_d2(training, query)
+    # room for c disjoint blocks of n+1 points and as many rejected points
+    order = _DistanceOrder(d2, max(CANDIDATE_FACTOR * n + 1, 2 * (n + 1) * c))
     if mesh is not None:
         base = select_simplex(training, query, mesh)
     else:
-        base = _nearest_simplex(training, order)
+        base = _nearest_simplex(training, order.head(CANDIDATE_FACTOR * n + 1))
     plans = [base]
     seen = {base.key()}
 
@@ -223,7 +261,7 @@ def enumerate_combinations(
             break
 
     if len(plans) < c:
-        _fill_from_subsets(training, plans, add, order, d2, c)
+        _fill_from_subsets(training, plans, add, order, c)
 
     if len(plans) < c:
         raise InsufficientPoints(
@@ -232,7 +270,7 @@ def enumerate_combinations(
     return CombinationPlan(simplexes=tuple(plans))
 
 
-def _fill_from_subsets(training, plans, add, order, d2, c):
+def _fill_from_subsets(training, plans, add, order: _DistanceOrder, c):
     """Top up the plan with overlapping subsets of the nearest points.
 
     Subsets are tried by their summed distance to the query.  The pool is in
@@ -240,8 +278,9 @@ def _fill_from_subsets(training, plans, add, order, d2, c):
     becomes the reference.
     """
     n = training.n
-    dist = np.sqrt(d2)
-    pool = order[: max(n + 2, min(len(order), 2 * n + 8))].tolist()
+    size = max(n + 2, min(training.npoints, 2 * n + 8))
+    pool = order.head(size)[:size].tolist()
+    dist = dict(zip(pool, np.sqrt(order.d2[pool])))
     while comb(len(pool), n + 1) > SMALL_POOL_LIMIT and len(pool) > n + 2:
         pool = pool[:-1]
 

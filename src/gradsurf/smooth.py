@@ -71,8 +71,19 @@ class ApproxFunctionParams:
         return self.B ** -(self.d + 1.0)
 
 
+def _pow(base: float, exponent: float) -> float:
+    """``base ** exponent`` on floats, and ``inf`` for a zero base with a
+    negative exponent, where Python raises ZeroDivisionError: for d < 1 the
+    arc's slope is infinite at either end of the interval, and an infinite
+    slope sends Newton to bisection."""
+    try:
+        return base ** exponent
+    except ZeroDivisionError:
+        return float("inf")
+
+
 def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
-    """``base ** exponent`` element by element, as Python floats compute it.
+    """``_pow`` element by element, as Python floats compute it.
 
     numpy's vectorised power can round the last bit differently from the C
     library's ``pow`` behind a Python float's ``**``; the batch kernel uses
@@ -82,8 +93,12 @@ def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
         return base
     if exponent == 0.0:
         return np.ones_like(base)
-    each = map(pow, base.ravel().tolist(), repeat(exponent))
-    return np.fromiter(each, dtype=float, count=base.size).reshape(base.shape)
+    values = base.ravel().tolist()
+    try:
+        each = np.fromiter(map(pow, values, repeat(exponent)), dtype=float, count=base.size)
+    except ZeroDivisionError:  # a zero base with a negative exponent; rare, and slower
+        each = np.fromiter(map(_pow, values, repeat(exponent)), dtype=float, count=base.size)
+    return each.reshape(base.shape)
 
 
 def _arc(K, B, g1R, g2L, d, x, power=operator.pow):
@@ -95,7 +110,7 @@ def _arc(K, B, g1R, g2L, d, x, power=operator.pow):
     return K * x * (B - x) * (g1R * power(B - x, d) + g2L * power(x, d))
 
 
-def _arc_slope(K, B, g1R, g2L, d, x, power=operator.pow):
+def _arc_slope(K, B, g1R, g2L, d, x, power=_pow):
     u = B - x
     inner = g1R * power(u, d) + g2L * power(x, d)
     d_inner = d * (g2L * power(x, d - 1.0) - g1R * power(u, d - 1.0))

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradsurf import (
+    DegenerateNeighborhood,
     MeshIndex,
     Simplex,
     ValidationError,
@@ -270,7 +271,7 @@ class TestGradientBatch:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 3),
-        c=st.sampled_from([1, 4]),
+        c=st.sampled_from([1, 4, 16]),
         count=st.integers(2, 30),
     )
     def test_scattered_sets_match_the_scalar_path(self, seed, n, c, count):
@@ -323,6 +324,46 @@ class TestGradientBatch:
         with eliminations() as sent:
             batch = evaluate_gradient_batch(ts, np.stack([query, query]), mesh)
         assert sent == [] and not batch.errors
+
+    @pytest.mark.parametrize("c", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singular_lanes_are_skipped(self, seed, c):
+        # axis 1 spans 1e-6; four points near each query lie on a line along
+        # axis 0 that strays at most 1e-16 off it along axis 1, so their
+        # simplexes pass the rank test in range-normalised coordinates while
+        # their pivots fall below the solver's threshold: singular lanes
+        rng = np.random.default_rng(seed)
+        queries = np.stack([rng.uniform(0.3, 0.7, 6), rng.uniform(0.3e-6, 0.7e-6, 6)], axis=1)
+        line = np.concatenate([q + np.stack([rng.uniform(-0.02, 0.02, 4),
+                                             rng.uniform(-1e-16, 1e-16, 4)], axis=1)
+                               for q in queries])
+        far = np.stack([rng.uniform(0.0, 1.0, 40), rng.uniform(0.0, 1e-6, 40)], axis=1)
+        x = np.vstack([line, far])
+        ts = validate_training_set((x, np.stack([np.sin(3.0 * x[:, 0]), 1e6 * x[:, 1]], axis=1)),
+                                   n=2, layer_count=2)
+        used = [outcome(evaluate_gradient, ts, q, combinations=c) for q in queries]
+        if c == 1:  # a query whose one lane is singular is handed over
+            assert DegenerateNeighborhood in used
+        else:  # a query averages the lanes that are not singular
+            assert any(u.combinations_used < c for u in used)
+        assert_batch_matches_scalar(ts, queries, None, c)
+
+    @pytest.mark.parametrize("mesh_data,c", [(False, 1), (False, 4), (True, 4)])
+    def test_planned_queries_skip_the_scalar_path(self, mesh_data, c):
+        if mesh_data:
+            x, y, mesh, rng = random_grid(3, 3, 0.2, False)
+            queries = rng.uniform(mesh.axes[0][1], mesh.axes[0][-2], (10, 3))
+        else:
+            rng = np.random.default_rng(3)
+            x, mesh = rng.uniform(0.0, 1.0, (300, 3)), None
+            y, queries = np.sin(3.0 * x).sum(axis=1), rng.uniform(0.1, 0.9, (10, 3))
+        ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
+                                   n=3, layer_count=2)
+        with mock.patch.object(gradient, "evaluate_gradient", wraps=evaluate_gradient) as scalar, \
+                mock.patch.object(gradient, "solve_linear_system") as solve:
+            batch = evaluate_gradient_batch(ts, queries, mesh, combinations=c)
+        assert scalar.call_count == solve.call_count == 0 and not batch.errors
+        assert_batch_matches_scalar(ts, queries, mesh, c)
 
     def test_query_shape(self):
         nodes = np.linspace(0.0, 1.0, 3)

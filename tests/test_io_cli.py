@@ -527,15 +527,16 @@ def per_row_imputation(training, mesh, queries, method, **kwargs) -> list:
     return rows
 
 
-def impute_inputs(tmp_path, layout):
+def impute_inputs(tmp_path, layout, nodes=5, count=40):
     """A data CSV with two outcome layers and a query CSV for it.
 
-    ``layout`` "mesh" is a jittered 5^3 mesh with holes; "scattered" is 60
-    uniform points without a mesh.  The queries lie inside cells, on training
-    points, outside the domain, at holes, and one is NaN.
+    ``layout`` "mesh" is a jittered ``nodes``^3 mesh with holes; "scattered"
+    is 60 uniform points without a mesh.  The ``count`` + 6 queries lie
+    inside cells, on training points, outside the domain, at holes, and one
+    is NaN.
     """
     f1, f2 = TEST_FUNCTIONS["S1"], TEST_FUNCTIONS["S2"]
-    full, mesh = gen_mesh_dataset(f1, 5, x_jitter_fraction=0.2, seed=4)
+    full, mesh = gen_mesh_dataset(f1, nodes, x_jitter_fraction=0.2, seed=4)
     rng = np.random.default_rng(4)
     if layout == "mesh":
         kept = np.flatnonzero(rng.random(full.npoints) < 0.85)
@@ -549,7 +550,7 @@ def impute_inputs(tmp_path, layout):
                                      n=3, layer_count=2)
     data = tmp_path / "data.csv"
     save_dataset(data, training, mesh)
-    queries = np.vstack([rng.uniform(1.6, 5.4, (40, 3)), x[:5], [[np.nan, 3.0, 3.0]]])
+    queries = np.vstack([rng.uniform(1.6, 5.4, (count, 3)), x[:5], [[np.nan, 3.0, 3.0]]])
     q_csv = tmp_path / "q.csv"
     q_csv.write_text("x1,x2,x3\n" + "".join(
         ",".join(repr(float(v)) for v in q) + "\n" for q in queries))
@@ -581,6 +582,22 @@ class TestSmoothImpute:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_output_equals_per_row_evaluation(self, tmp_path, workers):
         assert_impute_equals_per_row_evaluation(tmp_path, workers, "smooth")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shape_exponent_below_one_finishes(self, tmp_path, workers):
+        """For d < 1 the arc's slope is infinite at either end of the
+        interval, where Newton iterates get clamped; such a lane leaves
+        Newton for bisection, and every row is what ``evaluate_layers`` gives."""
+        data, q_csv = impute_inputs(tmp_path, "mesh", nodes=9, count=600)
+        out = tmp_path / "out.csv"
+        code = main(["impute", "--data", str(data), "--queries", str(q_csv), "--output",
+                     str(out), "--workers", str(workers), "--method", "smooth",
+                     "--d-exponent", "0.5"])
+        training, mesh = load_dataset(data)
+        rows = per_row_imputation(training, mesh, load_queries(q_csv), "smooth", d=0.5)
+        assert code == EXIT_RUNTIME  # the holes fail some rows
+        assert list(csv.reader(out.read_text().splitlines()))[1:] == rows
+        assert sum(r[-2] == "ok" for r in rows) > 200
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scattered_rows_report_the_argument_error(self, tmp_path, workers):

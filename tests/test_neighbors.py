@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradsurf import (
     DegenerateNeighborhood,
@@ -276,6 +277,49 @@ class TestScatteredPlanOracle:
         far = rng.uniform(0.0, 1.0, (30, n))
         far = far[np.abs(far - q).max(axis=1) > 0.3]
         self.check(np.vstack([line, far]), q, c)
+
+
+# distances with many ties, infinities and NaNs
+DISTANCES = hnp.arrays(np.float64, st.integers(1, 50), elements=st.one_of(
+    st.integers(0, 6).map(float), st.floats(0.0, 1.0), st.just(np.inf), st.just(np.nan)))
+
+
+class TestNearestPrefix:
+    """The distance order built from a prefix is the full stable sort's."""
+
+    @given(d2=DISTANCES)
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_is_the_head_of_the_stable_sort(self, d2):
+        full = np.argsort(d2, kind="stable")
+        for k in range(1, len(d2) + 2):
+            prefix = neighbors._nearest_prefix(d2, k)
+            assert len(prefix) >= min(k, len(d2))
+            assert prefix.tolist() == full[: len(prefix)].tolist()
+
+    @given(d2=DISTANCES, k=st.integers(1, 60), heads=st.lists(st.integers(1, 60), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_order_grows_into_the_stable_sort(self, d2, k, heads):
+        full = np.argsort(d2, kind="stable").tolist()
+        order = neighbors._DistanceOrder(d2, k)
+        for h in heads:
+            assert order.head(h).tolist()[:h] == full[:h]
+        assert list(order) == full
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 3),
+           c=st.sampled_from([1, 4, 16]), rounded=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_plans_over_many_points_match_the_oracle(self, seed, n, c, rounded):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (600, n))
+        if rounded:  # many tied distances
+            x = np.round(x, 2)
+        x = x[np.sort(np.unique(x, axis=0, return_index=True)[1])]
+        ts = validate_training_set((x, np.zeros(len(x))), n=n)
+        q = rng.uniform(0.0, 1.0, n)
+        got = _plan_or_error(lambda: [
+            (s.reference, s.auxiliaries) for s in enumerate_combinations(ts, q, c).simplexes
+        ])
+        assert got == _plan_or_error(lambda: oracle_scattered_plan(ts, q, c))
 
 
 def test_is_extrapolation():

@@ -433,6 +433,27 @@ def assert_same(batch, i, layer, expected: Estimate):
     assert got.y_hat.hex() == expected.y_hat.hex()  # bit for bit, signed zeros too
 
 
+def assert_batch_matches_scalar(ts, queries, mesh, d):
+    """Every query and layer of the batch at shape exponent d is
+    ``evaluate_smooth``'s, bit for bit, or that function's error type; so is
+    ``evaluate_batch``'s list, or its first error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # d > 1 warns of inflections
+        batch = evaluate_smooth_batch(ts, queries, mesh, d=d)
+        for i, q in enumerate(queries):
+            for layer in range(ts.layer_count):
+                expected = outcome(evaluate_smooth, ts, q, mesh, d=d, layer=layer)
+                if isinstance(expected, type):
+                    assert type(batch.errors[i]) is expected
+                    break
+                assert i not in batch.errors
+                assert_same(batch, i, layer, expected)
+        scalar = [outcome(evaluate_smooth, ts, q, mesh, d=d) for q in queries]
+        errors = [e for e in scalar if isinstance(e, type)]
+        assert outcome(evaluate_batch, ts, queries, mesh=mesh, method="smooth",
+                       d=d) == (errors[0] if errors else [e.y_hat for e in scalar])
+
+
 class TestSmoothBatch:
     """The batch kernel returns what the per-axis scalar loop returns, bit for
     bit, or hands the scalar path's error over in input order."""
@@ -450,22 +471,26 @@ class TestSmoothBatch:
         ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
                                    n=n, layer_count=2)
         queries = grid_queries(mesh, rng, 12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # d > 1 warns of inflections
-            for d in (1.0, 1.5, 2.0, 3.0):
-                batch = evaluate_smooth_batch(ts, queries, mesh, d=d)
-                for i, q in enumerate(queries):
-                    for layer in range(2):
-                        expected = outcome(evaluate_smooth, ts, q, mesh, d=d, layer=layer)
-                        if isinstance(expected, type):
-                            assert type(batch.errors[i]) is expected
-                            break
-                        assert i not in batch.errors
-                        assert_same(batch, i, layer, expected)
-                scalar = [outcome(evaluate_smooth, ts, q, mesh, d=d) for q in queries]
-                errors = [e for e in scalar if isinstance(e, type)]
-                assert outcome(evaluate_batch, ts, queries, mesh=mesh, method="smooth",
-                               d=d) == (errors[0] if errors else [e.y_hat for e in scalar])
+        for d in (1.0, 1.5, 2.0, 3.0):
+            assert_batch_matches_scalar(ts, queries, mesh, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        jitter=st.floats(0.0, 0.45),
+        sparse=st.booleans(),
+    )
+    def test_shape_exponent_below_one_matches_the_scalar_path(self, seed, n, jitter, sparse):
+        # the arc's slope is infinite at either end of the interval, so an
+        # iterate clamped there leaves Newton for bisection on both paths
+        x, y, mesh, rng = random_grid(seed, n, jitter, sparse)
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
+                                   n=n, layer_count=2)
+        queries = grid_queries(mesh, rng, 12)
+        for d in (0.3, 0.5, 0.9):
+            assert_batch_matches_scalar(ts, queries, mesh, d)
 
     def test_high_dimensional_local_cell(self):
         rng = np.random.default_rng(11)
