@@ -157,8 +157,9 @@ def _average(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
     ``values`` is (M, C, L) and ``kept`` (M, C).  The mean runs along the
     last axis of a contiguous (M, L, C) copy, which sums each row as
     ``np.mean`` sums a 1-D array, so each mean equals the scalar path's
-    ``np.mean(values)`` bit for bit.  A query that keeps no combination gets
-    NaN.
+    ``np.mean(values)`` bit for bit.  A boolean mask on the last axis gives
+    a column-first array, so the kept values are copied to rows first.  A
+    query that keeps no combination gets NaN.
     """
     rows = np.ascontiguousarray(values.transpose(0, 2, 1))
     mean = np.full(rows.shape[:2], np.nan)
@@ -166,7 +167,7 @@ def _average(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):  # a non-finite estimate is redone
         mean[full] = rows[full].mean(axis=-1)
         for i in np.flatnonzero(~full & kept.any(axis=1)):
-            mean[i] = rows[i][:, kept[i]].mean(axis=-1)
+            mean[i] = np.ascontiguousarray(rows[i][:, kept[i]]).mean(axis=-1)
     return mean
 
 

@@ -93,12 +93,8 @@ def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
         return base
     if exponent == 0.0:
         return np.ones_like(base)
-    values = base.ravel().tolist()
-    try:
-        each = np.fromiter(map(pow, values, repeat(exponent)), dtype=float, count=base.size)
-    except ZeroDivisionError:  # a zero base with a negative exponent; rare, and slower
-        each = np.fromiter(map(_pow, values, repeat(exponent)), dtype=float, count=base.size)
-    return each.reshape(base.shape)
+    each = map(_pow, base.ravel().tolist(), repeat(exponent))
+    return np.fromiter(each, dtype=float, count=base.size).reshape(base.shape)
 
 
 def _arc(K, B, g1R, g2L, d, x, power=operator.pow):

@@ -11,7 +11,7 @@ queries are drawn from a fixed seed.  Each side times
 ``evaluate_gradient_batch`` on all queries (one call) and one
 ``evaluate_gradient`` call per query, at C = 1 and C = 16 combinations, in a
 fresh process that imports ``src/gradsurf`` of its checkout.  The sides
-alternate, ``--repeats`` times each; the JSON holds every run and the
+alternate, ``REPEATS`` times each; the JSON holds every run and the
 median microseconds per query of each side, their ratio, and ``nproc``.
 Each run checks that its batch and single-query estimates agree bit for
 bit, and the JSON records whether the two sides' estimates are equal.
@@ -34,6 +34,7 @@ import numpy as np
 SIZES = (5_000, 50_000, 500_000)
 COMBINATIONS = (1, 16)
 QUERIES = 50
+REPEATS = 3
 SEED = 5
 NOISE_SIGMA = 0.05
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,13 +48,13 @@ def inputs(npoints: int):
     return x, y, rng.uniform(0.1, 0.9, (QUERIES, 3))
 
 
-def measure(sizes) -> dict:
+def measure() -> dict:
     """Microseconds per query of each path and the batch's estimates, per N and C."""
     from gradsurf import evaluate_gradient, evaluate_gradient_batch, validate_training_set
 
     clock = time.perf_counter
     out = {}
-    for npoints in sizes:
+    for npoints in SIZES:
         x, y, queries = inputs(npoints)
         training = validate_training_set((x, y), n=3)
         for c in COMBINATIONS:
@@ -72,10 +73,9 @@ def measure(sizes) -> dict:
     return out
 
 
-def run_side(checkout: Path, sizes) -> dict:
+def run_side(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    args = [sys.executable, str(Path(__file__).resolve()), "--measure",
-            "--sizes", *map(str, sizes)]
+    args = [sys.executable, str(Path(__file__).resolve()), "--measure"]
     done = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -89,25 +89,23 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, help="the checkout to compare against")
     p.add_argument("--change", type=Path, default=ROOT, help="default: this checkout")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     p.add_argument("--output", type=Path, default=ROOT / "BENCH_scatter-scale.json")
     p.add_argument("--measure", action="store_true",
                    help="time the gradsurf package on the import path and print JSON")
     args = p.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(args.sizes)))
+        print(json.dumps(measure()))
         return 0
     if args.parent is None:
         p.error("--parent is required")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {side: [] for side in sides}
-    for r in range(args.repeats):
+    for r in range(REPEATS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_side(sides[side], args.sizes))
-            print(f"# repeat {r + 1}/{args.repeats}: {side} done", file=sys.stderr)
+            runs[side].append(run_side(sides[side]))
+            print(f"# repeat {r + 1}/{REPEATS}: {side} done", file=sys.stderr)
 
     results = {}
     for key in runs["change"][0]:
@@ -121,14 +119,13 @@ def main(argv=None) -> int:
         results[key] = entry
 
     report = {
-        "command": "python3 tools/scatter_scale.py --parent PARENT --repeats "
-                   f"{args.repeats}",
+        "command": "python3 tools/scatter_scale.py --parent PARENT",
         "nproc": os.cpu_count(),
         "machine": f"{platform.machine()}, Python {platform.python_version()}, "
                    f"numpy {np.__version__}",
         "inputs": f"n=3, {QUERIES} queries, seed {SEED}, N uniform points in [0, 1]^3 "
                   f"with Gaussian noise {NOISE_SIGMA}; queries uniform in [0.1, 0.9]^3",
-        "method": f"{args.repeats} repeats per side in fresh processes, sides "
+        "method": f"{REPEATS} repeats per side in fresh processes, sides "
                   "alternating; medians of microseconds per query",
         "results": results,
     }
