@@ -8,7 +8,6 @@ the same arithmetic, so their results agree bit for bit.
 from __future__ import annotations
 
 from functools import partial
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -28,6 +27,7 @@ from .model import (
 from .neighbors import (
     CombinationPlan,
     Simplex,
+    _check_combination_count,
     _mesh_simplexes,
     enumerate_combinations,
     is_extrapolation,
@@ -189,10 +189,12 @@ def evaluate_gradient_batch(
     without a plan (an absent simplex point, too few points), without a
     nonsingular system, or with an estimate that is not finite goes to
     ``evaluate_gradient``, one plan for all layers, so that its result or
-    error is the scalar path's too.
+    error is the scalar path's too.  A combination count that is not an
+    integer >= 1 raises ValidationError before any query is planned.
     """
+    _check_combination_count(combinations)
     queries = _query_rows(queries, training.n)
-    if mesh is not None and combinations == 1 and isinstance(combinations, Integral):
+    if mesh is not None and combinations == 1:
         reference, aux = _mesh_simplexes(mesh, mesh.cells_of(queries))
         y_hat, singular = _lane_estimates(training, queries, reference, aux)
         redo = (reference < 0) | (aux < 0).any(axis=1) | singular

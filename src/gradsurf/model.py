@@ -99,6 +99,13 @@ class TrainingSet:
         spans.setflags(write=False)
         return spans
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """``x`` as a C-contiguous (n, npoints) copy, one row per axis."""
+        columns = np.ascontiguousarray(self.x.T)
+        columns.setflags(write=False)
+        return columns
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrainingSet):
             return NotImplemented

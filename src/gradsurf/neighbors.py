@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, sqrt
 from numbers import Integral
 from typing import Optional
 
@@ -63,8 +63,49 @@ def is_extrapolation(training: TrainingSet, query: np.ndarray) -> bool:
 
 
 def _normalised_d2(training: TrainingSet, query: np.ndarray) -> np.ndarray:
-    """Squared range-normalised distance of every training point to the query."""
-    return (((training.x - query) / training.axis_ranges) ** 2).sum(axis=1)
+    """Squared range-normalised distance of every training point to the query.
+
+    Equals ``(((x - query) / axis_ranges) ** 2).sum(axis=1)`` bit for bit
+    but works on ``training.columns``, one axis per row, and sums down the
+    rows in the order numpy's ``pairwise_sum`` sums each row of ``x``
+    (``_sum_rows``), which is faster than numpy's reduction over the short
+    axis.
+    """
+    terms = np.subtract(training.columns, np.reshape(query, (-1, 1)))
+    terms /= training.axis_ranges[:, None]
+    terms *= terms
+    return _sum_rows(terms)
+
+
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """The column sums of an (m, N) array in numpy's pairwise order.
+
+    Fewer than 8 rows are added in turn.  Up to 128 rows are added into
+    eight running sums, rows 0-7, which are then combined pairwise, and the
+    rows past the last multiple of 8 added in turn.  More rows are split in
+    two at half the rows, rounded down to a multiple of 8.  The sums are
+    taken in place, so ``terms`` is overwritten and the result is a view of
+    its first row.
+    """
+    m = len(terms)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        total = _sum_rows(terms[:half])
+        total += _sum_rows(terms[half:])
+        return total
+    total, rest = terms[0], terms[1:]
+    if m >= 8:
+        head = m - m % 8
+        sums = terms[:8]
+        for block in range(8, head, 8):
+            sums += terms[block : block + 8]
+        sums[0::2] += sums[1::2]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        sums[0::4] += sums[2::4]
+        total += sums[4]
+        rest = terms[head:]
+    for row in rest:
+        total += row
+    return total
 
 
 def _mesh_cell(mesh: MeshIndex, query: np.ndarray) -> tuple[tuple, int]:
@@ -152,21 +193,22 @@ def _build_simplex(
     the n-th accepted one; None if it runs out first.
     """
     origin, scale = training.x[reference], training.axis_ranges
-    basis = np.empty((0, training.n))
+    basis = np.empty((training.n, training.n))  # the accepted rows, basis[:k]
     aux = []
     for cand in candidates:
         row = (training.x[cand] - origin) / scale
-        norm = np.linalg.norm(row)
+        norm = sqrt(row.dot(row))  # np.linalg.norm of a real vector
         if norm <= RANK_RTOL:
             continue
         r = row / norm
         if aux:
-            r = r - basis.T @ (basis @ r)
-            rn = np.linalg.norm(r)
+            accepted = basis[: len(aux)]
+            r = r - accepted.T @ (accepted @ r)
+            rn = sqrt(r.dot(r))
             if rn <= min_fraction:
                 continue
             r = r / rn
-        basis = np.vstack([basis, r])
+        basis[len(aux)] = r
         aux.append(int(cand))
         if len(aux) == training.n:
             return Simplex(reference=int(reference), auxiliaries=tuple(aux))
@@ -212,6 +254,14 @@ def select_simplex(
     return _nearest_simplex(training, _nearest_prefix(d2, CANDIDATE_FACTOR * training.n + 1))
 
 
+def _check_combination_count(c) -> None:
+    """Raise ValidationError unless ``c`` is an integer >= 1 (a bool is not)."""
+    if isinstance(c, bool) or not isinstance(c, Integral):
+        raise ValidationError(f"combination count must be an integer, got {c!r}")
+    if c < 1:
+        raise ValidationError(f"combination count must be >= 1, got {c!r}")
+
+
 def enumerate_combinations(
     training: TrainingSet,
     query: np.ndarray,
@@ -225,10 +275,7 @@ def enumerate_combinations(
     which keeps their outcome errors independent; small datasets fall back
     to exhaustive subset enumeration ordered by aggregate distance.
     """
-    if not isinstance(c, Integral):
-        raise ValidationError(f"combination count must be an integer, got {c!r}")
-    if c < 1:
-        raise ValidationError(f"combination count must be >= 1, got {c!r}")
+    _check_combination_count(c)
     if c == 1:
         return CombinationPlan(simplexes=(select_simplex(training, query, mesh),))
 

@@ -372,3 +372,27 @@ class TestGradientBatch:
         ts = validate_training_set((x, x.sum(axis=1)), n=2)
         mesh = MeshIndex(axes=(nodes, nodes))
         assert evaluate_gradient_batch(ts, [], mesh).y_hat.shape == (0, 1)
+
+
+class TestCombinationCount:
+    """A combination count that is not an integer >= 1 fails before any work."""
+
+    @pytest.mark.parametrize("mesh_data", [False, True])
+    @pytest.mark.parametrize("c", [0, -1, 2.0, True, None])
+    def test_batch_raises_before_planning(self, mesh_data, c):
+        x, y, mesh, rng = random_grid(1, 2, 0.0, False)
+        queries = grid_queries(mesh, rng, 6)
+        ts = validate_training_set((x, y), n=2)
+        with mock.patch.object(gradient, "enumerate_combinations") as plan, \
+                mock.patch.object(gradient, "evaluate_gradient") as scalar:
+            with pytest.raises(ValidationError, match="combination count"):
+                evaluate_gradient_batch(ts, queries, mesh if mesh_data else None,
+                                        combinations=c)
+        assert plan.call_count == scalar.call_count == 0
+
+    def test_single_query_refuses_a_bool(self):
+        x, y, mesh, rng = random_grid(1, 2, 0.0, False)
+        ts = validate_training_set((x, y), n=2)
+        for m in (None, mesh):
+            with pytest.raises(ValidationError, match="must be an integer, got True"):
+                evaluate_gradient(ts, grid_queries(mesh, rng, 1)[0], m, combinations=True)

@@ -17,9 +17,9 @@ from gradsurf import (
     validate_training_set,
 )
 from gradsurf import neighbors
-from gradsurf.model import GradsurfError
+from gradsurf.model import GradsurfError, TrainingSet
 from gradsurf.neighbors import axis_stencil, is_extrapolation
-from tests_oracles import oracle_scattered_plan
+from tests_oracles import _oracle_d2, oracle_scattered_plan
 
 
 def mesh_training(nodes, n, fn):
@@ -316,6 +316,54 @@ class TestNearestPrefix:
         x = x[np.sort(np.unique(x, axis=0, return_index=True)[1])]
         ts = validate_training_set((x, np.zeros(len(x))), n=n)
         q = rng.uniform(0.0, 1.0, n)
+        got = _plan_or_error(lambda: [
+            (s.reference, s.auxiliaries) for s in enumerate_combinations(ts, q, c).simplexes
+        ])
+        assert got == _plan_or_error(lambda: oracle_scattered_plan(ts, q, c))
+
+
+class TestNormalisedDistances:
+    """The per-axis distance kernel sums as numpy sums each row of ``x``."""
+
+    @pytest.mark.parametrize("npoints", [1, 2, 7, 500])
+    @pytest.mark.parametrize(
+        "n", [*range(1, 10), 15, 16, 17, 127, 128, 129, 136, 255, 257, 300])
+    def test_bit_identical_to_the_row_sum(self, n, npoints):
+        rng = np.random.default_rng([n, npoints])
+        x = rng.normal(0.0, 1.0, (npoints, n)) * rng.uniform(0.1, 100.0, n)
+        x[:, 0] = 0.25  # a constant axis: its span is floored to 1
+        x[0, -1] = -0.0 if n > 1 else 0.25
+        ts = TrainingSet(x=x, y=np.zeros((npoints, 1)), n=n, layer_count=1)
+        assert ts.axis_ranges[0] == 1.0
+        queries = rng.normal(0.0, 1.0, (5, n))
+        queries[1, -1] = -0.0
+        queries[2, n // 2] = np.inf
+        queries[3, -1] = -np.inf
+        queries[4, 0] = np.nan
+        for q in queries:
+            got = neighbors._normalised_d2(ts, q)
+            want = _oracle_d2(ts, q)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestPlansAtManyAxes:
+    """Plans at n >= 8, where numpy sums each row of distances pairwise."""
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    @pytest.mark.parametrize("c", [1, 4])
+    @pytest.mark.parametrize("n", [8, 9, 17])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plans_match_the_oracle(self, seed, n, c, rounded):
+        rng = np.random.default_rng([seed, n, c])
+        x = rng.uniform(0.0, 1.0, (40 * n, n))
+        q = rng.uniform(0.0, 1.0, n)
+        if rounded:  # a coarse lattice, so many distances tie
+            x, q = np.round(x, 1), np.round(q, 1)
+        x = x[np.sort(np.unique(x, axis=0, return_index=True)[1])]
+        ts = validate_training_set((x, np.zeros(len(x))), n=n)
+        if rounded:
+            d2 = _oracle_d2(ts, q)
+            assert len(np.unique(d2)) < len(d2)
         got = _plan_or_error(lambda: [
             (s.reference, s.auxiliaries) for s in enumerate_combinations(ts, q, c).simplexes
         ])

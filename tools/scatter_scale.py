@@ -6,8 +6,9 @@ an older commit unpacked elsewhere:
     python3 tools/scatter_scale.py --parent /path/to/other/checkout \
         --output BENCH_scatter-scale.json
 
-For each N in ``SIZES``, ``N`` uniform noisy 3-D points and ``QUERIES``
-queries are drawn from a fixed seed.  Each side times
+For each dimension n and size N in ``SHAPES``, N uniform noisy n-D points
+and ``QUERIES`` queries are drawn from a fixed seed.  At n = 9 every
+distance is a sum of nine terms, which numpy adds pairwise.  Each side times
 ``evaluate_gradient_batch`` on all queries (one call) and one
 ``evaluate_gradient`` call per query, at C = 1 and C = 16 combinations, in a
 fresh process that imports ``src/gradsurf`` of its checkout.  The sides
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-SIZES = (5_000, 50_000, 500_000)
+SHAPES = ((3, 5_000), (3, 50_000), (3, 500_000), (9, 5_000), (9, 50_000))
 COMBINATIONS = (1, 16)
 QUERIES = 50
 REPEATS = 3
@@ -40,23 +41,23 @@ NOISE_SIGMA = 0.05
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def inputs(npoints: int):
-    """The training points, outcomes and queries for one N."""
-    rng = np.random.default_rng([SEED, npoints])
-    x = rng.uniform(0.0, 1.0, (npoints, 3))
+def inputs(n: int, npoints: int):
+    """The training points, outcomes and queries for one n and N."""
+    rng = np.random.default_rng([SEED, npoints, n])
+    x = rng.uniform(0.0, 1.0, (npoints, n))
     y = (np.sin(3.0 * x) + x**2).sum(axis=1) + rng.normal(0.0, NOISE_SIGMA, npoints)
-    return x, y, rng.uniform(0.1, 0.9, (QUERIES, 3))
+    return x, y, rng.uniform(0.1, 0.9, (QUERIES, n))
 
 
 def measure() -> dict:
-    """Microseconds per query of each path and the batch's estimates, per N and C."""
+    """Microseconds per query of each path and the batch's estimates, per n, N and C."""
     from gradsurf import evaluate_gradient, evaluate_gradient_batch, validate_training_set
 
     clock = time.perf_counter
     out = {}
-    for npoints in SIZES:
-        x, y, queries = inputs(npoints)
-        training = validate_training_set((x, y), n=3)
+    for n, npoints in SHAPES:
+        x, y, queries = inputs(n, npoints)
+        training = validate_training_set((x, y), n=n)
         for c in COMBINATIONS:
             t0 = clock()
             batch = evaluate_gradient_batch(training, queries, combinations=c)
@@ -64,8 +65,8 @@ def measure() -> dict:
             scalar = [evaluate_gradient(training, q, combinations=c).y_hat for q in queries]
             t2 = clock()
             if batch.errors or batch.y_hat[:, 0].tolist() != scalar:
-                raise SystemExit(f"N={npoints} C={c}: batch and scalar estimates differ")
-            out[f"N={npoints} C={c}"] = {
+                raise SystemExit(f"n={n} N={npoints} C={c}: batch and scalar estimates differ")
+            out[f"n={n} N={npoints} C={c}"] = {
                 "batch_us_per_query": (t1 - t0) / len(queries) * 1e6,
                 "scalar_us_per_query": (t2 - t1) / len(queries) * 1e6,
                 "y_hat": [float(v).hex() for v in scalar],
@@ -123,8 +124,8 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "machine": f"{platform.machine()}, Python {platform.python_version()}, "
                    f"numpy {np.__version__}",
-        "inputs": f"n=3, {QUERIES} queries, seed {SEED}, N uniform points in [0, 1]^3 "
-                  f"with Gaussian noise {NOISE_SIGMA}; queries uniform in [0.1, 0.9]^3",
+        "inputs": f"{QUERIES} queries, seed {SEED}, N uniform points in [0, 1]^n with "
+                  f"Gaussian noise {NOISE_SIGMA}; queries uniform in [0.1, 0.9]^n",
         "method": f"{REPEATS} repeats per side in fresh processes, sides "
                   "alternating; medians of microseconds per query",
         "results": results,
