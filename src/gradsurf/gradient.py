@@ -29,10 +29,14 @@ from .neighbors import (
     Simplex,
     _check_combination_count,
     _mesh_simplexes,
+    _scattered_plans,
     enumerate_combinations,
     is_extrapolation,
 )
 from .solvers import solve_lanes, solve_linear_system
+
+LOCKSTEP_MIN_QUERIES = 16  # fewer scattered queries are planned faster one by one
+LOCKSTEP_MAX_QUERIES = 128  # per lockstep call, which holds a (Q, n, n) basis
 
 
 def estimate_gradients(training: TrainingSet, simplex: Simplex, layer: int = 0) -> np.ndarray:
@@ -135,20 +139,33 @@ def _lane_estimates(training: TrainingSet, queries, reference, aux) -> tuple:
 def _planned_lanes(training: TrainingSet, queries, mesh, combinations) -> tuple:
     """Each query's ``enumerate_combinations`` plan, shared by every layer.
 
-    Returns the rows of the queries that have a plan, (P,), and their plans
-    as (P, C) reference and (P, C, n) auxiliary rows of ``training``.
+    Scattered queries are planned in lockstep (``_scattered_plans``), in
+    even parts of at most ``LOCKSTEP_MAX_QUERIES``; a query it hands back,
+    every query on a mesh and a batch of fewer than ``LOCKSTEP_MIN_QUERIES``
+    scattered queries go through ``enumerate_combinations`` itself.  Returns
+    the rows of the queries that have a plan, (P,), and their plans as (P, C)
+    reference and (P, C, n) auxiliary rows of ``training``.
     """
-    rows, plans = [], []
-    for i, query in enumerate(queries):
+    M = len(queries)
+    reference = np.empty((M, combinations), dtype=int)
+    aux = np.empty((M, combinations, training.n), dtype=int)
+    handed = np.ones(M, dtype=bool)
+    if mesh is None and M >= LOCKSTEP_MIN_QUERIES:
+        for part in np.array_split(np.arange(M), -(-M // LOCKSTEP_MAX_QUERIES)):
+            reference[part], aux[part], handed[part] = _scattered_plans(
+                training, queries[part], combinations
+            )
+    planned = ~handed
+    for i in np.flatnonzero(handed):
         try:
-            plans.append(enumerate_combinations(training, query, combinations, mesh).simplexes)
+            plan = enumerate_combinations(training, queries[i], combinations, mesh).simplexes
         except GradsurfError:
             continue
-        rows.append(i)
-    C = len(plans[0]) if plans else 1
-    reference = np.array([[s.reference for s in plan] for plan in plans], dtype=int)
-    aux = np.array([[s.auxiliaries for s in plan] for plan in plans], dtype=int)
-    return np.array(rows, dtype=int), reference.reshape(-1, C), aux.reshape(-1, C, training.n)
+        reference[i] = [s.reference for s in plan]
+        aux[i] = [s.auxiliaries for s in plan]
+        planned[i] = True
+    rows = np.flatnonzero(planned)
+    return rows, reference[rows], aux[rows]
 
 
 def _average(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -179,17 +196,23 @@ def evaluate_gradient_batch(
     On a mesh with one combination, each query's simplex is gathered as
     ``select_simplex`` picks it (``_mesh_simplexes``).  Every other query
     (scattered data, several combinations) gets its ``enumerate_combinations``
-    plan, one for all layers.  One ``solve_lanes`` call solves every
-    (query, combination) system with one right-hand side per layer; on an
-    unjittered mesh each system is diagonal, and a lane whose right-hand
-    sides hold no ``-0.0`` takes the quotient instead of the elimination (the
-    conditions are ``solve_lanes``'s).  A singular system is skipped, as
+    plan, one for all layers; in a batch of at least
+    ``LOCKSTEP_MIN_QUERIES``, scattered plans are built in lockstep
+    (``_scattered_plans``, at most ``LOCKSTEP_MAX_QUERIES`` queries a call),
+    which hands a query back to that function where its base simplex fails
+    or its blocks run past its nearest points.  One
+    ``solve_lanes`` call solves every (query, combination) system with one
+    right-hand side per layer; on an unjittered mesh each system is
+    diagonal, and a lane whose right-hand sides hold no ``-0.0`` takes the
+    quotient instead of the elimination (the conditions are
+    ``solve_lanes``'s).  A singular system is skipped, as
     ``evaluate_gradient`` skips it, and the rest averaged as it averages
     them, so every estimate equals that function's bit for bit.  A query
     without a plan (an absent simplex point, too few points), without a
     nonsingular system, or with an estimate that is not finite goes to
     ``evaluate_gradient``, one plan for all layers, so that its result or
-    error is the scalar path's too.  A combination count that is not an
+    error is the scalar path's too.  ``combinations_used`` counts each
+    query's nonsingular systems.  A combination count that is not an
     integer >= 1 raises ValidationError before any query is planned.
     """
     _check_combination_count(combinations)
@@ -198,6 +221,7 @@ def evaluate_gradient_batch(
         reference, aux = _mesh_simplexes(mesh, mesh.cells_of(queries))
         y_hat, singular = _lane_estimates(training, queries, reference, aux)
         redo = (reference < 0) | (aux < 0).any(axis=1) | singular
+        used = np.ones(len(queries), dtype=int)
     else:
         planned, plans, aux = _planned_lanes(training, queries, mesh, combinations)
         C = plans.shape[1]
@@ -210,11 +234,13 @@ def evaluate_gradient_batch(
         y_hat[planned] = _average(values.reshape(-1, C, training.layer_count), kept)
         reference, redo = np.full(len(queries), -1), np.ones(len(queries), dtype=bool)
         reference[planned], redo[planned] = plans[:, 0], ~kept.any(axis=1)
+        used = np.zeros(len(queries), dtype=int)
+        used[planned] = kept.sum(axis=1)
     redo |= ~np.isfinite(y_hat).all(axis=1)
 
     M, L = y_hat.shape
     each_layer = partial(_gradient_layers, training, mesh=mesh, combinations=combinations)
     return _finish_batch(
-        training, queries, each_layer, redo, y_hat, reference,
+        training, queries, each_layer, redo, y_hat, reference, used,
         np.zeros((M, L, 0), dtype=int), np.empty((M, L, 0), dtype=object),
     )

@@ -233,7 +233,13 @@ class MeshIndex:
         return tuple([float(v) for v in a] for a in self.axes)
 
     def point_at(self, grid_idx: Sequence[int]) -> Optional[int]:
-        """Training-point index for a grid multi-index, or None if absent (sparse grid)."""
+        """Training-point index for a grid multi-index, or None if absent
+        (off the grid, or a hole of a sparse grid).  An index of other than n
+        entries raises DimensionMismatch."""
+        if len(grid_idx) != len(self.axes):
+            raise DimensionMismatch(
+                f"grid index must have {len(self.axes)} entries, got {len(grid_idx)}"
+            )
         if self.index_map is not None:
             return self.index_map.get(tuple(grid_idx))
         flat = 0
@@ -298,21 +304,24 @@ class EstimateBatch:
     Row i, layer l holds what the method's single-query function returns for
     query i and layer l.  The smooth method fills one Newton iteration
     count and one flag per axis; the gradient method has neither, so those
-    arrays are (M, L, 0).  A query whose single-query evaluation raised has
-    its error in ``errors`` (keyed by row, in input order), NaN estimates and
-    reference -1.
+    arrays are (M, L, 0).  ``combinations_used`` counts the point
+    combinations each query's estimates average, as ``Estimate`` does.  A
+    query whose single-query evaluation raised has its error in ``errors``
+    (keyed by row, in input order), NaN estimates, reference -1 and 0
+    combinations used.
     """
 
     y_hat: np.ndarray  # (M, L)
     newton_iterations: np.ndarray  # (M, L, n) or (M, L, 0)
     flags: np.ndarray  # (M, L, n) or (M, L, 0) flag strings
     reference_index: np.ndarray  # (M,)
+    combinations_used: np.ndarray  # (M,)
     extrapolated: np.ndarray  # (M,)
     errors: dict
 
 
 def _finish_batch(training, queries, each_layer, redo, y_hat, reference,
-                  newton_iterations, flags) -> EstimateBatch:
+                  combinations_used, newton_iterations, flags) -> EstimateBatch:
     """The kernel's arrays as an EstimateBatch, with each query in ``redo``
     handed to ``each_layer(query)``, the single-query path's Estimate of every
     layer in order, so that its result or error is that path's."""
@@ -324,12 +333,13 @@ def _finish_batch(training, queries, each_layer, redo, y_hat, reference,
                 newton_iterations[i, l] = est.newton_iterations
                 flags[i, l] = est.flags
                 reference[i] = est.reference_index
+                combinations_used[i] = est.combinations_used
         except GradsurfError as exc:
             errors[int(i)] = exc
-            y_hat[i], reference[i] = np.nan, -1
+            y_hat[i], reference[i], combinations_used[i] = np.nan, -1, 0
     lo, hi = training.bounding_box
     return EstimateBatch(
         y_hat=y_hat, newton_iterations=newton_iterations, flags=flags,
-        reference_index=reference, extrapolated=((queries < lo) | (queries > hi)).any(axis=1),
-        errors=errors,
+        reference_index=reference, combinations_used=combinations_used,
+        extrapolated=((queries < lo) | (queries > hi)).any(axis=1), errors=errors,
     )

@@ -22,6 +22,9 @@ RANK_RTOL = 1e-10
 CANDIDATE_FACTOR = 3  # degenerate-simplex retry budget: 3n nearest candidates
 SMALL_POOL_LIMIT = 4000  # max subsets to enumerate exhaustively
 STENCIL_STEPS = (-1, 0, 1, 2)  # Y0..Y3, in nodes from the lower bracketing node
+D2_BLOCK_BYTES = 1 << 19  # distance terms formed per block over many points
+D2_MIN_BLOCK_POINTS = 8192  # fewer points per block cost more calls than the cache saves
+D2_SINGLE_PASS_BYTES = 1 << 21  # up to this many bytes of terms, one pass is faster
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,31 @@ def _normalised_d2(training: TrainingSet, query: np.ndarray) -> np.ndarray:
     but works on ``training.columns``, one axis per row, and sums down the
     rows in the order numpy's ``pairwise_sum`` sums each row of ``x``
     (``_sum_rows``), which is faster than numpy's reduction over the short
-    axis.
+    axis.  Beyond ``D2_SINGLE_PASS_BYTES`` of terms, about a core's L2
+    cache, the terms are formed and summed one block of points at a time,
+    so that a block's terms stay in cache between the passes.  A block
+    holds about ``D2_BLOCK_BYTES`` of terms and at least
+    ``D2_MIN_BLOCK_POINTS`` points.  Below the switch the blocks' buffer and
+    copy cost more than the cache saves (``tools/scatter_scale.py`` times
+    both sides of each constant).
     """
-    terms = np.subtract(training.columns, np.reshape(query, (-1, 1)))
-    terms /= training.axis_ranges[:, None]
-    terms *= terms
-    return _sum_rows(terms)
+    columns, query = training.columns, np.reshape(query, (-1, 1))
+    scale = training.axis_ranges[:, None]
+    if columns.nbytes <= D2_SINGLE_PASS_BYTES:
+        terms = np.subtract(columns, query)
+        terms /= scale
+        terms *= terms
+        return _sum_rows(terms)
+    n, npoints = columns.shape
+    block = max(D2_MIN_BLOCK_POINTS, D2_BLOCK_BYTES // (8 * n))
+    d2, buffer = np.empty(npoints), np.empty((n, block))
+    for start in range(0, npoints, block):
+        terms = buffer[:, : min(block, npoints - start)]
+        np.subtract(columns[:, start : start + block], query, out=terms)
+        terms /= scale
+        terms *= terms
+        d2[start : start + block] = _sum_rows(terms)
+    return d2
 
 
 def _sum_rows(terms: np.ndarray) -> np.ndarray:
@@ -340,6 +362,104 @@ def _fill_from_subsets(training, plans, add, order: _DistanceOrder, c):
         simplex = _build_simplex(training, ref, aux)
         if simplex is not None:
             add(simplex)
+
+
+def _scattered_plans(training: TrainingSet, queries: np.ndarray, c: int) -> tuple:
+    """Every scattered query's ``enumerate_combinations`` plan, built in lockstep.
+
+    Each query takes the first P = max(3n + 1, 2(n + 1)C) points of its
+    distance order.  The queries then step together: at each step every
+    query still building tests its next candidate, ``_build_simplex``'s test
+    on stacked arrays (``_accept_lanes``).  The base simplex takes the
+    nearest point as reference and the next 3n as candidates; the disjoint
+    blocks then run over the rest of the prefix, a block's first point its
+    reference.  A query is handed back, to go through
+    ``enumerate_combinations`` itself, when its base simplex fails or its
+    blocks run past its prefix, where that function would read further or
+    fill from subsets.  Returns the (Q, C) reference and (Q, C, n)
+    auxiliary rows of ``training`` and the (Q,) mask of the queries handed
+    back, whose rows are meaningless.
+    """
+    n, npoints, Q = training.n, training.npoints, len(queries)
+    budget = min(npoints - 1, CANDIDATE_FACTOR * n)
+    width = min(npoints, max(CANDIDATE_FACTOR * n + 1, 2 * (n + 1) * c))
+    order = np.empty((Q, width), dtype=int)
+    for i, query in enumerate(queries):
+        order[i] = _nearest_prefix(_normalised_d2(training, query), width)[:width]
+    reference = np.full((Q, c), -1)
+    aux = np.full((Q, c, n), -1)
+    basis = np.empty((Q, n, n))  # each query's accepted unit rows
+    k = np.zeros(Q, dtype=int)  # and their count
+
+    # the base simplex: the nearest point and the first independent of the next 3n
+    reference[:, 0] = order[:, 0]
+    used = np.zeros((Q, width), dtype=bool)
+    used[:, 0] = True
+    for j in range(1, budget + 1):
+        live = (k < n).nonzero()[0]
+        if not len(live):
+            break
+        cand = order[live, j]
+        took = live[_accept_lanes(training, order[live, 0], cand, basis, live, k, RANK_RTOL)]
+        aux[took, 0, k[took]] = order[took, j]
+        used[took, j] = True
+        k[took] += 1
+    handed = k < n
+    if c == 1:
+        return reference, aux, handed
+
+    # disjoint blocks over the rest of the prefix; a query whose base failed
+    # marks n + 1 points too, so that every query has width - n - 1 left
+    used[handed, : n + 1], used[handed, n + 1 :] = True, False
+    free = order[~used].reshape(Q, width - n - 1)
+    plans = np.where(handed, c, 1)
+    ref = np.full(Q, -1)  # the current block's reference; -1 before it is taken
+    for j in range(free.shape[1]):
+        live = (plans < c).nonzero()[0]
+        if not len(live):
+            break
+        cand = free[live, j]
+        lead = ref[live] < 0
+        ref[live[lead]], k[live[lead]] = cand[lead], 0
+        live, cand = live[~lead], cand[~lead]
+        took = _accept_lanes(training, ref[live], cand, basis, live, k, 0.3)
+        live, cand = live[took], cand[took]
+        aux[live, plans[live], k[live]] = cand
+        k[live] += 1
+        done = live[k[live] == n]
+        reference[done, plans[done]] = ref[done]
+        plans[done] += 1
+        ref[done] = -1
+    return reference, aux, handed | (plans < c)
+
+
+def _accept_lanes(training, origin, cand, basis, lanes, k, min_fraction) -> np.ndarray:
+    """``_build_simplex``'s test of one candidate in each of several lanes.
+
+    Lane i tests the row ``(x[cand[i]] - x[origin[i]]) / axis_ranges``
+    against its accepted rows ``basis[lanes[i], :k[lanes[i]]]``, with the
+    same arithmetic: the norm is a BLAS dot, and the projection runs once
+    for each group of lanes with the same count of accepted rows.  An
+    accepted row's unit vector is written to ``basis``.  Returns the mask of
+    the lanes that accept their candidate.
+    """
+    x = training.x
+    row = (x[cand] - x[origin]) / training.axis_ranges
+    norm = np.sqrt(np.matmul(row[:, None, :], row[:, :, None])[:, 0, 0])
+    took = norm > RANK_RTOL
+    count = k[lanes]
+    with np.errstate(all="ignore"):  # a rejected row may be zero
+        r = row / norm[:, None]
+        for m in np.bincount(count[took], minlength=1)[1:].nonzero()[0] + 1:
+            group = (took & (count == m)).nonzero()[0]
+            accepted = basis[lanes[group], :m]
+            rg = r[group] - np.matmul(accepted.transpose(0, 2, 1),
+                                      np.matmul(accepted, r[group, :, None]))[..., 0]
+            rn = np.sqrt(np.matmul(rg[:, None, :], rg[:, :, None])[:, 0, 0])
+            took[group] = rn > min_fraction
+            r[group] = rg / rn[:, None]
+    basis[lanes[took], count[took]] = r[took]
+    return took
 
 
 def axis_stencil(

@@ -531,4 +531,5 @@ def evaluate_smooth_batch(
     iters = iters.reshape(M, n, L).transpose(0, 2, 1)
 
     each_layer = partial(_smooth_layers, training, mesh=mesh, d=d, tol=tol, max_iter=max_iter)
-    return _finish_batch(training, queries, each_layer, bad, y_hat, reference, iters, flags)
+    return _finish_batch(training, queries, each_layer, bad, y_hat, reference,
+                         np.ones(M, dtype=int), iters, flags)

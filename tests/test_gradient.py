@@ -374,6 +374,62 @@ class TestGradientBatch:
         assert evaluate_gradient_batch(ts, [], mesh).y_hat.shape == (0, 1)
 
 
+class TestCombinationsUsed:
+    """``EstimateBatch.combinations_used`` is each query's
+    ``evaluate_gradient(...).combinations_used``, or 0 where that raises."""
+
+    def check(self, ts, queries, mesh, c):
+        batch = evaluate_gradient_batch(ts, queries, mesh, combinations=c)
+        scalar = [outcome(evaluate_gradient, ts, q, mesh, combinations=c) for q in queries]
+        assert batch.combinations_used.dtype.kind == "i"
+        assert batch.combinations_used.tolist() == [
+            0 if isinstance(e, type) else e.combinations_used for e in scalar]
+        return batch.combinations_used
+
+    @pytest.mark.parametrize("c", [1, 4, 16])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_singular_lanes_count_as_unused(self, seed, c):
+        # the point set of TestGradientBatch.test_singular_lanes_are_skipped:
+        # four points near each query lie on a line whose simplexes are singular
+        rng = np.random.default_rng(seed)
+        queries = np.stack([rng.uniform(0.3, 0.7, 6), rng.uniform(0.3e-6, 0.7e-6, 6)], axis=1)
+        line = np.concatenate([q + np.stack([rng.uniform(-0.02, 0.02, 4),
+                                             rng.uniform(-1e-16, 1e-16, 4)], axis=1)
+                               for q in queries])
+        far = np.stack([rng.uniform(0.0, 1.0, 40), rng.uniform(0.0, 1e-6, 40)], axis=1)
+        x = np.vstack([line, far])
+        ts = validate_training_set((x, np.stack([np.sin(3.0 * x[:, 0]), 1e6 * x[:, 1]], axis=1)),
+                                   n=2, layer_count=2)
+        used = self.check(ts, queries, None, c)
+        if c == 1:  # the singular lane's query fails
+            assert 0 in used
+        else:
+            assert ((0 < used) & (used < c)).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), c=st.sampled_from([1, 4, 16]),
+           count=st.integers(2, 60))
+    def test_scattered_sets(self, seed, n, c, count):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (count, n))
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, np.sin(3 * x).sum(axis=1)), n=n)
+        queries = rng.uniform(-0.2, 1.2, (8, n))
+        queries[0, 0] = np.nan
+        self.check(ts, queries, None, c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), c=st.sampled_from([1, 4]),
+           jitter=st.floats(0.0, 0.45), sparse=st.booleans())
+    def test_meshes(self, seed, n, c, jitter, sparse):
+        x, y, mesh, rng = random_grid(seed, n, jitter, sparse)
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, y), n=n)
+        used = self.check(ts, grid_queries(mesh, rng, 8), mesh, c)
+        if c == 1:
+            assert set(used.tolist()) <= {0, 1}
+
+
 class TestCombinationCount:
     """A combination count that is not an integer >= 1 fails before any work."""
 

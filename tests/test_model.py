@@ -170,6 +170,17 @@ class TestMeshIndex:
         assert mesh.point_at((1, 1)) == 0
         assert mesh.point_at((0, 0)) is None
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("grid_idx", [(1,), (1, 2, 3), (), [1], np.array([1, 2, 0])])
+    def test_index_of_the_wrong_length_is_rejected(self, sparse, grid_idx):
+        # a complete 4x4 grid used to read (1,) as row 1 and (1, 2, 3) as row 6
+        nodes = np.linspace(0.0, 1.0, 4)
+        index_map = {(i, j): 4 * i + j for i in range(4) for j in range(4)} if sparse else None
+        mesh = MeshIndex(axes=(nodes, nodes), index_map=index_map)
+        with pytest.raises(DimensionMismatch, match="grid index must have 2 entries"):
+            mesh.point_at(grid_idx)
+        assert mesh.point_at((1, 2)) == 6
+
     def test_axis_validation(self):
         with pytest.raises(ValidationError):
             MeshIndex(axes=(np.array([0.0]),))

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +18,7 @@ from gradsurf import (
     select_simplex,
     validate_training_set,
 )
-from gradsurf import neighbors
+from gradsurf import gradient, neighbors
 from gradsurf.model import GradsurfError, TrainingSet
 from gradsurf.neighbors import axis_stencil, is_extrapolation
 from tests_oracles import _oracle_d2, oracle_scattered_plan
@@ -346,6 +348,18 @@ class TestNormalisedDistances:
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+@pytest.mark.parametrize("n,npoints", [(1, 300_000), (3, 100_000), (9, 40_000)])
+def test_distances_over_many_points_are_summed_in_blocks(n, npoints):
+    rng = np.random.default_rng([n, npoints])
+    x = rng.normal(0.0, 1.0, (npoints, n)) * rng.uniform(0.1, 100.0, n)
+    ts = TrainingSet(x=x, y=np.zeros((npoints, 1)), n=n, layer_count=1)
+    for q in (rng.normal(0.0, 1.0, n), np.full(n, np.nan)):
+        with mock.patch.object(neighbors, "_sum_rows", wraps=neighbors._sum_rows) as blocks:
+            got = neighbors._normalised_d2(ts, q)
+        assert blocks.call_count > 4
+        assert got.view(np.int64).tolist() == _oracle_d2(ts, q).view(np.int64).tolist()
+
+
 class TestPlansAtManyAxes:
     """Plans at n >= 8, where numpy sums each row of distances pairwise."""
 
@@ -368,6 +382,103 @@ class TestPlansAtManyAxes:
             (s.reference, s.auxiliaries) for s in enumerate_combinations(ts, q, c).simplexes
         ])
         assert got == _plan_or_error(lambda: oracle_scattered_plan(ts, q, c))
+
+
+def _plan_rows(reference, aux):
+    return list(zip(reference.tolist(), map(tuple, aux.tolist())))
+
+
+class TestLockstepPlans:
+    """The batch's scattered plans are built in lockstep (``_scattered_plans``);
+    each equals the oracle's, and only the queries the lockstep hands back
+    go through ``enumerate_combinations``."""
+
+    def check(self, x, queries, c):
+        """The handed-back mask and the rows of the planned queries."""
+        n = x.shape[1]
+        ts = validate_training_set((x, np.zeros(len(x))), n=n)
+        want = [_plan_or_error(lambda: oracle_scattered_plan(ts, q, c)) for q in queries]
+        reference, aux, handed = neighbors._scattered_plans(ts, queries, c)
+        assert reference.shape == (len(queries), c) and aux.shape == (len(queries), c, n)
+        for i in np.flatnonzero(~handed):
+            assert _plan_rows(reference[i], aux[i]) == want[i]
+        # the batch repeats its queries up to the lockstep's minimum
+        tiled = -(-gradient.LOCKSTEP_MIN_QUERIES // len(queries))
+        with mock.patch.object(gradient, "enumerate_combinations",
+                               wraps=neighbors.enumerate_combinations) as scalar:
+            rows, reference, aux = gradient._planned_lanes(ts, np.tile(queries, (tiled, 1)), None, c)
+        called = [call.args[1] for call in scalar.call_args_list]
+        assert len(called) == tiled * handed.sum()
+        for q, i in zip(called, np.flatnonzero(np.tile(handed, tiled))):
+            assert np.array_equal(q, queries[i % len(queries)], equal_nan=True)
+        want_rows = [i for i, w in enumerate(want) if not isinstance(w, type)]
+        assert rows.tolist() == [i + t * len(queries) for t in range(tiled) for i in want_rows]
+        for i, r, a in zip(rows, reference, aux):
+            assert _plan_rows(r, a) == want[i % len(queries)]
+        return handed, rows[: len(want_rows)]
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 17), c=st.sampled_from([1, 2, 4, 16]),
+           kind=st.sampled_from(["uniform", "rounded", "collinear", "small"]),
+           nan_row=st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_batches_match_the_oracle(self, seed, n, c, kind, nan_row):
+        rng = np.random.default_rng(seed)
+        queries = rng.uniform(0.0, 1.0, (6, n))
+        if kind == "small":  # blocks run out: the subset fill, or too few points
+            x = rng.uniform(0.0, 1.0, (rng.integers(n + 1, 2 * n + 12), n))
+        else:
+            x = rng.uniform(0.0, 1.0, (rng.integers(30, 20 * n + 40), n))
+        if kind == "rounded":  # tied distances
+            x, queries = np.round(x, 1), np.round(queries, 1)
+        if kind == "collinear" and n > 1:  # the nearest points of two queries on a line
+            queries[:2] = rng.uniform(0.4, 0.6, (2, n))
+            steps = [rng.uniform(-0.05, 0.05, rng.integers(2, 15)) for _ in range(2)]
+            lines = [q + np.outer(t, rng.normal(size=n)) for q, t in zip(queries, steps)]
+            x = np.vstack([*lines, x[np.abs(x - queries[0]).max(axis=1) > 0.3]])
+        queries[nan_row, rng.integers(n)] = np.nan
+        x = x[np.sort(np.unique(x, axis=0, return_index=True)[1])]
+        assume(len(x) >= n + 1)
+        self.check(x, queries, c)
+
+    def test_query_past_its_prefix_gets_the_scalar_plan(self):
+        # n = 2 and C = 2 read a prefix of 12 points.  Near the first query
+        # the base simplex takes 3, and the 9 after them lie on one line,
+        # which no second block can finish; enumerate_combinations reads on
+        # to the far points.  Near the second, the reference and the next
+        # five points lie on one line, so the base simplex takes its last
+        # point from the last of the 3n candidates, and the query stays
+        qa, qb = np.array([0.5, 0.5]), np.array([0.2, 0.8])
+        near_a = np.vstack([qa + [[0.01, 0.0], [0.0, 0.012], [-0.011, -0.003]],
+                            qa + np.outer(np.linspace(0.02, 0.1, 12), [0.6, 0.8])])
+        near_b = qb + np.vstack([np.outer(np.arange(1, 7) * 1e-3, [1.0, 0.0]), [0.0, 0.0075]])
+        far = np.random.default_rng(0).uniform(0.0, 1.0, (60, 2))
+        far = far[(np.abs(far - qa).max(axis=1) > 0.3) & (np.abs(far - qb).max(axis=1) > 0.1)]
+        handed, rows = self.check(np.vstack([near_a, near_b, far]), np.array([qa, qb]), 2)
+        assert handed.tolist() == [True, False] and rows.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("count", [1, gradient.LOCKSTEP_MIN_QUERIES - 1,
+                                       gradient.LOCKSTEP_MIN_QUERIES,
+                                       2 * gradient.LOCKSTEP_MAX_QUERIES + 1])
+    def test_batches_are_planned_in_parts(self, count):
+        # fewer queries than the minimum are planned one by one; more than
+        # the maximum in even parts, each within both bounds
+        rng = np.random.default_rng(count)
+        ts = validate_training_set((rng.uniform(0.0, 1.0, (80, 2)), np.zeros(80)), n=2)
+        queries = rng.uniform(0.0, 1.0, (count, 2))
+        with mock.patch.object(gradient, "_scattered_plans", wraps=neighbors._scattered_plans) as lockstep, \
+                mock.patch.object(gradient, "enumerate_combinations",
+                                  wraps=neighbors.enumerate_combinations) as scalar:
+            rows, reference, aux = gradient._planned_lanes(ts, queries, None, 4)
+        parts = [len(call.args[1]) for call in lockstep.call_args_list]
+        if count < gradient.LOCKSTEP_MIN_QUERIES:
+            assert parts == [] and scalar.call_count == count
+        else:
+            assert sum(parts) == count and max(parts) - min(parts) <= 1
+            assert gradient.LOCKSTEP_MIN_QUERIES <= min(parts)
+            assert max(parts) <= gradient.LOCKSTEP_MAX_QUERIES
+        assert rows.tolist() == list(range(count))
+        for i, r, a in zip(rows, reference, aux):
+            assert _plan_rows(r, a) == oracle_scattered_plan(ts, queries[i], 4)
 
 
 def test_is_extrapolation():

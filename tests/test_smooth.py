@@ -421,6 +421,7 @@ def batch_estimate(batch, i, layer=0) -> Estimate:
         y_hat=float(batch.y_hat[i, layer]),
         method="smooth",
         reference_index=int(batch.reference_index[i]),
+        combinations_used=int(batch.combinations_used[i]),
         newton_iterations=tuple(int(v) for v in batch.newton_iterations[i, layer]),
         flags=tuple(batch.flags[i, layer]),
         extrapolated=bool(batch.extrapolated[i]),

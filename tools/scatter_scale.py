@@ -8,14 +8,21 @@ an older commit unpacked elsewhere:
 
 For each dimension n and size N in ``SHAPES``, N uniform noisy n-D points
 and ``QUERIES`` queries are drawn from a fixed seed.  At n = 9 every
-distance is a sum of nine terms, which numpy adds pairwise.  Each side times
-``evaluate_gradient_batch`` on all queries (one call) and one
+distance is a sum of nine terms, which numpy adds pairwise.  At n = 17 the
+batch's lockstep planner hands some queries back to the scalar planner.
+Each side times ``evaluate_gradient_batch`` on all queries (one call) and one
 ``evaluate_gradient`` call per query, at C = 1 and C = 16 combinations, in a
 fresh process that imports ``src/gradsurf`` of its checkout.  The sides
 alternate, ``REPEATS`` times each; the JSON holds every run and the
 median microseconds per query of each side, their ratio, and ``nproc``.
 Each run checks that its batch and single-query estimates agree bit for
 bit, and the JSON records whether the two sides' estimates are equal.
+
+The current tree alone also times one ``neighbors._normalised_d2`` call at
+each n and N of ``DISTANCE_SHAPES``, on both sides of the constants that
+choose its passes: one pass over all terms against blocks of points, and
+blocks with and without their floor of points (``distance_blocks`` in the
+JSON).
 """
 
 from __future__ import annotations
@@ -32,10 +39,13 @@ from pathlib import Path
 
 import numpy as np
 
-SHAPES = ((3, 5_000), (3, 50_000), (3, 500_000), (9, 5_000), (9, 50_000))
+SHAPES = ((3, 5_000), (3, 50_000), (3, 500_000), (9, 5_000), (9, 50_000), (17, 5_000))
+DISTANCE_SHAPES = ((3, 5_000), (3, 45_000), (3, 87_000), (3, 130_000), (3, 500_000),
+                   (9, 16_000), (9, 50_000), (17, 10_000), (17, 30_000), (99, 2_000),
+                   (99, 20_000))
 COMBINATIONS = (1, 16)
 QUERIES = 50
-REPEATS = 3
+REPEATS = 5
 SEED = 5
 NOISE_SIGMA = 0.05
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,9 +84,50 @@ def measure() -> dict:
     return out
 
 
-def run_side(checkout: Path) -> dict:
+def distance_blocks() -> dict:
+    """Microseconds of one distance pass, per n and N, as each variant runs it.
+
+    ``single_pass`` forms all terms at once, ``blocks`` forms them in blocks
+    of at least ``D2_MIN_BLOCK_POINTS`` points and ``blocks_without_floor``
+    in blocks of ``D2_BLOCK_BYTES`` only; ``chosen`` is the variant the
+    constants pick.  Every variant's distances are checked equal.
+    """
+    import timeit
+
+    from gradsurf import neighbors, validate_training_set
+
+    shipped = neighbors.D2_SINGLE_PASS_BYTES, neighbors.D2_MIN_BLOCK_POINTS
+    variants = {"single_pass": (float("inf"), shipped[1]), "blocks": (0, shipped[1]),
+                "blocks_without_floor": (0, 1)}
+    out = {}
+    for n, npoints in DISTANCE_SHAPES:
+        x, y, queries = inputs(n, npoints)
+        training = validate_training_set((x, y), n=n)
+        want = neighbors._normalised_d2(training, queries[0]).tobytes()
+        number = max(3, 2_000_000 // (n * npoints))
+        times = {name: [] for name in variants}
+        try:
+            for _ in range(REPEATS):
+                for name, constants in variants.items():
+                    neighbors.D2_SINGLE_PASS_BYTES, neighbors.D2_MIN_BLOCK_POINTS = constants
+                    call = lambda: neighbors._normalised_d2(training, queries[0])  # noqa: E731
+                    if call().tobytes() != want:
+                        raise SystemExit(f"n={n} N={npoints}: {name} distances differ")
+                    best = min(timeit.repeat(call, number=number, repeat=3))
+                    times[name].append(best / number * 1e6)
+        finally:
+            neighbors.D2_SINGLE_PASS_BYTES, neighbors.D2_MIN_BLOCK_POINTS = shipped
+        chosen = "single_pass" if 8 * n * npoints <= shipped[0] else "blocks"
+        out[f"n={n} N={npoints}"] = {
+            "terms_bytes": 8 * n * npoints, "chosen": chosen,
+            **{f"{name}_us": statistics.median(t) for name, t in times.items()},
+        }
+    return out
+
+
+def run_side(checkout: Path, flag: str = "--measure") -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    args = [sys.executable, str(Path(__file__).resolve()), "--measure"]
+    args = [sys.executable, str(Path(__file__).resolve()), flag]
     done = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -93,9 +144,14 @@ def main(argv=None) -> int:
     p.add_argument("--output", type=Path, default=ROOT / "BENCH_scatter-scale.json")
     p.add_argument("--measure", action="store_true",
                    help="time the gradsurf package on the import path and print JSON")
+    p.add_argument("--measure-distances", action="store_true",
+                   help="time its distance pass's variants and print JSON")
     args = p.parse_args(argv)
     if args.measure:
         print(json.dumps(measure()))
+        return 0
+    if args.measure_distances:
+        print(json.dumps(distance_blocks()))
         return 0
     if args.parent is None:
         p.error("--parent is required")
@@ -129,6 +185,9 @@ def main(argv=None) -> int:
         "method": f"{REPEATS} repeats per side in fresh processes, sides "
                   "alternating; medians of microseconds per query",
         "results": results,
+        "distance_method": f"the change side alone, one fresh process: {REPEATS} rounds "
+                           "over the variants, each the best of 3 timeit repeats; medians",
+        "distance_blocks": run_side(sides["change"], "--measure-distances"),
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
