@@ -103,12 +103,14 @@ def _fast_rows(body: str, width: int) -> Optional[np.ndarray]:
     """The rows of ``body``, a file's text after its header, or None when the
     per-row reader must judge it.
 
-    The body is converted in blocks of whole lines, which bounds the strings
-    held at once.  A block of ``_NUMBER_TEXT`` alone holds no quote, space,
-    '_' or digit of another script, so each of its lines splits on ',' as
-    ``csv.reader`` splits it.  Every line must hold ``width`` fields that
-    ``float`` reads; an empty field (a blank line among them) or a field
-    longer than the csv module's limit sends the file to the per-row reader.
+    The body is converted by ``np.loadtxt`` in blocks of whole lines, which
+    bounds the strings held at once.  A block of ``_NUMBER_TEXT`` alone holds
+    no quote, space, '_' or digit of another script, so each of its lines
+    splits on ',' as ``csv.reader`` splits it, and ``loadtxt`` reads each
+    field as ``float`` does.  Every line must hold ``width`` fields; a blank
+    line (which ``loadtxt`` would skip, shifting the line numbers), an empty
+    field (which ``loadtxt`` refuses) or a field longer than the csv module's
+    limit sends the file to the per-row reader.
     """
     blocks, start = [], 0
     while start < len(body):
@@ -121,11 +123,15 @@ def _fast_rows(body: str, width: int) -> Optional[np.ndarray]:
             return None
         if max(map(len, lines)) > csv.field_size_limit():
             return None
+        if not all(lines):
+            return None
         try:
-            values = list(map(float, ",".join(lines).split(",")))
+            values = np.loadtxt(lines, delimiter=",", ndmin=2)
         except ValueError:
             return None
-        blocks.append(np.array(values).reshape(-1, width))
+        if values.shape != (len(lines), width):
+            return None
+        blocks.append(values)
     return np.concatenate(blocks) if blocks else np.empty((0, width))
 
 

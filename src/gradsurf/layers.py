@@ -4,7 +4,9 @@ and worker fan-out that every multi-query caller shares."""
 from __future__ import annotations
 
 import inspect
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Optional
@@ -54,19 +56,55 @@ def _method_batch(mesh, method: str, kwargs: dict) -> Callable:
     return partial(batch, mesh=mesh, **kwargs)
 
 
+_pools: dict = {}  # worker count -> the warm ProcessPoolExecutor of that size
+# a forked child's copies of its parent's pools: kept alive and never used,
+# since collecting one runs a callback that takes a lock the parent's pool
+# thread may have held at the fork
+_inherited: list = []
+
+
+def _forget_inherited_pools() -> None:
+    _inherited.append(dict(_pools))
+    _pools.clear()
+
+
+os.register_at_fork(after_in_child=_forget_inherited_pools)
+
+
+def _shutdown_pools() -> None:
+    """Shut down every warm pool and join its workers; the next fan-out
+    starts a new one.  ``concurrent.futures`` does the same at exit."""
+    while _pools:
+        _pools.popitem()[1].shutdown()
+
+
 def _fan_out(work: Callable[[np.ndarray], object], items, workers: int) -> list:
     """``work`` over ``items`` split into one chunk per worker process.
 
     The results come back as a list, one per chunk, in input order.  Small
     inputs, or one worker, run in this process as one chunk.  ``work`` must
     pickle (a module-level function or a ``functools.partial`` of one), and
-    so must its results.
+    so must its results; it is pickled anew for every chunk of every call.
+
+    The workers start on the first fan-out of each worker count and are
+    reused for the life of the process.  They keep the module state they
+    were forked with, so a function replaced on a module later (a monkeypatch,
+    say) is not the one they run.  A pool whose worker died raises
+    BrokenProcessPool for the call that saw it and is dropped, so the next
+    call starts a new one.
     """
     if workers <= 1 or len(items) < 2 * workers:
         return [work(items)]
     chunks = [c for c in np.array_split(np.asarray(items), workers) if len(c)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool = _pools.get(workers)
+    if pool is None:
+        pool = _pools[workers] = ProcessPoolExecutor(max_workers=workers)
+    try:
         return list(pool.map(work, chunks))
+    except BrokenProcessPool:
+        del _pools[workers]
+        pool.shutdown()
+        raise
 
 
 @dataclass(frozen=True)

@@ -154,10 +154,11 @@ def validate_training_set(points, n: int, layer_count: int = 1) -> TrainingSet:
             f"need at least n+1 = {n + 1} points, got {x.shape[0]}"
         )
 
-    # exact-equality duplicate check; near-duplicates surface later as
-    # solver degeneracy
-    _, counts = np.unique(x, axis=0, return_counts=True)
-    if (counts > 1).any():
+    # exact-equality duplicate check: equal rows sort next to each other
+    # (0.0 and -0.0 are equal); near-duplicates surface later as solver
+    # degeneracy
+    rows = x[np.lexsort(x.T)]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise DuplicatePoint("two points share identical coordinates")
 
     return TrainingSet(x=x.copy(), y=y.copy(), n=n, layer_count=layer_count)

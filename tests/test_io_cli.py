@@ -476,6 +476,59 @@ class TestWholeFileParse:
         assert got == per_row
         assert took_fast_path == fast
 
+    EDGE_FIELDS = ["-0.0", "1e400", "-1e400", "1e-400", "-1e-400", "4.9e-324", "+.5", "5.",
+                   "nan", "+nan", "-nan", "inf", "+inf", "-inf",
+                   "infinity", "+infinity", "-infinity"]
+    MIXED_CASE = ["NaN", "NAN", "-NaN", "+nAn", "Inf", "INF", "-Inf", "+iNF",
+                  "Infinity", "INFINITY", "-InFiNiTy", "+Infinity"]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_fast_path_gives_the_bits_of_float(self, width):
+        fields = self.EDGE_FIELDS * width  # every field in every column
+        body = "".join(",".join(fields[i:i + width]) + "\n"
+                       for i in range(0, len(fields), width))
+        rows = gio._fast_rows(body, width)
+        want = np.array([float(f) for f in fields]).reshape(-1, width)
+        assert rows is not None and rows.shape == want.shape
+        assert rows.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_mixed_case_spellings_read_as_float_reads_them(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("x1\n" + "".join(f"{f}\n" for f in self.MIXED_CASE))
+        got, per_row, took_fast_path = read_both_ways(path)
+        assert got == per_row and not took_fast_path
+        want = np.array([float(f) for f in self.MIXED_CASE])
+        assert np.frombuffer(got[1], dtype=np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("body", ["0.5,,1\n", ",0.5,1\n", "0.5,1,\n", "1,2,3\r\n0.5,1,\r\n",
+                                      "1,2,3\r,1,2\r", "1,2,3\n,1,2"])
+    def test_empty_field_goes_to_the_per_row_reader(self, tmp_path, body):
+        path = tmp_path / "q.csv"
+        path.write_text("x1,x2,x3\n" + body, encoding="utf-8", newline="")
+        got, per_row, took_fast_path = read_both_ways(path)
+        assert got == per_row and not took_fast_path
+        assert got[0] is ParseError
+
+    @pytest.mark.parametrize("body,linenos", [
+        ("0.5\n\n1.5\n", [2, 4]),
+        ("0.5\r\n\r\n1.5\r\n", [2, 4]),
+        ("\n0.5\n", [3]),
+        ("\n\n", []),
+        ("0.5\n\n1.5\nzap\n", None),
+    ])
+    def test_blank_line_in_a_one_column_file_goes_to_the_per_row_reader(
+            self, tmp_path, body, linenos):
+        path = tmp_path / "q.csv"
+        path.write_text("x1\n" + body, encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns of a body with no data
+            got, per_row, took_fast_path = read_both_ways(path)
+        assert got == per_row and not took_fast_path
+        if linenos is None:
+            assert got == (ParseError, f"{path}, line 5: could not convert string to float: 'zap'")
+        else:
+            assert got[2] == linenos
+
     def test_wrong_field_count_names_its_line(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text("x1,x2\n0.5,0.25\n1.5,1.75\n2.5,2.75,3.0\n")

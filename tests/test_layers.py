@@ -1,6 +1,14 @@
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
+
 import numpy as np
 import pytest
 
+from gradsurf import layers
 from gradsurf import (
     DimensionMismatch,
     MeshIndex,
@@ -186,3 +194,85 @@ def test_combination_count_below_one_is_a_validation_error(mode, count):
         evaluate_gradient_batch(ts, queries, mesh, combinations=count)
     with pytest.raises(ValidationError, match="combination count must be >= 1"):
         evaluate_layers(ts, queries[0], mesh=mesh, method="gradient", combinations=count)
+
+
+def _sum_or_die(chunk):
+    """The chunk's sum, or the death of the worker that holds the chunk starting at 0."""
+    if chunk[0] == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return float(np.sum(chunk))
+
+
+class TestWarmPools:
+    """``layers._fan_out`` keeps one pool per worker count for the process."""
+
+    ITEMS = np.arange(1.0, 9.0)
+    SUMS = [10.0, 26.0]
+
+    def test_repeated_fan_outs_on_one_pool_equal_the_in_process_result(self):
+        from gradsurf import TEST_FUNCTIONS, evaluate_smooth_batch, gen_mesh_dataset, gen_queries
+
+        pool = None
+        for seed, (name, nodes) in enumerate([("S1", 6), ("S2", 7), ("T1", 9)]):
+            f = TEST_FUNCTIONS[name]
+            ts, mesh = gen_mesh_dataset(f, nodes, seed=seed)
+            queries, _, _ = gen_queries(mesh, f, ts, budget=30, seed=seed + 1)
+            for batch in (evaluate_gradient_batch, evaluate_smooth_batch):
+                work = partial(batch, ts, mesh=mesh)
+                fanned = layers._fan_out(work, queries, 2)
+                assert len(fanned) == 2
+                pool = pool or layers._pools[2]
+                assert layers._pools[2] is pool
+                whole = work(queries)
+                got = np.concatenate([part.y_hat for part in fanned])
+                assert got.tobytes() == whole.y_hat.tobytes()
+                assert np.concatenate([part.flags for part in fanned]).tolist() == \
+                    whole.flags.tolist()
+
+    def test_killed_worker_fails_only_its_call(self):
+        assert layers._fan_out(_sum_or_die, self.ITEMS, 2) == self.SUMS
+        first = layers._pools[2]
+        with pytest.raises(BrokenProcessPool):
+            layers._fan_out(_sum_or_die, self.ITEMS - 1.0, 2)
+        assert 2 not in layers._pools
+        assert layers._fan_out(_sum_or_die, self.ITEMS, 2) == self.SUMS
+        assert layers._pools[2] is not first
+
+    def test_forked_child_builds_its_own_pool(self):
+        assert layers._fan_out(_sum_or_die, self.ITEMS, 2) == self.SUMS
+        parent_pool = layers._pools[2]
+        parent_workers = set(parent_pool._processes)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports through the pipe and never returns
+            try:
+                inherited = dict(layers._pools)
+                sums = layers._fan_out(_sum_or_die, self.ITEMS, 2)
+                own = set(layers._pools[2]._processes)
+                ok = (not inherited and sums == self.SUMS and own
+                      and not own & parent_workers
+                      and all(os.waitpid(p, os.WNOHANG) == (0, 0) for p in own))
+                layers._shutdown_pools()
+                os.write(write, b"ok" if ok else b"bad")
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 60.0
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish within 60 s")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as fh:
+            assert fh.read() == b"ok"
+        assert layers._fan_out(_sum_or_die, self.ITEMS, 2) == self.SUMS
+        assert layers._pools[2] is parent_pool
+
+    def test_shutdown_leaves_no_worker(self):
+        assert layers._fan_out(_sum_or_die, self.ITEMS, 2) == self.SUMS
+        assert len(layers._fan_out(_sum_or_die, self.ITEMS, 3)) == 3
+        assert len(multiprocessing.active_children()) == 5
+        layers._shutdown_pools()
+        assert layers._pools == {}
+        assert multiprocessing.active_children() == []

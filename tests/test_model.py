@@ -36,6 +36,34 @@ class TestValidateTrainingSet:
         with pytest.raises(DuplicatePoint):
             validate_training_set((x, [1.0, 2.0, 3.0, 4.0]), n=2)
 
+    @given(n=st.integers(1, 99), extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+           pool=st.integers(1, 4), copy=st.sampled_from([None, "exact", "signed zeros", "nudged"]))
+    @settings(max_examples=300, deadline=None)
+    def test_duplicate_verdict_equals_np_unique(self, n, extra, seed, pool, copy):
+        rng = np.random.default_rng(seed)
+        x = rng.choice([0.0, -0.0, 1.0, -2.5, 0.125][:pool + 1], size=(n + 1 + extra, n))
+        x[rng.random(x.shape) < 0.3] = rng.uniform(-1.0, 1.0)
+        if copy is not None:
+            i, j = rng.choice(len(x), 2, replace=False)
+            x[j] = x[i]
+            if copy == "signed zeros":
+                x[j][x[j] == 0.0] *= -1.0
+            elif copy == "nudged":
+                k = rng.integers(n)
+                x[j, k] = np.nextafter(x[j, k], np.inf)
+        expected = bool((np.unique(x, axis=0, return_counts=True)[1] > 1).any())
+        try:
+            validate_training_set((x, np.zeros(len(x))), n=n)
+        except DuplicatePoint:
+            assert expected
+        else:
+            assert not expected
+
+    def test_signed_zeros_are_one_point(self):
+        x = [(0.0, 1.0), (1.0, 0.0), (-0.0, 1.0)]
+        with pytest.raises(DuplicatePoint):
+            validate_training_set((x, [1.0, 2.0, 3.0]), n=2)
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyTrainingSet):
             validate_training_set((np.empty((0, 2)), np.empty((0, 1))), n=2)
