@@ -220,8 +220,7 @@ def gen_local_cell_dataset(
     if y_noise is not None:
         y = y + y_noise.draw(rng, y.shape)
     training = validate_training_set((x, y.reshape(-1, 1)), n=n, layer_count=1)
-    index_map = {tuple(g): i for i, g in enumerate(grid.tolist())}
-    mesh = MeshIndex(axes=tuple([nodes] * n), index_map=index_map)
+    mesh = MeshIndex(axes=tuple([nodes] * n), grid=grid, rows=np.arange(len(grid)))
 
     off = rng.uniform(*QUERY_OFFSETS, n)
     while len(np.unique(off)) < n:

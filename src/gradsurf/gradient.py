@@ -217,6 +217,8 @@ def evaluate_gradient_batch(
     """
     _check_combination_count(combinations)
     queries = _query_rows(queries, training.n)
+    if mesh is not None:
+        mesh.check_fit(training)
     if mesh is not None and combinations == 1:
         reference, aux = _mesh_simplexes(mesh, mesh.cells_of(queries))
         y_hat, singular = _lane_estimates(training, queries, reference, aux)

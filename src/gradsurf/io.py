@@ -181,12 +181,12 @@ def _check_mesh(training, mesh, sidecar, path, linenos) -> None:
     """Check that every row the sidecar files under a node sits at that node.
 
     A complete grid files row r under the r-th node in row-major order, a
-    sparse one under its ``index_map`` key.  A filed row may stray from its
+    sparse one under its ``grid`` index.  A filed row may stray from its
     node by ``jitter_fraction`` of the node's narrower adjacent cell along
     each axis, plus rounding slack.
     """
     shape, npoints = mesh.shape, training.npoints
-    if mesh.index_map is None:
+    if mesh.grid is None:
         if npoints != prod(shape):
             raise ParseError(
                 f"{sidecar}: a complete {shape} grid needs {prod(shape)} rows, "
@@ -195,13 +195,9 @@ def _check_mesh(training, mesh, sidecar, path, linenos) -> None:
         rows = np.arange(npoints)
         grid = np.stack(np.unravel_index(rows, shape), axis=1)
     else:
-        for key, row in mesh.index_map.items():
-            if len(key) != mesh.n or not all(0 <= k < m for k, m in zip(key, shape)):
-                raise ParseError(f"{sidecar}: index_map names node {key} outside the axes")
-            if not 0 <= row < npoints:
-                raise ParseError(f"{sidecar}: index_map names row {row} of {npoints} in {path}")
-        rows = np.fromiter(mesh.index_map.values(), dtype=int, count=len(mesh.index_map))
-        grid = np.array(list(mesh.index_map), dtype=int).reshape(len(rows), mesh.n)
+        rows, grid = mesh.rows, mesh.grid
+        if len(rows) and rows.max() >= npoints:
+            raise ParseError(f"{sidecar}: index_map names row {rows.max()} of {npoints} in {path}")
     off = np.zeros(len(rows), dtype=bool)
     for a, nodes in enumerate(mesh.axes):
         gaps = np.diff(nodes)
@@ -217,6 +213,8 @@ def _check_mesh(training, mesh, sidecar, path, linenos) -> None:
 
 
 def load_mesh_sidecar(path) -> MeshIndex:
+    """The mesh of a sidecar file; a sparse grid's ``index_map`` is read into
+    the mesh's ``grid`` and ``rows`` arrays."""
     try:
         with open(path, encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -228,25 +226,38 @@ def load_mesh_sidecar(path) -> MeshIndex:
         raise ParseError(f"{path}: missing or malformed 'axes'") from exc
     if not all(a.ndim == 1 for a in axes):
         raise ParseError(f"{path}: each of 'axes' must be a list of numbers")
-    index_map = None
+    grid = rows = None
     if meta.get("index_map") is not None:
         try:
-            index_map = {
-                tuple(_numbers(key.split(","), int)): v
-                for key, v in meta["index_map"].items()
-            }
+            items = meta["index_map"].items()
+            keys = [_numbers(key.split(","), int) for key, _ in items]
         except (AttributeError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed 'index_map': {exc}") from exc
-        for key, v in meta["index_map"].items():
+        for key, v in items:
             if type(v) is not int:  # bool is an int subclass, and not a row
                 raise ParseError(
                     f"{path}: index_map value of key {key!r} is {v!r}, not a JSON integer"
                 )
+        n = len(axes)
+        bad = next((key for key in keys if len(key) != n), None)
+        if bad is None:
+            try:
+                grid = np.array(keys, dtype=int).reshape(len(keys), n)
+                rows = np.fromiter((v for _, v in items), dtype=int, count=len(keys))
+            except OverflowError as exc:
+                raise ParseError(f"{path}: malformed 'index_map': {exc}") from exc
+            outside = ((grid < 0) | (grid >= [len(a) for a in axes])).any(axis=1)
+            bad = grid[np.argmax(outside)].tolist() if outside.any() else None
+        if bad is not None:
+            raise ParseError(f"{path}: index_map names node {tuple(bad)} outside the axes")
     try:
         jitter_fraction = float(meta.get("jitter_fraction", 0.0))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed 'jitter_fraction'") from exc
-    return MeshIndex(axes=axes, jitter_fraction=jitter_fraction, index_map=index_map)
+    try:
+        return MeshIndex(axes=axes, jitter_fraction=jitter_fraction, grid=grid, rows=rows)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_dataset(path, training: TrainingSet, mesh: Optional[MeshIndex] = None) -> None:
@@ -270,11 +281,9 @@ def save_dataset(path, training: TrainingSet, mesh: Optional[MeshIndex] = None) 
             "jitter_fraction": mesh.jitter_fraction,
             "layout": "row-major",
         }
-        if mesh.index_map is not None:
-            meta["index_map"] = {
-                ",".join(str(t) for t in k): int(v)
-                for k, v in sorted(mesh.index_map.items())
-            }
+        if mesh.grid is not None:  # json.dump sorts the keys
+            meta["index_map"] = dict(zip(map(",".join, mesh.grid.astype(str).tolist()),
+                                         mesh.rows.tolist()))
         with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")

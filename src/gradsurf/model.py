@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import count
+from math import prod
 from numbers import Integral
 from typing import Mapping, Optional, Sequence
 
@@ -198,27 +200,78 @@ def validate_query(coords, n: int) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
 class MeshIndex:
     """Structured view of a TrainingSet as a rectangular (possibly jittered) grid.
 
-    ``axes`` holds the nominal node positions per axis.  For a complete grid
-    stored in row-major node order no explicit mapping is needed; sparse
-    grids carry a dict from grid multi-index to point index.
+    ``axes`` holds the nominal node positions per axis.  A complete grid
+    files its points in row-major node order and needs no mapping.  A sparse
+    grid files each point under a node: ``grid`` holds the (K, n) grid
+    indices of its filed nodes, in the narrowest unsigned dtype that holds
+    them and the axis lengths, and ``rows`` their (K,) training rows.  Give
+    them as those two arrays, or as ``index_map``, a dict from grid
+    multi-index to row.  Construction raises ValidationError for an index of
+    other than n entries, an index entry or a row that is not a
+    non-negative integer, and a node filed twice.  A node past the end of
+    its axis, or a row past the end of a training set, is refused where the
+    mesh meets that training set (``check_fit``).
     """
 
-    axes: tuple
-    jitter_fraction: float = 0.0
-    index_map: Optional[Mapping[tuple, int]] = None
-
-    def __post_init__(self):
-        for nodes in self.axes:
+    def __init__(self, axes, jitter_fraction: float = 0.0,
+                 index_map: Optional[Mapping[tuple, int]] = None, *,
+                 grid=None, rows=None):
+        self.axes = axes
+        self.jitter_fraction = jitter_fraction
+        for nodes in {id(nodes): nodes for nodes in axes}.values():  # each array once
             if len(nodes) < 2:
                 raise ValidationError("each mesh axis needs at least 2 nodes")
             if not np.all(np.diff(nodes) > 0):
                 raise ValidationError("mesh axis nodes must strictly increase")
-        if not (0.0 <= self.jitter_fraction < 0.5):
+        if not (0.0 <= jitter_fraction < 0.5):
             raise ValidationError("jitter fraction must lie in [0, 0.5)")
+        if index_map is not None:
+            if grid is not None or rows is not None:
+                raise ValidationError("give a sparse grid as index_map or as grid and rows")
+            grid, rows = _index_map_arrays(index_map, len(axes))
+        elif (grid is None) != (rows is None):
+            raise ValidationError("a sparse grid needs both grid and rows")
+        self.grid = self.rows = None
+        self._max_row = prod(self.shape) - 1
+        self._past_axes = False
+        if grid is not None:
+            self.grid, self.rows, self._weights, self._keys = _filed_nodes(self.shape, grid, rows)
+            self._max_row = int(self.rows.max(initial=-1))
+            self._past_axes = bool((self.grid >= self.shape).any())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeshIndex):
+            return NotImplemented
+        return (
+            len(self.axes) == len(other.axes)
+            and all(np.array_equal(a, b) for a, b in zip(self.axes, other.axes))
+            and self.jitter_fraction == other.jitter_fraction
+            and self.index_map == other.index_map
+        )
+
+    __hash__ = None
+
+    @property
+    def index_map(self) -> Optional[dict]:
+        """A sparse grid's dict from grid multi-index (a tuple) to row, built
+        on each read; None for a complete grid."""
+        if self.grid is None:
+            return None
+        return dict(zip(map(tuple, self.grid.tolist()), self.rows.tolist()))
+
+    def check_fit(self, training: TrainingSet) -> None:
+        """Raise ValidationError unless every filed node lies on the axes and
+        names a row of ``training``."""
+        if self._max_row >= training.npoints:
+            raise ValidationError(
+                f"the mesh files row {self._max_row}, but the training set has "
+                f"{training.npoints} points"
+            )
+        if self._past_axes:
+            raise ValidationError(f"the mesh files a node past the end of its {self.shape} axes")
 
     @property
     def n(self) -> int:
@@ -241,14 +294,31 @@ class MeshIndex:
             raise DimensionMismatch(
                 f"grid index must have {len(self.axes)} entries, got {len(grid_idx)}"
             )
-        if self.index_map is not None:
-            return self.index_map.get(tuple(grid_idx))
+        if self.grid is not None:
+            try:
+                row = self._filed.get(self._node_key(grid_idx))
+            except ValueError:  # an entry that no byte holds: off the grid
+                return None
+            if row is None and isinstance(grid_idx, np.ndarray):  # its bytes are its buffer
+                return self.point_at(grid_idx.tolist())
+            return row
         flat = 0
         for i, m in zip(grid_idx, self.shape):
             if not (0 <= i < m):
                 return None
             flat = flat * m + i
         return flat
+
+    @cached_property
+    def _node_key(self):
+        # a byte per entry where a byte holds every index: a fifth of a tuple's memory
+        return bytes if self.grid.dtype == np.uint8 else tuple
+
+    @cached_property
+    def _filed(self) -> dict:
+        """Row by ``_node_key`` of each filed node, for ``point_at``; a tuple
+        of numpy integers equals the tuple of the same ints."""
+        return dict(zip(map(self._node_key, self.grid), self.rows.tolist()))
 
     def cell_of(self, query: np.ndarray) -> tuple:
         """Grid multi-index of the node at the lower corner of the query's cell.
@@ -277,6 +347,65 @@ class MeshIndex:
             nodes = np.asarray(nodes, dtype=float)
             groups.setdefault(nodes.tobytes(), (nodes, []))[1].append(a)
         return tuple(groups.values())
+
+
+def _index_map_arrays(index_map: Mapping, n: int) -> tuple:
+    """The keys of ``index_map`` as a (K, n) array and its values as a (K,) one."""
+    for key in index_map:
+        if not isinstance(key, tuple) or len(key) != n:
+            raise ValidationError(f"grid index {key!r} must be a tuple of {n} entries")
+    if not index_map:
+        return np.empty((0, n), dtype=np.uint8), np.empty(0, dtype=int)
+    return np.array(list(index_map)), np.array(list(index_map.values()))
+
+
+@lru_cache(maxsize=256)
+def _node_weights(n: int, draw: int) -> np.ndarray:
+    """The ``draw``-th vector of random odd int64 weights of the node keys on
+    n axes, read-only; cached, as a generator costs more than a small mesh's keys."""
+    info = np.iinfo(np.int64)
+    rng = np.random.default_rng([n, draw])
+    weights = rng.integers(info.min, info.max, n, dtype=np.int64, endpoint=True) | 1
+    weights.setflags(write=False)
+    return weights
+
+
+def _filed_nodes(shape: tuple, grid, rows) -> tuple:
+    """A sparse grid's checked ``grid`` and ``rows``, sorted by node key, with
+    the weights of the keys and the sorted keys.
+
+    A node's key is its grid index dotted with odd random int64 weights,
+    wrapping.  Where two filed nodes share a key the weights are drawn
+    again, so every filed node has a key of its own; a node filed twice
+    always shares its key, and raises ValidationError.
+    """
+    n = len(shape)
+    grid, rows = np.asarray(grid), np.asarray(rows)
+    if grid.ndim != 2 or grid.shape[1] != n or rows.shape != grid.shape[:1]:
+        raise ValidationError(
+            f"a sparse grid needs a (K, {n}) grid and (K,) rows, got shapes "
+            f"{grid.shape} and {rows.shape}"
+        )
+    if grid.dtype.kind not in "iu" or (grid < 0).any():
+        raise ValidationError("every grid index entry must be a non-negative integer")
+    if rows.dtype.kind not in "iu" or (rows < 0).any():
+        raise ValidationError("every row must be a non-negative integer")
+    grid = grid.astype(np.min_scalar_type(max(max(shape) - 1, int(grid.max(initial=0)))))
+    rows = rows.astype(int)
+    for draw in count():
+        weights = _node_weights(n, draw)
+        keys = grid.astype(np.int64) @ weights
+        order = np.argsort(keys)
+        keys, grid, rows = keys[order], grid[order], rows[order]
+        tied = np.flatnonzero(keys[1:] == keys[:-1])
+        if not len(tied):
+            break
+        twice = tied[(grid[tied] == grid[tied + 1]).all(axis=1)]
+        if len(twice):
+            raise ValidationError(f"node {tuple(grid[twice[0]].tolist())} is filed twice")
+    for v in (grid, rows, keys):
+        v.setflags(write=False)
+    return grid, rows, weights, keys
 
 
 @dataclass(frozen=True)

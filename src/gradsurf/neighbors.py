@@ -25,6 +25,7 @@ STENCIL_STEPS = (-1, 0, 1, 2)  # Y0..Y3, in nodes from the lower bracketing node
 D2_BLOCK_BYTES = 1 << 19  # distance terms formed per block over many points
 D2_MIN_BLOCK_POINTS = 8192  # fewer points per block cost more calls than the cache saves
 D2_SINGLE_PASS_BYTES = 1 << 21  # up to this many bytes of terms, one pass is faster
+COMPARE_BYTES = 1 << 18  # grid index entries compared at a time in a sparse lookup
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,14 @@ def _sum_rows(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mesh_cell(mesh: MeshIndex, query: np.ndarray) -> tuple[tuple, int]:
+def _mesh_cell(training: TrainingSet, mesh: MeshIndex, query: np.ndarray) -> tuple[tuple, int]:
     """The query's cell and the point at its lower corner, the reference.
 
     The mesh files every point under its own node (``load_dataset`` checks
     this once per file), so the cell is also the reference's grid index.
+    A mesh that files a row past ``training`` raises ValidationError.
     """
+    mesh.check_fit(training)
     cell = mesh.cell_of(query)
     idx = mesh.point_at(cell)
     if idx is None:
@@ -159,7 +162,7 @@ def locate_reference(
     scattered mode the nearest point under per-axis range normalization.
     """
     if mesh is not None:
-        return _mesh_cell(mesh, query)[1]
+        return _mesh_cell(training, mesh, query)[1]
     return int(np.argmin(_normalised_d2(training, query)))
 
 
@@ -262,7 +265,7 @@ def select_simplex(
     difference matrix rank-deficient.
     """
     if mesh is not None:
-        cell, reference = _mesh_cell(mesh, query)
+        cell, reference = _mesh_cell(training, mesh, query)
         aux = []
         for a, m in enumerate(mesh.shape):
             idx = _grid_step(mesh, cell, a, 1 if cell[a] + 1 < m else -1)
@@ -475,6 +478,7 @@ def axis_stencil(
     axis on the query's side; Y0 and Y3 are the outer neighbors, flagged when
     the domain edge cuts them off.
     """
+    mesh.check_fit(training)
     # clamp so the bracketing pair exists
     shift = min(cell[axis], mesh.shape[axis] - 2) - cell[axis]
     seq = [_grid_step(mesh, cell, axis, shift + k) for k in STENCIL_STEPS]
@@ -505,26 +509,58 @@ def _grid_rows(mesh: MeshIndex, cells: np.ndarray, steps: np.ndarray):
     (M, n, K) integer array.  Returns each cell's row, (M,), and the rows of
     the nodes ``steps[i, a, k]`` nodes from cell i along axis a, (M, n, K).
     Row -1 marks a node off the grid or at a hole.  A complete grid finds rows
-    by row-major strides, a sparse one in its ``index_map``.
+    by row-major strides, a sparse one by the keys of its nodes
+    (``_filed_rows``).
     """
-    if mesh.index_map is None:
-        shape = np.array(mesh.shape)
+    shape = np.array(mesh.shape)
+    nodes = cells[..., None] + steps
+    inside = (nodes >= 0) & (nodes < shape[:, None])
+    if mesh.grid is None:
         strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)  # row-major
         reference = cells @ strides
-        nodes = cells[..., None] + steps
         rows = reference[:, None, None] + steps * strides[:, None]
-        return reference, np.where((nodes >= 0) & (nodes < shape[:, None]), rows, -1)
-    get = mesh.index_map.get
-    reference = np.array([get(tuple(c), -1) for c in cells.tolist()], dtype=int)
-    found = []
-    for cell, ref, cell_steps in zip(cells.tolist(), reference.tolist(), steps.tolist()):
-        node = list(cell)
-        for a, axis_steps in enumerate(cell_steps):
-            for k in axis_steps:
-                node[a] = cell[a] + k
-                found.append(ref if k == 0 else get(tuple(node), -1))
-            node[a] = cell[a]
-    return reference, np.array(found, dtype=int).reshape(steps.shape)
+        return reference, np.where(inside, rows, -1)
+    # each cell (zero steps along axis 0), then each other node on the grid
+    M = len(cells)
+    away = inside & (steps != 0)
+    query, axis, _ = away.nonzero()
+    zeros = np.zeros(M, dtype=int)
+    found = _filed_rows(mesh, cells, np.concatenate([np.arange(M), query]),
+                        np.concatenate([zeros, axis]), np.concatenate([zeros, steps[away]]))
+    reference = found[:M]
+    rows = np.where(steps == 0, reference[:, None, None], -1)
+    rows[away] = found[M:]
+    return reference, rows
+
+
+def _filed_rows(mesh: MeshIndex, cells: np.ndarray, query, axis, step) -> np.ndarray:
+    """The row filed under each of some nodes of a sparse grid, -1 where none is.
+
+    Node i lies ``step[i]`` nodes from cell ``query[i]`` along ``axis[i]``,
+    on the grid.  Its key is the cell's key plus the step times the axis's
+    weight, wrapping in int64 as the mesh's keys do.  One search of the
+    sorted keys finds each node's candidate, and a candidate counts only if
+    its grid index equals the node's, so a key that an absent node shares
+    with a filed one never returns a wrong row.  The indices are compared
+    in the grid's narrow dtype, ``COMPARE_BYTES`` entries at a time.
+    """
+    keys, weights, found = mesh._keys, mesh._weights, np.full(len(query), -1)
+    if not len(keys):
+        return found
+    wanted = (cells @ weights)[query] + step * weights[axis]
+    at = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
+    hits = np.flatnonzero(keys[at] == wanted)
+    narrow = cells.astype(mesh.grid.dtype)
+    part = max(1, COMPARE_BYTES // mesh.n)
+    for start in range(0, len(hits), part):
+        hit = hits[start : start + part]
+        expected = narrow[query[hit]]
+        expected[np.arange(len(hit)), axis[hit]] = cells[query[hit], axis[hit]] + step[hit]
+        # nonzero where a stored index differs; faster than == and all(axis=1)
+        differ = np.bitwise_or.reduce(mesh.grid[at[hit]] ^ expected, axis=1)
+        hit = hit[differ == 0]
+        found[hit] = mesh.rows[at[hit]]
+    return found
 
 
 def _mesh_simplexes(mesh: MeshIndex, cells: np.ndarray):
@@ -543,6 +579,7 @@ def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray):
     their coordinates along that axis, with the present points ordered by
     coordinate as ``axis_stencil`` orders them.  Row -1 marks an absent point.
     """
+    mesh.check_fit(training)
     n = cells.shape[1]
     # clamp so the bracketing pair exists
     lower = np.minimum(cells, np.array(mesh.shape) - 2)

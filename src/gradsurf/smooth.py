@@ -329,7 +329,7 @@ def evaluate_smooth(
     """
     _check_arguments(mesh, d, tol, max_iter)
     query = _query_vector(query, training, layer)
-    cell, reference = _mesh_cell(mesh, query)
+    cell, reference = _mesh_cell(training, mesh, query)
     y_ref = float(training.y[reference, layer])
 
     total = y_ref

@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradsurf import (
+    DegenerateNeighborhood,
     GradsurfError,
     MeshIndex,
     ParseError,
     TEST_FUNCTIONS,
+    evaluate_gradient_batch,
     evaluate_layers,
+    gen_local_cell_dataset,
     gen_mesh_dataset,
     load_dataset,
     load_queries,
@@ -380,6 +383,69 @@ class TestIndexMapValues:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ParseError, match=r"data\.mesh\.json: index_map value of key '1,0'"):
             load_dataset(data)
+
+
+def sidecar_as_first_written(mesh) -> str:
+    """A sparse sidecar's text as ``save_dataset`` first wrote it: from
+    ``sorted(index_map.items())``."""
+    meta = {"axes": [[float(v) for v in a] for a in mesh.axes],
+            "jitter_fraction": mesh.jitter_fraction, "layout": "row-major",
+            "index_map": {",".join(str(t) for t in k): int(v)
+                          for k, v in sorted(mesh.index_map.items())}}
+    return json.dumps(meta, sort_keys=True, indent=2) + "\n"
+
+
+class TestSparseSidecarArrays:
+    """A sparse sidecar is read into the mesh's grid and rows arrays and
+    written from them."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_written_bytes_and_read_back_mesh(self, tmp_path, seed):
+        from tests_oracles import random_grid
+
+        x, y, mesh, _ = random_grid(seed, 3, 0.2, sparse=True)
+        data = tmp_path / "data.csv"
+        save_dataset(data, validate_training_set((x, y), n=3), mesh)
+        assert data.with_suffix(".mesh.json").read_text() == sidecar_as_first_written(mesh)
+        loaded = load_dataset(data)[1]
+        assert loaded == mesh and loaded.grid.dtype == np.uint8
+
+    def test_local_cell_sidecar_at_99_axes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ts, mesh, _, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], 99, 20, rng)
+        data = tmp_path / "cell.csv"
+        save_dataset(data, ts, mesh)
+        assert data.with_suffix(".mesh.json").read_text() == sidecar_as_first_written(mesh)
+        assert load_dataset(data) == (ts, mesh)
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"0,0": 0, "00,0": 1}, r"data\.mesh\.json: node \(0, 0\) is filed twice"),
+        ({"0,0": 0, "1,0": -1}, r"data\.mesh\.json: every row must be a non-negative integer"),
+        ({"0,0": 0, "1,0,0": 1}, r"data\.mesh\.json: index_map names node \(1, 0, 0\) outside"),
+        ({"0,0": 0, "0,-1": 1}, r"data\.mesh\.json: index_map names node \(0, -1\) outside"),
+        ({"0,0": 0, "0,5": 1}, r"data\.mesh\.json: index_map names node \(0, 5\) outside"),
+        ({"0,0": 0, "0,1": 2**70}, r"data\.mesh\.json: malformed 'index_map'"),
+        ({"0,0": 0, "0,1": 25}, r"data\.mesh\.json: index_map names row 25 of 25 in"),
+    ])
+    def test_malformed_map_is_a_parse_error(self, tmp_path, edit, match):
+        data, _ = affine_files(tmp_path)
+        sidecar = data.with_suffix(".mesh.json")
+        meta = json.loads(sidecar.read_text())
+        meta["index_map"] = edit
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match=match):
+            load_dataset(data)
+
+    def test_empty_map_loads_and_every_query_is_degenerate(self, tmp_path):
+        data, ts = affine_files(tmp_path)
+        sidecar = data.with_suffix(".mesh.json")
+        meta = json.loads(sidecar.read_text())
+        meta["index_map"] = {}
+        sidecar.write_text(json.dumps(meta))
+        mesh = load_dataset(data)[1]
+        assert mesh.grid.shape == (0, 2) and mesh.index_map == {}
+        batch = evaluate_gradient_batch(ts, [[0.5, 0.5]], mesh)
+        assert isinstance(batch.errors[0], DegenerateNeighborhood)
 
 
 def table_outcome(path):

@@ -13,9 +13,16 @@ from gradsurf import (
     TooFewPoints,
     TrainingSet,
     ValidationError,
+    evaluate_batch,
+    evaluate_gradient,
+    evaluate_gradient_batch,
+    evaluate_smooth,
+    evaluate_smooth_batch,
+    locate_reference,
     validate_query,
     validate_training_set,
 )
+from gradsurf.neighbors import axis_stencil
 
 
 class TestValidateTrainingSet:
@@ -216,6 +223,114 @@ class TestMeshIndex:
             MeshIndex(axes=(np.array([0.0, 0.0, 1.0]),))
         with pytest.raises(ValidationError):
             MeshIndex(axes=(np.array([0.0, 1.0]),), jitter_fraction=0.5)
+
+
+def three_point_set():
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    return validate_training_set((x, x.sum(axis=1)), n=2)
+
+
+ENTRY_POINTS = {
+    "evaluate_gradient": lambda ts, q, mesh: evaluate_gradient(ts, q, mesh=mesh),
+    "evaluate_gradient C=2": lambda ts, q, mesh: evaluate_gradient(ts, q, mesh=mesh,
+                                                                   combinations=2),
+    "evaluate_gradient_batch": lambda ts, q, mesh: evaluate_gradient_batch(ts, [q], mesh),
+    "evaluate_gradient_batch C=2": lambda ts, q, mesh: evaluate_gradient_batch(
+        ts, [q], mesh, combinations=2),
+    "evaluate_smooth": lambda ts, q, mesh: evaluate_smooth(ts, q, mesh),
+    "evaluate_smooth_batch": lambda ts, q, mesh: evaluate_smooth_batch(ts, [q], mesh),
+    "bench.evaluate_batch gradient": lambda ts, q, mesh: evaluate_batch(
+        ts, [q], mesh=mesh, method="gradient"),
+    "bench.evaluate_batch smooth": lambda ts, q, mesh: evaluate_batch(
+        ts, [q], mesh=mesh, method="smooth"),
+    "locate_reference": lambda ts, q, mesh: locate_reference(ts, q, mesh),
+    "axis_stencil": lambda ts, q, mesh: axis_stencil(ts, mesh, (0, 0), 0),
+}
+
+
+class TestSparseMeshChecks:
+    """A sparse map is checked once: its form at construction, its rows and
+    nodes where it meets a training set, each with ValidationError."""
+
+    nodes = np.array([0.0, 1.0])
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("index_map", [
+        {(0, 0): 0, (1, 0): 1, (0, 1): 7},  # a row past the three points
+        {(0, 0): 0, (1, 0): 1, (0, 2): 2},  # a node past the end of its axis
+    ])
+    def test_every_entry_point_refuses_a_map_that_does_not_fit(self, entry, index_map):
+        mesh = MeshIndex(axes=(self.nodes, self.nodes), index_map=index_map)
+        with pytest.raises(ValidationError, match="the mesh files"):
+            ENTRY_POINTS[entry](three_point_set(), np.array([0.25, 0.25]), mesh)
+
+    def test_complete_grid_of_more_nodes_than_points_is_refused(self):
+        mesh = MeshIndex(axes=(self.nodes, np.array([0.0, 1.0, 2.0])))
+        with pytest.raises(ValidationError, match="files row 5, but the training set has 3"):
+            evaluate_gradient_batch(three_point_set(), [[0.5, 0.5]], mesh)
+
+    @pytest.mark.parametrize("index_map, match", [
+        ({(0, 0): 0, (1, 0): 1, (0, 1): -1}, "every row must be a non-negative integer"),
+        ({(0, 0): 0, (1, 0): 1, (0, 1): 0.5}, "every row must be a non-negative integer"),
+        ({(0, 0): 0, (1, 0): 1, (0, 1): "2"}, "every row must be a non-negative integer"),
+        ({(0, 0): 0, (1, 0): 1, (1,): 2}, r"grid index \(1,\) must be a tuple of 2 entries"),
+        ({(0, 0): 0, (1, 0, 0): 1}, r"grid index \(1, 0, 0\) must be a tuple of 2 entries"),
+        ({(0, 0): 0, (-1, 0): 1}, "every grid index entry must be a non-negative integer"),
+        ({(0, 0): 0, (0.5, 0): 1}, "every grid index entry must be a non-negative integer"),
+    ])
+    def test_malformed_map_is_refused_at_construction(self, index_map, match):
+        with pytest.raises(ValidationError, match=match):
+            MeshIndex(axes=(self.nodes, self.nodes), index_map=index_map)
+
+    @pytest.mark.parametrize("grid, rows, match", [
+        ([[0, 0], [1, 0], [0, 0]], [0, 1, 2], r"node \(0, 0\) is filed twice"),
+        ([[0, 0], [1, 0]], [0, 1, 2], r"a sparse grid needs a \(K, 2\) grid and \(K,\) rows"),
+        ([[0, 0, 0]], [0], r"a sparse grid needs a \(K, 2\) grid"),
+        ([[0, 0], [1, 0]], [0, 1.5], "every row must be a non-negative integer"),
+        ([[0, 0], [1, 0]], None, "a sparse grid needs both grid and rows"),
+    ])
+    def test_malformed_arrays_are_refused_at_construction(self, grid, rows, match):
+        with pytest.raises(ValidationError, match=match):
+            MeshIndex(axes=(self.nodes, self.nodes), grid=grid, rows=rows)
+
+    def test_map_and_arrays_together_are_refused(self):
+        with pytest.raises(ValidationError, match="as index_map or as grid and rows"):
+            MeshIndex(axes=(self.nodes,), index_map={(0,): 0}, grid=[[0]], rows=[0])
+
+    def test_grid_is_stored_in_the_narrowest_unsigned_dtype(self):
+        for m, dtype in ((2, np.uint8), (256, np.uint8), (257, np.uint16)):
+            mesh = MeshIndex(axes=(np.arange(float(m)),), grid=[[0], [m - 1]], rows=[0, 1])
+            assert mesh.grid.dtype == dtype and mesh.rows.dtype == int
+            assert mesh.point_at((m - 1,)) == 1 and mesh.point_at((m,)) is None
+            assert mesh.point_at((-1,)) is None and mesh.point_at(np.array([m - 1])) == 1
+
+
+class TestMeshEquality:
+    nodes = np.array([0.0, 1.0, 2.0])
+    index_map = {(0, 0): 2, (2, 1): 0, (1, 1): 1}
+
+    def test_arrays_and_dict_of_one_map_are_equal(self):
+        grid, rows = list(self.index_map), list(self.index_map.values())
+        from_dict = MeshIndex(axes=(self.nodes, self.nodes), index_map=self.index_map)
+        from_arrays = MeshIndex(axes=(self.nodes, self.nodes.copy()),
+                                grid=np.array(grid[::-1]), rows=np.array(rows[::-1]))
+        assert from_dict == from_arrays and not from_dict != from_arrays
+        assert from_arrays.index_map == self.index_map
+
+    def test_any_difference_is_unequal(self):
+        mesh = MeshIndex(axes=(self.nodes, self.nodes), index_map=self.index_map)
+        assert mesh != MeshIndex(axes=(self.nodes, self.nodes),
+                                 index_map={**self.index_map, (0, 0): 3})
+        assert mesh != MeshIndex(axes=(self.nodes, self.nodes), index_map={(0, 0): 2})
+        assert mesh != MeshIndex(axes=(self.nodes, self.nodes), jitter_fraction=0.1,
+                                 index_map=self.index_map)
+        assert mesh != MeshIndex(axes=(self.nodes, self.nodes + 1.0), index_map=self.index_map)
+        assert mesh != MeshIndex(axes=(self.nodes, self.nodes))
+        assert mesh != "mesh"
+
+    def test_complete_grids(self):
+        assert MeshIndex(axes=(self.nodes,)) == MeshIndex(axes=(self.nodes.copy(),))
+        assert MeshIndex(axes=(self.nodes,)) != MeshIndex(axes=(self.nodes, self.nodes))
 
 
 class TestEstimate:

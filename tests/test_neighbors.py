@@ -10,18 +10,20 @@ from gradsurf import (
     DegenerateNeighborhood,
     InsufficientPoints,
     MeshIndex,
+    TEST_FUNCTIONS,
     ValidationError,
     enumerate_combinations,
     evaluate_batch,
     evaluate_gradient,
+    gen_local_cell_dataset,
     locate_reference,
     select_simplex,
     validate_training_set,
 )
-from gradsurf import gradient, neighbors
+from gradsurf import gradient, model, neighbors
 from gradsurf.model import GradsurfError, TrainingSet
 from gradsurf.neighbors import axis_stencil, is_extrapolation
-from tests_oracles import _oracle_d2, oracle_scattered_plan
+from tests_oracles import _oracle_d2, oracle_grid_rows, oracle_scattered_plan
 
 
 def mesh_training(nodes, n, fn):
@@ -486,3 +488,77 @@ def test_is_extrapolation():
     ts = validate_training_set((x, np.zeros(3)), n=2)
     assert not is_extrapolation(ts, np.array([0.2, 0.2]))
     assert is_extrapolation(ts, np.array([1.5, 0.0]))
+
+
+class TestSparseLookup:
+    """A sparse grid finds each node's row by its key, as the dict walk of
+    ``oracle_grid_rows`` found it, and a shared key never gives a wrong row."""
+
+    @staticmethod
+    def assert_walk(mesh, cells, steps):
+        got, want = neighbors._grid_rows(mesh, cells, steps), oracle_grid_rows(mesh, cells, steps)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           kept=st.sampled_from([1.0, 0.7, 0.2]), count=st.integers(1, 12))
+    def test_rows_equal_the_dict_walk(self, seed, n, kept, count):
+        rng = np.random.default_rng(seed)
+        shape = rng.integers(2, 7, size=n)
+        grid = np.stack(np.unravel_index(np.arange(np.prod(shape)), shape), axis=1)
+        filed = rng.permutation(np.flatnonzero(rng.random(len(grid)) < kept))
+        axes = tuple(np.arange(m, dtype=float) for m in shape)
+        mesh = MeshIndex(axes, grid=grid[filed], rows=rng.permutation(len(filed)))
+        cells = np.stack([rng.integers(0, m, count) for m in shape], axis=1)
+        steps = rng.integers(-3, 4, size=(count, n, rng.integers(1, 5)))  # some off the grid
+        self.assert_walk(mesh, cells, steps)
+        if kept == 1.0:  # a complete map in row-major order is the complete grid
+            row_major = MeshIndex(axes, grid=grid, rows=np.arange(len(grid)))
+            assert all(np.array_equal(a, b) for a, b in zip(
+                neighbors._grid_rows(MeshIndex(axes), cells, steps),
+                neighbors._grid_rows(row_major, cells, steps)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_local_cells_at_99_axes(self, seed):
+        rng = np.random.default_rng(seed)
+        ts, mesh, q, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], 99, 20, rng)
+        cell = mesh.cells_of(q[None])
+        near = cell + rng.integers(-1, 2, size=(6, 99)) * (rng.random((6, 99)) < 0.02)
+        cells = np.vstack([cell, near, rng.integers(0, 20, (2, 99))])
+        lower = np.minimum(cells, np.array(mesh.shape) - 2)
+        for steps in ((lower - cells)[..., None] + neighbors.STENCIL_STEPS,
+                      np.where(cells + 1 < 20, 1, -1)[..., None],
+                      rng.integers(-3, 4, size=(len(cells), 99, 3))):
+            self.assert_walk(mesh, cells, steps)
+
+    def test_absent_node_that_shares_a_filed_key_is_not_found(self):
+        # under weights (1, 1) the absent node (1, 0) has the key 1 of the filed (0, 1)
+        axes = (np.arange(3.0), np.arange(3.0))
+        with mock.patch.object(model, "_node_weights", return_value=np.array([1, 1])):
+            mesh = MeshIndex(axes, grid=[[0, 0], [0, 1], [2, 2]], rows=[0, 1, 2])
+        assert mesh._weights.tolist() == [1, 1]
+        cells = np.array([[0, 0], [1, 0], [0, 1]])
+        reference, rows = neighbors._grid_rows(mesh, cells, np.array([[[1], [1]]] * 3))
+        assert reference.tolist() == [0, -1, 1]
+        assert rows[:, :, 0].tolist() == [[-1, 1], [-1, -1], [-1, -1]]
+        self.assert_walk(mesh, cells, np.array([[[-1, 0, 1, 2]] * 2] * 3))
+        assert mesh.point_at((1, 0)) is None and mesh.point_at((0, 1)) == 1
+
+    def test_filed_nodes_that_share_a_key_draw_new_weights(self):
+        # under weights (1, 1) the filed nodes (0, 1) and (1, 0) share the key 1
+        axes = (np.arange(3.0), np.arange(3.0))
+        draws = []
+
+        def weights(n, draw):
+            draws.append(draw)
+            return np.array([1, 1]) if draw == 0 else model_weights(n, draw)
+
+        model_weights = model._node_weights
+        with mock.patch.object(model, "_node_weights", side_effect=weights):
+            mesh = MeshIndex(axes, grid=[[0, 1], [1, 0], [2, 2]], rows=[0, 1, 2])
+        assert draws == [0, 1]
+        assert mesh._weights.tolist() == model_weights(2, 1).tolist()
+        assert len(set(mesh._keys.tolist())) == 3
+        cells = np.array([[0, 0], [1, 0], [0, 1], [2, 2]])
+        self.assert_walk(mesh, cells, np.array([[[-1, 0, 1, 2]] * 2] * 4))
+        assert mesh.index_map == {(0, 1): 0, (1, 0): 1, (2, 2): 2}

@@ -339,6 +339,22 @@ def oracle_evaluate_smooth(training, query, mesh, d=1.0, tol=1e-9, max_iter=20, 
     )
 
 
+def oracle_grid_rows(mesh, cells, steps):
+    """``neighbors._grid_rows`` of a sparse grid as first written: one dict
+    lookup of a tuple per node, the reference's row reused at step 0."""
+    get = mesh.index_map.get
+    reference = np.array([get(tuple(c), -1) for c in cells.tolist()], dtype=int)
+    found = []
+    for cell, ref, cell_steps in zip(cells.tolist(), reference.tolist(), steps.tolist()):
+        node = list(cell)
+        for a, axis_steps in enumerate(cell_steps):
+            for k in axis_steps:
+                node[a] = cell[a] + k
+                found.append(ref if k == 0 else get(tuple(node), -1))
+            node[a] = cell[a]
+    return reference, np.array(found, dtype=int).reshape(steps.shape)
+
+
 # -- random grids and queries for the mesh properties, and a call's outcome
 
 
