@@ -200,7 +200,11 @@ def evaluate_gradient_batch(
     ``LOCKSTEP_MIN_QUERIES``, scattered plans are built in lockstep
     (``_scattered_plans``, at most ``LOCKSTEP_MAX_QUERIES`` queries a call),
     which hands a query back to that function where its base simplex fails
-    or its blocks run past its nearest points.  One
+    or its blocks run past its nearest points.  The lockstep finds every
+    query's nearest points at once, through a bucket grid over the points
+    (``TrainingSet.buckets``, built on first use) at up to six axes where a
+    query's box of buckets holds a small share of them, and from the
+    distances to all points elsewhere; the points found are the same.  One
     ``solve_lanes`` call solves every (query, combination) system with one
     right-hand side per layer; on an unjittered mesh each system is
     diagonal, and a lane whose right-hand sides hold no ``-0.0`` takes the

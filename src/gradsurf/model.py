@@ -6,11 +6,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count
-from math import prod
+from math import gamma, pi, prod
 from numbers import Integral
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+BUCKET_BALL_POINTS = 2  # times 3n + 1, the points a ball of one bucket's radius holds
 
 
 class GradsurfError(Exception):
@@ -71,6 +73,10 @@ class TrainingSet:
 
     Predictors are stored as a (npoints, n) array, outcomes as
     (npoints, layer_count).  Construct through ``validate_training_set``.
+    Facts derived from the points (``bounding_box``, ``axis_ranges``,
+    ``columns``, ``buckets``) are built on first use and kept; a pickle
+    holds the four fields only, so a set sent to a worker process costs
+    the same before and after its first query.
     """
 
     x: np.ndarray
@@ -108,6 +114,15 @@ class TrainingSet:
         columns.setflags(write=False)
         return columns
 
+    @cached_property
+    def buckets(self) -> Buckets:
+        """The points grouped by bucket of a uniform grid over the bounding
+        box, ``_buckets_per_axis`` buckets along each axis (``_bucket_grid``)."""
+        return _bucket_grid(self, _buckets_per_axis(self.npoints, self.n))
+
+    def __reduce__(self):
+        return type(self), (self.x, self.y, self.n, self.layer_count)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrainingSet):
             return NotImplemented
@@ -117,6 +132,61 @@ class TrainingSet:
             and np.array_equal(self.x, other.x)
             and np.array_equal(self.y, other.y)
         )
+
+
+class Buckets(NamedTuple):
+    """A training set's points grouped by bucket, in CSR form.
+
+    Point i lies in the bucket of its ``_bucket_coordinates``, rounded down
+    and capped at ``per_axis - 1``; buckets are numbered in row-major order.  Bucket b
+    holds ``points[starts[b]:starts[b + 1]]``, in index order.
+    """
+
+    per_axis: int
+    starts: np.ndarray  # (per_axis ** n + 1,)
+    points: np.ndarray  # (npoints,)
+
+
+def _ball_points(npoints: int, n: int, per_axis: int) -> float:
+    """The points in a ball of one bucket's radius, were they spread evenly."""
+    return npoints * pi ** (n / 2) / gamma(n / 2 + 1) / per_axis**n
+
+
+def _buckets_per_axis(npoints: int, n: int) -> int:
+    """The most buckets per axis, at least 1, that leave ``BUCKET_BALL_POINTS``
+    times 3n + 1 points in a ball of one bucket's radius: as many as the
+    nearest points a scattered query's base simplex reads."""
+    least = BUCKET_BALL_POINTS * (3 * n + 1)
+    per_axis = max(1, int((_ball_points(npoints, n, 1) / least) ** (1.0 / n)))
+    while per_axis > 1 and _ball_points(npoints, n, per_axis) < least:
+        per_axis -= 1
+    while _ball_points(npoints, n, per_axis + 1) >= least:
+        per_axis += 1
+    return per_axis
+
+
+def _bucket_coordinates(training: TrainingSet, per_axis: int, v: np.ndarray) -> np.ndarray:
+    """The rows of ``v`` in range-normalised coordinates, in buckets:
+    ``(v - lo) / axis_ranges * per_axis``."""
+    u = v - training.bounding_box[0]
+    u /= training.axis_ranges
+    u *= per_axis
+    return u
+
+
+def _bucket_grid(training: TrainingSet, per_axis: int) -> Buckets:
+    """``training``'s points grouped into ``per_axis`` buckets along each axis."""
+    npoints, n = training.x.shape
+    cells = _bucket_coordinates(training, per_axis, training.x).astype(np.intp)
+    np.minimum(cells, per_axis - 1, out=cells)  # the top face belongs to the top bucket
+    flat = cells @ per_axis ** np.arange(n - 1, -1, -1)
+    starts = np.zeros(per_axis**n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(flat, minlength=per_axis**n), out=starts[1:])
+    # by bucket, then index: the keys are distinct, so any sort is stable
+    points = np.sort(flat * npoints + np.arange(npoints)) % npoints
+    for v in (starts, points):
+        v.setflags(write=False)
+    return Buckets(per_axis, starts, points)
 
 
 def validate_training_set(points, n: int, layer_count: int = 1) -> TrainingSet:

@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, sqrt
+from functools import lru_cache
+from math import ceil, comb, sqrt
 from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from .model import (
+    BUCKET_BALL_POINTS,
+    Buckets,
     DegenerateNeighborhood,
     InsufficientPoints,
     MeshIndex,
     TrainingSet,
     ValidationError,
+    _ball_points,
+    _bucket_coordinates,
+    _buckets_per_axis,
 )
 
 RANK_RTOL = 1e-10
@@ -26,6 +32,10 @@ D2_BLOCK_BYTES = 1 << 19  # distance terms formed per block over many points
 D2_MIN_BLOCK_POINTS = 8192  # fewer points per block cost more calls than the cache saves
 D2_SINGLE_PASS_BYTES = 1 << 21  # up to this many bytes of terms, one pass is faster
 COMPARE_BYTES = 1 << 18  # grid index entries compared at a time in a sparse lookup
+GRID_MAX_AXES = 6  # beyond, a box of 3^n buckets holds too many points to gather
+GRID_MAX_SHARE = 1 / 5  # the most of N a box may hold on average, else brute force
+GRID_CAP = 4  # a box holding this many times the average is searched by brute force
+GRID_TABLE_BYTES = 1 << 24  # about this many bytes of candidate terms at a time
 
 
 @dataclass(frozen=True)
@@ -205,6 +215,149 @@ class _DistanceOrder:
             start = len(prefix)
 
 
+def _nearest_prefixes(training: TrainingSet, queries: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` entries of ``np.argsort(d2, kind="stable")`` for
+    each row of ``queries``, d2 its distances, as a (Q, width) array; ``width``
+    is at most N.
+
+    Where ``_grid_rings`` allows, the queries search the bucket grid
+    ``training.buckets`` together (``_grid_prefixes``), in parts whose
+    distance terms take about ``GRID_TABLE_BYTES`` on average.  A query that the
+    search does not prove, and every query where the grid is not used, takes
+    its prefix from its distances to all N points (``_nearest_prefix``).
+    """
+    Q, n = queries.shape
+    order = np.empty((Q, width), dtype=int)
+    brute = np.ones(Q, dtype=bool)
+    rings = _grid_rings(training, width)
+    if rings:
+        grid = training.buckets
+        box = training.npoints * _box_share(n, grid.per_axis, rings)  # points, on average
+        parts = max(1, min(Q, ceil(Q * box * 8 * (n + 2) / GRID_TABLE_BYTES)))
+        for part in np.array_split(np.arange(Q), parts):
+            proven, prefixes = _grid_prefixes(training, queries[part], width, grid, rings)
+            order[part[proven]], brute[part] = prefixes, ~proven
+    for i in np.flatnonzero(brute):
+        order[i] = _nearest_prefix(_normalised_d2(training, queries[i]), width)[:width]
+    return order
+
+
+def _grid_rings(training: TrainingSet, width: int) -> int:
+    """How many rings of buckets around its own a query searches for its
+    first ``width`` points; 0 where the distances to all N points are faster.
+
+    A query at least r buckets from every face of its box that has buckets
+    beyond it proves its prefix if a ball of radius r holds ``width``
+    points.  The rings are the fewest whose ball holds ``BUCKET_BALL_POINTS``
+    times ``width`` on average, were the points spread evenly, so that most
+    queries prove theirs; for 3n + 1 points that is one ring, as the
+    buckets are sized (``_buckets_per_axis``).  The grid is used up to
+    ``GRID_MAX_AXES`` axes, on finite axis ranges, and where a box of
+    ``2 * rings + 1`` buckets a side holds at most ``GRID_MAX_SHARE`` of
+    the points on average.
+    """
+    n, npoints = training.n, training.npoints
+    if n > GRID_MAX_AXES or not np.isfinite(training.axis_ranges).all():
+        return 0
+    per_axis = _buckets_per_axis(npoints, n)
+    ball = _ball_points(npoints, n, per_axis)
+    rings = max(1, ceil((BUCKET_BALL_POINTS * width / ball) ** (1 / n)))
+    return rings if _box_share(n, per_axis, rings) <= GRID_MAX_SHARE else 0
+
+
+def _box_share(n: int, per_axis: int, rings: int) -> float:
+    """The share of an even spread of points in a box of buckets ``rings`` around one."""
+    return min(1.0, (2 * rings + 1) / per_axis) ** n
+
+
+@lru_cache(maxsize=64)
+def _ring_steps(n: int, rings: int) -> np.ndarray:
+    """Every step of up to ``rings`` buckets along each of n axes, (B, n), read-only."""
+    steps = np.array(list(itertools.product(range(-rings, rings + 1), repeat=n)), dtype=np.intp)
+    steps.setflags(write=False)
+    return steps
+
+
+def _grid_prefixes(training: TrainingSet, queries: np.ndarray, width: int, grid: Buckets,
+                   rings: int) -> tuple:
+    """The first ``width`` entries of the distance order of each query that
+    a search of ``grid`` proves.
+
+    A query's candidates are the points of the box of buckets within
+    ``rings`` of its own bucket (one run of ``grid.points`` for each row of
+    buckets along the last axis).  Their distances are formed as
+    ``_normalised_d2`` forms them, term for term and summed in the same
+    order, so each equals that function's bit for bit, and they are ordered
+    by distance, then index, as the stable sort orders them.  A point
+    outside the box lies beyond a face of the box that has buckets beyond
+    it, so it is no nearer than the nearest such face; a query whose
+    ``width``-th candidate is nearer than that face, by a margin for
+    rounding, has all of its prefix among its candidates.  Not proved is a
+    query with a coordinate that is not finite, one whose box holds fewer
+    than ``width`` points or more than ``GRID_CAP`` times an average box,
+    and one whose ``width``-th candidate is not that near.  Returns the (Q,)
+    mask of the proved queries and their (P, width) prefixes.
+    """
+    per_axis, starts, points = grid
+    Q, n = queries.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = _bucket_coordinates(training, per_axis, queries)
+    finite = np.isfinite(u).all(axis=1)
+    u[~finite] = 0.0
+    cell = np.clip(np.floor(u), 0, per_axis - 1).astype(np.intp)
+    low, high = np.maximum(cell - rings, 0), np.minimum(cell + rings, per_axis - 1)
+    # in buckets, the nearest face with buckets beyond it; the margin covers
+    # the rounding of the bucket coordinates and of the distances
+    gap = np.minimum(np.where(low > 0, u - low, np.inf),
+                     np.where(high < per_axis - 1, high + 1 - u, np.inf)).min(axis=1)
+    gap -= 1e-9 * (per_axis + np.abs(u).max(axis=1))
+    with np.errstate(over="ignore"):
+        bound = (np.maximum(gap, 0.0) / per_axis) ** 2 * (1.0 - 1e-12)
+
+    # the runs: each row of buckets along the last axis, low to high
+    rows = cell[:, None, :-1] + _ring_steps(n - 1, rings)
+    inside = ((rows >= 0) & (rows < per_axis)).all(axis=2)
+    strides = per_axis ** np.arange(n - 1, -1, -1)
+    base = np.where(inside, rows @ strides[:-1], 0)
+    begin = starts[base + low[:, None, -1]]
+    lengths = np.where(inside, starts[base + high[:, None, -1] + 1] - begin, 0)
+    count = lengths.sum(axis=1)
+    cap = GRID_CAP * max(width, len(points) * _box_share(n, per_axis, rings))
+    take = finite & (count >= width) & (count <= cap)
+    if not take.any():
+        return take, np.empty((0, width), dtype=int)
+    lengths[~take], count[~take] = 0, 0
+
+    # every candidate's point into row q of a (Q, M) table, M the most any query has
+    M, runs = count.max(), lengths.ravel()
+    run_end = np.cumsum(runs)
+    slot = (np.arange(Q) * M)[:, None] + np.cumsum(lengths, axis=1) - lengths
+    shift = np.arange(run_end[-1]) - np.repeat(run_end - runs, runs)
+    ids = np.zeros(Q * M, dtype=np.intp)  # a slot past a row's count holds point 0
+    ids[np.repeat(slot.ravel(), runs) + shift] = points[np.repeat(begin.ravel(), runs) + shift]
+    terms = np.take(training.columns, ids, axis=1).reshape(n, Q, M)
+    terms -= queries.T[:, :, None]
+    terms /= training.axis_ranges[:, None, None]
+    terms *= terms
+    d2 = _sum_rows(terms.reshape(n, Q * M)).reshape(Q, M)
+    d2[np.arange(M) >= count[:, None]] = np.inf
+
+    # each query's width-th distance, then its points up to it by (d2, index)
+    kth = np.partition(d2, width - 1, axis=1)[:, width - 1]
+    proven = take & (kth < bound)
+    if not proven.any():
+        return proven, np.empty((0, width), dtype=int)
+    d2, ids, kth = d2[proven], ids.reshape(Q, M)[proven], kth[proven, None]
+    row, col = np.nonzero(d2 <= kth)
+    kept = np.bincount(row, minlength=len(d2))
+    shape = len(d2), kept.max()
+    near_d2, near_ids = np.full(shape, np.inf), np.zeros(shape, dtype=int)
+    at = row * shape[1] + np.arange(len(row)) - np.repeat(np.cumsum(kept) - kept, kept)
+    near_d2.flat[at], near_ids.flat[at] = d2[row, col], ids[row, col]
+    order = np.lexsort((near_ids, near_d2), axis=1)[:, :width]  # a pad, at inf, sorts last
+    return proven, np.take_along_axis(near_ids, order, axis=1)
+
+
 def _build_simplex(
     training: TrainingSet, reference, candidates, min_fraction: float = RANK_RTOL
 ) -> Optional[Simplex]:
@@ -371,7 +524,9 @@ def _scattered_plans(training: TrainingSet, queries: np.ndarray, c: int) -> tupl
     """Every scattered query's ``enumerate_combinations`` plan, built in lockstep.
 
     Each query takes the first P = max(3n + 1, 2(n + 1)C) points of its
-    distance order.  The queries then step together: at each step every
+    distance order, found for all queries at once (``_nearest_prefixes``:
+    through the bucket grid where it pays, else from the distances to all
+    N points).  The queries then step together: at each step every
     query still building tests its next candidate, ``_build_simplex``'s test
     on stacked arrays (``_accept_lanes``).  The base simplex takes the
     nearest point as reference and the next 3n as candidates; the disjoint
@@ -386,9 +541,7 @@ def _scattered_plans(training: TrainingSet, queries: np.ndarray, c: int) -> tupl
     n, npoints, Q = training.n, training.npoints, len(queries)
     budget = min(npoints - 1, CANDIDATE_FACTOR * n)
     width = min(npoints, max(CANDIDATE_FACTOR * n + 1, 2 * (n + 1) * c))
-    order = np.empty((Q, width), dtype=int)
-    for i, query in enumerate(queries):
-        order[i] = _nearest_prefix(_normalised_d2(training, query), width)[:width]
+    order = _nearest_prefixes(training, queries, width)
     reference = np.full((Q, c), -1)
     aux = np.full((Q, c, n), -1)
     basis = np.empty((Q, n, n))  # each query's accepted unit rows

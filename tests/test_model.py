@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,23 @@ class TestValidateTrainingSet:
         lo, hi = ts.bounding_box
         assert (lo <= hi).all()
         assert (ts.axis_ranges > 0).all()
+
+
+class TestPickledTrainingSet:
+    """A pickle carries the data only, never what was derived from it."""
+
+    def test_a_used_set_pickles_as_a_fresh_one(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(0.0, 1.0, (2000, 2)), rng.uniform(0.0, 1.0, (2000, 2))
+        ts = validate_training_set((x, y), n=2, layer_count=2)
+        fresh = pickle.dumps(ts)
+        evaluate_gradient_batch(ts, rng.uniform(0.1, 0.9, (20, 2)))
+        assert {"bounding_box", "axis_ranges", "columns", "buckets"} <= vars(ts).keys()
+        assert pickle.dumps(ts) == fresh
+        back = pickle.loads(fresh)
+        assert back == ts and (back.n, back.layer_count) == (2, 2)
+        assert not (back.x.flags.writeable or back.y.flags.writeable)
+        assert not {"columns", "buckets"} & vars(back).keys()
 
 
 class TestValidateQuery:

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -423,6 +423,9 @@ class TestLockstepPlans:
            kind=st.sampled_from(["uniform", "rounded", "collinear", "small"]),
            nan_row=st.integers(0, 5))
     @settings(max_examples=80, deadline=None)
+    # a candidate at the rank threshold, where the oracle's base rows once
+    # rounded otherwise than the library's
+    @example(seed=13, n=10, c=1, kind="collinear", nan_row=0)
     def test_mixed_batches_match_the_oracle(self, seed, n, c, kind, nan_row):
         rng = np.random.default_rng(seed)
         queries = rng.uniform(0.0, 1.0, (6, n))
@@ -481,6 +484,131 @@ class TestLockstepPlans:
         assert rows.tolist() == list(range(count))
         for i, r, a in zip(rows, reference, aux):
             assert _plan_rows(r, a) == oracle_scattered_plan(ts, queries[i], 4)
+
+
+def grid_points(kind, n, rng):
+    """Training points of one kind in [0, 1]^n, each axis but a constant one
+    spanning it, and the grid's buckets per axis that the kind is built around."""
+    npoints = 40 if kind == "sparse" else 1500
+    per_axis = model._buckets_per_axis(npoints, n)
+    if kind == "sparse":  # more buckets than points
+        per_axis = max(2, int(np.ceil((4 * npoints) ** (1 / n))))
+    if kind == "lattice":  # many tied distances
+        x = np.round(rng.uniform(0.0, 1.0, (npoints, n)), 1)
+    elif kind == "faces":  # every coordinate on a face between buckets
+        x = rng.integers(0, per_axis + 1, (npoints, n)) / per_axis
+    elif kind == "clustered":  # most points in a few buckets
+        x = np.clip(rng.normal(0.3, 0.02, (npoints, n)), 0.0, 1.0)
+        x[: npoints // 10] = rng.uniform(0.0, 1.0, (npoints // 10, n))
+    else:
+        x = rng.uniform(0.0, 1.0, (npoints, n))
+    if kind == "constant":  # its range is floored at 1
+        x[:, -1] = 0.5
+    else:
+        x[:2] = [np.zeros(n), np.ones(n)]
+    return x[np.sort(np.unique(x, axis=0, return_index=True)[1])], per_axis
+
+
+def grid_queries(x, rng):
+    """Queries inside and outside the points' box, at points, on a lattice,
+    and with a NaN and an infinite coordinate."""
+    n = x.shape[1]
+    queries = np.vstack([rng.uniform(-0.3, 1.3, (12, n)), rng.uniform(0.0, 1.0, (6, n)),
+                         x[rng.integers(len(x), size=3)],
+                         np.round(rng.uniform(0.0, 1.0, (3, n)), 1)])
+    queries[0, -1], queries[1, 0] = np.nan, np.inf
+    return queries
+
+
+class TestGridPrefixes:
+    """The bucket grid's prefixes are the first entries of the stable sort."""
+
+    @staticmethod
+    def want(ts, queries, width):
+        return np.array([np.argsort(_oracle_d2(ts, q), kind="stable")[:width] for q in queries])
+
+    @pytest.mark.parametrize("c", [1, 2, 4, 16])
+    @pytest.mark.parametrize("n,kind", [
+        (n, kind) for n in [*range(1, 7), neighbors.GRID_MAX_AXES + 1]
+        for kind in ["uniform", "lattice", "faces", "constant", "clustered", "sparse"]
+        if n > 1 or kind != "constant"])
+    def test_prefixes_match_the_oracle(self, n, kind, c):
+        rng = np.random.default_rng([n, c, len(kind)])
+        x, per_axis = grid_points(kind, n, rng)
+        queries = grid_queries(x, rng)
+        # ranges other than 1, so that each difference is rounded as it is divided
+        origin, scale = 0.25, np.array([0.7, 3.0, 1.3, 0.3, 2.1, 0.9, 5.0])[:n]
+        x, queries = origin + x * scale, origin + queries * scale
+        ts = validate_training_set((x, np.zeros(len(x))), n=n)
+        width = min(len(x), max(3 * n + 1, 2 * (n + 1) * c))
+        want = self.want(ts, queries, width)
+        assert np.array_equal(neighbors._nearest_prefixes(ts, queries, width), want)
+        if n > neighbors.GRID_MAX_AXES:
+            assert neighbors._grid_rings(ts, width) == 0
+        for rings in (1, 2):
+            proven, prefixes = neighbors._grid_prefixes(
+                ts, queries, width, model._bucket_grid(ts, per_axis), rings)
+            assert not proven[:2].any()  # the NaN and the infinite query
+            assert np.array_equal(prefixes, want[proven])
+
+    @pytest.mark.parametrize("n", range(1, neighbors.GRID_MAX_AXES + 1))
+    def test_most_queries_are_proven_where_the_grid_is_used(self, n):
+        rng = np.random.default_rng(n)
+        npoints = 120_000 if n == 6 else 20_000  # at n = 6 fewer make too few buckets
+        ts = validate_training_set((rng.uniform(0.0, 1.0, (npoints, n)), np.zeros(npoints)), n=n)
+        queries = rng.uniform(0.1, 0.9, (50, n))
+        width = 3 * n + 1
+        rings = neighbors._grid_rings(ts, width)
+        assert rings > 0
+        proven, prefixes = neighbors._grid_prefixes(ts, queries, width, ts.buckets, rings)
+        assert proven.mean() > 0.9
+        assert np.array_equal(prefixes, self.want(ts, queries[proven], width))
+
+    def test_no_grid_beyond_its_axes(self, monkeypatch):
+        # at 200k points a box of 3^7 buckets holds about 13% of them, which
+        # the share alone would allow
+        n = neighbors.GRID_MAX_AXES + 1
+        rng = np.random.default_rng(n)
+        ts = validate_training_set((rng.uniform(0.0, 1.0, (200_000, n)), np.zeros(200_000)), n=n)
+        assert neighbors._grid_rings(ts, 3 * n + 1) == 0
+        monkeypatch.setattr(neighbors, "GRID_MAX_AXES", n)
+        assert neighbors._grid_rings(ts, 3 * n + 1) == 1
+
+    def test_a_tie_with_a_point_on_the_far_face_is_not_proven(self):
+        # dyadic coordinates, so every distance is exact: 8 buckets, the box
+        # [3/8, 6/8) around the query at 9/16, whose fourth nearest candidate
+        # ties with the point on the face 3/16 away, outside the box and
+        # first in index order
+        x = np.array([0.0, 1.0, 12 / 16, 8 / 16, 10 / 16, 9 / 16, 6 / 16])[:, None]
+        ts = validate_training_set((x, np.zeros(len(x))), n=1)
+        query = np.array([[9 / 16]])
+        assert self.want(ts, query, 4).tolist() == [[5, 3, 4, 2]]
+        proven, _ = neighbors._grid_prefixes(ts, query, 4, model._bucket_grid(ts, 8), 1)
+        assert not proven.any()
+
+    def test_unproven_query_gets_the_brute_force_prefix(self, monkeypatch):
+        # 10 buckets a side, a box of 3.  The first query's box is empty but
+        # for a cluster in its far corner, which points outside it beat; the
+        # second query sits among evenly spread points
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0.0, 1.0, (520, 2))
+        x = x[((x < 0.3) | (x >= 0.6)).any(axis=1)]
+        cluster = 0.59 - rng.uniform(0.0, 0.02, (12, 2))
+        x = np.vstack([[0.0, 0.0], [1.0, 1.0], x, cluster])
+        ts = validate_training_set((x, np.zeros(len(x))), n=2)
+        assert ts.buckets.per_axis == 10
+        queries = np.array([[0.41, 0.41], [0.85, 0.15]])
+        width = 7
+        proven, _ = neighbors._grid_prefixes(ts, queries, width, ts.buckets, 1)
+        assert proven.tolist() == [False, True]
+        brute = []
+        real = neighbors._normalised_d2
+        monkeypatch.setattr(neighbors, "_grid_rings", lambda *args: 1)
+        monkeypatch.setattr(neighbors, "_normalised_d2",
+                            lambda ts, q: brute.append(q.tolist()) or real(ts, q))
+        got = neighbors._nearest_prefixes(ts, queries, width)
+        assert brute == [queries[0].tolist()]
+        assert np.array_equal(got, self.want(ts, queries, width))
 
 
 def test_is_extrapolation():

@@ -81,9 +81,8 @@ def oracle_scattered_simplex(training, query):
     budget = min(training.npoints - 1, max(ORACLE_CANDIDATE_FACTOR * n, n))
     tracker = _OracleRankTracker(n)
     aux = []
-    ref_x = training.x[reference] / scale
     for cand in order[1 : budget + 1]:
-        if tracker.try_add(training.x[cand] / scale - ref_x):
+        if tracker.try_add((training.x[cand] - training.x[reference]) / scale):
             aux.append(int(cand))
             if len(aux) == n:
                 return reference, tuple(aux)

@@ -10,9 +10,13 @@ For each dimension n and size N in ``SHAPES``, N uniform noisy n-D points
 and ``QUERIES`` queries are drawn from a fixed seed.  At n = 9 every
 distance is a sum of nine terms, which numpy adds pairwise.  At n = 17 the
 batch's lockstep planner hands some queries back to the scalar planner.
-Each side times ``evaluate_gradient_batch`` on all queries (one call) and one
-``evaluate_gradient`` call per query, at C = 1 and C = 16 combinations, in a
-fresh process that imports ``src/gradsurf`` of its checkout.  The sides
+At n = 6 the batch's nearest points are found through the bucket grid at
+the most axes it is used on.  Each side times the first
+``evaluate_gradient_batch`` call on a new training set, at C = 1, which
+builds what the set derives on first use (its columns, and the bucket grid
+where one is used), then one warm batch call on all queries and one
+``evaluate_gradient`` call per query, at C = 1 and C = 16 combinations, in
+a fresh process that imports ``src/gradsurf`` of its checkout.  The sides
 alternate, ``REPEATS`` times each; the JSON holds every run and the
 median microseconds per query of each side, their ratio, and ``nproc``.
 Each run checks that its batch and single-query estimates agree bit for
@@ -22,7 +26,12 @@ The current tree alone also times one ``neighbors._normalised_d2`` call at
 each n and N of ``DISTANCE_SHAPES``, on both sides of the constants that
 choose its passes: one pass over all terms against blocks of points, and
 blocks with and without their floor of points (``distance_blocks`` in the
-JSON).
+JSON).  And it times one ``neighbors._nearest_prefixes`` call on
+``QUERIES`` queries at each n, N and C of ``GRID_SHAPES``, on both sides
+of the constants that choose the bucket grid: through the grid, whatever
+the box's share of N and the count of axes, against the distances to all
+N points, and through grids sized for other counts of points in a ball of
+one bucket's radius (``grid_constants`` in the JSON).
 """
 
 from __future__ import annotations
@@ -39,10 +48,16 @@ from pathlib import Path
 
 import numpy as np
 
-SHAPES = ((3, 5_000), (3, 50_000), (3, 500_000), (9, 5_000), (9, 50_000), (17, 5_000))
+SHAPES = ((3, 5_000), (3, 50_000), (3, 500_000), (6, 200_000), (9, 5_000), (9, 50_000),
+          (17, 5_000))
 DISTANCE_SHAPES = ((3, 5_000), (3, 45_000), (3, 87_000), (3, 130_000), (3, 500_000),
                    (9, 16_000), (9, 50_000), (17, 10_000), (17, 30_000), (99, 2_000),
                    (99, 20_000))
+GRID_SHAPES = ((1, 5_000, 1), (2, 5_000, 1), (3, 5_000, 1), (3, 5_000, 2), (3, 5_000, 4),
+               (3, 5_000, 16), (3, 50_000, 4), (3, 50_000, 16), (4, 50_000, 1),
+               (4, 50_000, 4), (5, 50_000, 1), (5, 50_000, 2), (6, 50_000, 1),
+               (6, 200_000, 1), (6, 200_000, 2), (7, 200_000, 1), (3, 500_000, 1))
+BALL_POINTS = (1.5, 2, 2.5, 3)  # the grid sizes timed, as BUCKET_BALL_POINTS
 COMBINATIONS = (1, 16)
 QUERIES = 50
 REPEATS = 5
@@ -68,6 +83,9 @@ def measure() -> dict:
     for n, npoints in SHAPES:
         x, y, queries = inputs(n, npoints)
         training = validate_training_set((x, y), n=n)
+        t0 = clock()
+        first = evaluate_gradient_batch(training, queries, combinations=COMBINATIONS[0])
+        first_us = (clock() - t0) / len(queries) * 1e6
         for c in COMBINATIONS:
             t0 = clock()
             batch = evaluate_gradient_batch(training, queries, combinations=c)
@@ -81,6 +99,10 @@ def measure() -> dict:
                 "scalar_us_per_query": (t2 - t1) / len(queries) * 1e6,
                 "y_hat": [float(v).hex() for v in scalar],
             }
+            if c == COMBINATIONS[0]:
+                if first.y_hat[:, 0].tolist() != scalar:
+                    raise SystemExit(f"n={n} N={npoints}: the first batch call differs")
+                out[f"n={n} N={npoints} C={c}"]["first_batch_us_per_query"] = first_us
     return out
 
 
@@ -125,6 +147,65 @@ def distance_blocks() -> dict:
     return out
 
 
+def grid_constants() -> dict:
+    """Microseconds per query of one ``_nearest_prefixes`` call, per n, N and
+    C, with the bucket grid forced on and off, and on grids of other sizes.
+
+    ``grid`` searches the grid whatever ``GRID_MAX_SHARE`` and
+    ``GRID_MAX_AXES`` say, ``brute_force`` never does, and ``ball_points_B``
+    searches a grid sized for B times 3n + 1 points in a ball of one
+    bucket's radius; ``chosen`` is what the constants pick, ``box_share``
+    the share of N that an average box of the forced grid holds, and
+    ``proven`` the share of queries it proves.  Every variant's prefixes
+    are checked equal.
+    """
+    import timeit
+
+    from gradsurf import model, neighbors, validate_training_set
+
+    def use(share, axes, ball_points):
+        neighbors.GRID_MAX_SHARE, neighbors.GRID_MAX_AXES = share, axes
+        model.BUCKET_BALL_POINTS = neighbors.BUCKET_BALL_POINTS = ball_points
+
+    shipped = neighbors.GRID_MAX_SHARE, neighbors.GRID_MAX_AXES, model.BUCKET_BALL_POINTS
+    variants = {"grid": (1.0, 99, shipped[2]), "brute_force": (-1.0, 99, shipped[2]),
+                **{f"ball_points_{b}": (1.0, 99, b) for b in BALL_POINTS}}
+    out = {}
+    for n, npoints, c in GRID_SHAPES:
+        x, y, queries = inputs(n, npoints)
+        width = min(npoints, max(3 * n + 1, 2 * (n + 1) * c))
+        # a set for each variant, so that each grid is built at its size
+        sets = {name: validate_training_set((x, y), n=n) for name in variants}
+        times, want = {name: [] for name in variants}, None
+        try:
+            for _ in range(REPEATS):
+                for name, constants in variants.items():
+                    use(*constants)
+                    training = sets[name]
+                    call = lambda: neighbors._nearest_prefixes(training, queries, width)  # noqa: E731
+                    got = call()
+                    want = got if want is None else want
+                    if not (got == want).all():
+                        raise SystemExit(f"n={n} N={npoints} C={c}: {name} prefixes differ")
+                    number = max(1, 200_000 // (n * npoints))
+                    best = min(timeit.repeat(call, number=number, repeat=3))
+                    times[name].append(best / number / len(queries) * 1e6)
+            use(*shipped)
+            chosen = "grid" if neighbors._grid_rings(sets["grid"], width) else "brute_force"
+            use(*variants["grid"])
+            training, rings = sets["grid"], neighbors._grid_rings(sets["grid"], width)
+            proven = neighbors._grid_prefixes(training, queries, width, training.buckets, rings)[0]
+        finally:
+            use(*shipped)
+        out[f"n={n} N={npoints} C={c}"] = {
+            "width": width, "buckets_per_axis": training.buckets.per_axis, "rings": rings,
+            "box_share": neighbors._box_share(n, training.buckets.per_axis, rings),
+            "proven": float(proven.mean()), "chosen": chosen,
+            **{f"{name}_us": statistics.median(t) for name, t in times.items()},
+        }
+    return out
+
+
 def run_side(checkout: Path, flag: str = "--measure") -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     args = [sys.executable, str(Path(__file__).resolve()), flag]
@@ -133,7 +214,7 @@ def run_side(checkout: Path, flag: str = "--measure") -> dict:
 
 
 def summarise(runs: list, key: str, field: str) -> dict:
-    values = [r[key][field] for r in runs]
+    values = [r[key][field] for r in runs if field in r[key]]
     return {"median": statistics.median(values), "runs": values}
 
 
@@ -146,12 +227,17 @@ def main(argv=None) -> int:
                    help="time the gradsurf package on the import path and print JSON")
     p.add_argument("--measure-distances", action="store_true",
                    help="time its distance pass's variants and print JSON")
+    p.add_argument("--measure-grid", action="store_true",
+                   help="time its nearest-point search's variants and print JSON")
     args = p.parse_args(argv)
     if args.measure:
         print(json.dumps(measure()))
         return 0
     if args.measure_distances:
         print(json.dumps(distance_blocks()))
+        return 0
+    if args.measure_grid:
+        print(json.dumps(grid_constants()))
         return 0
     if args.parent is None:
         p.error("--parent is required")
@@ -169,7 +255,9 @@ def main(argv=None) -> int:
         same = all(run[key]["y_hat"] == runs["parent"][0][key]["y_hat"]
                    for side in runs.values() for run in side)
         entry = {"estimates_bit_identical": same}
-        for field in ("batch_us_per_query", "scalar_us_per_query"):
+        for field in ("first_batch_us_per_query", "batch_us_per_query", "scalar_us_per_query"):
+            if not all(field in runs[s][0][key] for s in runs):
+                continue
             parent, change = (summarise(runs[s], key, field) for s in ("parent", "change"))
             entry[field] = {"parent": parent, "change": change,
                             "speedup": parent["median"] / change["median"]}
@@ -188,6 +276,10 @@ def main(argv=None) -> int:
         "distance_method": f"the change side alone, one fresh process: {REPEATS} rounds "
                            "over the variants, each the best of 3 timeit repeats; medians",
         "distance_blocks": run_side(sides["change"], "--measure-distances"),
+        "grid_method": f"the change side alone, one fresh process: {REPEATS} rounds over "
+                       f"the variants, each the best of 3 timeit repeats of one call on "
+                       f"{QUERIES} queries; medians of microseconds per query",
+        "grid_constants": run_side(sides["change"], "--measure-grid"),
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
