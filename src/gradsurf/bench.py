@@ -10,6 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import (
+    DegenerateNeighborhood,
     EmptyInput,
     MeshIndex,
     TrainingSet,
@@ -18,7 +19,7 @@ from .model import (
 )
 from .gradient import evaluate_gradient
 from .layers import _fan_out, _method_batch
-from .neighbors import STENCIL_STEPS
+from .neighbors import STENCIL_STEPS, _grid_rows
 
 SENTINEL_RATIO = 1e12  # reported when a ratio's denominator vanishes
 QUERY_OFFSETS = (0.3, 0.5)  # range of a query's per-axis offset into its cell, in cells
@@ -147,6 +148,29 @@ def gen_mesh_dataset(
     return training, mesh
 
 
+def _distinct_offsets(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """(m, n) offsets inside ``QUERY_OFFSETS``, pairwise distinct within each row.
+
+    The rows are those of m calls ``rng.uniform(*QUERY_OFFSETS, n)``, each
+    call repeated until its values are distinct, and ``rng`` ends where those
+    calls leave it.  One draw of all m rows gives the same stream; from the
+    first row holding a repeat, the saved generator state is restored and the
+    draws are replayed row by row.
+    """
+    state = rng.bit_generator.state
+    off = rng.uniform(*QUERY_OFFSETS, (m, n))
+    repeated = (np.diff(np.sort(off, axis=1), axis=1) == 0).any(axis=1)
+    if repeated.any():
+        first = int(np.argmax(repeated))
+        rng.bit_generator.state = state
+        rng.uniform(*QUERY_OFFSETS, (first, n))  # the rows already kept
+        for i in range(first, m):
+            off[i] = rng.uniform(*QUERY_OFFSETS, n)
+            while len(np.unique(off[i])) < n:
+                off[i] = rng.uniform(*QUERY_OFFSETS, n)
+    return off
+
+
 def gen_queries(
     mesh: MeshIndex,
     function: TestFunction,
@@ -159,8 +183,13 @@ def gen_queries(
     Per-axis offsets are drawn inside ``QUERY_OFFSETS`` and kept pairwise
     distinct within each query, so no query shares a 2-D coordinate plane
     with the mesh.  Returns (queries, true values, reference y-values).
+
+    A seed's queries are those of drawing the cells, then each query's n
+    offsets in one ``rng.uniform`` call, redrawn until distinct, in cell
+    order (``_distinct_offsets``).  A chosen cell with no training point at
+    its lower corner raises DegenerateNeighborhood.
     """
-    n = mesh.n
+    mesh.check_fit(training)
     interior = [np.arange(1, m - 2) for m in mesh.shape]
     counts = [len(r) for r in interior]
     total = int(np.prod(counts))
@@ -176,17 +205,16 @@ def gen_queries(
     cells = np.stack(np.unravel_index(chosen, counts), axis=1)
     cells = cells + 1  # interior ranges start at 1
 
-    queries = np.empty((len(cells), n))
-    ref_truths = np.empty(len(cells))
-    for i, cell in enumerate(cells):
-        off = rng.uniform(*QUERY_OFFSETS, n)
-        while len(np.unique(off)) < n:
-            off = rng.uniform(*QUERY_OFFSETS, n)
-        lower = np.array([mesh.axes[a][cell[a]] for a in range(n)])
-        upper = np.array([mesh.axes[a][cell[a] + 1] for a in range(n)])
-        queries[i] = lower + off * (upper - lower)
-        ref_idx = mesh.point_at(cell)
-        ref_truths[i] = training.y[ref_idx, 0]
+    off = _distinct_offsets(rng, len(cells), mesh.n)
+    axes = [np.asarray(nodes) for nodes in mesh.axes]
+    lower = np.stack([nodes[c] for nodes, c in zip(axes, cells.T)], axis=1)
+    upper = np.stack([nodes[c + 1] for nodes, c in zip(axes, cells.T)], axis=1)
+    queries = lower + off * (upper - lower)
+    ref_idx, _ = _grid_rows(mesh, cells, np.zeros((*cells.shape, 0), dtype=int))
+    if (ref_idx < 0).any():
+        cell = cells[np.argmax(ref_idx < 0)]
+        raise DegenerateNeighborhood(f"no training point at grid index {tuple(cell.tolist())}")
+    ref_truths = training.y[ref_idx, 0]
     truths = function(queries)
     return queries, truths, ref_truths
 
@@ -222,9 +250,7 @@ def gen_local_cell_dataset(
     training = validate_training_set((x, y.reshape(-1, 1)), n=n, layer_count=1)
     mesh = MeshIndex(axes=tuple([nodes] * n), grid=grid, rows=np.arange(len(grid)))
 
-    off = rng.uniform(*QUERY_OFFSETS, n)
-    while len(np.unique(off)) < n:
-        off = rng.uniform(*QUERY_OFFSETS, n)
+    off = _distinct_offsets(rng, 1, n)[0]
     h = nodes[1] - nodes[0]
     query = nodes[cell] + off * h
     truth = float(function(query))

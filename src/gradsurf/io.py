@@ -260,21 +260,31 @@ def load_mesh_sidecar(path) -> MeshIndex:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _number_columns(values: np.ndarray) -> list:
+    """The columns of a 2-D array as lists of ``repr`` text, which reads back
+    to the same float and is what ``csv.writer`` writes for a float."""
+    return [list(map(repr, column)) for column in values.T.tolist()]
+
+
+def _write_csv(path, header: list, columns: list) -> None:
+    """Write ``header`` and then one row per entry of the equal-length
+    ``columns`` through one ``csv.writer``, which quotes each field as it needs."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
 def save_dataset(path, training: TrainingSet, mesh: Optional[MeshIndex] = None) -> None:
-    """Write a dataset (and mesh sidecar) that ``load_dataset`` reads back equal."""
+    """Write a dataset (and mesh sidecar) that ``load_dataset`` reads back equal.
+
+    The CSV goes through ``_write_csv``, as ``write_imputed``'s output does."""
     path = Path(path)
     header = [f"x{i + 1}" for i in range(training.n)]
     header += ["y"] if training.layer_count == 1 else [
         f"y{i + 1}" for i in range(training.layer_count)
     ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(training.npoints):
-            writer.writerow(
-                [repr(float(v)) for v in training.x[i]]
-                + [repr(float(v)) for v in training.y[i]]
-            )
+    _write_csv(path, header, _number_columns(training.x) + _number_columns(training.y))
     if mesh is not None:
         meta = {
             "axes": [[float(v) for v in a] for a in mesh.axes],
@@ -308,7 +318,8 @@ def write_imputed(path, coords: np.ndarray, y_hat: np.ndarray, method: str,
     ``coords`` is the (M, n) array of queries and ``y_hat`` the (M, L) array
     of estimates; ``status`` and ``flags`` hold one string per row.  A row
     whose status is not "ok" gets empty estimate fields.  Numbers are written
-    as ``repr(float)`` text, which reads back to the same float.
+    as ``repr(float)`` text, which reads back to the same float, through the
+    writer ``save_dataset`` uses (``_write_csv``).
     """
     if not len(coords):
         raise ValidationError("no output rows to write")
@@ -316,16 +327,13 @@ def write_imputed(path, coords: np.ndarray, y_hat: np.ndarray, method: str,
     header = [f"x{i + 1}" for i in range(n)]
     header += ["y_hat"] if layers == 1 else [f"y_hat{i + 1}" for i in range(layers)]
     header += ["method", "status", "flags"]
-    no_estimates = [""] * layers
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)  # writes a float as its repr
-        writer.writerow(header)
-        # lists are made one row at a time: lists of the whole arrays would
-        # keep thousands of objects alive for the garbage collector to scan
-        writer.writerows(
-            x.tolist() + (y.tolist() if s == "ok" else no_estimates) + [method, s, f]
-            for x, y, s, f in zip(coords, y_hat, status, flags)
-        )
+    estimates = _number_columns(y_hat)
+    failed = [i for i, s in enumerate(status) if s != "ok"]
+    for column in estimates:
+        for i in failed:
+            column[i] = ""
+    columns = _number_columns(coords) + estimates + [repeat(method), status, flags]
+    _write_csv(path, header, columns)
 
 
 def write_report(path, report: dict) -> None:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gradsurf import (
+    DegenerateNeighborhood,
     EmptyInput,
+    MeshIndex,
     NoiseSpec,
     TEST_FUNCTIONS,
     ValidationError,
@@ -13,10 +15,14 @@ from gradsurf import (
     gen_mesh_dataset,
     gen_queries,
     run_benchmark,
+    validate_training_set,
 )
 from gradsurf import bench
 from gradsurf.bench import SENTINEL_RATIO, _high_dim_scenario, _mesh_scenario
 from tests_oracles import (
+    ScriptedGenerator,
+    oracle_distinct_offsets,
+    oracle_gen_queries,
     oracle_high_dim_scenario,
     oracle_local_cell_dataset,
     oracle_mesh_scenario,
@@ -106,6 +112,67 @@ class TestGenQueries:
             off = (row - [mesh.axes[a][cell[a]] for a in range(3)]) / h
             assert ((off >= 0.3) & (off < 0.5)).all()
             assert len(np.unique(np.round(off, 12))) == 3
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_matches_the_per_query_oracle(self, n, sparse):
+        f = TEST_FUNCTIONS["H1"]
+        nodes = {1: 20, 2: 9, 3: 7, 4: 6}[n]
+        interior = (nodes - 3) ** n
+        for seed in range(20):
+            jitter = (0.0, 0.15, 0.3, 0.45)[seed % 4]
+            ts, mesh = gen_mesh_dataset(f, nodes, x_jitter_fraction=jitter, seed=seed, n=n)
+            if sparse:  # file every node, in shuffled order
+                order = np.random.default_rng(seed).permutation(ts.npoints)
+                grid = np.stack(np.unravel_index(order, mesh.shape), axis=1)
+                ts = validate_training_set((ts.x[order], ts.y[order]), n=n)
+                mesh = MeshIndex(axes=mesh.axes, jitter_fraction=jitter, grid=grid,
+                                 rows=np.arange(len(order)))
+            for budget in (interior // 3, interior, 10_000):
+                got = gen_queries(mesh, f, ts, seed=seed + 100, budget=budget)
+                want = oracle_gen_queries(mesh, f, ts, seed=seed + 100, budget=budget)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_missing_reference_node_is_a_typed_error(self):
+        f = TEST_FUNCTIONS["S1"]
+        ts, mesh = gen_mesh_dataset(f, 6)
+        grid = np.stack(np.unravel_index(np.arange(ts.npoints), mesh.shape), axis=1)
+        keep = np.flatnonzero((grid != 2).any(axis=1))  # leave out node (2, 2, 2)
+        holed = validate_training_set((ts.x[keep], ts.y[keep]), n=3)
+        sparse = MeshIndex(axes=mesh.axes, grid=grid[keep], rows=np.arange(len(keep)))
+        with pytest.raises(DegenerateNeighborhood, match=r"grid index \(2, 2, 2\)"):
+            gen_queries(sparse, f, holed, budget=10_000)
+
+
+class TestDistinctOffsets:
+    """Rows of PCG64 draws practically never repeat a value, so the replay of
+    repeated rows is checked on scripted draws."""
+
+    def test_a_repeated_row_is_redrawn_and_later_rows_shift(self):
+        script = [0.3, 0.4, 0.35, 0.35, 0.45, 0.3, 0.4, 0.41, 0.33, 0.33]
+        rng = ScriptedGenerator(script)
+        off = bench._distinct_offsets(rng, 3, 2)
+        assert off.tolist() == [[0.3, 0.4], [0.45, 0.3], [0.4, 0.41]]
+        assert rng.state == 8
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_per_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        script = rng.choice([0.3, 0.35, 0.4, 0.45, 0.49], size=5000)  # rows often repeat
+        ours, theirs = ScriptedGenerator(script), ScriptedGenerator(script)
+        off = bench._distinct_offsets(ours, m, n)
+        assert off.tobytes() == oracle_distinct_offsets(theirs, m, n).tobytes()
+        assert ours.state == theirs.state
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_real_generator_draws_the_per_row_stream(self, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        off = bench._distinct_offsets(ours, 300, 4)
+        assert off.tobytes() == oracle_distinct_offsets(theirs, 300, 4).tobytes()
+        assert ours.uniform() == theirs.uniform()  # same draws consumed
 
 
 class TestLocalCellDataset:

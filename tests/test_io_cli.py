@@ -35,6 +35,7 @@ from gradsurf import (
 )
 from gradsurf import io as gio
 from gradsurf.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from tests_oracles import oracle_save_dataset_csv, oracle_write_imputed
 
 
 def affine_files(tmp_path, with_mesh=True):
@@ -736,6 +737,45 @@ class TestGradientImpute:
     ):
         assert_impute_equals_per_row_evaluation(tmp_path, workers, "gradient", layout,
                                                 combinations)
+
+
+EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, -2.5e-310, 123456.789, 1.0 / 3.0)
+
+
+class TestCsvWriters:
+    """``save_dataset`` and ``write_imputed`` write the bytes of one
+    ``csv.writer`` row per point or query."""
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_save_dataset_equals_the_per_row_writer(self, tmp_path, layers):
+        rng = np.random.default_rng(layers)
+        x = rng.permutation(np.resize(EDGE_VALUES, (40, 2)).ravel()).reshape(40, 2)
+        x[:, 1] += np.arange(40)  # distinct rows
+        y = rng.choice(EDGE_VALUES, (40, layers)) * rng.choice([-1.0, 1.0], (40, layers))
+        ts = validate_training_set((x, y), n=2, layer_count=layers)
+        save_dataset(tmp_path / "ours.csv", ts)
+        oracle_save_dataset_csv(tmp_path / "theirs.csv", ts)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
+        assert load_dataset(tmp_path / "ours.csv")[0] == ts
+
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    def test_write_imputed_equals_the_per_row_writer(self, tmp_path, layers):
+        rng = np.random.default_rng(layers)
+        count = 30
+        coords = rng.choice(EDGE_VALUES, (count, 3))
+        y_hat = rng.choice(EDGE_VALUES + (np.inf, -np.inf), (count, layers))
+        status = np.full(count, "ok", dtype=object)
+        flags = np.full(count, "", dtype=object)
+        status[[2, 7, 19]] = ['error: bad "x", at 1,2', "error: no point, none", 'error: "q"']
+        y_hat[[2, 7, 19]] = np.nan
+        flags[[0, 5, 11]] = ["corrected", "chord-fallback,+inflection", 'a "quoted", flag']
+        gio.write_imputed(tmp_path / "ours.csv", coords, y_hat, "smooth", status, flags)
+        oracle_write_imputed(tmp_path / "theirs.csv", coords, y_hat, "smooth", status, flags)
+        ours = (tmp_path / "ours.csv").read_bytes()
+        assert ours == (tmp_path / "theirs.csv").read_bytes()
+        rows = list(csv.reader(ours.decode().splitlines()))
+        assert rows[3][3 + layers:] == ["smooth", 'error: bad "x", at 1,2', ""]
+        assert rows[6][-1] == "chord-fallback,+inflection"
 
 
 class TestReports:

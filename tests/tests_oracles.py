@@ -1,6 +1,7 @@
 """Independent numeric oracles, and the random inputs they are checked on,
 shared across test modules."""
 
+import csv
 import itertools
 from contextlib import contextmanager
 from math import comb, prod
@@ -173,6 +174,91 @@ def oracle_local_cell_dataset(function, n, nodes_per_axis, rng, y_noise=None,
         off = rng.uniform(offset_range[0], offset_range[1], n)
     query = np.array([nodes[j] for j in cell]) + off * (nodes[1] - nodes[0])
     return x, y.reshape(-1, 1), index_map, query, float(function(query)), float(y[0])
+
+
+def oracle_distinct_offsets(rng, m, n, offset_range=(0.3, 0.5)):
+    """(m, n) query offsets drawn one row at a time, each row redrawn until
+    its values are distinct."""
+    off = np.empty((m, n))
+    for i in range(m):
+        off[i] = rng.uniform(offset_range[0], offset_range[1], n)
+        while len(np.unique(off[i])) < n:
+            off[i] = rng.uniform(offset_range[0], offset_range[1], n)
+    return off
+
+
+def oracle_gen_queries(mesh, function, training, seed=0, budget=5000,
+                       offset_range=(0.3, 0.5)):
+    """``bench.gen_queries`` as first written: per query, one draw of its
+    offsets (redrawn until distinct), its cell's corners gathered axis by
+    axis and its reference found by ``point_at``."""
+    n = mesh.n
+    counts = [m - 3 for m in mesh.shape]
+    total = int(np.prod(counts))
+    rng = np.random.default_rng(seed)
+    if total > budget:
+        chosen = np.sort(rng.choice(total, size=budget, replace=False))
+    else:
+        chosen = np.arange(total)
+    cells = np.stack(np.unravel_index(chosen, counts), axis=1) + 1
+    queries = np.empty((len(cells), n))
+    ref_truths = np.empty(len(cells))
+    for i, cell in enumerate(cells):
+        off = rng.uniform(offset_range[0], offset_range[1], n)
+        while len(np.unique(off)) < n:
+            off = rng.uniform(offset_range[0], offset_range[1], n)
+        lower = np.array([mesh.axes[a][cell[a]] for a in range(n)])
+        upper = np.array([mesh.axes[a][cell[a] + 1] for a in range(n)])
+        queries[i] = lower + off * (upper - lower)
+        ref_truths[i] = training.y[mesh.point_at(cell), 0]
+    return queries, function(queries), ref_truths
+
+
+class ScriptedGenerator:
+    """Stands in for ``np.random.Generator`` where a test needs draws that
+    repeat: ``uniform`` hands out the scripted values in order, whatever its
+    bounds, and ``bit_generator.state`` is the position in the script."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.state = 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def uniform(self, low, high, size):
+        count = int(np.prod(size))
+        assert self.state + count <= len(self.values), "script ran out"
+        out = self.values[self.state : self.state + count].reshape(size)
+        self.state += count
+        return out.copy()
+
+
+# -- CSV files as first written: one csv.writer row per point or query -------
+
+
+def oracle_save_dataset_csv(path, training):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(training.n)] + (
+            ["y"] if training.layer_count == 1
+            else [f"y{i + 1}" for i in range(training.layer_count)]))
+        for i in range(training.npoints):
+            writer.writerow([repr(float(v)) for v in training.x[i]]
+                            + [repr(float(v)) for v in training.y[i]])
+
+
+def oracle_write_imputed(path, coords, y_hat, method, status, flags):
+    layers = y_hat.shape[1]
+    header = [f"x{i + 1}" for i in range(coords.shape[1])]
+    header += ["y_hat"] if layers == 1 else [f"y_hat{i + 1}" for i in range(layers)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + ["method", "status", "flags"])
+        for x, y, s, f in zip(coords, y_hat, status, flags):
+            estimates = [repr(float(v)) for v in y] if s == "ok" else [""] * layers
+            writer.writerow([repr(float(v)) for v in x] + estimates + [method, s, f])
 
 
 # -- benchmark scenarios as they were: one method per call, data built per call
