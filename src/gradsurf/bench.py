@@ -19,7 +19,7 @@ from .model import (
 )
 from .gradient import evaluate_gradient
 from .layers import _fan_out, _method_batch
-from .neighbors import STENCIL_STEPS, _grid_rows
+from .neighbors import STENCIL_STEPS, _grid_rows, _replaced_entries
 
 SENTINEL_RATIO = 1e12  # reported when a ratio's denominator vanishes
 QUERY_OFFSETS = (0.3, 0.5)  # range of a query's per-axis offset into its cell, in cells
@@ -242,7 +242,7 @@ def gen_local_cell_dataset(
     # stencil step, (-1, 1, 2)[k]
     steps = [k for k in STENCIL_STEPS if k]
     grid = np.tile(cell, (3 * n + 1, 1))
-    grid[1 + np.arange(3 * n), np.repeat(np.arange(n), 3)] += np.tile(steps, n)
+    grid.reshape(-1)[_replaced_entries(n, 3)] = (cell[:, None] + steps).ravel()
     x = nodes[grid]
     y = function(x)
     if y_noise is not None:

@@ -129,8 +129,11 @@ def _lane_estimates(training: TrainingSet, queries, reference, aux) -> tuple:
     and the (K,) mask of singular lanes, whose values are meaningless.
     """
     x, y = training.x, training.y  # every layer is one right-hand side
-    x_ref, y_ref = x[reference], y[reference]
-    p, singular = solve_lanes(x[aux] - x_ref[:, None], y[aux] - y_ref[:, None])
+    x_ref, y_ref = x.take(reference, axis=0), y.take(reference, axis=0)
+    A, b = x.take(aux, axis=0), y.take(aux, axis=0)
+    A -= x_ref[:, None]
+    b -= y_ref[:, None]
+    p, singular = solve_lanes(A, b)
     with np.errstate(all="ignore"):  # singular lanes may hold inf or NaN
         dot = np.matmul(p[:, :, None, :], (queries - x_ref)[:, None, :, None])
         return y_ref + dot[..., 0, 0], singular

@@ -226,12 +226,17 @@ def validate_training_set(points, n: int, layer_count: int = 1) -> TrainingSet:
             f"need at least n+1 = {n + 1} points, got {x.shape[0]}"
         )
 
-    # exact-equality duplicate check: equal rows sort next to each other
-    # (0.0 and -0.0 are equal); near-duplicates surface later as solver
+    # exact-equality duplicate check (0.0 and -0.0 are equal): with every
+    # zero made +0.0, equal rows have equal bits and so equal random linear
+    # keys; only where two keys are equal are the rows sorted, and equal rows
+    # then sort next to each other.  Near-duplicates surface later as solver
     # degeneracy
-    rows = x[np.lexsort(x.T)]
-    if (rows[1:] == rows[:-1]).all(axis=1).any():
-        raise DuplicatePoint("two points share identical coordinates")
+    keys = (x + 0.0).view(np.int64) @ _node_weights(n, 0)
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        rows = x[np.lexsort(x.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
+            raise DuplicatePoint("two points share identical coordinates")
 
     return TrainingSet(x=x.copy(), y=y.copy(), n=n, layer_count=layer_count)
 
@@ -310,7 +315,7 @@ class MeshIndex:
         if grid is not None:
             self.grid, self.rows, self._weights, self._keys = _filed_nodes(self.shape, grid, rows)
             self._max_row = int(self.rows.max(initial=-1))
-            self._past_axes = bool((self.grid >= self.shape).any())
+            self._past_axes = bool((self.grid.max(axis=0, initial=0) >= self.shape).any())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeshIndex):
@@ -403,20 +408,59 @@ class MeshIndex:
         return tuple(idx)
 
     def cells_of(self, queries: np.ndarray) -> np.ndarray:
-        """``cell_of`` of each row of an (M, n) query array, as an (M, n) array."""
-        cells = np.empty(queries.shape, dtype=int)
-        for nodes, axes in self._axis_groups:
-            cells[:, axes] = nodes.searchsorted(queries[:, axes], side="right") - 1
-        return np.minimum(np.maximum(cells, 0), np.array(self.shape) - 1)
+        """``cell_of`` of each row of an (M, n) query array, as an (M, n) array.
+
+        ``cell_of``'s clamped ``bisect_right(nodes, v) - 1`` is the count of
+        the nodes past the first that are at or below v, so one search of
+        those nodes per group of equal axes needs no clamp; a NaN counts
+        them all, as ``bisect_right`` does.
+        """
+        cells = np.empty(queries.shape, dtype=np.intp)
+        for inner, axes in self._axis_groups:
+            cells[:, axes] = inner.searchsorted(queries[:, axes], side="right")
+        return cells
 
     @cached_property
     def _axis_groups(self) -> tuple:
-        """(nodes, axes) pairs: the axes whose nodes are equal share one search."""
+        """(inner, axes) pairs, one per distinct node array: its nodes past
+        the first, read-only, and the axes that share them, as a slice where
+        they run in order (a view of the queries, not a copy), else as a
+        read-only index array."""
         groups = {}
         for a, nodes in enumerate(self.axes):
             nodes = np.asarray(nodes, dtype=float)
             groups.setdefault(nodes.tobytes(), (nodes, []))[1].append(a)
-        return tuple(groups.values())
+        pairs = []
+        for nodes, axes in groups.values():
+            inner = np.array(nodes[1:])
+            if axes == list(range(axes[0], axes[-1] + 1)):
+                axes = slice(axes[0], axes[-1] + 1)
+            else:
+                axes = np.array(axes)
+                axes.setflags(write=False)
+            inner.setflags(write=False)
+            pairs.append((inner, axes))
+        return tuple(pairs)
+
+    @cached_property
+    def _shape_array(self) -> np.ndarray:
+        """``shape`` as a read-only (n,) int array."""
+        shape = np.array(self.shape, dtype=np.intp)
+        shape.setflags(write=False)
+        return shape
+
+    @cached_property
+    def _strides(self) -> np.ndarray:
+        """The row-major step in rows of one node along each axis, read-only."""
+        strides = np.append(np.cumprod(self._shape_array[:0:-1])[::-1], 1)
+        strides.setflags(write=False)
+        return strides
+
+    def __getstate__(self) -> dict:
+        """The instance without the facts built on first use: a pickle costs
+        the same before and after a mesh's first query."""
+        cached = {k for k, v in vars(type(self)).items() if isinstance(v, cached_property)}
+        return {k: v for k, v in vars(self).items() if k not in cached}
 
 
 def _index_map_arrays(index_map: Mapping, n: int) -> tuple:
@@ -431,8 +475,9 @@ def _index_map_arrays(index_map: Mapping, n: int) -> tuple:
 
 @lru_cache(maxsize=256)
 def _node_weights(n: int, draw: int) -> np.ndarray:
-    """The ``draw``-th vector of random odd int64 weights of the node keys on
-    n axes, read-only; cached, as a generator costs more than a small mesh's keys."""
+    """The ``draw``-th vector of random odd int64 weights of linear keys on n
+    axes (a sparse mesh's node keys, the duplicate check's row keys),
+    read-only; cached, as a generator costs more than a small mesh's keys."""
     info = np.iinfo(np.int64)
     rng = np.random.default_rng([n, draw])
     weights = rng.integers(info.min, info.max, n, dtype=np.int64, endpoint=True) | 1
@@ -456,12 +501,14 @@ def _filed_nodes(shape: tuple, grid, rows) -> tuple:
             f"a sparse grid needs a (K, {n}) grid and (K,) rows, got shapes "
             f"{grid.shape} and {rows.shape}"
         )
-    if grid.dtype.kind not in "iu" or (grid < 0).any():
+    if grid.dtype.kind not in "iu" or grid.min(initial=0) < 0:
         raise ValidationError("every grid index entry must be a non-negative integer")
-    if rows.dtype.kind not in "iu" or (rows < 0).any():
+    if rows.dtype.kind not in "iu" or rows.min(initial=0) < 0:
         raise ValidationError("every row must be a non-negative integer")
-    grid = grid.astype(np.min_scalar_type(max(max(shape) - 1, int(grid.max(initial=0)))))
-    rows = rows.astype(int)
+    # no copies: the sort below gathers new arrays
+    grid = grid.astype(np.min_scalar_type(max(max(shape) - 1, int(grid.max(initial=0)))),
+                       copy=False)
+    rows = rows.astype(int, copy=False)
     for draw in count():
         weights = _node_weights(n, draw)
         keys = grid.astype(np.int64) @ weights
@@ -526,7 +573,7 @@ def _finish_batch(training, queries, each_layer, redo, y_hat, reference,
     handed to ``each_layer(query)``, the single-query path's Estimate of every
     layer in order, so that its result or error is that path's."""
     errors = {}
-    for i in np.flatnonzero(redo):
+    for i in redo.nonzero()[0]:
         try:
             for l, est in enumerate(each_layer(queries[i])):
                 y_hat[i, l] = est.y_hat

@@ -663,64 +663,74 @@ def _grid_rows(mesh: MeshIndex, cells: np.ndarray, steps: np.ndarray):
     the nodes ``steps[i, a, k]`` nodes from cell i along axis a, (M, n, K).
     Row -1 marks a node off the grid or at a hole.  A complete grid finds rows
     by row-major strides, a sparse one by the keys of its nodes
-    (``_filed_rows``).
+    (``_filed_rows``), for as many cells at a time as compare about
+    ``COMPARE_BYTES`` grid index entries.
     """
-    shape = np.array(mesh.shape)
     nodes = cells[..., None] + steps
-    inside = (nodes >= 0) & (nodes < shape[:, None])
+    inside = (nodes >= 0) & (nodes < mesh._shape_array[:, None])
     if mesh.grid is None:
-        strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)  # row-major
+        strides = mesh._strides
         reference = cells @ strides
         rows = reference[:, None, None] + steps * strides[:, None]
         return reference, np.where(inside, rows, -1)
-    # each cell (zero steps along axis 0), then each other node on the grid
-    M = len(cells)
-    away = inside & (steps != 0)
-    query, axis, _ = away.nonzero()
-    zeros = np.zeros(M, dtype=int)
-    found = _filed_rows(mesh, cells, np.concatenate([np.arange(M), query]),
-                        np.concatenate([zeros, axis]), np.concatenate([zeros, steps[away]]))
-    reference = found[:M]
-    rows = np.where(steps == 0, reference[:, None, None], -1)
-    rows[away] = found[M:]
-    return reference, rows
+    M, n, K = steps.shape
+    found = np.empty((M, 1 + n * K), dtype=int)
+    part = max(1, COMPARE_BYTES // (n * found.shape[1]))
+    for start in range(0, M, part):
+        q = slice(start, start + part)
+        found[q] = _filed_rows(mesh, cells[q], nodes[q], steps[q])
+    found[:, 1:][~inside.reshape(M, n * K)] = -1
+    return found[:, 0], found[:, 1:].reshape(M, n, K)
 
 
-def _filed_rows(mesh: MeshIndex, cells: np.ndarray, query, axis, step) -> np.ndarray:
-    """The row filed under each of some nodes of a sparse grid, -1 where none is.
+@lru_cache(maxsize=64)
+def _replaced_entries(n: int, K: int) -> np.ndarray:
+    """Where ``_filed_rows``'s node ``1 + a * K + k`` holds its entry a, in the
+    flat (1 + nK, n) array of the nodes' grid indices; read-only."""
+    node = np.arange(n * K)
+    slots = (1 + node) * n + node // K
+    slots.setflags(write=False)
+    return slots
 
-    Node i lies ``step[i]`` nodes from cell ``query[i]`` along ``axis[i]``,
-    on the grid.  Its key is the cell's key plus the step times the axis's
-    weight, wrapping in int64 as the mesh's keys do.  One search of the
-    sorted keys finds each node's candidate, and a candidate counts only if
-    its grid index equals the node's, so a key that an absent node shares
-    with a filed one never returns a wrong row.  The indices are compared
-    in the grid's narrow dtype, ``COMPARE_BYTES`` entries at a time.
+
+def _filed_rows(mesh: MeshIndex, cells: np.ndarray, nodes: np.ndarray, steps) -> np.ndarray:
+    """The rows filed under each cell of a sparse grid and under the nodes
+    ``steps`` from it, -1 where none is; (M, 1 + nK), the cell's row first.
+
+    Node (i, a, k) is cell i with its entry a replaced by ``nodes[i, a, k]``.
+    Its key is the cell's key plus the step times the axis's weight,
+    wrapping in int64 as the mesh's keys do.  One search of the sorted keys
+    finds each node's candidate, and a candidate counts only if its grid
+    index equals the node's, compared in the grid's narrow dtype, so a key
+    that an absent node shares with a filed one never returns a wrong row.
+    A node off the grid may wrap to a filed index there; the caller masks it.
     """
-    keys, weights, found = mesh._keys, mesh._weights, np.full(len(query), -1)
+    keys, weights = mesh._keys, mesh._weights
+    M, n, K = nodes.shape
     if not len(keys):
-        return found
-    wanted = (cells @ weights)[query] + step * weights[axis]
-    at = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
-    hits = np.flatnonzero(keys[at] == wanted)
-    narrow = cells.astype(mesh.grid.dtype)
-    part = max(1, COMPARE_BYTES // mesh.n)
-    for start in range(0, len(hits), part):
-        hit = hits[start : start + part]
-        expected = narrow[query[hit]]
-        expected[np.arange(len(hit)), axis[hit]] = cells[query[hit], axis[hit]] + step[hit]
-        # nonzero where a stored index differs; faster than == and all(axis=1)
-        differ = np.bitwise_or.reduce(mesh.grid[at[hit]] ^ expected, axis=1)
-        hit = hit[differ == 0]
-        found[hit] = mesh.rows[at[hit]]
-    return found
+        return np.full((M, 1 + n * K), -1)
+    base = cells @ weights
+    wanted = np.empty((M, 1 + n * K), dtype=np.int64)
+    wanted[:, 0] = base
+    wanted[:, 1:] = (base[:, None, None] + steps * weights[:, None]).reshape(M, n * K)
+    at = keys.searchsorted(wanted)  # past the last key, the last node is the candidate
+    # each candidate's stored index XOR the node's, in place: the cell's
+    # entries, then at each node's own entry the XOR of its entry and the cell's
+    differ = mesh.grid.take(at, axis=0, mode="clip")
+    narrow = mesh.grid.dtype
+    differ ^= cells.astype(narrow)[:, None, :]
+    moved = (nodes ^ cells[..., None]).astype(narrow)
+    differ.reshape(M, -1)[:, _replaced_entries(n, K)] ^= moved.reshape(M, n * K)
+    # nonzero where a stored index differs; faster than == and all(axis=2)
+    differ = np.bitwise_or.reduce(differ, axis=2)
+    return np.where(differ == 0, mesh.rows.take(at, mode="clip"), -1)
 
 
 def _mesh_simplexes(mesh: MeshIndex, cells: np.ndarray):
     """``select_simplex``'s reference row, (M,), and auxiliary rows, (M, n),
     for each row of an (M, n) array of cells; row -1 marks an absent point."""
-    up = cells + 1 < np.array(mesh.shape)  # else the node below, at the top node
-    reference, aux = _grid_rows(mesh, cells, np.where(up, 1, -1)[..., None])
+    up = cells + 1 < mesh._shape_array  # else the node below, at the top node
+    reference, aux = _grid_rows(mesh, cells, (2 * up - 1)[..., None])
     return reference, aux[..., 0]
 
 
@@ -735,7 +745,7 @@ def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray):
     mesh.check_fit(training)
     n = cells.shape[1]
     # clamp so the bracketing pair exists
-    lower = np.minimum(cells, np.array(mesh.shape) - 2)
+    lower = np.minimum(cells, mesh._shape_array - 2)
     reference, rows = _grid_rows(mesh, cells, (lower - cells)[..., None] + STENCIL_STEPS)
     # a stable sort keeps tied points in step order and absent ends in place;
     # a stencil without its core is left as found

@@ -87,14 +87,20 @@ def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
 
     numpy's vectorised power can round the last bit differently from the C
     library's ``pow`` behind a Python float's ``**``; the batch kernel uses
-    this so that its arcs equal the scalar path's bit for bit.
+    this so that its arcs equal the scalar path's bit for bit.  The builtin
+    ``pow`` is that ``**``; only where it meets a zero base with a negative
+    exponent is the powers' pass rerun through ``_pow``.
     """
     if exponent == 1.0:
         return base
-    if exponent == 0.0:
-        return np.ones_like(base)
-    each = map(_pow, base.ravel().tolist(), repeat(exponent))
-    return np.fromiter(each, dtype=float, count=base.size).reshape(base.shape)
+    if exponent == 0.0:  # multiplies as an array of ones does
+        return 1.0
+    flat = base.ravel().tolist()
+    try:
+        each = np.fromiter(map(pow, flat, repeat(exponent)), dtype=float, count=len(flat))
+    except ZeroDivisionError:
+        each = np.fromiter(map(_pow, flat, repeat(exponent)), dtype=float, count=len(flat))
+    return each.reshape(base.shape)
 
 
 def _arc(K, B, g1R, g2L, d, x, power=operator.pow):
@@ -380,42 +386,45 @@ def _smooth_layers(training: TrainingSet, query, mesh: MeshIndex, **kwargs) -> t
     return tuple(evaluate_smooth(training, query, mesh, layer=l, **kwargs) for l in layers)
 
 
-def _newton_lanes(K, B, g1R, g2L, k, c, x0, d, tol, max_iter):
+def _newton_lanes(p, x0, d, tol, max_iter):
     """``find_root``'s Newton phase over lanes, by its rules lane by lane.
 
-    Lane j solves arc(x) = k[j] x + c[j] from x0[j] on the bracket
-    [0, B[j]].  Returns the roots, the iteration counts, and the lanes that
-    leave Newton for bisection: they left the bracket, met a zero or
-    non-finite derivative, or ran out of iterations.
+    ``p`` is the (6, N) array of each lane's K, B, g1R, g2L, k and c: lane j
+    solves arc(x) = k[j] x + c[j] from x0[j] on the bracket [0, B[j]].
+    Returns the roots, the iteration counts, and the lanes that leave Newton
+    for bisection: they left the bracket, met a zero or non-finite
+    derivative, or ran out of iterations.  A lane's results are written when
+    it stops, and the lanes still running are gathered again only then.
     """
 
     def f(p, x):
-        K, B, g1R, g2L, k, c = p
-        return _arc(K, B, g1R, g2L, d, x, _pow_each) - (k * x + c)
+        return _arc(p[0], p[1], p[2], p[3], d, x, _pow_each) - (p[4] * x + p[5])
 
-    lane = (K, B, g1R, g2L, k, c)
     root, iters = x0.copy(), np.zeros(len(x0), dtype=int)
     rerun = np.zeros(len(x0), dtype=bool)
-    fx = f(lane, x0)
-    act = np.flatnonzero(fx != 0.0)  # f(x0) == 0 is a root after 0 iterations
-    x, fx, p = x0[act], fx[act], tuple(v[act] for v in lane)
-    for _ in range(max_iter):
+    fx = f(p, x0)
+    act = (fx != 0.0).nonzero()[0]  # f(x0) == 0 is a root after 0 iterations
+    x, fx, p = x0[act], fx[act], p[:, act]
+    for t in range(max_iter):
         if not len(act):
             break
-        dfx = _arc_slope(*p[:4], d, x, _pow_each) - p[4]
+        dfx = _arc_slope(p[0], p[1], p[2], p[3], d, x, _pow_each) - p[4]
         step = fx / dfx
         xn = x - step
         go = (dfx != 0.0) & np.isfinite(dfx) & (0.0 <= xn) & (xn <= p[1])
-        rerun[act] = ~go
-        iters[act] += go
-        root[act] = np.where(go, xn, x)  # a converged lane's root is its last step
         live = go & (np.abs(step) > tol)
         if not live.all():
-            keep = np.flatnonzero(live)
-            act, xn, p = act[keep], xn[keep], tuple(v[keep] for v in p)
+            stop = (~live).nonzero()[0]
+            lanes, went = act[stop], go[stop]
+            # a converged lane's root is its last step
+            root[lanes] = np.where(went, xn[stop], x[stop])
+            iters[lanes] = t + went
+            rerun[lanes] = ~went
+            keep = live.nonzero()[0]
+            act, xn, p = act[keep], xn[keep], p[:, keep]
         x = xn
         fx = f(p, x)
-    rerun[act] = True
+    root[act], iters[act], rerun[act] = x, max_iter, True
     return root, iters, rerun
 
 
@@ -426,16 +435,16 @@ def _intersect_lanes(x, y, y_ref, q, missing_lower, missing_upper, usable, d, to
     The other arrays are (N,); only ``usable`` lanes with q inside their
     bracket are intersected.  The formulas are ``evaluate_smooth``'s.
     """
-    F1 = _chord(x, y, 1, 2)
-    Fg1, Fg2 = _deviations(_chord(x, y, 0, 1), F1, _chord(x, y, 2, 3))
-    Fg1 = np.where(missing_lower, 0.0, Fg1)
-    Fg2 = np.where(missing_upper, 0.0, Fg2)
+    F0, F1, F2 = _chord(x, y, slice(0, 3), slice(1, 4))
+    Fg1, Fg2 = _deviations(F0, F1, F2)
+    Fg1[missing_lower] = 0.0
+    Fg2[missing_upper] = 0.0
     delta = _chord_increment(y_ref, y[1], x[1], q, F1)
     iters = np.zeros(len(q), dtype=int)
     code = np.full(len(q), CHORD)
     inflection = np.zeros(len(q), dtype=bool)
 
-    lanes = np.flatnonzero(usable & (x[1] <= q) & (q <= x[2]))
+    lanes = (usable & (x[1] <= q) & (q <= x[2])).nonzero()[0]
     boundary = (missing_lower | missing_upper)[lanes]
     F1, Fg1, Fg2, x1, x2, y1, y2, q, y_ref = (
         v[lanes] for v in (F1, Fg1, Fg2, x[1], x[2], y[1], y[2], q, y_ref)
@@ -446,15 +455,16 @@ def _intersect_lanes(x, y, y_ref, q, missing_lower, missing_upper, usable, d, to
     tan1 = np.tan(F1)
 
     # Newton on the lanes with a tilted chord; the rest are trivial (x* = x_p)
-    s = np.flatnonzero(np.abs(tan1) >= TRIVIAL_SLOPE)
+    s = (np.abs(tan1) >= TRIVIAL_SLOPE).nonzero()[0]
     Ks, Bs, g1Rs, g2Ls = K[s], B[s], g1R[s], g2L[s]
     k, c, x0 = _newton_start(Ks, Bs, g1Rs, g2Ls, d, x_p[s], tan1[s], _pow_each)
     x0 = np.minimum(np.maximum(x0, 0.0), Bs)
+    p = np.array((Ks, Bs, g1Rs, g2Ls, k, c))
     x_star, it = x_p.copy(), np.zeros(len(lanes), dtype=int)
-    x_star[s], it[s], rerun = _newton_lanes(Ks, Bs, g1Rs, g2Ls, k, c, x0, d, tol, max_iter)
+    x_star[s], it[s], rerun = _newton_lanes(p, x0, d, tol, max_iter)
     y_star = _arc(K, B, g1R, g2L, d, x_star, _pow_each)
     solved = np.ones(len(lanes), dtype=bool)
-    for j in np.flatnonzero(rerun):
+    for j in rerun.nonzero()[0]:
         # a lane that leaves Newton reruns find_root, bisection fallback and all
         params = ApproxFunctionParams(B=float(Bs[j]), g1R=float(g1Rs[j]), g2L=float(g2Ls[j]), d=d)
         problem = IntersectionProblem(params=params, x_p=float(x_p[s[j]]),
@@ -503,27 +513,25 @@ def evaluate_smooth_batch(
     reference, rows, x = _axis_stencils(training, mesh, mesh.cells_of(queries))
     present = rows >= 0
     bad = (reference < 0) | ~(present[..., 1] & present[..., 2]).all(axis=1)
-    width = np.diff(x, axis=-1)
-    bad |= ((width == 0.0) & present[..., 1:] & present[..., :-1]).any(axis=(1, 2))
+    bad |= ((x[..., 1:] == x[..., :-1]) & present[..., 1:] & present[..., :-1]).any(axis=(1, 2))
 
-    def lanes(v):  # one lane per (query, axis, layer)
-        return np.broadcast_to(v, (M, n, L)).reshape(-1)
-
-    y_ref = training.y[reference][:, None, :]
+    # one lane per (query, axis, layer), in that order: a (query, axis)
+    # value repeats L times, a (query, layer) value n times
+    y_ref = training.y[reference]
     with np.errstate(all="ignore"):
         try:
             delta, iters, code, inflection = _intersect_lanes(
-                np.broadcast_to(x.transpose(2, 0, 1)[..., None], (4, M, n, L)).reshape(4, -1),
+                x.reshape(-1, 4).repeat(L, axis=0).T,
                 training.y[rows].transpose(2, 0, 1, 3).reshape(4, -1),
-                lanes(y_ref), lanes(queries[..., None]),
-                lanes(~present[..., :1]), lanes(~present[..., 3:]), lanes(~bad[:, None, None]),
-                d, tol, max_iter,
+                y_ref.repeat(n, axis=0).ravel(), queries.repeat(L),
+                (~present[..., 0]).repeat(L), (~present[..., 3]).repeat(L),
+                (~bad).repeat(n * L), d, tol, max_iter,
             )
         except OverflowError:  # NaN sends every query to evaluate_smooth and its errors
             N = M * n * L
             delta, iters, code, inflection = (np.full(N, v) for v in (np.nan, 0, CHORD, False))
         # the scalar path's running total: y_ref, then each axis in order
-        total = np.concatenate([y_ref, delta.reshape(M, n, L)], axis=1).cumsum(axis=1)
+        total = np.concatenate([y_ref[:, None, :], delta.reshape(M, n, L)], axis=1).cumsum(axis=1)
     y_hat = total[:, -1, :].copy()
     bad |= ~np.isfinite(y_hat).all(axis=1)
 

@@ -58,57 +58,74 @@ def solve_lanes(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     back-substitution dot is a zero, and subtracting a zero leaves every
     nonzero and every ``+0.0`` as it is.  It can turn a ``-0.0`` in ``b`` into
     ``+0.0``, and a zero times an infinity makes a NaN, hence the other two
-    conditions.  An unjittered mesh gives such lanes: each simplex row steps
-    one node along one axis.  Every other lane goes through ``_eliminate``.
-    Either way a lane's solution for right-hand side l equals
+    conditions.  A finite quotient needs a nonzero diagonal, so each row's
+    largest magnitude, which sets the threshold, is its diagonal entry's.  An
+    unjittered mesh gives such lanes: each simplex row steps one node along
+    one axis.  Every other lane goes through ``_eliminate``.  Either way a
+    lane's solution for right-hand side l equals
     ``solve_linear_system(A[i], b[i, :, l])`` bit for bit.  Returns the
     (M, L, n) solutions and the (M,) mask of the lanes the scalar solver would
     call singular; their solutions are meaningless.
     """
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     M, n, L = b.shape
-    scale = np.abs(A).max(axis=2)
-    scale[scale == 0.0] = 1.0
-    threshold = SINGULARITY_RTOL * scale.max(axis=1)
     diag = A.diagonal(axis1=1, axis2=2)
     x = np.empty((M, L, n))
     with np.errstate(all="ignore"):  # lanes with a zero diagonal entry divide by zero
         np.divide(b.transpose(0, 2, 1), diag[:, None, :], out=x)
-    singular = (np.abs(diag) <= threshold[:, None]).any(axis=1)
-    quotient = np.count_nonzero(A, axis=(1, 2)) == np.count_nonzero(diag, axis=1)
-    quotient &= ~((b == 0.0) & np.signbit(b)).any(axis=(1, 2))
-    quotient &= np.isfinite(x).all(axis=(1, 2))
-    rest = ~quotient
+    size = np.abs(diag)
+    singular = (size <= SINGULARITY_RTOL * size.max(axis=1, keepdims=True)).any(axis=1)
+    # the entries off the diagonal, as an (M, n - 1, n) view of a lane's rows
+    off = A.reshape(M, n * n)[:, 1:].reshape(M, n - 1, n + 1)[..., :-1]
+    rest = off.any(axis=(1, 2)) | ~np.isfinite(x).all(axis=(1, 2))
+    rest |= ((b == 0.0) & np.signbit(b)).any(axis=(1, 2))
     if rest.any():
-        x[rest], singular[rest] = _eliminate(A[rest], b[rest], threshold[rest])
+        A = A[rest]
+        x[rest], singular[rest] = _eliminate(A, b[rest], _threshold(A))
     return x, singular
 
 
+def _threshold(A: np.ndarray) -> np.ndarray:
+    """``solve_linear_system``'s singularity threshold of each lane of A.
+
+    Each row's largest magnitude is reduced over a contiguous (n, M, n) copy
+    whose rows are the columns of A: a maximum of whole rows is much faster
+    than one of each short row, and a maximum is exact in any order.
+    """
+    n, M = A.shape[1], len(A)
+    scale = np.abs(A.transpose(2, 0, 1), out=np.empty((n, M, n))).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    return SINGULARITY_RTOL * scale.max(axis=1)
+
+
 def _eliminate(A: np.ndarray, b: np.ndarray, threshold: np.ndarray) -> tuple:
-    """The scalar solver's steps on every lane of ``(A, b)``, which it
-    overwrites: the same threshold, the first largest pivot, the same swaps,
-    and each row update as one outer product per pivot column, so every
-    element sees the same multiply and subtract.  The dots of the
-    back-substitution go through stacked ``np.matmul``, which calls the same
-    BLAS dot as the scalar 1-D ``@``.  Returns ``solve_lanes``'s pair."""
+    """The scalar solver's steps on every lane of ``(A, b)``: the same
+    threshold, the first largest pivot, the same swaps, and each row update
+    as one outer product per pivot column, so every element sees the same
+    multiply and subtract.  Each lane is held as ``[A | b]``, one (n, n + L)
+    matrix, so that one swap and one update per step serve both.  The dots
+    of the back-substitution go through stacked ``np.matmul``, which calls
+    the same BLAS dot as the scalar 1-D ``@``.  Returns ``solve_lanes``'s
+    pair."""
     M, n, L = b.shape
+    Ab = np.concatenate((A, b), axis=2)
     singular = np.zeros(M, dtype=bool)
     lanes = np.arange(M)
     with np.errstate(all="ignore"):  # singular lanes may divide by zero
         for k in range(n - 1):
-            p = np.argmax(np.abs(A[:, k:, k]), axis=1) + k
-            singular |= np.abs(A[lanes, p, k]) <= threshold
-            A[lanes, k], A[lanes, p] = A[lanes, p], A[lanes, k]
-            b[lanes, k], b[lanes, p] = b[lanes, p], b[lanes, k]
-            lam = (A[:, k + 1 :, k] / A[:, k, k, None])[..., None]
-            A[:, k + 1 :, k + 1 :] -= lam * A[:, k, None, k + 1 :]
-            b[:, k + 1 :] -= lam * b[:, k, None]
-        singular |= np.abs(A[:, n - 1, n - 1]) <= threshold
+            p = np.argmax(np.abs(Ab[:, k:, k]), axis=1) + k
+            singular |= np.abs(Ab[lanes, p, k]) <= threshold
+            row = Ab[:, k].copy()  # swap rows k and p
+            Ab[:, k] = Ab[lanes, p]
+            Ab[lanes, p] = row
+            lam = (Ab[:, k + 1 :, k] / Ab[:, k, k, None])[..., None]
+            Ab[:, k + 1 :, k + 1 :] -= lam * Ab[:, k, None, k + 1 :]
+        singular |= np.abs(Ab[:, n - 1, n - 1]) <= threshold
 
         x = np.empty((M, L, n))
         for k in range(n - 1, -1, -1):
-            dot = np.matmul(A[:, None, None, k, k + 1 :], x[:, :, k + 1 :, None])
-            x[:, :, k] = (b[:, k] - dot[..., 0, 0]) / A[:, k, k, None]
+            dot = np.matmul(Ab[:, None, None, k, k + 1 : n], x[:, :, k + 1 :, None])
+            x[:, :, k] = (Ab[:, k, n:] - dot[..., 0, 0]) / Ab[:, k, k, None]
     return x, singular
 
 

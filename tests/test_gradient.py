@@ -19,7 +19,7 @@ from gradsurf import (
     validate_training_set,
 )
 from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
-from tests_oracles import eliminations, grid_queries, outcome, random_grid
+from tests_oracles import eliminations, grid_queries, holed_local_cell, outcome, random_grid
 
 
 class TestEstimateGradients:
@@ -247,12 +247,26 @@ class TestGradientBatch:
             errors[0] if errors else [e.y_hat for e in scalar]
         )
 
-    def test_high_dimensional_local_cell(self):
-        rng = np.random.default_rng(11)
-        ts, mesh, query, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], 99, 20, rng)
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("n", [1, 2, 9, 99])
+    def test_high_dimensional_local_cell(self, n, seed):
+        rng = np.random.default_rng(seed)
+        ts, mesh, query, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], n, 20, rng)
         batch, handed = batch_with_handovers(ts, query[None, :], mesh)
         assert not handed
-        assert_same(batch, 0, 0, evaluate_gradient(ts, query, mesh=mesh))
+        expected = evaluate_gradient(ts, query, mesh=mesh)
+        assert_same(batch, 0, 0, expected)
+        assert batch.combinations_used[0] == expected.combinations_used
+
+    @pytest.mark.parametrize("n", [1, 9, 99])
+    def test_local_cell_without_its_reference(self, n):
+        ts, mesh, query = holed_local_cell(n)
+        with pytest.raises(DegenerateNeighborhood) as scalar:
+            evaluate_gradient(ts, query, mesh=mesh)
+        batch = evaluate_gradient_batch(ts, query[None, :], mesh)
+        assert type(batch.errors[0]) is DegenerateNeighborhood
+        assert str(batch.errors[0]) == str(scalar.value)
+        assert batch.reference_index[0] == -1 and np.isnan(batch.y_hat[0, 0])
 
     def test_singular_system_and_nan_query_are_handed_over(self):
         # node (0, 1) lies on the x1 axis, so the first cell's system is

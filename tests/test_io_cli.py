@@ -1,5 +1,6 @@
 import csv
 import json
+import pickle
 import re
 import tempfile
 import warnings
@@ -21,6 +22,7 @@ from gradsurf import (
     TEST_FUNCTIONS,
     evaluate_gradient_batch,
     evaluate_layers,
+    evaluate_smooth_batch,
     gen_local_cell_dataset,
     gen_mesh_dataset,
     load_dataset,
@@ -33,7 +35,7 @@ from gradsurf import (
     write_plot_csv,
     write_report,
 )
-from gradsurf import io as gio
+from gradsurf import cli, io as gio
 from gradsurf.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from tests_oracles import oracle_save_dataset_csv, oracle_write_imputed
 
@@ -737,6 +739,30 @@ class TestGradientImpute:
     ):
         assert_impute_equals_per_row_evaluation(tmp_path, workers, "gradient", layout,
                                                 combinations)
+
+
+class TestUsedMeshImpute:
+    @pytest.mark.parametrize("method", ["gradient", "smooth"])
+    def test_a_mesh_pickled_after_its_first_batch_gives_the_same_rows(self, tmp_path, method):
+        """A holed jittered mesh, pickled after both batch kernels built its
+        facts, imputes the bytes that a freshly loaded one does, in this
+        process and in workers it is pickled to again."""
+        data, q_csv = impute_inputs(tmp_path, "mesh")
+        training, mesh = load_dataset(data)
+        queries = load_queries(q_csv)
+        queries = queries[np.isfinite(queries).all(axis=1)]
+        evaluate_gradient_batch(training, queries, mesh)
+        evaluate_smooth_batch(training, queries, mesh)
+        used = pickle.loads(pickle.dumps(mesh))
+        outputs = set()
+        for workers in ("1", "2"):
+            for loaded in (load_dataset(data), (training, used)):
+                out = tmp_path / f"out{workers}.csv"
+                with mock.patch.object(cli, "load_dataset", return_value=loaded):
+                    main(["impute", "--data", str(data), "--queries", str(q_csv),
+                          "--output", str(out), "--workers", workers, "--method", method])
+                outputs.add(out.read_bytes())
+        assert len(outputs) == 1
 
 
 EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, -2.5e-310, 123456.789, 1.0 / 3.0)

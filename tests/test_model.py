@@ -1,4 +1,5 @@
 import pickle
+from math import prod
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from gradsurf import (
     validate_query,
     validate_training_set,
 )
+from gradsurf import neighbors
+from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
 from gradsurf.neighbors import axis_stencil
 
 
@@ -242,6 +245,70 @@ class TestMeshIndex:
             MeshIndex(axes=(np.array([0.0, 0.0, 1.0]),))
         with pytest.raises(ValidationError):
             MeshIndex(axes=(np.array([0.0, 1.0]),), jitter_fraction=0.5)
+
+
+class TestCellsOf:
+    """``cells_of`` is ``cell_of`` row by row, whatever the axes share, and
+    the per-mesh facts it and the batch kernels build are read-only."""
+
+    @staticmethod
+    def mesh(rng, n, distinct, kind):
+        """A mesh whose n axes draw from ``distinct`` node arrays (equal arrays
+        share one search, in slices or scattered index arrays), complete,
+        sparse or jittered."""
+        arrays = [np.cumsum(rng.uniform(0.5, 2.0, rng.integers(2, 7))) for _ in range(distinct)]
+        axes = tuple(arrays[i] for i in rng.integers(0, distinct, n))
+        if kind == "sparse":
+            shape = tuple(len(a) for a in axes)
+            grid = np.stack(np.unravel_index(np.arange(prod(shape)), shape), axis=1)
+            filed = rng.permutation(np.flatnonzero(rng.random(len(grid)) < 0.6))
+            return MeshIndex(axes, grid=grid[filed], rows=np.arange(len(filed)))
+        return MeshIndex(axes, jitter_fraction=0.3 if kind == "jittered" else 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), distinct=st.integers(1, 3),
+           kind=st.sampled_from(["complete", "sparse", "jittered"]), count=st.integers(0, 12))
+    def test_rows_equal_cell_of(self, seed, n, distinct, kind, count):
+        rng = np.random.default_rng(seed)
+        mesh = self.mesh(rng, n, distinct, kind)
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+        queries = np.empty((count, n))
+        for a, nodes in enumerate(mesh.axes):
+            pick = rng.integers(0, 5, count)
+            on_node = nodes[rng.integers(0, len(nodes), count)]
+            inside = rng.uniform(nodes[0], nodes[-1], count)
+            outside = np.where(rng.random(count) < 0.5, nodes[0] - 1.0, nodes[-1] + 1.0)
+            special = rng.choice(specials, count)
+            queries[:, a] = np.choose(pick, [on_node, inside, outside, special, nodes[-1]])
+        cells = mesh.cells_of(queries)
+        assert cells.shape == (count, n)
+        assert [tuple(c) for c in cells.tolist()] == [mesh.cell_of(q) for q in queries]
+
+    def test_cached_facts_are_read_only(self):
+        nodes, other = np.arange(4.0), np.arange(5.0)
+        for mesh in (MeshIndex((nodes, other, nodes)),
+                     MeshIndex((nodes, other, nodes), grid=[[0, 0, 0], [3, 4, 3]], rows=[0, 1])):
+            mesh.cells_of(np.zeros((1, 3)))
+            facts = [mesh._shape_array, mesh._strides, neighbors._replaced_entries(3, 4)]
+            for inner, axes in mesh._axis_groups:
+                facts += [inner] + ([axes] if isinstance(axes, np.ndarray) else [])
+            assert [type(axes) for _, axes in mesh._axis_groups] == [np.ndarray, slice]
+            for fact in facts:
+                with pytest.raises(ValueError, match="read-only"):
+                    fact[0] = 1
+
+    def test_a_used_mesh_pickles_as_a_fresh_one(self):
+        ts, mesh, query, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], 9, 20,
+                                                       np.random.default_rng(3))
+        fresh = pickle.dumps(mesh)
+        evaluate_gradient_batch(ts, query[None, :], mesh)
+        evaluate_smooth_batch(ts, query[None, :], mesh)
+        assert {"_axis_groups", "_shape_array"} <= vars(mesh).keys()
+        assert pickle.dumps(mesh) == fresh
+        back = pickle.loads(fresh)
+        assert back == mesh and not {"_axis_groups", "_shape_array"} & vars(back).keys()
+        assert evaluate_gradient_batch(ts, query[None, :], back).y_hat.tobytes() == (
+            evaluate_gradient_batch(ts, query[None, :], mesh).y_hat.tobytes())
 
 
 def three_point_set():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gradsurf import (
     ApproxFunctionParams,
+    DegenerateNeighborhood,
     Estimate,
     MeshIndex,
     ValidationError,
@@ -30,6 +31,7 @@ from gradsurf.neighbors import Stencil1D, axis_stencil, locate_reference
 from gradsurf.solvers import find_root
 from tests_oracles import (
     grid_queries,
+    holed_local_cell,
     oracle_axis_stencil,
     oracle_evaluate_smooth,
     oracle_mesh_simplex,
@@ -493,11 +495,26 @@ class TestSmoothBatch:
         for d in (0.3, 0.5, 0.9):
             assert_batch_matches_scalar(ts, queries, mesh, d)
 
-    def test_high_dimensional_local_cell(self):
-        rng = np.random.default_rng(11)
-        ts, mesh, query, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], 99, 20, rng)
+    @pytest.mark.parametrize("d", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("n", [1, 2, 9, 99])
+    def test_high_dimensional_local_cell(self, n, seed, d):
+        rng = np.random.default_rng(seed)
+        ts, mesh, query, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], n, 20, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # d > 1 warns of inflections
+            batch = evaluate_smooth_batch(ts, query[None, :], mesh, d=d)
+            assert_same(batch, 0, 0, evaluate_smooth(ts, query, mesh, d=d))
+
+    @pytest.mark.parametrize("n", [1, 9, 99])
+    def test_local_cell_without_its_reference(self, n):
+        ts, mesh, query = holed_local_cell(n)
+        with pytest.raises(DegenerateNeighborhood) as scalar:
+            evaluate_smooth(ts, query, mesh)
         batch = evaluate_smooth_batch(ts, query[None, :], mesh)
-        assert_same(batch, 0, 0, evaluate_smooth(ts, query, mesh))
+        assert type(batch.errors[0]) is DegenerateNeighborhood
+        assert str(batch.errors[0]) == str(scalar.value)
+        assert batch.reference_index[0] == -1 and np.isnan(batch.y_hat[0, 0])
 
     def test_lane_leaving_newton_matches_find_root(self):
         # one Newton step cannot reach tol, so the lane reruns find_root, whose

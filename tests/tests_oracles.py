@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 
 from gradsurf import (DegenerateNeighborhood, InsufficientPoints, MeshIndex, ValidationError,
-                      solvers)
+                      solvers, validate_training_set)
 
 
 def grid_bisection_root(f, lo, hi, cells=4096, tol=1e-12, nearest_to=None):
@@ -462,6 +462,18 @@ def random_grid(seed, n, jitter, sparse):
         index_map = {tuple(grid[r].tolist()): i for i, r in enumerate(rows)}
         x, y = x[rows], y[rows]
     return x, y, MeshIndex(axes=axes, jitter_fraction=jitter, index_map=index_map), rng
+
+
+def holed_local_cell(n, seed=11):
+    """An H1 local cell at n axes without its reference point, the node at the
+    lower corner of the query's cell, and the query."""
+    from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
+
+    ts, mesh, query, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], n, 20,
+                                                   np.random.default_rng(seed))
+    kept = mesh.rows != 0  # row 0 is the reference
+    holed = validate_training_set((ts.x[1:], ts.y[1:]), n=n)
+    return holed, MeshIndex(mesh.axes, grid=mesh.grid[kept], rows=mesh.rows[kept] - 1), query
 
 
 def grid_queries(mesh, rng, count):

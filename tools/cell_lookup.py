@@ -1,21 +1,35 @@
-"""Time local cells that are each used once, as the T3 and T4 tables use them.
+"""Time the batch kernels' fixed cost per call on two checkouts.
 
 Compares two checkouts of the repository, for example the current tree and
 an older commit unpacked elsewhere:
 
     python3 tools/cell_lookup.py --parent /path/to/other/checkout \
         --output BENCH_cell-h1-n99.json
+    python3 tools/cell_lookup.py --parent /path/to/other/checkout --warm \
+        --output BENCH_cell-h1-n99.json
 
-For each dimension n in ``DIMENSIONS``, ``CELLS`` local cells of H1 (20
-nodes per axis, as T3 and perfbench's cell-h1-n99 build them) are drawn from
-a fixed seed.  Each cell is used once: ``gen_local_cell_dataset`` builds it,
-then one one-query ``evaluate_gradient_batch`` and one one-query
-``evaluate_smooth_batch`` run on it, so every per-mesh fact is built afresh.
-Each side times the three stages in a fresh process that imports
-``src/gradsurf`` of its checkout.  The sides alternate, ``REPEATS`` times
-each.  Each run records its estimates; the report says whether every run of
-both sides gave the same bits.  The report replaces the ``once_per_cell``
-entry of the output JSON and keeps its other entries.
+The default mode times local cells that are each used once, as the T3 and
+T4 tables use them.  For each dimension n in ``DIMENSIONS``, ``CELLS`` local
+cells of H1 (20 nodes per axis, as T3 and perfbench's cell-h1-n99 build
+them) are drawn from a fixed seed.  Each cell is used once:
+``gen_local_cell_dataset`` builds it, then one one-query
+``evaluate_gradient_batch`` and one one-query ``evaluate_smooth_batch`` run
+on it, so every per-mesh fact is built afresh.  The report replaces the
+``once_per_cell`` entry of the output JSON.
+
+``--warm`` times each query's scalar call (``evaluate_gradient``,
+``evaluate_smooth``) against its batch of one (the batch function on a
+(1, n) array), every call after a first untimed one on the same inputs, so
+per-mesh facts are built before timing.  The inputs: the S1 mesh of
+mesh-s1-20 (n=3) with ``WARM_QUERIES`` of its queries, ``WARM_CELLS`` local
+cells of H1 at each n in ``DIMENSIONS``, and 5000 uniform noisy 3-D points
+with ``WARM_QUERIES`` queries at C=1 and C=16 (scatter-5k's shape; the
+smooth method needs a mesh).  The report replaces the ``warm_calls`` entry.
+
+Each side measures in a fresh process that imports ``src/gradsurf`` of its
+checkout.  The sides alternate, ``REPEATS`` times each.  Each run records
+its estimates; the report says whether every run of both sides gave the
+same bits.  Other entries of the output JSON are kept.
 """
 
 from __future__ import annotations
@@ -38,7 +52,12 @@ NODES_PER_AXIS = 20
 REPEATS = 7
 SEED = 17
 STAGES = ("generate", "gradient_batch", "smooth_batch")
+WARM_CELLS = 20
+WARM_QUERIES = 50
+WARM_ROUNDS = 5  # timed calls of each query, after one untimed
+CALLS = ("gradient_scalar", "gradient_batch_of_one", "smooth_scalar", "smooth_batch_of_one")
 ROOT = Path(__file__).resolve().parent.parent
+clock = time.perf_counter
 
 
 def measure() -> dict:
@@ -46,7 +65,7 @@ def measure() -> dict:
     from gradsurf import (TEST_FUNCTIONS, evaluate_gradient_batch, evaluate_smooth_batch,
                           gen_local_cell_dataset)
 
-    clock, f = time.perf_counter, TEST_FUNCTIONS["H1"]
+    f = TEST_FUNCTIONS["H1"]
     out = {}
     for n in DIMENSIONS:
         rng = np.random.default_rng([SEED, n])
@@ -73,9 +92,60 @@ def measure() -> dict:
     return out
 
 
-def run_side(checkout: Path) -> dict:
+def warm_inputs() -> dict:
+    """Each row of the warm table: a list of (training, mesh, query, C)."""
+    from gradsurf import (TEST_FUNCTIONS, gen_local_cell_dataset, gen_mesh_dataset,
+                          gen_queries, validate_training_set)
+
+    s1, h1 = TEST_FUNCTIONS["S1"], TEST_FUNCTIONS["H1"]
+    training, mesh = gen_mesh_dataset(s1, NODES_PER_AXIS, seed=SEED)
+    queries = gen_queries(mesh, s1, training, seed=SEED + 1, budget=WARM_QUERIES)[0]
+    rows = {"mesh-s1-20 (n=3)": [(training, mesh, q, 1) for q in queries]}
+    for n in DIMENSIONS:
+        rng = np.random.default_rng([SEED, n])
+        cells = [gen_local_cell_dataset(h1, n, NODES_PER_AXIS, rng) for _ in range(WARM_CELLS)]
+        rows[f"local cells (n={n})"] = [(t, m, q, 1) for t, m, q, _, _ in cells]
+    rng = np.random.default_rng(SEED)
+    x = rng.uniform(0.0, 1.0, (5000, 3))
+    y = (np.sin(3.0 * x) + x**2).sum(axis=1) + rng.normal(0.0, 0.05, len(x))
+    scattered = validate_training_set((x, y), n=3)
+    queries = rng.uniform(0.1, 0.9, (WARM_QUERIES, 3))
+    for c in (1, 16):
+        rows[f"scatter-5k, C={c}"] = [(scattered, None, q, c) for q in queries]
+    return rows
+
+
+def measure_warm() -> dict:
+    """Median microseconds per call of each kind, and the estimates, per row."""
+    from gradsurf import (evaluate_gradient, evaluate_gradient_batch, evaluate_smooth,
+                          evaluate_smooth_batch)
+
+    calls = dict(zip(CALLS, (
+        lambda t, m, q, c: evaluate_gradient(t, q, mesh=m, combinations=c).y_hat,
+        lambda t, m, q, c: evaluate_gradient_batch(t, q[None, :], m, combinations=c).y_hat[0, 0],
+        lambda t, m, q, c: evaluate_smooth(t, q, m).y_hat,
+        lambda t, m, q, c: evaluate_smooth_batch(t, q[None, :], m).y_hat[0, 0],
+    )))
+    out = {}
+    for row, cases in warm_inputs().items():
+        out[row] = entry = {"y_hat": []}
+        for name, call in calls.items():
+            if name.startswith("smooth") and cases[0][1] is None:
+                continue
+            spent = []
+            for case in cases:
+                entry["y_hat"].append(float(call(*case)).hex())
+                for _ in range(WARM_ROUNDS):
+                    t0 = clock()
+                    call(*case)
+                    spent.append(clock() - t0)
+            entry[f"{name}_us"] = statistics.median(spent) * 1e6
+    return out
+
+
+def run_side(checkout: Path, warm: bool) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    args = [sys.executable, str(Path(__file__).resolve()), "--measure"]
+    args = [sys.executable, str(Path(__file__).resolve()), "--measure"] + ["--warm"] * warm
     done = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -91,11 +161,13 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, help="the checkout to compare against")
     p.add_argument("--change", type=Path, default=ROOT, help="default: this checkout")
     p.add_argument("--output", type=Path, default=ROOT / "BENCH_cell-h1-n99.json")
+    p.add_argument("--warm", action="store_true",
+                   help="time warm scalar calls against batches of one")
     p.add_argument("--measure", action="store_true",
                    help="time the gradsurf package on the import path and print JSON")
     args = p.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure()))
+        print(json.dumps(measure_warm() if args.warm else measure()))
         return 0
     if args.parent is None:
         p.error("--parent is required")
@@ -105,31 +177,42 @@ def main(argv=None) -> int:
     for r in range(REPEATS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_side(sides[side]))
+            runs[side].append(run_side(sides[side], args.warm))
             print(f"# repeat {r + 1}/{REPEATS}: {side} done", file=sys.stderr)
 
     results = {}
-    for key in runs["change"][0]:
-        first = runs["parent"][0][key]["y_hat"]
+    for key, first in runs["parent"][0].items():
         entry = {"estimates_bit_identical": all(
-            run[key]["y_hat"] == first for side in runs.values() for run in side)}
-        for stage in (*STAGES, "total"):
-            field = f"{stage}_us_per_cell"
+            run[key]["y_hat"] == first["y_hat"] for side in runs.values() for run in side)}
+        fields = [f for f in first if f.endswith("_us") or f.endswith("_us_per_cell")]
+        for field in fields:
             parent, change = (summarise(runs[s], key, field) for s in sides)
             entry[field] = {"parent": parent, "change": change,
                             "speedup": parent["median"] / change["median"]}
         results[key] = entry
 
     report = json.loads(args.output.read_text()) if args.output.exists() else {}
-    report["once_per_cell"] = {
-        "command": "python3 tools/cell_lookup.py --parent PARENT",
+    if args.warm:
+        inputs = (f"mesh-s1-20's S1 mesh with {WARM_QUERIES} of its queries; {WARM_CELLS} "
+                  f"local cells of H1 per n in {list(DIMENSIONS)}, seed [{SEED}, n]; 5000 "
+                  f"uniform noisy 3-D points with {WARM_QUERIES} queries at C=1 and C=16")
+        method = (f"{REPEATS} runs per side in fresh processes, sides alternating; in each, "
+                  f"{WARM_ROUNDS} timed calls per query after one untimed, median "
+                  "microseconds per call; medians and inclusive quartiles over runs")
+        key, command = "warm_calls", "python3 tools/cell_lookup.py --parent PARENT --warm"
+    else:
+        inputs = (f"{CELLS} local cells of H1 per n, {NODES_PER_AXIS} nodes per axis, "
+                  f"seed [{SEED}, n]; one query per cell")
+        method = (f"{REPEATS} runs per side in fresh processes, sides alternating; "
+                  "medians and inclusive quartiles of microseconds per cell")
+        key, command = "once_per_cell", "python3 tools/cell_lookup.py --parent PARENT"
+    report[key] = {
+        "command": command,
         "nproc": os.cpu_count(),
         "machine": f"{platform.machine()}, Python {platform.python_version()}, "
                    f"numpy {np.__version__}",
-        "inputs": f"{CELLS} local cells of H1 per n, {NODES_PER_AXIS} nodes per axis, "
-                  f"seed [{SEED}, n]; one query per cell",
-        "method": f"{REPEATS} runs per side in fresh processes, sides alternating; "
-                  "medians and inclusive quartiles of microseconds per cell",
+        "inputs": inputs,
+        "method": method,
         "results": results,
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
