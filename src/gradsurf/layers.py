@@ -13,9 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import MeshIndex, TrainingSet, ValidationError
-from .gradient import _gradient_layers, evaluate_gradient_batch
-from .smooth import _smooth_layers, evaluate_smooth_batch
+from .model import DimensionMismatch, MeshIndex, TrainingSet, ValidationError, _query_vector
+from .gradient import evaluate_gradient_batch
+from .smooth import evaluate_smooth_batch
 
 
 @cache
@@ -30,29 +30,23 @@ def _keyword_error(function: Callable, names: tuple) -> Optional[str]:
     return None
 
 
-def _method(method: str, kwargs: dict) -> tuple:
-    """The named method's batch function and its single-query function over
-    every layer.  An unknown name, or a keyword in ``kwargs`` that the batch
-    function does not take, raises ValidationError before any work.  The
-    functions are looked up by module-global name on every call, so a
-    function replaced on this module (by a tracer, say) is the one that runs
-    and the one whose keywords are checked."""
-    if method == "gradient":
-        functions = evaluate_gradient_batch, _gradient_layers
-    elif method == "smooth":
-        functions = evaluate_smooth_batch, _smooth_layers
-    else:
-        raise ValidationError(f"unknown method {method!r}")
-    error = _keyword_error(functions[0], tuple(kwargs))
-    if error is not None:
-        raise ValidationError(f"{method} method: {error}")
-    return functions
-
-
 def _method_batch(mesh, method: str, kwargs: dict) -> Callable:
     """The named method's batch function, taking ``(training, queries)``, with
-    ``mesh`` and ``kwargs`` bound and checked by ``_method``."""
-    batch = _method(method, kwargs)[0]
+    ``mesh`` and ``kwargs`` bound.  An unknown name, or a keyword in
+    ``kwargs`` that the batch function does not take, raises
+    ValidationError before any work.  The function is looked up by
+    module-global name on every call, so a function replaced on this module
+    (by a tracer, say) is the one that runs and the one whose keywords are
+    checked."""
+    if method == "gradient":
+        batch = evaluate_gradient_batch
+    elif method == "smooth":
+        batch = evaluate_smooth_batch
+    else:
+        raise ValidationError(f"unknown method {method!r}")
+    error = _keyword_error(batch, tuple(kwargs))
+    if error is not None:
+        raise ValidationError(f"{method} method: {error}")
     return partial(batch, mesh=mesh, **kwargs)
 
 
@@ -130,9 +124,20 @@ def evaluate_layers(
     Layers never mix: component j is exactly the scalar method applied to
     layer j's outcomes.  ``kwargs`` go to the method (``combinations`` for
     gradient; ``d``, ``tol``, ``max_iter`` for smooth); any other keyword
-    raises ValidationError, as in ``evaluate_batch``.  Per-layer failures
-    propagate as the corresponding component's error.  The gradient method's
-    point combinations do not depend on the layer, so they are built once.
+    raises ValidationError, as in ``evaluate_batch``.  The query is answered
+    by the method's batch function as a batch of one, which solves every
+    layer at once and hands a query it cannot finish to the single-query
+    path; so each component, and the error of a query that fails (its first
+    failing layer's), is that path's.
     """
-    each_layer = _method(method, kwargs)[1]
-    return LayeredResult(components=each_layer(training, query, mesh, **kwargs))
+    batch = _method_batch(mesh, method, kwargs)
+    try:
+        query = _query_vector(query, training)
+    except DimensionMismatch:
+        if method == "smooth":  # evaluate_smooth checks its arguments first
+            batch(training, np.empty((0, training.n)))
+        raise
+    found = batch(training, query[None, :])
+    if found.errors:
+        raise found.errors[0]
+    return LayeredResult(components=found.estimates(0, method))

@@ -566,6 +566,18 @@ class EstimateBatch:
     extrapolated: np.ndarray  # (M,)
     errors: dict
 
+    def estimates(self, i: int, method: str) -> tuple:
+        """Row ``i`` as one Estimate per layer, in order; the row must not
+        be in ``errors``."""
+        return tuple(
+            Estimate(y_hat=y, method=method, reference_index=int(self.reference_index[i]),
+                     combinations_used=int(self.combinations_used[i]),
+                     newton_iterations=tuple(its), flags=tuple(flags),
+                     extrapolated=bool(self.extrapolated[i]))
+            for y, its, flags in zip(self.y_hat[i].tolist(), self.newton_iterations[i].tolist(),
+                                     self.flags[i].tolist())
+        )
+
 
 def _finish_batch(training, queries, each_layer, redo, y_hat, reference,
                   combinations_used, newton_iterations, flags) -> EstimateBatch:

@@ -386,34 +386,52 @@ def _smooth_layers(training: TrainingSet, query, mesh: MeshIndex, **kwargs) -> t
     return tuple(evaluate_smooth(training, query, mesh, layer=l, **kwargs) for l in layers)
 
 
+def _arc_and_slope(p, x, d):
+    """f and f' of each lane's intersection at x: ``_arc`` and ``_arc_slope``
+    less the lane's line, from one ``B - x``, one pair of powers and one
+    inner sum, in those functions' operation order.  ``p`` is
+    ``_newton_lanes``'s; at d = 1 the powers in ``_arc_slope``'s ``d_inner``
+    are exactly 1.0, so it is the lane constant g2L - g1R, ``p``'s last row."""
+    K, B, g1R, g2L, k, c, g2L_g1R = p
+    u = B - x
+    inner = g1R * _pow_each(u, d) + g2L * _pow_each(x, d)
+    if d == 1.0:
+        d_inner = g2L_g1R
+    else:
+        d_inner = d * (g2L * _pow_each(x, d - 1.0) - g1R * _pow_each(u, d - 1.0))
+    fx = K * x * u * inner - (k * x + c)
+    return fx, K * ((B - 2.0 * x) * inner + x * u * d_inner) - k
+
+
 def _newton_lanes(p, x0, d, tol, max_iter):
     """``find_root``'s Newton phase over lanes, by its rules lane by lane.
 
-    ``p`` is the (6, N) array of each lane's K, B, g1R, g2L, k and c: lane j
-    solves arc(x) = k[j] x + c[j] from x0[j] on the bracket [0, B[j]].
-    Returns the roots, the iteration counts, and the lanes that leave Newton
-    for bisection: they left the bracket, met a zero or non-finite
-    derivative, or ran out of iterations.  A lane's results are written when
-    it stops, and the lanes still running are gathered again only then.
+    ``p`` holds seven (N,) arrays, each lane's K, B, g1R, g2L, k, c and
+    g2L - g1R: lane j solves arc(x) = k[j] x + c[j] from x0[j] on the
+    bracket [0, B[j]].  Returns the roots, the iteration counts, and the
+    lanes that leave Newton for bisection: they left the bracket, met a zero
+    or non-finite derivative, or ran out of iterations.  f and f' are taken
+    together at each iterate (``_arc_and_slope``).  A lane's results are
+    written when it stops, and the lanes still running are gathered again
+    only then.
     """
-
-    def f(p, x):
-        return _arc(p[0], p[1], p[2], p[3], d, x, _pow_each) - (p[4] * x + p[5])
-
-    root, iters = x0.copy(), np.zeros(len(x0), dtype=int)
-    rerun = np.zeros(len(x0), dtype=bool)
-    fx = f(p, x0)
-    act = (fx != 0.0).nonzero()[0]  # f(x0) == 0 is a root after 0 iterations
-    x, fx, p = x0[act], fx[act], p[:, act]
-    for t in range(max_iter):
-        if not len(act):
-            break
-        dfx = _arc_slope(p[0], p[1], p[2], p[3], d, x, _pow_each) - p[4]
+    N = len(x0)
+    root, iters, rerun = x0.copy(), np.zeros(N, dtype=int), np.zeros(N, dtype=bool)
+    act, x = np.arange(N), x0
+    fx, dfx = _arc_and_slope(p, x, d)
+    moving = fx != 0.0  # f(x0) == 0 is a root after 0 iterations
+    if np.count_nonzero(moving) < N:
+        act = moving.nonzero()[0]
+        x, fx, dfx = x[act], fx[act], dfx[act]
+        p = tuple(v[act] for v in p)
+    for t in range(max_iter if len(act) else 0):
+        if t:
+            fx, dfx = _arc_and_slope(p, x, d)
         step = fx / dfx
         xn = x - step
         go = (dfx != 0.0) & np.isfinite(dfx) & (0.0 <= xn) & (xn <= p[1])
         live = go & (np.abs(step) > tol)
-        if not live.all():
+        if np.count_nonzero(live) < len(act):
             stop = (~live).nonzero()[0]
             lanes, went = act[stop], go[stop]
             # a converged lane's root is its last step
@@ -421,11 +439,25 @@ def _newton_lanes(p, x0, d, tol, max_iter):
             iters[lanes] = t + went
             rerun[lanes] = ~went
             keep = live.nonzero()[0]
-            act, xn, p = act[keep], xn[keep], p[:, keep]
+            if not len(keep):
+                break
+            act, xn = act[keep], xn[keep]
+            p = tuple(v[keep] for v in p)
         x = xn
-        fx = f(p, x)
-    root[act], iters[act], rerun[act] = x, max_iter, True
+    else:
+        root[act], iters[act], rerun[act] = x, max_iter, True
     return root, iters, rerun
+
+
+def _lanes(mask: np.ndarray):
+    """The lanes that ``mask`` selects, as an index: every lane as a slice,
+    which indexes without a copy, or their positions."""
+    return slice(None) if np.count_nonzero(mask) == len(mask) else mask.nonzero()[0]
+
+
+def _gather(arrays: tuple, lanes) -> tuple:
+    """Each (N,) array at ``lanes`` (``_lanes``), in one gather."""
+    return arrays if isinstance(lanes, slice) else tuple(np.array(arrays)[:, lanes])
 
 
 def _intersect_lanes(x, y, y_ref, q, missing_lower, missing_upper, usable, d, tol, max_iter):
@@ -435,19 +467,20 @@ def _intersect_lanes(x, y, y_ref, q, missing_lower, missing_upper, usable, d, to
     The other arrays are (N,); only ``usable`` lanes with q inside their
     bracket are intersected.  The formulas are ``evaluate_smooth``'s.
     """
+    N = len(q)
     F0, F1, F2 = _chord(x, y, slice(0, 3), slice(1, 4))
     Fg1, Fg2 = _deviations(F0, F1, F2)
     Fg1[missing_lower] = 0.0
     Fg2[missing_upper] = 0.0
     delta = _chord_increment(y_ref, y[1], x[1], q, F1)
-    iters = np.zeros(len(q), dtype=int)
-    code = np.full(len(q), CHORD)
-    inflection = np.zeros(len(q), dtype=bool)
+    iters = np.zeros(N, dtype=int)
+    code = np.full(N, CHORD)
+    inflection = np.zeros(N, dtype=bool)
 
-    lanes = (usable & (x[1] <= q) & (q <= x[2])).nonzero()[0]
+    lanes = _lanes(usable & (x[1] <= q) & (q <= x[2]))
     boundary = (missing_lower | missing_upper)[lanes]
-    F1, Fg1, Fg2, x1, x2, y1, y2, q, y_ref = (
-        v[lanes] for v in (F1, Fg1, Fg2, x[1], x[2], y[1], y[2], q, y_ref)
+    F1, Fg1, Fg2, x1, x2, y1, y2, q, y_ref = _gather(
+        (F1, Fg1, Fg2, x[1], x[2], y[1], y[2], q, y_ref), lanes
     )
     B, g1R, g2L, x_p = _frame(x1, x2, q, F1, Fg1, Fg2)
     x_p = np.minimum(np.maximum(x_p, 0.0), B)  # as min(max(x_p, 0.0), B) on floats
@@ -455,32 +488,39 @@ def _intersect_lanes(x, y, y_ref, q, missing_lower, missing_upper, usable, d, to
     tan1 = np.tan(F1)
 
     # Newton on the lanes with a tilted chord; the rest are trivial (x* = x_p)
-    s = (np.abs(tan1) >= TRIVIAL_SLOPE).nonzero()[0]
-    Ks, Bs, g1Rs, g2Ls = K[s], B[s], g1R[s], g2L[s]
-    k, c, x0 = _newton_start(Ks, Bs, g1Rs, g2Ls, d, x_p[s], tan1[s], _pow_each)
+    s = _lanes(np.abs(tan1) >= TRIVIAL_SLOPE)
+    Ks, Bs, g1Rs, g2Ls, x_ps, tan1s = _gather((K, B, g1R, g2L, x_p, tan1), s)
+    k, c, x0 = _newton_start(Ks, Bs, g1Rs, g2Ls, d, x_ps, tan1s, _pow_each)
     x0 = np.minimum(np.maximum(x0, 0.0), Bs)
-    p = np.array((Ks, Bs, g1Rs, g2Ls, k, c))
-    x_star, it = x_p.copy(), np.zeros(len(lanes), dtype=int)
+    p = (Ks, Bs, g1Rs, g2Ls, k, c, g2Ls - g1Rs)
+    x_star, it = x_p.copy(), np.zeros(len(x_p), dtype=int)
     x_star[s], it[s], rerun = _newton_lanes(p, x0, d, tol, max_iter)
     y_star = _arc(K, B, g1R, g2L, d, x_star, _pow_each)
-    solved = np.ones(len(lanes), dtype=bool)
+    failed = []  # lanes that neither Newton nor bisection solved
     for j in rerun.nonzero()[0]:
         # a lane that leaves Newton reruns find_root, bisection fallback and all
+        lane = np.arange(len(x_p))[s][j]
         params = ApproxFunctionParams(B=float(Bs[j]), g1R=float(g1Rs[j]), g2L=float(g2Ls[j]), d=d)
-        problem = IntersectionProblem(params=params, x_p=float(x_p[s[j]]),
+        problem = IntersectionProblem(params=params, x_p=float(x_ps[j]),
                                       k=float(k[j]), c=float(c[j]), x0=float(x0[j]))
         try:
-            x_star[s[j]], y_star[s[j]], it[s[j]] = solve_intersection(problem, tol, max_iter)
+            x_star[lane], y_star[lane], it[lane] = solve_intersection(problem, tol, max_iter)
         except NoConvergence:
-            it[s[j]], solved[s[j]] = max_iter, False
+            it[lane] = max_iter
+            failed.append(lane)
 
     g_cor = _rotated_slope(F1, x_star, y_star, B)
     corrected = _corrected_increment(y_ref, y1, y2, x2, q, g_cor)
-    delta[lanes] = np.where(solved, corrected, delta[lanes])
+    lane_code = np.where(boundary, BOUNDARY, CORRECTED)
+    if failed:  # they keep the chord
+        corrected[failed], lane_code[failed] = delta[lanes][failed], NEWTON
+    delta[lanes] = corrected
     iters[lanes] = it
-    code[lanes] = np.where(solved, np.where(boundary, BOUNDARY, CORRECTED), NEWTON)
+    code[lanes] = lane_code
     if d > 1.0:
-        bent = lanes[solved]
+        solved = np.ones(len(x_p), dtype=bool)
+        solved[failed] = False
+        bent = np.arange(N)[lanes][solved]
         params = (K[solved], B[solved], g1R[solved], g2L[solved])
         for b in range(0, len(bent), INFLECTION_BLOCK):
             block = slice(b, b + INFLECTION_BLOCK)
@@ -512,19 +552,21 @@ def evaluate_smooth_batch(
     M, n, L = len(queries), training.n, training.layer_count
     reference, rows, x = _axis_stencils(training, mesh, mesh.cells_of(queries))
     present = rows >= 0
-    bad = (reference < 0) | ~(present[..., 1] & present[..., 2]).all(axis=1)
-    bad |= ((x[..., 1:] == x[..., :-1]) & present[..., 1:] & present[..., :-1]).any(axis=(1, 2))
+    # a zero-width segment between present points, or an absent core
+    wrong = (x[..., 1:] == x[..., :-1]) & present[..., 1:] & present[..., :-1]
+    wrong[..., 1] |= ~(present[..., 1] & present[..., 2])
+    bad = (reference < 0) | wrong.any(axis=(1, 2))
 
     # one lane per (query, axis, layer), in that order: a (query, axis)
     # value repeats L times, a (query, layer) value n times
     y_ref = training.y[reference]
+    missing = ~present[..., ::3].reshape(-1, 2).repeat(L, axis=0).T  # Y0, Y3
     with np.errstate(all="ignore"):
         try:
             delta, iters, code, inflection = _intersect_lanes(
                 x.reshape(-1, 4).repeat(L, axis=0).T,
                 training.y[rows].transpose(2, 0, 1, 3).reshape(4, -1),
-                y_ref.repeat(n, axis=0).ravel(), queries.repeat(L),
-                (~present[..., 0]).repeat(L), (~present[..., 3]).repeat(L),
+                y_ref.repeat(n, axis=0).ravel(), queries.repeat(L), *missing,
                 (~bad).repeat(n * L), d, tol, max_iter,
             )
         except OverflowError:  # NaN sends every query to evaluate_smooth and its errors

@@ -2,15 +2,20 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradsurf import layers
 from gradsurf import (
     DimensionMismatch,
+    Estimate,
+    GradsurfError,
     MeshIndex,
     ValidationError,
     evaluate_batch,
@@ -20,6 +25,9 @@ from gradsurf import (
     evaluate_smooth,
     validate_training_set,
 )
+from gradsurf.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from gradsurf.io import save_dataset
+from tests_oracles import grid_queries, holed_local_cell, random_grid
 
 
 def layered_mesh(layer_fns):
@@ -116,10 +124,12 @@ def test_gradient_plan_built_once_for_all_layers(mode, monkeypatch):
         return neighbors.enumerate_combinations(*args, **kw)
 
     monkeypatch.setattr(gradient, "enumerate_combinations", counted)
+    # a query is a batch of one: the mesh kernel (one combination) plans
+    # through the mesh and builds no plan, any other query builds one
     for q in queries:
         calls.clear()
         out = evaluate_layers(ts, q, mesh=mesh, method="gradient", **kwargs)
-        assert len(calls) == 1
+        assert len(calls) == (0 if mode == "mesh" else 1)
         assert len(out.components) == 3
         for j, component in enumerate(out.components):
             assert component == evaluate_gradient(ts, q, mesh=mesh, layer=j, **kwargs)
@@ -135,6 +145,165 @@ def test_gradient_plan_built_once_for_all_layers(mode, monkeypatch):
             expected = evaluate_gradient(ts, q, mesh=mesh, layer=j, **kwargs)
             assert float(batch.y_hat[i, j]).hex() == expected.y_hat.hex()
         assert batch.reference_index[i] == expected.reference_index
+
+
+def scalar_loop(ts, q, mesh, method, **kwargs):
+    """What ``evaluate_layers`` answers: the single-query method on each layer
+    in order, or the first failing layer's error as (type, message)."""
+    single = evaluate_gradient if method == "gradient" else evaluate_smooth
+    try:
+        return tuple(single(ts, q, mesh=mesh, layer=l, **kwargs) for l in range(ts.layer_count))
+    except GradsurfError as exc:
+        return type(exc), str(exc)
+
+
+def layered(ts, q, mesh, method, **kwargs):
+    try:
+        return evaluate_layers(ts, q, mesh=mesh, method=method, **kwargs).components
+    except GradsurfError as exc:
+        return type(exc), str(exc)
+
+
+def assert_layers_match_the_scalar_loop(ts, queries, mesh, method, **kwargs):
+    """Every component (estimate, reference, combinations, Newton counts,
+    flags, extrapolation) or the error of every query is the scalar loop's."""
+    failed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # d > 1 warns of inflections
+        for q in queries:
+            got, expected = layered(ts, q, mesh, method, **kwargs), scalar_loop(
+                ts, q, mesh, method, **kwargs)
+            assert got == expected
+            if isinstance(expected[0], Estimate):  # bit for bit, signed zeros too
+                assert [c.y_hat.hex() for c in got] == [c.y_hat.hex() for c in expected]
+            else:
+                failed += 1
+    return failed
+
+
+LAYERINGS = ("one", "three", "three, the middle one huge")
+
+
+def layered_set(x, y, layering):
+    """A training set over ``x`` with one layer ``y``, or three; a huge middle
+    layer (values of +-1e308) gives estimates that are not finite."""
+    if layering == "one":
+        return validate_training_set((x, y), n=x.shape[1])
+    middle = (1e308 * np.sign(np.sin(5.0 * x.sum(axis=1))) if layering.endswith("huge")
+              else np.cos(x).sum(axis=1))
+    return validate_training_set((x, np.stack([y, middle, x[:, 0] ** 2], axis=1)),
+                                 n=x.shape[1], layer_count=3)
+
+
+def holed_mesh(layering):
+    """``layered_mesh``'s 7 x 7 grid without the nodes (3, 3) and (1, 5)."""
+    ts, mesh = layered_mesh([lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2])
+    grid = np.stack(np.unravel_index(np.arange(ts.npoints), mesh.shape), axis=1)
+    kept = ~np.isin(np.ravel_multi_index(grid.T, mesh.shape), [3 * 7 + 3, 1 * 7 + 5])
+    index_map = {tuple(g): i for i, g in enumerate(grid[kept].tolist())}
+    holed = layered_set(ts.x[kept], ts.y[kept, 0], layering)
+    return holed, MeshIndex(axes=mesh.axes, index_map=index_map)
+
+
+class TestLayersOracle:
+    """``evaluate_layers`` answers a query as a batch of one; each component,
+    or the error of a query that fails, is the per-layer scalar call's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        grid=st.sampled_from(["full", "sparse", "jittered"]),
+        layering=st.sampled_from(LAYERINGS),
+    )
+    def test_mesh_queries(self, seed, n, grid, layering):
+        x, y, mesh, rng = random_grid(seed, n, 0.3 if grid == "jittered" else 0.0,
+                                      grid == "sparse")
+        assume(len(x) >= n + 1)
+        ts = layered_set(x, y, layering)
+        node = [nodes[rng.integers(len(nodes))] for nodes in mesh.axes]
+        # a node, a training point, and coordinates inside a cell, on a node
+        # (a cell face) or outside the box
+        queries = np.vstack([node, x[0], grid_queries(mesh, rng, 6)])
+        for d in (0.5, 1.0, 2.5):
+            assert_layers_match_the_scalar_loop(ts, queries, mesh, "smooth", d=d)
+        for c in (1, 4, 16):
+            assert_layers_match_the_scalar_loop(ts, queries, mesh, "gradient", combinations=c)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        count=st.integers(4, 60),
+        layering=st.sampled_from(LAYERINGS),
+    )
+    def test_scattered_queries(self, seed, n, count, layering):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (count, n))
+        ts = layered_set(x, np.sin(3.0 * x).sum(axis=1), layering)
+        queries = np.vstack([x[:2], rng.uniform(0.1, 0.9, (2, n)), rng.uniform(-0.5, 1.5, (2, n))])
+        for c in (1, 4, 16):
+            assert_layers_match_the_scalar_loop(ts, queries, None, "gradient", combinations=c)
+        assert_layers_match_the_scalar_loop(ts, queries[:1], None, "smooth")  # needs a mesh
+
+    @pytest.mark.parametrize("cell", [None, 1, 2, 9])
+    @pytest.mark.parametrize("layering", LAYERINGS)
+    def test_holed_mesh(self, cell, layering):
+        """A 7 x 7 grid without two nodes, or a local cell at n axes without
+        its reference, where every query fails."""
+        if cell is None:
+            ts, mesh = holed_mesh(layering)
+            queries = np.vstack([[1.6, 1.6], [0.6, 2.6], [2.2, 0.4], ts.x[:3],
+                                 grid_queries(mesh, np.random.default_rng(0), 20)])
+        else:
+            ts, mesh, query = holed_local_cell(cell)
+            ts = layered_set(ts.x, ts.y[:, 0], layering)
+            queries = np.vstack([query, ts.x[:3]])
+        for method, kwargs in (("smooth", {}), ("smooth", {"d": 0.5}), ("gradient", {}),
+                               ("gradient", {"combinations": 4})):
+            failed = assert_layers_match_the_scalar_loop(ts, queries, mesh, method, **kwargs)
+            assert 0 < failed <= len(queries) - (cell is None and layering != LAYERINGS[2])
+
+    @pytest.mark.parametrize("method,kwargs", [
+        ("smooth", {}), ("smooth", {"tol": 0.0}), ("smooth", {"max_iter": 0}),
+        ("gradient", {}), ("gradient", {"combinations": 0}),
+    ])
+    @pytest.mark.parametrize("mode", ["mesh", "scattered"])
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_argument_and_shape_errors(self, method, kwargs, mode, length):
+        # each method checks its arguments and the query's shape in its own order
+        ts, mesh = layered_mesh([lambda x: x[:, 0] * x[:, 1], lambda x: x[:, 0] - x[:, 1]])
+        mesh = mesh if mode == "mesh" else None
+        assert_layers_match_the_scalar_loop(ts, [np.full(length, 1.5)], mesh, method, **kwargs)
+
+
+@pytest.mark.parametrize("method", ["smooth", "gradient"])
+@pytest.mark.parametrize("holed", [False, True])
+def test_eval_at_prints_what_the_scalar_loop_gives(tmp_path, capsys, method, holed):
+    """``gradsurf eval --at``'s output and exit code on a 3-layer mesh and a
+    holed mesh, byte for byte, against the scalar loop's."""
+    if holed:
+        ts, mesh = holed_mesh("three")
+        points = [[1.6, 1.6], [0.7, 1.9], [2.2, 0.4], [3.5, 3.5]]
+    else:
+        fns = [lambda x: x[:, 0] + x[:, 1], lambda x: np.cos(x[:, 0]), lambda x: x[:, 1] ** 1.5]
+        ts, mesh = layered_mesh(fns)
+        points = [[0.7, 1.9], [3.0, 0.0], [1.5, 1.5], [-0.5, 4.0]]
+    data = tmp_path / "data.csv"
+    save_dataset(data, ts, mesh)
+    outcomes = set()
+    for point in np.asarray(points, dtype=float):
+        at = ",".join(repr(float(v)) for v in point)
+        code = main(["eval", "--data", str(data), f"--at={at}", "--method", method])
+        out, err = capsys.readouterr()
+        expected = scalar_loop(ts, point, mesh, method)
+        if isinstance(expected[0], Estimate):
+            assert (code, out, err) == (EXIT_OK, " ".join(repr(e.y_hat) for e in expected) + "\n", "")
+        else:
+            exit_code = EXIT_VALIDATION if issubclass(expected[0], ValidationError) else EXIT_RUNTIME
+            assert (code, out, err) == (exit_code, "", f"error: {expected[1]}\n")
+        outcomes.add(code)
+    assert outcomes == ({EXIT_OK, EXIT_RUNTIME} if holed else {EXIT_OK})
 
 
 ENTRY_POINTS = {

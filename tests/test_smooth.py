@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gradsurf import (
     DegenerateNeighborhood,
     Estimate,
     MeshIndex,
+    NoConvergence,
     ValidationError,
     adjust_gradient,
     approx_deriv,
@@ -25,6 +27,7 @@ from gradsurf import (
     solve_intersection,
     validate_training_set,
 )
+from gradsurf import smooth, solvers
 from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset, gen_mesh_dataset, gen_queries
 from gradsurf.model import ZeroWidthSegment
 from gradsurf.neighbors import Stencil1D, axis_stencil, locate_reference
@@ -541,6 +544,24 @@ class TestSmoothBatch:
         assert float(batch.y_hat[0, 0]).hex() == float(y_hat).hex()
         assert_same(batch, 0, 0, evaluate_smooth(ts, [q], mesh, tol=tol, max_iter=max_iter))
 
+    def test_lanes_no_solver_finishes_keep_their_chord(self, monkeypatch):
+        # bisection made to fail: a lane that leaves Newton (here, one that
+        # needs more than two steps) takes the chord on both paths
+        def no_sign_change(f, tol, bracket, newton_iters):
+            raise NoConvergence("no sign change on the bracket")
+
+        monkeypatch.setattr(solvers, "_bisect_fallback", no_sign_change)
+        x, y, mesh, rng = random_grid(3, 2, 0.2, False)
+        ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
+                                   n=2, layer_count=2)
+        queries = grid_queries(mesh, rng, 16)
+        batch = evaluate_smooth_batch(ts, queries, mesh, tol=1e-12, max_iter=2)
+        assert {"corrected", "newton-fallback"} <= set(batch.flags.ravel())
+        for i, q in enumerate(queries):
+            for layer in range(2):
+                assert_same(batch, i, layer,
+                            evaluate_smooth(ts, q, mesh, tol=1e-12, max_iter=2, layer=layer))
+
     def test_argument_errors_and_query_shape(self):
         ts, mesh = mesh_training_1d(np.linspace(0.0, 3.0, 7), np.sin)
         with pytest.raises(ValidationError):
@@ -550,3 +571,99 @@ class TestSmoothBatch:
         with pytest.raises(ValidationError):
             evaluate_smooth_batch(ts, [1.0, 2.0], mesh)  # not (M, n)
         assert evaluate_smooth_batch(ts, [], mesh).y_hat.shape == (0, 1)
+
+
+class TestNewtonLanes:
+    """``_newton_lanes``, which takes f and f' together at each iterate, is
+    ``find_root``'s Newton phase lane by lane: the same root bits and
+    iteration count where Newton finishes, and the same lanes, after the
+    same number of steps, where it hands over to bisection."""
+
+    @staticmethod
+    def find_root_lanes(lanes, x0, d, tol, max_iter):
+        """``find_root`` on each lane as ``solve_intersection`` calls it: its
+        root and iterations, or the Newton steps taken before bisection."""
+        left = []
+
+        def leave(f, tol, bracket, newton_iters):
+            left.append(newton_iters)
+            return None, None
+
+        found = []
+        with mock.patch.object(solvers, "_bisect_fallback", leave):
+            for (B, g1R, g2L, k, c), start in zip(lanes, x0):
+                params = ApproxFunctionParams(B=B, g1R=g1R, g2L=g2L, d=d)
+                root, iters = find_root(
+                    lambda x: approx_eval(params, x) - (k * x + c),
+                    lambda x: approx_deriv(params, x) - k,
+                    start, tol=tol, max_iter=max_iter, bracket=(0.0, B),
+                )
+                found.append(("bisect", left.pop()) if root is None else (root.hex(), iters))
+        return found
+
+    @staticmethod
+    def lane_results(lanes, x0, d, tol, max_iter):
+        B, g1R, g2L, k, c = (np.array(v) for v in zip(*lanes))
+        K = np.array([b ** -(d + 1.0) for b in B.tolist()])  # the params' K, a float power
+        with np.errstate(all="ignore"):
+            p = (K, B, g1R, g2L, k, c, g2L - g1R)
+            root, iters, rerun = smooth._newton_lanes(p, np.array(x0), d, tol, max_iter)
+        return [("bisect", int(i)) if r else (float(x).hex(), int(i))
+                for x, i, r in zip(root, iters, rerun)]
+
+    @staticmethod
+    def special_lanes(B):
+        """(lane, x0) pairs that stop Newton in each of its ways on [0, B]."""
+        return [
+            ((B, 0.0, 0.0, 0.0, 1.0), 0.3 * B),  # a flat arc and a flat line: f' = 0
+            ((B, 0.0, 0.0, 1.0, -2.0 * B), 0.5 * B),  # the root lies past the bracket
+            ((B, 0.0, 0.0, 1.0, -0.25 * B), 0.25 * B),  # f(x0) == 0: a root at once
+            ((B, 1.5, -0.5, 2.0, -0.1), 0.0),  # starts at the end, where f' is NaN for d < 1
+            ((2.0, -1e308, 1e308, 1.0, 0.0), 1.0),  # a finite f and an infinite f'
+            ((B, 2.0, 1.0, 0.7, -0.3 * B), 0.9 * B),
+        ]
+
+    @pytest.mark.parametrize("d", [0.5, 1.0, 2.5])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lanes=st.lists(st.tuples(
+            st.floats(0.1, 10.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+            st.floats(-5.0, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+        ), min_size=1, max_size=12),
+        tol=st.sampled_from([1e-9, 1e-13, 1e-16]),
+        max_iter=st.sampled_from([1, 2, 3, 20]),
+    )
+    def test_lanes_match_find_root(self, d, lanes, tol, max_iter):
+        pairs = []
+        for B, g1R, g2L, k, at, start in lanes:
+            # a line through the arc at a point of the bracket, and a start
+            params = ApproxFunctionParams(B=B, g1R=g1R, g2L=g2L, d=d)
+            root = at * B
+            pairs.append(((B, g1R, g2L, k, approx_eval(params, root) - k * root), start * B))
+        pairs += self.special_lanes(lanes[0][0])
+        lanes, x0 = zip(*pairs)
+        expected = self.find_root_lanes(lanes, x0, d, tol, max_iter)
+        assert self.lane_results(lanes, x0, d, tol, max_iter) == expected
+
+    def test_the_lanes_stop_in_every_way(self):
+        """The special lanes, and random ones, cover each way out of Newton."""
+        rng = np.random.default_rng(5)
+        lanes, x0 = zip(*self.special_lanes(2.0))
+        ways = set()
+        for d in (0.5, 1.0, 2.5):
+            for max_iter in (1, 20):
+                found = self.find_root_lanes(lanes, x0, d, 1e-13, max_iter)
+                assert self.lane_results(lanes, x0, d, 1e-13, max_iter) == found
+                ways |= {(kind == "bisect", iters) for kind, iters in found}
+            B = rng.uniform(0.5, 3.0, 40)
+            # Python floats, whose powers are the C library's, as in the kernel
+            random = [(b, *rng.uniform(-2.0, 2.0, 2).tolist(), rng.uniform(0.5, 3.0), -0.4 * b)
+                      for b in B.tolist()]
+            starts = (rng.uniform(0.0, 1.0, 40) * B).tolist()
+            found = self.find_root_lanes(random, starts, d, 1e-12, 20)
+            assert self.lane_results(random, starts, d, 1e-12, 20) == found
+            ways |= {(kind == "bisect", iters) for kind, iters in found}
+        # a root at once, roots after several different counts, bisection
+        # after no step (a bad derivative or start) and after the last one
+        assert (False, 0) in ways and (True, 0) in ways and (True, 1) in ways
+        assert len({iters for kind, iters in ways if not kind}) >= 4

@@ -7,6 +7,8 @@ an older commit unpacked elsewhere:
         --output BENCH_cell-h1-n99.json
     python3 tools/cell_lookup.py --parent /path/to/other/checkout --warm \
         --output BENCH_cell-h1-n99.json
+    python3 tools/cell_lookup.py --parent /path/to/other/checkout --layers \
+        --output BENCH_impute-csv.json
 
 The default mode times local cells that are each used once, as the T3 and
 T4 tables use them.  For each dimension n in ``DIMENSIONS``, ``CELLS`` local
@@ -20,11 +22,20 @@ on it, so every per-mesh fact is built afresh.  The report replaces the
 ``--warm`` times each query's scalar call (``evaluate_gradient``,
 ``evaluate_smooth``) against its batch of one (the batch function on a
 (1, n) array), every call after a first untimed one on the same inputs, so
-per-mesh facts are built before timing.  The inputs: the S1 mesh of
+per-mesh facts are built before timing; the kinds of call take turns on
+each query.  The inputs: the S1 mesh of
 mesh-s1-20 (n=3) with ``WARM_QUERIES`` of its queries, ``WARM_CELLS`` local
 cells of H1 at each n in ``DIMENSIONS``, and 5000 uniform noisy 3-D points
 with ``WARM_QUERIES`` queries at C=1 and C=16 (scatter-5k's shape; the
 smooth method needs a mesh).  The report replaces the ``warm_calls`` entry.
+
+``--layers`` times ``evaluate_layers`` the same way, for both methods,
+against the scalar loop it stands for (the single-query function once per
+layer) and the method's batch function on a (1, n) array.  The inputs:
+perfbench impute-csv's mesh (the 20^3 S1 mesh with outcome layers S1, S2
+and H1), the one-layer S1 mesh of mesh-s1-20, each with ``WARM_QUERIES`` of
+its queries, and ``WARM_CELLS`` local cells of H1 at n=99.  The report
+replaces the ``layers_warm`` entry.
 
 Each side measures in a fresh process that imports ``src/gradsurf`` of its
 checkout.  The sides alternate, ``REPEATS`` times each.  Each run records
@@ -56,6 +67,9 @@ WARM_CELLS = 20
 WARM_QUERIES = 50
 WARM_ROUNDS = 5  # timed calls of each query, after one untimed
 CALLS = ("gradient_scalar", "gradient_batch_of_one", "smooth_scalar", "smooth_batch_of_one")
+LAYER_CALLS = tuple(f"{method}_{kind}" for method in ("gradient", "smooth")
+                    for kind in ("scalar_loop", "batch_of_one", "evaluate_layers"))
+IMPUTE_LAYERS = ("S1", "S2", "H1")  # perfbench impute-csv's outcome layers
 ROOT = Path(__file__).resolve().parent.parent
 clock = time.perf_counter
 
@@ -115,6 +129,48 @@ def warm_inputs() -> dict:
     return rows
 
 
+def layers_inputs() -> dict:
+    """Each row of the layers table: a list of (training, mesh, query)."""
+    from gradsurf import (TEST_FUNCTIONS, gen_local_cell_dataset, gen_mesh_dataset,
+                          gen_queries, validate_training_set)
+
+    s1, h1 = TEST_FUNCTIONS["S1"], TEST_FUNCTIONS["H1"]
+    base, mesh = gen_mesh_dataset(s1, NODES_PER_AXIS, seed=SEED)
+    queries = gen_queries(mesh, s1, base, seed=SEED + 1, budget=WARM_QUERIES)[0]
+    y = np.stack([TEST_FUNCTIONS[k](base.x) for k in IMPUTE_LAYERS], axis=1)
+    layered = validate_training_set((base.x, y), n=3, layer_count=len(IMPUTE_LAYERS))
+    rng = np.random.default_rng([SEED, 99])
+    cells = [gen_local_cell_dataset(h1, 99, NODES_PER_AXIS, rng) for _ in range(WARM_CELLS)]
+    return {
+        "impute-csv mesh, 3 layers (n=3)": [(layered, mesh, q) for q in queries],
+        "mesh-s1-20, 1 layer (n=3)": [(base, mesh, q) for q in queries],
+        "local cells, 1 layer (n=99)": [(t, m, q) for t, m, q, _, _ in cells],
+    }
+
+
+def time_calls(rows: dict, calls: dict, applies=lambda name, case: True) -> dict:
+    """Median microseconds per call of each kind, and the estimates' bits,
+    per row.  Each case is called once untimed by every kind, then timed
+    ``WARM_ROUNDS`` times, the kinds taking turns, so that a slow spell of
+    the machine falls on every kind alike."""
+    out = {}
+    for row, cases in rows.items():
+        names = [name for name in calls if applies(name, cases[0])]
+        spent, y_hat = ({name: [] for name in names} for _ in range(2))
+        for case in cases:
+            for name in names:
+                y_hat[name].append([float(v).hex() for v in np.ravel(calls[name](*case))])
+            for _ in range(WARM_ROUNDS):
+                for name in names:
+                    t0 = clock()
+                    calls[name](*case)
+                    spent[name].append(clock() - t0)
+        out[row] = {"y_hat": [bits for name in names for bits in y_hat[name]]}
+        for name in names:
+            out[row][f"{name}_us"] = statistics.median(spent[name]) * 1e6
+    return out
+
+
 def measure_warm() -> dict:
     """Median microseconds per call of each kind, and the estimates, per row."""
     from gradsurf import (evaluate_gradient, evaluate_gradient_batch, evaluate_smooth,
@@ -126,26 +182,41 @@ def measure_warm() -> dict:
         lambda t, m, q, c: evaluate_smooth(t, q, m).y_hat,
         lambda t, m, q, c: evaluate_smooth_batch(t, q[None, :], m).y_hat[0, 0],
     )))
-    out = {}
-    for row, cases in warm_inputs().items():
-        out[row] = entry = {"y_hat": []}
-        for name, call in calls.items():
-            if name.startswith("smooth") and cases[0][1] is None:
-                continue
-            spent = []
-            for case in cases:
-                entry["y_hat"].append(float(call(*case)).hex())
-                for _ in range(WARM_ROUNDS):
-                    t0 = clock()
-                    call(*case)
-                    spent.append(clock() - t0)
-            entry[f"{name}_us"] = statistics.median(spent) * 1e6
+    # the smooth method needs a mesh
+    return time_calls(warm_inputs(), calls,
+                      lambda name, case: case[1] is not None or name.startswith("gradient"))
+
+
+def measure_layers() -> dict:
+    """``measure_warm`` for ``evaluate_layers`` and what it stands for."""
+    from gradsurf import (evaluate_gradient, evaluate_gradient_batch, evaluate_layers,
+                          evaluate_smooth, evaluate_smooth_batch)
+
+    def scalar_loop(single):
+        return lambda t, m, q: [single(t, q, m, layer=l).y_hat for l in range(t.layer_count)]
+
+    def layers(method):
+        return lambda t, m, q: evaluate_layers(t, q, mesh=m, method=method).y_hat
+
+    calls = dict(zip(LAYER_CALLS, (
+        scalar_loop(evaluate_gradient),
+        lambda t, m, q: evaluate_gradient_batch(t, q[None, :], m).y_hat[0],
+        layers("gradient"),
+        scalar_loop(evaluate_smooth),
+        lambda t, m, q: evaluate_smooth_batch(t, q[None, :], m).y_hat[0],
+        layers("smooth"),
+    )))
+    out = time_calls(layers_inputs(), calls)
+    for entry in out.values():  # each method's three kinds of call give the same bits
+        k = len(entry["y_hat"]) // len(LAYER_CALLS)
+        kinds = [entry["y_hat"][i:i + k] for i in range(0, len(entry["y_hat"]), k)]
+        entry["calls_agree"] = kinds[0] == kinds[1] == kinds[2] and kinds[3] == kinds[4] == kinds[5]
     return out
 
 
-def run_side(checkout: Path, warm: bool) -> dict:
+def run_side(checkout: Path, mode: list) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    args = [sys.executable, str(Path(__file__).resolve()), "--measure"] + ["--warm"] * warm
+    args = [sys.executable, str(Path(__file__).resolve()), "--measure"] + mode
     done = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -163,11 +234,16 @@ def main(argv=None) -> int:
     p.add_argument("--output", type=Path, default=ROOT / "BENCH_cell-h1-n99.json")
     p.add_argument("--warm", action="store_true",
                    help="time warm scalar calls against batches of one")
+    p.add_argument("--layers", action="store_true",
+                   help="time evaluate_layers against the scalar loop and the batch of one")
     p.add_argument("--measure", action="store_true",
                    help="time the gradsurf package on the import path and print JSON")
     args = p.parse_args(argv)
+    if args.warm and args.layers:
+        p.error("--warm and --layers are separate tables")
     if args.measure:
-        print(json.dumps(measure_warm() if args.warm else measure()))
+        measured = measure_layers() if args.layers else measure_warm() if args.warm else measure()
+        print(json.dumps(measured))
         return 0
     if args.parent is None:
         p.error("--parent is required")
@@ -177,13 +253,15 @@ def main(argv=None) -> int:
     for r in range(REPEATS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_side(sides[side], args.warm))
+            runs[side].append(run_side(sides[side], ["--warm"] * args.warm
+                                       + ["--layers"] * args.layers))
             print(f"# repeat {r + 1}/{REPEATS}: {side} done", file=sys.stderr)
 
     results = {}
     for key, first in runs["parent"][0].items():
         entry = {"estimates_bit_identical": all(
-            run[key]["y_hat"] == first["y_hat"] for side in runs.values() for run in side)}
+            run[key]["y_hat"] == first["y_hat"] and run[key].get("calls_agree", True)
+            for side in runs.values() for run in side)}
         fields = [f for f in first if f.endswith("_us") or f.endswith("_us_per_cell")]
         for field in fields:
             parent, change = (summarise(runs[s], key, field) for s in sides)
@@ -192,7 +270,18 @@ def main(argv=None) -> int:
         results[key] = entry
 
     report = json.loads(args.output.read_text()) if args.output.exists() else {}
-    if args.warm:
+    if args.layers:
+        inputs = (f"perfbench impute-csv's 20^3 S1 mesh with outcome layers "
+                  f"{', '.join(IMPUTE_LAYERS)} and mesh-s1-20's one-layer S1 mesh, "
+                  f"{WARM_QUERIES} queries each, seed {SEED}; {WARM_CELLS} local cells of H1 "
+                  f"at n=99, seed [{SEED}, 99]")
+        method = (f"{REPEATS} runs per side in fresh processes, sides alternating; in each, "
+                  f"{WARM_ROUNDS} timed calls per query after one untimed, median "
+                  "microseconds per call; medians and inclusive quartiles over runs. "
+                  "scalar_loop is the single-query function once per layer, batch_of_one "
+                  "the batch function on a (1, n) array")
+        key, command = "layers_warm", "python3 tools/cell_lookup.py --parent PARENT --layers"
+    elif args.warm:
         inputs = (f"mesh-s1-20's S1 mesh with {WARM_QUERIES} of its queries; {WARM_CELLS} "
                   f"local cells of H1 per n in {list(DIMENSIONS)}, seed [{SEED}, n]; 5000 "
                   f"uniform noisy 3-D points with {WARM_QUERIES} queries at C=1 and C=16")
