@@ -1,13 +1,18 @@
 """Gradient-based reconstruction: local hyperplane through a simplex of points.
 
-``evaluate_gradient`` solves one query's systems; ``evaluate_gradient_batch``
-solves a batch's as (query, combination) lanes with array expressions, with
-the same arithmetic, so their results agree bit for bit.
+Simplexes are solved as lanes, one ``solvers.solve_lanes`` call for many
+systems (``_lane_estimates``): ``evaluate_gradient_batch`` solves a batch's
+(query, combination) systems so, and ``evaluate_gradient`` a query's plan of
+two or more simplexes.  ``evaluate_gradient`` solves a one-simplex plan with
+the scalar solver instead: at n=3 that costs about half a one-lane call, and
+acceptance criterion 9a times it on unjittered n=99 cells.  Lanes and the
+scalar solver do the same arithmetic, so every result agrees bit for bit.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -20,6 +25,7 @@ from .model import (
     MeshIndex,
     SingularSystem,
     TrainingSet,
+    ValidationError,
     _finish_batch,
     _query_rows,
     _query_vector,
@@ -77,58 +83,112 @@ def evaluate_gradient(
 ) -> Estimate:
     """Estimate the outcome at the query point, averaging over combinations.
 
-    Each simplex in the plan contributes one extrapolated value; degenerate
-    combinations are skipped and the survivors averaged with equal weight.
+    Each simplex in the plan (``enumerate_combinations``' or the caller's
+    ``plan``) contributes one extrapolated value; degenerate combinations
+    are skipped and the survivors averaged with equal weight.  A plan of two
+    or more simplexes is solved as lanes, one ``solve_lanes`` call for all
+    of them (``_plan_estimates``), as ``evaluate_gradient_batch`` solves
+    them.  A one-simplex plan keeps the scalar solver: one scalar solve at
+    n=3 costs about half of a one-lane call, and acceptance criterion 9a
+    times this path on unjittered n=99 cells.  A caller's plan is checked
+    first: each simplex must name a reference and exactly n auxiliaries,
+    each an integer row of ``training``, or ValidationError is raised.
     """
     query = _query_vector(query, training, layer)
     if plan is None:
         plan = enumerate_combinations(training, query, combinations, mesh)
+    else:
+        _check_plan(training, plan)
+    if len(plan.simplexes) != 1:
+        return _plan_estimates(training, query, plan, training.y[:, layer : layer + 1])[0]
 
-    values = []
-    for simplex in plan.simplexes:
-        try:
-            p = estimate_gradients(training, simplex, layer)
-        except DegenerateNeighborhood:
-            continue
-        values.append(
-            extrapolate(
-                training.x[simplex.reference],
-                float(training.y[simplex.reference, layer]),
-                p,
-                query,
-            )
-        )
-    if not values:
-        raise DegenerateNeighborhood("all point combinations were degenerate")
-
+    simplex = plan.simplexes[0]
+    try:
+        p = estimate_gradients(training, simplex, layer)
+    except DegenerateNeighborhood:
+        raise DegenerateNeighborhood("all point combinations were degenerate") from None
+    ref = simplex.reference
+    value = extrapolate(training.x[ref], float(training.y[ref, layer]), p, query)
     return Estimate(
-        y_hat=float(np.mean(values)),
+        y_hat=float(np.mean([value])),  # a sum starts at +0.0, so a -0.0 value reads +0.0
         method="gradient",
-        reference_index=plan.simplexes[0].reference,
-        combinations_used=len(values),
+        reference_index=ref,
+        combinations_used=1,
         extrapolated=is_extrapolation(training, query),
     )
 
 
+def _check_plan(training: TrainingSet, plan: CombinationPlan) -> None:
+    """Raise ValidationError unless every simplex of a caller's plan names a
+    reference and exactly n auxiliaries, each an integer row of ``training``
+    (a bool is not)."""
+    n, npoints = training.n, training.npoints
+    for simplex in plan.simplexes:
+        try:
+            rows = (simplex.reference, *simplex.auxiliaries)
+        except (AttributeError, TypeError):
+            raise ValidationError(f"a plan holds Simplex objects, got {simplex!r}") from None
+        if len(rows) != n + 1:
+            raise ValidationError(
+                f"a simplex needs {n} auxiliaries, got {len(rows) - 1} in {simplex!r}"
+            )
+        for row in rows:
+            if isinstance(row, bool) or not isinstance(row, Integral) or not 0 <= row < npoints:
+                raise ValidationError(
+                    f"simplex rows must be integers in [0, {npoints}), got {row!r} in {simplex!r}"
+                )
+
+
+def _plan_estimates(training: TrainingSet, query: np.ndarray, plan, y: np.ndarray) -> tuple:
+    """The Estimate of each outcome column of ``y`` (N, L) at the query, from
+    one ``_lane_estimates`` call over every simplex of the plan.  Each
+    column's nonsingular values are averaged in plan order by ``np.mean`` of
+    a contiguous row, as the scalar loop averaged them.  No nonsingular
+    simplex raises DegenerateNeighborhood; a mean that is not finite,
+    NonFiniteValue for the first such column.  Numpy's warnings are
+    silenced: a value that overflows is not finite, and the Estimate
+    refuses it."""
+    reference = np.array([s.reference for s in plan.simplexes], dtype=int)
+    aux = np.array([s.auxiliaries for s in plan.simplexes], dtype=int).reshape(-1, training.n)
+    with np.errstate(all="ignore"):
+        values, singular = _lane_estimates(training.x, y, query, reference, aux)
+        kept = np.ascontiguousarray(values[~singular].T)  # one row per column of y
+        if not kept.shape[1]:
+            raise DegenerateNeighborhood("all point combinations were degenerate")
+        extrapolated = is_extrapolation(training, query)
+        return tuple(
+            Estimate(
+                y_hat=float(np.mean(row)),
+                method="gradient",
+                reference_index=plan.simplexes[0].reference,
+                combinations_used=kept.shape[1],
+                extrapolated=extrapolated,
+            )
+            for row in kept
+        )
+
+
 def _gradient_layers(training: TrainingSet, query, mesh=None, combinations=1) -> tuple:
     """``evaluate_gradient`` on every layer of one query.  The point
-    combinations do not depend on the layer, so they are built once."""
+    combinations do not depend on the layer, so they are built once, and
+    one ``_lane_estimates`` call solves them for every layer."""
     query = _query_vector(query, training)
     plan = enumerate_combinations(training, query, combinations, mesh)
-    layers = range(training.layer_count)
-    return tuple(evaluate_gradient(training, query, mesh, layer=l, plan=plan) for l in layers)
+    return _plan_estimates(training, query, plan, training.y)
 
 
-def _lane_estimates(training: TrainingSet, queries, reference, aux) -> tuple:
+def _lane_estimates(x, y, queries, reference, aux) -> tuple:
     """The expansion of each lane's simplex at its query, for every layer.
 
-    ``queries`` is (K, n), ``reference`` (K,) and ``aux`` (K, n) rows of
-    ``training``.  ``solve_lanes`` solves every system with one right-hand
-    side per layer; the expansion's dot goes through the scalar path's BLAS
-    dot, so each value equals ``extrapolate``'s.  Returns the (K, L) values
-    and the (K,) mask of singular lanes, whose values are meaningless.
+    ``x`` (N, n) and ``y`` (N, L) are a training set's points and outcome
+    layers, or some of its layers; ``queries`` is (K, n), or one (n,) query
+    for every lane, and ``reference`` (K,) and ``aux`` (K, n) are rows of
+    ``x``.  ``solve_lanes`` solves every
+    system with one right-hand side per layer; the expansion's dot goes
+    through the scalar path's BLAS dot, so each value equals
+    ``extrapolate``'s.  Returns the (K, L) values and the (K,) mask of
+    singular lanes, whose values are meaningless.
     """
-    x, y = training.x, training.y  # every layer is one right-hand side
     x_ref, y_ref = x.take(reference, axis=0), y.take(reference, axis=0)
     A, b = x.take(aux, axis=0), y.take(aux, axis=0)
     A -= x_ref[:, None]
@@ -214,11 +274,14 @@ def evaluate_gradient_batch(
     quotient instead of the elimination (the conditions are
     ``solve_lanes``'s).  A singular system is skipped, as
     ``evaluate_gradient`` skips it, and the rest averaged as it averages
-    them, so every estimate equals that function's bit for bit.  A query
-    without a plan (an absent simplex point, too few points), without a
-    nonsingular system, or with an estimate that is not finite goes to
-    ``evaluate_gradient``, one plan for all layers, so that its result or
-    error is the scalar path's too.  ``combinations_used`` counts each
+    them, so every estimate equals that function's bit for bit: its plans
+    of two or more simplexes take the same lanes, and its one-simplex plans
+    the scalar solver, which the lanes match.  A query without a plan (an
+    absent simplex point, too few points), without a nonsingular system, or
+    with an estimate that is not finite is redone on its own
+    (``_gradient_layers``): its plan is built again and solved once for all
+    layers, so that its result, or its first failing layer's error, is
+    ``evaluate_gradient``'s too.  ``combinations_used`` counts each
     query's nonsingular systems.  A combination count that is not an
     integer >= 1 raises ValidationError before any query is planned.
     """
@@ -228,14 +291,14 @@ def evaluate_gradient_batch(
         mesh.check_fit(training)
     if mesh is not None and combinations == 1:
         reference, aux = _mesh_simplexes(mesh, mesh.cells_of(queries))
-        y_hat, singular = _lane_estimates(training, queries, reference, aux)
+        y_hat, singular = _lane_estimates(training.x, training.y, queries, reference, aux)
         redo = (reference < 0) | (aux < 0).any(axis=1) | singular
         used = np.ones(len(queries), dtype=int)
     else:
         planned, plans, aux = _planned_lanes(training, queries, mesh, combinations)
         C = plans.shape[1]
         values, singular = _lane_estimates(
-            training, np.repeat(queries[planned], C, axis=0), plans.ravel(),
+            training.x, training.y, np.repeat(queries[planned], C, axis=0), plans.ravel(),
             aux.reshape(-1, training.n),
         )
         kept = ~singular.reshape(-1, C)

@@ -61,7 +61,11 @@ def solve_lanes(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     conditions.  A finite quotient needs a nonzero diagonal, so each row's
     largest magnitude, which sets the threshold, is its diagonal entry's.  An
     unjittered mesh gives such lanes: each simplex row steps one node along
-    one axis.  Every other lane goes through ``_eliminate``.  Either way a
+    one axis.  Every other lane goes through ``_eliminate``, and a stack in
+    which every lane has an off-diagonal entry goes there whole, without the
+    quotient.  Scattered points and jittered meshes give such stacks: every
+    ``evaluate_gradient`` call on a plan of two or more simplexes, and most
+    ``evaluate_gradient_batch`` calls off an unjittered mesh.  Either way a
     lane's solution for right-hand side l equals
     ``solve_linear_system(A[i], b[i, :, l])`` bit for bit.  Returns the
     (M, L, n) solutions and the (M,) mask of the lanes the scalar solver would
@@ -69,15 +73,18 @@ def solve_lanes(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     M, n, L = b.shape
+    # the entries off the diagonal, as an (M, n - 1, n) view of a lane's rows
+    off = A.reshape(M, n * n)[:, 1:].reshape(M, n - 1, n + 1)[..., :-1]
+    dense = off.any(axis=(1, 2))
+    if np.count_nonzero(dense) == M:  # no lane can take the quotient
+        return _eliminate(A, b, _threshold(A))
     diag = A.diagonal(axis1=1, axis2=2)
     x = np.empty((M, L, n))
     with np.errstate(all="ignore"):  # lanes with a zero diagonal entry divide by zero
         np.divide(b.transpose(0, 2, 1), diag[:, None, :], out=x)
     size = np.abs(diag)
     singular = (size <= SINGULARITY_RTOL * size.max(axis=1, keepdims=True)).any(axis=1)
-    # the entries off the diagonal, as an (M, n - 1, n) view of a lane's rows
-    off = A.reshape(M, n * n)[:, 1:].reshape(M, n - 1, n + 1)[..., :-1]
-    rest = off.any(axis=(1, 2)) | ~np.isfinite(x).all(axis=(1, 2))
+    rest = dense | ~np.isfinite(x).all(axis=(1, 2))
     rest |= ((b == 0.0) & np.signbit(b)).any(axis=(1, 2))
     if rest.any():
         A = A[rest]
@@ -103,29 +110,31 @@ def _eliminate(A: np.ndarray, b: np.ndarray, threshold: np.ndarray) -> tuple:
     threshold, the first largest pivot, the same swaps, and each row update
     as one outer product per pivot column, so every element sees the same
     multiply and subtract.  Each lane is held as ``[A | b]``, one (n, n + L)
-    matrix, so that one swap and one update per step serve both.  The dots
-    of the back-substitution go through stacked ``np.matmul``, which calls
-    the same BLAS dot as the scalar 1-D ``@``.  Returns ``solve_lanes``'s
-    pair."""
+    matrix, so that one swap and one update per step serve both.  A lane is
+    singular where some pivot on the diagonal of the eliminated matrix is at
+    or below its threshold.  The dots of the back-substitution go through
+    stacked ``np.matmul``, which calls the same BLAS dot as the scalar 1-D
+    ``@``.  Returns ``solve_lanes``'s pair."""
     M, n, L = b.shape
     Ab = np.concatenate((A, b), axis=2)
-    singular = np.zeros(M, dtype=bool)
     lanes = np.arange(M)
     with np.errstate(all="ignore"):  # singular lanes may divide by zero
         for k in range(n - 1):
-            p = np.argmax(np.abs(Ab[:, k:, k]), axis=1) + k
-            singular |= np.abs(Ab[lanes, p, k]) <= threshold
-            row = Ab[:, k].copy()  # swap rows k and p
-            Ab[:, k] = Ab[lanes, p]
-            Ab[lanes, p] = row
+            p = np.abs(Ab[:, k:, k]).argmax(axis=1) + k
+            Ab[lanes, p], Ab[:, k] = Ab[:, k], Ab[lanes, p]  # swap rows k and p
             lam = (Ab[:, k + 1 :, k] / Ab[:, k, k, None])[..., None]
             Ab[:, k + 1 :, k + 1 :] -= lam * Ab[:, k, None, k + 1 :]
-        singular |= np.abs(Ab[:, n - 1, n - 1]) <= threshold
+        # each pivot sits on the diagonal from its swap on, and no later step
+        # touches it: these are the scalar solver's comparisons
+        pivots = np.abs(Ab.diagonal(axis1=1, axis2=2))
+        singular = (pivots <= threshold[:, None]).any(axis=1)
 
+        # the last row's dot is empty, a zero, and subtracting it changes nothing
         x = np.empty((M, L, n))
-        for k in range(n - 1, -1, -1):
+        np.divide(Ab[:, n - 1, n:], Ab[:, n - 1, n - 1, None], out=x[:, :, n - 1])
+        for k in range(n - 2, -1, -1):
             dot = np.matmul(Ab[:, None, None, k, k + 1 : n], x[:, :, k + 1 :, None])
-            x[:, :, k] = (Ab[:, k, n:] - dot[..., 0, 0]) / Ab[:, k, k, None]
+            np.divide(Ab[:, k, n:] - dot[..., 0, 0], Ab[:, k, k, None], out=x[:, :, k])
     return x, singular
 
 

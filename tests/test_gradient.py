@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from gradsurf import (
     DegenerateNeighborhood,
+    GradsurfError,
     MeshIndex,
     Simplex,
     ValidationError,
+    enumerate_combinations,
     estimate_gradients,
     evaluate_batch,
     evaluate_gradient,
@@ -19,7 +21,9 @@ from gradsurf import (
     validate_training_set,
 )
 from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
-from tests_oracles import eliminations, grid_queries, holed_local_cell, outcome, random_grid
+from gradsurf.neighbors import CombinationPlan
+from tests_oracles import (eliminations, grid_queries, holed_local_cell, oracle_evaluate_gradient,
+                           outcome, random_grid)
 
 
 class TestEstimateGradients:
@@ -466,3 +470,173 @@ class TestCombinationCount:
         for m in (None, mesh):
             with pytest.raises(ValidationError, match="must be an integer, got True"):
                 evaluate_gradient(ts, grid_queries(mesh, rng, 1)[0], m, combinations=True)
+
+
+def judged(fn, *args, **kwargs):
+    """What a call gave: the estimate's bits and provenance of each Estimate,
+    or the error's type and message."""
+    try:
+        with np.errstate(all="ignore"):  # the +-1e308 layer overflows
+            found = fn(*args, **kwargs)
+    except GradsurfError as exc:
+        return type(exc), str(exc)
+    return [(e.y_hat.hex(), e.reference_index, e.combinations_used, e.extrapolated)
+            for e in (found if isinstance(found, tuple) else (found,))]
+
+
+def three_layers(rng, x):
+    """Three outcome layers.  None, some or all points of layer 1 are at
+    +-1e308, so that the differences with them overflow and the means that
+    use them are not finite."""
+    huge = rng.random(len(x)) < rng.choice([0.0, 0.1, 1.0])
+    return np.stack([np.sin(3.0 * x).sum(axis=1),
+                     np.where(huge, rng.choice((-1e308, 1e308), len(x)), x[:, 0]),
+                     x.prod(axis=1)], axis=1)
+
+
+def degenerate_simplex(rng, training):
+    """A simplex whose system is all zeros: its reference n times over."""
+    r = int(rng.integers(training.npoints))
+    return Simplex(r, (r,) * training.n)
+
+
+PLAN_KINDS = ("enumerated", "duplicates", "singular members", "only singular", "single")
+
+
+def caller_plan(rng, kind, training, query, c, mesh):
+    """None (``enumerate_combinations``' plan), or a plan made from that one:
+    with repeated simplexes, with degenerate ones mixed in, of degenerate
+    ones only, or of one simplex (degenerate or not)."""
+    if kind == "enumerated":
+        return None
+    try:
+        simplexes = list(enumerate_combinations(training, query, c, mesh).simplexes)
+    except GradsurfError:
+        simplexes = []
+    if kind == "duplicates" and simplexes:
+        simplexes += [simplexes[i] for i in rng.integers(len(simplexes), size=c)]
+        simplexes = [simplexes[i] for i in rng.permutation(len(simplexes))]
+    elif kind == "singular members":
+        for _ in range(int(rng.integers(1, c + 1))):
+            simplexes.insert(int(rng.integers(len(simplexes) + 1)), degenerate_simplex(rng, training))
+    elif kind == "only singular":
+        simplexes = [degenerate_simplex(rng, training) for _ in range(c)]
+    elif kind == "single":
+        simplexes = [(simplexes + [degenerate_simplex(rng, training)])[
+            int(rng.integers(len(simplexes) + 1))]]
+    return CombinationPlan(tuple(simplexes))
+
+
+def assert_judged_by_the_oracle(training, queries, mesh, c, kind, rng):
+    """``evaluate_gradient`` on every query and layer, and ``_gradient_layers``
+    on every query, give the per-simplex loop's results or errors."""
+    for q in queries:
+        plan = caller_plan(rng, kind, training, q, c, mesh)
+        expected = []
+        for layer in range(training.layer_count):
+            want = judged(oracle_evaluate_gradient, training, q, mesh, c, layer, plan)
+            assert judged(evaluate_gradient, training, q, mesh, c, layer, plan) == want
+            expected.append(want)
+        if plan is None:  # the batch's redo path: every layer, or the first error
+            failed = [e for e in expected if isinstance(e, tuple)]
+            want = failed[0] if failed else [e[0] for e in expected]
+            assert judged(gradient._gradient_layers, training, q, mesh, c) == want
+
+
+class TestEvaluateGradientOracle:
+    """``evaluate_gradient`` solves a plan of several simplexes as lanes; its
+    estimate bits, reference, combination count, extrapolation flag, or error
+    type and message are the per-simplex loop's (``oracle_evaluate_gradient``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           c=st.sampled_from([1, 2, 3, 4, 16]), kind=st.sampled_from(PLAN_KINDS),
+           count=st.integers(2, 60))
+    def test_scattered_sets(self, seed, n, c, kind, count):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (count, n))
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, three_layers(rng, x)), n=n, layer_count=3)
+        assert_judged_by_the_oracle(ts, rng.uniform(-0.2, 1.2, (4, n)), None, c, kind, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           c=st.sampled_from([1, 2, 3, 4, 16]), kind=st.sampled_from(PLAN_KINDS),
+           jitter=st.sampled_from([0.0, 0.2, 0.45]), sparse=st.booleans())
+    def test_meshes(self, seed, n, c, kind, jitter, sparse):
+        x, _, mesh, rng = random_grid(seed, n, jitter, sparse)
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, three_layers(rng, x)), n=n, layer_count=3)
+        assert_judged_by_the_oracle(ts, grid_queries(mesh, rng, 4), mesh, c, kind, rng)
+
+    @pytest.mark.parametrize("kind", PLAN_KINDS)
+    @pytest.mark.parametrize("c", [2, 4, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_holed_local_cells(self, n, c, kind):
+        holed, mesh, query = holed_local_cell(n)
+        rng = np.random.default_rng(n * c)
+        ts = validate_training_set((holed.x, three_layers(rng, holed.x)), n=n, layer_count=3)
+        queries = np.vstack([query, grid_queries(mesh, rng, 3)])
+        assert_judged_by_the_oracle(ts, queries, mesh, c, kind, rng)
+
+    def test_a_plan_is_solved_in_one_lane_call(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 1.0, (200, 3))
+        ts = validate_training_set((x, three_layers(rng, x)), n=3, layer_count=3)
+        q = np.full(3, 0.5)
+        for c, lane_calls in ((1, 0), (4, 1), (16, 1)):
+            with mock.patch.object(gradient, "solve_lanes", wraps=gradient.solve_lanes) as lanes:
+                evaluate_gradient(ts, q, combinations=c)
+                assert lanes.call_count == lane_calls
+                lanes.reset_mock()
+                judged(gradient._gradient_layers, ts, q, combinations=c)
+                assert lanes.call_count == 1  # for all three layers
+
+
+class TestCallerPlan:
+    """A caller's plan is checked before any solve: each simplex names a
+    reference and exactly n auxiliaries, each an integer row of the set."""
+
+    @staticmethod
+    def training():
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 1.0, (30, 3))
+        return validate_training_set((x, x.sum(axis=1)), n=3)
+
+    @pytest.mark.parametrize("simplex,message", [
+        (Simplex(0, (1, 2)), "needs 3 auxiliaries, got 2"),  # a matmul ValueError before
+        (Simplex(0, (1, 2, 3, 4)), "needs 3 auxiliaries, got 4"),
+        (Simplex(0, (1, 2, 99)), r"integers in \[0, 30\), got 99"),  # an IndexError before
+        (Simplex(1.0, (2, 3, 4)), r"got 1\.0"),  # an IndexError before
+        (Simplex(0, (1, 2, 3.0)), r"got 3\.0"),
+        (Simplex(-1, (1, 2, 3)), "got -1"),  # wrapped round to the last point before
+        (Simplex(0, (1, -2, 3)), "got -2"),
+        (Simplex(True, (1, 2, 3)), "got True"),
+        (Simplex(0, 5), "a plan holds Simplex objects"),
+        ((0, 1, 2, 3), "a plan holds Simplex objects"),
+    ])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_malformed_simplex(self, simplex, message, size):
+        ts = self.training()
+        good = enumerate_combinations(ts, np.full(3, 0.5), 2).simplexes
+        plan = CombinationPlan((simplex,) if size == 1 else (good[0], simplex, good[1]))
+        with mock.patch.object(gradient, "solve_lanes") as lanes, \
+                mock.patch.object(gradient, "solve_linear_system") as scalar:
+            with pytest.raises(ValidationError, match=message):
+                evaluate_gradient(ts, np.full(3, 0.5), plan=plan)
+        assert lanes.call_count == scalar.call_count == 0
+
+    def test_numpy_integer_rows_are_rows(self):
+        ts = self.training()
+        q = np.full(3, 0.5)
+        plan = enumerate_combinations(ts, q, 3)
+        as_numpy = CombinationPlan(tuple(Simplex(np.int64(s.reference), tuple(np.array(s.auxiliaries)))
+                                         for s in plan.simplexes))
+        assert evaluate_gradient(ts, q, plan=as_numpy) == evaluate_gradient(ts, q, plan=plan)
+
+    def test_enumerated_plans_are_not_checked(self):
+        ts = self.training()
+        with mock.patch.object(gradient, "_check_plan") as check:
+            evaluate_gradient(ts, np.full(3, 0.5), combinations=4)
+            gradient._gradient_layers(ts, np.full(3, 0.5), combinations=4)
+        assert check.call_count == 0

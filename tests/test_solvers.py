@@ -82,6 +82,53 @@ class TestSolveLanes:
     def test_n99(self):
         assert_lanes_match(*lane_systems(np.random.default_rng(99), 99, 2))
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.sampled_from([1, 2]),
+           n=st.sampled_from([1, 2, 3, 9]), L=st.integers(1, 3))
+    def test_dense_stacks(self, seed, M, n, L):
+        # every lane has an off-diagonal entry (at n > 1): the whole stack is eliminated
+        rng = np.random.default_rng(seed)
+        A, b = rng.normal(size=(M, n, n)), rng.normal(size=(M, n, L))
+        b[rng.random(b.shape) < 0.2] = -0.0
+        if n > 1 and rng.random() < 0.5:  # singular at the first pivot, then NaN pivots
+            A[0, :, 0] = 0.0
+        if rng.random() < 0.3:
+            A[-1, :, -1] *= 1e-13  # a last pivot near the threshold
+        assert_lanes_match(A, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 9]),
+           L=st.integers(1, 3), dense=st.integers(1, 3))
+    def test_mixed_stacks(self, seed, n, L, dense):
+        rng = np.random.default_rng(seed)
+        A, b = diagonal_lanes(rng, n, L, M=4)
+        A = np.concatenate([A, rng.normal(size=(dense, n, n))])
+        b = np.concatenate([b, rng.normal(size=(dense, n, L))])
+        b[3, 0, 0] = 1e308  # with A[3, 0, 0] at 1e-10, a quotient that is not finite
+        A[3, 0, 0] = 1e-10
+        order = rng.permutation(len(A))
+        with np.errstate(all="ignore"):  # the scalar solver overflows on lane 3
+            assert_lanes_match(A[order], b[order])
+
+    def test_singular_first_pivot_then_nan_pivots(self):
+        rng = np.random.default_rng(2)
+        A, b = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 2))
+        A[1, :, 0] = 0.0  # the multipliers of column 0 are 0 / 0
+        with np.errstate(all="ignore"):
+            eliminated = A[1] - (A[1, :, :1] / A[1, 0, 0]) * A[1, :1]
+        assert np.isnan(eliminated[1:, 1:]).all()  # every later pivot is NaN
+        _, singular = solve_lanes(A, b)
+        assert singular.tolist() == [False, True, False]
+        assert_lanes_match(A, b)
+
+    def test_negative_zero_in_a_dense_stack(self):
+        rng = np.random.default_rng(6)
+        A, b = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3, 1))
+        b[0, 1, 0], b[1, :, 0] = -0.0, -0.0
+        x, _ = solve_lanes(A, b)
+        assert np.signbit(x[1]).all()  # a zero solution keeps its sign
+        assert_lanes_match(A, b)
+
     def test_stressed_lanes_take_their_branch(self):
         A, b = lane_systems(np.random.default_rng(4), 4, 1)
         _, singular = solve_lanes(A, b)

@@ -424,6 +424,35 @@ def oracle_evaluate_smooth(training, query, mesh, d=1.0, tol=1e-9, max_iter=20, 
     )
 
 
+def oracle_evaluate_gradient(training, query, mesh=None, combinations=1, layer=0, plan=None):
+    """The gradient estimate as a loop over the plan's simplexes: each solved
+    on its own (``estimate_gradients``) and extrapolated, a degenerate one
+    skipped, and the rest averaged with ``np.mean``."""
+    from gradsurf import Estimate, enumerate_combinations, estimate_gradients, extrapolate
+    from gradsurf.neighbors import is_extrapolation
+
+    query = np.asarray(query, dtype=float)
+    if plan is None:
+        plan = enumerate_combinations(training, query, combinations, mesh)
+    values = []
+    for simplex in plan.simplexes:
+        try:
+            p = estimate_gradients(training, simplex, layer)
+        except DegenerateNeighborhood:
+            continue
+        ref = simplex.reference
+        values.append(extrapolate(training.x[ref], float(training.y[ref, layer]), p, query))
+    if not values:
+        raise DegenerateNeighborhood("all point combinations were degenerate")
+    return Estimate(
+        y_hat=float(np.mean(values)),
+        method="gradient",
+        reference_index=plan.simplexes[0].reference,
+        combinations_used=len(values),
+        extrapolated=is_extrapolation(training, query),
+    )
+
+
 def oracle_grid_rows(mesh, cells, steps):
     """``neighbors._grid_rows`` of a sparse grid as first written: one dict
     lookup of a tuple per node, the reference's row reused at step 0."""

@@ -26,8 +26,10 @@ per-mesh facts are built before timing; the kinds of call take turns on
 each query.  The inputs: the S1 mesh of
 mesh-s1-20 (n=3) with ``WARM_QUERIES`` of its queries, ``WARM_CELLS`` local
 cells of H1 at each n in ``DIMENSIONS``, and 5000 uniform noisy 3-D points
-with ``WARM_QUERIES`` queries at C=1 and C=16 (scatter-5k's shape; the
+with ``WARM_QUERIES`` queries at each C in ``WARM_COMBINATIONS``
+(scatter-5k's shape, whose single queries average C=16 combinations; the
 smooth method needs a mesh).  The report replaces the ``warm_calls`` entry.
+Write it to ``BENCH_scatter-5k.json`` or ``BENCH_cell-h1-n99.json``.
 
 ``--layers`` times ``evaluate_layers`` the same way, for both methods,
 against the scalar loop it stands for (the single-query function once per
@@ -66,6 +68,7 @@ STAGES = ("generate", "gradient_batch", "smooth_batch")
 WARM_CELLS = 20
 WARM_QUERIES = 50
 WARM_ROUNDS = 5  # timed calls of each query, after one untimed
+WARM_COMBINATIONS = (1, 2, 4, 16)  # on the scattered points
 CALLS = ("gradient_scalar", "gradient_batch_of_one", "smooth_scalar", "smooth_batch_of_one")
 LAYER_CALLS = tuple(f"{method}_{kind}" for method in ("gradient", "smooth")
                     for kind in ("scalar_loop", "batch_of_one", "evaluate_layers"))
@@ -124,7 +127,7 @@ def warm_inputs() -> dict:
     y = (np.sin(3.0 * x) + x**2).sum(axis=1) + rng.normal(0.0, 0.05, len(x))
     scattered = validate_training_set((x, y), n=3)
     queries = rng.uniform(0.1, 0.9, (WARM_QUERIES, 3))
-    for c in (1, 16):
+    for c in WARM_COMBINATIONS:
         rows[f"scatter-5k, C={c}"] = [(scattered, None, q, c) for q in queries]
     return rows
 
@@ -284,7 +287,8 @@ def main(argv=None) -> int:
     elif args.warm:
         inputs = (f"mesh-s1-20's S1 mesh with {WARM_QUERIES} of its queries; {WARM_CELLS} "
                   f"local cells of H1 per n in {list(DIMENSIONS)}, seed [{SEED}, n]; 5000 "
-                  f"uniform noisy 3-D points with {WARM_QUERIES} queries at C=1 and C=16")
+                  f"uniform noisy 3-D points with {WARM_QUERIES} queries at C in "
+                  f"{list(WARM_COMBINATIONS)}")
         method = (f"{REPEATS} runs per side in fresh processes, sides alternating; in each, "
                   f"{WARM_ROUNDS} timed calls per query after one untimed, median "
                   "microseconds per call; medians and inclusive quartiles over runs")
