@@ -15,11 +15,13 @@ from .model import (
     MeshIndex,
     TrainingSet,
     ValidationError,
+    _grid_rows,
+    _replaced_entries,
     validate_training_set,
 )
 from .gradient import evaluate_gradient
 from .layers import _fan_out, _method_batch
-from .neighbors import STENCIL_STEPS, _grid_rows, _replaced_entries
+from .neighbors import STENCIL_STEPS
 
 SENTINEL_RATIO = 1e12  # reported when a ratio's denominator vanishes
 QUERY_OFFSETS = (0.3, 0.5)  # range of a query's per-axis offset into its cell, in cells

@@ -55,8 +55,9 @@ def estimate_gradients(training: TrainingSet, simplex: Simplex, layer: int = 0) 
     """
     ref = simplex.reference
     aux = list(simplex.auxiliaries)
-    A = training.x[aux] - training.x[ref]
-    b = training.y[aux, layer] - training.y[ref, layer]
+    with np.errstate(all="ignore"):  # a difference past the float range is inf
+        A = training.x[aux] - training.x[ref]
+        b = training.y[aux, layer] - training.y[ref, layer]
     try:
         return solve_linear_system(A, b)
     except SingularSystem as exc:
@@ -110,7 +111,7 @@ def evaluate_gradient(
     ref = simplex.reference
     value = extrapolate(training.x[ref], float(training.y[ref, layer]), p, query)
     return Estimate(
-        y_hat=float(np.mean([value])),  # a sum starts at +0.0, so a -0.0 value reads +0.0
+        y_hat=value + 0.0,  # np.mean([value]): a sum starts at +0.0, so -0.0 reads +0.0
         method="gradient",
         reference_index=ref,
         combinations_used=1,
@@ -191,10 +192,10 @@ def _lane_estimates(x, y, queries, reference, aux) -> tuple:
     """
     x_ref, y_ref = x.take(reference, axis=0), y.take(reference, axis=0)
     A, b = x.take(aux, axis=0), y.take(aux, axis=0)
-    A -= x_ref[:, None]
-    b -= y_ref[:, None]
-    p, singular = solve_lanes(A, b)
-    with np.errstate(all="ignore"):  # singular lanes may hold inf or NaN
+    with np.errstate(all="ignore"):  # inf or NaN past the float range or in singular lanes
+        A -= x_ref[:, None]
+        b -= y_ref[:, None]
+        p, singular = solve_lanes(A, b)
         dot = np.matmul(p[:, :, None, :], (queries - x_ref)[:, None, :, None])
         return y_ref + dot[..., 0, 0], singular
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count
@@ -13,6 +12,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 BUCKET_BALL_POINTS = 2  # times 3n + 1, the points a ball of one bucket's radius holds
+COMPARE_BYTES = 1 << 18  # grid index entries compared at a time in a sparse lookup
 
 
 class GradsurfError(Exception):
@@ -289,6 +289,12 @@ class MeshIndex:
     non-negative integer, and a node filed twice.  A node past the end of
     its axis, or a row past the end of a training set, is refused where the
     mesh meets that training set (``check_fit``).
+
+    Every lookup of a node, one query's or a batch's, goes through
+    ``cells_of`` and ``_grid_rows``: a complete grid finds a node's row by
+    row-major strides, a sparse one by a search of its filed nodes' sorted
+    keys (``_filed_rows``).  No per-mesh dict is built; ``point_at`` and
+    ``cell_of`` are those lookups for one node and one query.
     """
 
     def __init__(self, axes, jitter_fraction: float = 0.0,
@@ -356,65 +362,46 @@ class MeshIndex:
     def shape(self) -> tuple:
         return tuple(len(a) for a in self.axes)
 
-    @cached_property
-    def _axis_lists(self) -> tuple:
-        # plain lists make scalar bisection much cheaper than array search
-        return tuple([float(v) for v in a] for a in self.axes)
-
     def point_at(self, grid_idx: Sequence[int]) -> Optional[int]:
         """Training-point index for a grid multi-index, or None if absent
-        (off the grid, or a hole of a sparse grid).  An index of other than n
-        entries raises DimensionMismatch."""
+        (off the grid, or a hole of a sparse grid): a one-node ``_grid_rows``
+        call.  An index of other than n entries raises DimensionMismatch, an
+        entry that is not an integer ValidationError."""
         if len(grid_idx) != len(self.axes):
             raise DimensionMismatch(
                 f"grid index must have {len(self.axes)} entries, got {len(grid_idx)}"
             )
-        if self.grid is not None:
-            try:
-                row = self._filed.get(self._node_key(grid_idx))
-            except ValueError:  # an entry that no byte holds: off the grid
-                return None
-            if row is None and isinstance(grid_idx, np.ndarray):  # its bytes are its buffer
-                return self.point_at(grid_idx.tolist())
-            return row
-        flat = 0
-        for i, m in zip(grid_idx, self.shape):
-            if not (0 <= i < m):
-                return None
-            flat = flat * m + i
-        return flat
+        if not all(isinstance(i, Integral) for i in grid_idx):
+            raise ValidationError(f"grid index entries must be integers, got {grid_idx!r}")
+        # _grid_rows checks only the entries it steps
+        if not all(0 <= i < m for i, m in zip(grid_idx, self.shape)):
+            return None
+        node = np.array([grid_idx], dtype=np.intp)
+        row = int(_grid_rows(self, node, np.empty((1, self.n, 0), dtype=np.intp))[0][0])
+        return None if row < 0 else row
 
-    @cached_property
-    def _node_key(self):
-        # a byte per entry where a byte holds every index: a fifth of a tuple's memory
-        return bytes if self.grid.dtype == np.uint8 else tuple
-
-    @cached_property
-    def _filed(self) -> dict:
-        """Row by ``_node_key`` of each filed node, for ``point_at``; a tuple
-        of numpy integers equals the tuple of the same ints."""
-        return dict(zip(map(self._node_key, self.grid), self.rows.tolist()))
-
-    def cell_of(self, query: np.ndarray) -> tuple:
+    def cell_of(self, query) -> tuple:
         """Grid multi-index of the node at the lower corner of the query's cell.
 
         A query sitting exactly on a node resolves to that node; out-of-range
-        coordinates clamp to the boundary node.
+        coordinates clamp to the boundary node.  A one-row ``cells_of``.
         """
-        idx = []
-        for a, nodes in enumerate(self._axis_lists):
-            j = bisect_right(nodes, query[a]) - 1
-            idx.append(min(max(j, 0), len(nodes) - 1))
-        return tuple(idx)
+        return tuple(self.cells_of(np.asarray(query).reshape(1, -1))[0].tolist())
 
     def cells_of(self, queries: np.ndarray) -> np.ndarray:
         """``cell_of`` of each row of an (M, n) query array, as an (M, n) array.
 
-        ``cell_of``'s clamped ``bisect_right(nodes, v) - 1`` is the count of
-        the nodes past the first that are at or below v, so one search of
-        those nodes per group of equal axes needs no clamp; a NaN counts
-        them all, as ``bisect_right`` does.
+        Along each axis the cell is the count of the nodes past the first that
+        are at or below the coordinate: a coordinate on a node gives that
+        node, one outside the axis its first or last node, and a NaN, which
+        sorts last, the last node.  One search of those nodes serves each
+        group of equal axes.  Queries of other than n coordinates raise
+        DimensionMismatch.
         """
+        if queries.shape[1:] != (self.n,):
+            raise DimensionMismatch(
+                f"queries must be an (M, {self.n}) array, got shape {queries.shape}"
+            )
         cells = np.empty(queries.shape, dtype=np.intp)
         for inner, axes in self._axis_groups:
             cells[:, axes] = inner.searchsorted(queries[:, axes], side="right")
@@ -523,6 +510,77 @@ def _filed_nodes(shape: tuple, grid, rows) -> tuple:
     for v in (grid, rows, keys):
         v.setflags(write=False)
     return grid, rows, weights, keys
+
+
+def _grid_rows(mesh: MeshIndex, cells: np.ndarray, steps: np.ndarray):
+    """The rows of many cells and of nodes a few steps from each along each axis.
+
+    ``cells`` is an (M, n) array of grid indices on the grid and ``steps`` an
+    (M, n, K) integer array.  Returns each cell's row, (M,), and the rows of
+    the nodes ``steps[i, a, k]`` nodes from cell i along axis a, (M, n, K).
+    Row -1 marks a node off the grid or at a hole.  A complete grid finds rows
+    by row-major strides, a sparse one by the keys of its nodes
+    (``_filed_rows``), for as many cells at a time as compare about
+    ``COMPARE_BYTES`` grid index entries.
+    """
+    nodes = cells[..., None] + steps
+    inside = (nodes >= 0) & (nodes < mesh._shape_array[:, None])
+    if mesh.grid is None:
+        strides = mesh._strides
+        reference = cells @ strides
+        rows = reference[:, None, None] + steps * strides[:, None]
+        return reference, np.where(inside, rows, -1)
+    M, n, K = steps.shape
+    found = np.empty((M, 1 + n * K), dtype=int)
+    part = max(1, COMPARE_BYTES // (n * found.shape[1]))
+    for start in range(0, M, part):
+        q = slice(start, start + part)
+        found[q] = _filed_rows(mesh, cells[q], nodes[q], steps[q])
+    found[:, 1:][~inside.reshape(M, n * K)] = -1
+    return found[:, 0], found[:, 1:].reshape(M, n, K)
+
+
+@lru_cache(maxsize=64)
+def _replaced_entries(n: int, K: int) -> np.ndarray:
+    """Where ``_filed_rows``'s node ``1 + a * K + k`` holds its entry a, in the
+    flat (1 + nK, n) array of the nodes' grid indices; read-only."""
+    node = np.arange(n * K)
+    slots = (1 + node) * n + node // K
+    slots.setflags(write=False)
+    return slots
+
+
+def _filed_rows(mesh: MeshIndex, cells: np.ndarray, nodes: np.ndarray, steps) -> np.ndarray:
+    """The rows filed under each cell of a sparse grid and under the nodes
+    ``steps`` from it, -1 where none is; (M, 1 + nK), the cell's row first.
+
+    Node (i, a, k) is cell i with its entry a replaced by ``nodes[i, a, k]``.
+    Its key is the cell's key plus the step times the axis's weight,
+    wrapping in int64 as the mesh's keys do.  One search of the sorted keys
+    finds each node's candidate, and a candidate counts only if its grid
+    index equals the node's, compared in the grid's narrow dtype, so a key
+    that an absent node shares with a filed one never returns a wrong row.
+    A node off the grid may wrap to a filed index there; the caller masks it.
+    """
+    keys, weights = mesh._keys, mesh._weights
+    M, n, K = nodes.shape
+    if not len(keys):
+        return np.full((M, 1 + n * K), -1)
+    base = cells @ weights
+    wanted = np.empty((M, 1 + n * K), dtype=np.int64)
+    wanted[:, 0] = base
+    wanted[:, 1:] = (base[:, None, None] + steps * weights[:, None]).reshape(M, n * K)
+    at = keys.searchsorted(wanted)  # past the last key, the last node is the candidate
+    # each candidate's stored index XOR the node's, in place: the cell's
+    # entries, then at each node's own entry the XOR of its entry and the cell's
+    differ = mesh.grid.take(at, axis=0, mode="clip")
+    narrow = mesh.grid.dtype
+    differ ^= cells.astype(narrow)[:, None, :]
+    moved = (nodes ^ cells[..., None]).astype(narrow)
+    differ.reshape(M, -1)[:, _replaced_entries(n, K)] ^= moved.reshape(M, n * K)
+    # nonzero where a stored index differs; faster than == and all(axis=2)
+    differ = np.bitwise_or.reduce(differ, axis=2)
+    return np.where(differ == 0, mesh.rows.take(at, mode="clip"), -1)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .model import (
     _ball_points,
     _bucket_coordinates,
     _buckets_per_axis,
+    _grid_rows,
 )
 
 RANK_RTOL = 1e-10
@@ -31,7 +32,6 @@ STENCIL_STEPS = (-1, 0, 1, 2)  # Y0..Y3, in nodes from the lower bracketing node
 D2_BLOCK_BYTES = 1 << 19  # distance terms formed per block over many points
 D2_MIN_BLOCK_POINTS = 8192  # fewer points per block cost more calls than the cache saves
 D2_SINGLE_PASS_BYTES = 1 << 21  # up to this many bytes of terms, one pass is faster
-COMPARE_BYTES = 1 << 18  # grid index entries compared at a time in a sparse lookup
 GRID_MAX_AXES = 6  # beyond, a box of 3^n buckets holds too many points to gather
 GRID_MAX_SHARE = 1 / 5  # the most of N a box may hold on average, else brute force
 GRID_CAP = 4  # a box holding this many times the average is searched by brute force
@@ -141,26 +141,18 @@ def _sum_rows(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mesh_cell(training: TrainingSet, mesh: MeshIndex, query: np.ndarray) -> tuple[tuple, int]:
-    """The query's cell and the point at its lower corner, the reference.
+def _mesh_reference(cells: np.ndarray, reference: np.ndarray) -> int:
+    """The row filed at the first cell of ``cells``, as the lookup found it
+    (``reference``); DegenerateNeighborhood where no point is filed there.
 
     The mesh files every point under its own node (``load_dataset`` checks
     this once per file), so the cell is also the reference's grid index.
-    A mesh that files a row past ``training`` raises ValidationError.
     """
-    mesh.check_fit(training)
-    cell = mesh.cell_of(query)
-    idx = mesh.point_at(cell)
-    if idx is None:
-        raise DegenerateNeighborhood(f"no training point at grid index {cell}")
-    return cell, idx
-
-
-def _grid_step(mesh: MeshIndex, cell: tuple, axis: int, k: int) -> Optional[int]:
-    """The row ``k`` nodes from ``cell`` along ``axis``; None off the grid or at a hole."""
-    node = list(cell)
-    node[axis] += k
-    return mesh.point_at(node)
+    if reference[0] < 0:
+        raise DegenerateNeighborhood(
+            f"no training point at grid index {tuple(cells[0].tolist())}"
+        )
+    return int(reference[0])
 
 
 def locate_reference(
@@ -168,11 +160,14 @@ def locate_reference(
 ) -> int:
     """Pick the training point anchoring the local expansion.
 
-    Mesh mode returns the lower corner of the cell containing the query;
-    scattered mode the nearest point under per-axis range normalization.
+    Mesh mode returns the lower corner of the cell containing the query,
+    the reference of a one-row ``_mesh_simplexes``; scattered mode the
+    nearest point under per-axis range normalization.
     """
     if mesh is not None:
-        return _mesh_cell(training, mesh, query)[1]
+        mesh.check_fit(training)
+        cells = mesh.cells_of(np.asarray(query).reshape(1, -1))
+        return _mesh_reference(cells, _mesh_simplexes(mesh, cells)[0])
     return int(np.argmin(_normalised_d2(training, query)))
 
 
@@ -413,20 +408,19 @@ def select_simplex(
     """Choose the reference and the n auxiliary points around it.
 
     Mesh mode takes the lower corner of the query's cell and its
-    edge-adjacent corners; scattered mode the nearest point and then the
-    next nearest ones, greedily skipping candidates that leave the
+    edge-adjacent corners, one node up each axis (down at the top node),
+    as a one-row ``_mesh_simplexes``; scattered mode the nearest point and
+    then the next nearest ones, greedily skipping candidates that leave the
     difference matrix rank-deficient.
     """
     if mesh is not None:
-        cell, reference = _mesh_cell(training, mesh, query)
-        aux = []
-        for a, m in enumerate(mesh.shape):
-            idx = _grid_step(mesh, cell, a, 1 if cell[a] + 1 < m else -1)
-            if idx is None:
-                raise DegenerateNeighborhood(
-                    f"missing grid neighbor along axis {a} of cell {cell}"
-                )
-            aux.append(idx)
+        mesh.check_fit(training)
+        cells = mesh.cells_of(np.asarray(query).reshape(1, -1))
+        reference, aux = _mesh_simplexes(mesh, cells)
+        reference, aux = _mesh_reference(cells, reference), aux[0].tolist()
+        if -1 in aux:
+            raise DegenerateNeighborhood(f"missing grid neighbor along axis {aux.index(-1)} "
+                                         f"of cell {tuple(cells[0].tolist())}")
         return Simplex(reference=reference, auxiliaries=tuple(aux))
     d2 = _normalised_d2(training, query)
     return _nearest_simplex(training, _nearest_prefix(d2, CANDIDATE_FACTOR * training.n + 1))
@@ -629,118 +623,54 @@ def axis_stencil(
 
     Y1 is the reference at the query's ``cell``, Y2 the next node along the
     axis on the query's side; Y0 and Y3 are the outer neighbors, flagged when
-    the domain edge cuts them off.
+    the domain edge cuts them off.  The points are ``_axis_stencils``' for
+    the one cell; a cell off the grid has no core.
     """
     mesh.check_fit(training)
-    # clamp so the bracketing pair exists
-    shift = min(cell[axis], mesh.shape[axis] - 2) - cell[axis]
-    seq = [_grid_step(mesh, cell, axis, shift + k) for k in STENCIL_STEPS]
-    if seq[1] is None or seq[2] is None:
+    lower = list(cell)
+    lower[axis] = min(lower[axis], mesh.shape[axis] - 2)  # so the bracketing pair exists
+    if mesh.point_at(lower) is None:  # Y1: off the grid, or a hole
         raise DegenerateNeighborhood(f"stencil core missing along axis {axis}")
-
-    missing_lower, missing_upper = seq[0] is None, seq[3] is None
-    xs, ys = training.x[:, axis], training.y[:, layer]
-    # jittered nodes keep their nominal order (jitter < half a cell), but we
-    # order the present points, seq[lo:hi], by actual coordinate to be safe
-    lo, hi = int(missing_lower), 4 - missing_upper
-    seq[lo:hi] = sorted(seq[lo:hi], key=xs.__getitem__)
-
-    return Stencil1D(
-        axis=axis,
-        indices=tuple(seq),
-        x=tuple(None if i is None else float(xs[i]) for i in seq),
-        y=tuple(None if i is None else float(ys[i]) for i in seq),
-        missing_lower=missing_lower,
-        missing_upper=missing_upper,
-    )
+    _, rows, x = _axis_stencils(training, mesh, np.array([lower], dtype=np.intp))
+    return _stencil(axis, rows[0, axis].tolist(), x[0, axis].tolist(),
+                    training.y[rows[0, axis], layer].tolist())
 
 
-def _grid_rows(mesh: MeshIndex, cells: np.ndarray, steps: np.ndarray):
-    """The rows of many cells and of nodes a few steps from each along each axis.
-
-    ``cells`` is an (M, n) array of grid indices on the grid and ``steps`` an
-    (M, n, K) integer array.  Returns each cell's row, (M,), and the rows of
-    the nodes ``steps[i, a, k]`` nodes from cell i along axis a, (M, n, K).
-    Row -1 marks a node off the grid or at a hole.  A complete grid finds rows
-    by row-major strides, a sparse one by the keys of its nodes
-    (``_filed_rows``), for as many cells at a time as compare about
-    ``COMPARE_BYTES`` grid index entries.
-    """
-    nodes = cells[..., None] + steps
-    inside = (nodes >= 0) & (nodes < mesh._shape_array[:, None])
-    if mesh.grid is None:
-        strides = mesh._strides
-        reference = cells @ strides
-        rows = reference[:, None, None] + steps * strides[:, None]
-        return reference, np.where(inside, rows, -1)
-    M, n, K = steps.shape
-    found = np.empty((M, 1 + n * K), dtype=int)
-    part = max(1, COMPARE_BYTES // (n * found.shape[1]))
-    for start in range(0, M, part):
-        q = slice(start, start + part)
-        found[q] = _filed_rows(mesh, cells[q], nodes[q], steps[q])
-    found[:, 1:][~inside.reshape(M, n * K)] = -1
-    return found[:, 0], found[:, 1:].reshape(M, n, K)
-
-
-@lru_cache(maxsize=64)
-def _replaced_entries(n: int, K: int) -> np.ndarray:
-    """Where ``_filed_rows``'s node ``1 + a * K + k`` holds its entry a, in the
-    flat (1 + nK, n) array of the nodes' grid indices; read-only."""
-    node = np.arange(n * K)
-    slots = (1 + node) * n + node // K
-    slots.setflags(write=False)
-    return slots
-
-
-def _filed_rows(mesh: MeshIndex, cells: np.ndarray, nodes: np.ndarray, steps) -> np.ndarray:
-    """The rows filed under each cell of a sparse grid and under the nodes
-    ``steps`` from it, -1 where none is; (M, 1 + nK), the cell's row first.
-
-    Node (i, a, k) is cell i with its entry a replaced by ``nodes[i, a, k]``.
-    Its key is the cell's key plus the step times the axis's weight,
-    wrapping in int64 as the mesh's keys do.  One search of the sorted keys
-    finds each node's candidate, and a candidate counts only if its grid
-    index equals the node's, compared in the grid's narrow dtype, so a key
-    that an absent node shares with a filed one never returns a wrong row.
-    A node off the grid may wrap to a filed index there; the caller masks it.
-    """
-    keys, weights = mesh._keys, mesh._weights
-    M, n, K = nodes.shape
-    if not len(keys):
-        return np.full((M, 1 + n * K), -1)
-    base = cells @ weights
-    wanted = np.empty((M, 1 + n * K), dtype=np.int64)
-    wanted[:, 0] = base
-    wanted[:, 1:] = (base[:, None, None] + steps * weights[:, None]).reshape(M, n * K)
-    at = keys.searchsorted(wanted)  # past the last key, the last node is the candidate
-    # each candidate's stored index XOR the node's, in place: the cell's
-    # entries, then at each node's own entry the XOR of its entry and the cell's
-    differ = mesh.grid.take(at, axis=0, mode="clip")
-    narrow = mesh.grid.dtype
-    differ ^= cells.astype(narrow)[:, None, :]
-    moved = (nodes ^ cells[..., None]).astype(narrow)
-    differ.reshape(M, -1)[:, _replaced_entries(n, K)] ^= moved.reshape(M, n * K)
-    # nonzero where a stored index differs; faster than == and all(axis=2)
-    differ = np.bitwise_or.reduce(differ, axis=2)
-    return np.where(differ == 0, mesh.rows.take(at, mode="clip"), -1)
+def _stencil(axis: int, rows: list, x: list, y: list) -> Stencil1D:
+    """One axis of ``_axis_stencils``' arrays, as lists, as a Stencil1D;
+    DegenerateNeighborhood where Y1 or Y2 is absent."""
+    if rows[1] < 0 or rows[2] < 0:
+        raise DegenerateNeighborhood(f"stencil core missing along axis {axis}")
+    if -1 in rows:  # an end that the domain edge cuts off
+        x, y = ([None if r < 0 else v for r, v in zip(rows, values)] for values in (x, y))
+        rows = [None if r < 0 else r for r in rows]
+    # positional arguments: a frozen dataclass takes them faster than keywords
+    return Stencil1D(axis, tuple(rows), tuple(x), tuple(y), rows[0] is None, rows[3] is None)
 
 
 def _mesh_simplexes(mesh: MeshIndex, cells: np.ndarray):
     """``select_simplex``'s reference row, (M,), and auxiliary rows, (M, n),
-    for each row of an (M, n) array of cells; row -1 marks an absent point."""
+    for each row of an (M, n) array of cells on the grid; row -1 marks an
+    absent point.  A step never leaves the grid, so a complete grid needs
+    only its row-major strides."""
     up = cells + 1 < mesh._shape_array  # else the node below, at the top node
+    if mesh.grid is None:
+        reference = cells @ mesh._strides
+        return reference, reference[:, None] + np.where(up, mesh._strides, -mesh._strides)
     reference, aux = _grid_rows(mesh, cells, (2 * up - 1)[..., None])
     return reference, aux[..., 0]
 
 
 def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray):
-    """The reference and the ``axis_stencil`` points of many cells at once.
+    """The reference and the ``axis_stencil`` points of many cells at once,
+    for one query (``axis_stencil``, ``evaluate_smooth``) or a batch.
 
-    ``cells`` is an (M, n) array of grid indices.  Returns each cell's
-    reference row, (M,), the rows of Y0..Y3 along each axis, (M, n, 4), and
-    their coordinates along that axis, with the present points ordered by
-    coordinate as ``axis_stencil`` orders them.  Row -1 marks an absent point.
+    ``cells`` is an (M, n) array of grid indices on the grid.  Returns each
+    cell's reference row, (M,), the rows of Y0..Y3 along each axis,
+    (M, n, 4), and their coordinates along that axis.  Row -1 marks an
+    absent point.  Where Y1 and Y2 are present, the present points are
+    ordered by coordinate, ties in step order, and an absent end stays in
+    place.
     """
     mesh.check_fit(training)
     n = cells.shape[1]
@@ -751,8 +681,8 @@ def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray):
     # a stencil without its core is left as found
     x = training.x[rows, np.arange(n)[:, None]]
     key = np.where(rows >= 0, x, [-np.inf, -np.inf, np.inf, np.inf])
-    key[(rows[..., 1] < 0) | (rows[..., 2] < 0)] = STENCIL_STEPS
     if (key[..., 1:] < key[..., :-1]).any():  # jitter put nodes out of order
+        key[(rows[..., 1] < 0) | (rows[..., 2] < 0)] = STENCIL_STEPS
         order = np.argsort(key, axis=-1, kind="stable")
         rows, x = (np.take_along_axis(v, order, axis=-1) for v in (rows, x))
     return reference, rows, x

@@ -6,10 +6,11 @@ query's vertical line is intersected with that arc in a frame rotated so the
 bracketing chord is horizontal, and the chord gradient is rotated to pass
 through the intersection point.
 
-``evaluate_smooth`` walks the axes of one query; ``evaluate_smooth_batch``
-evaluates every (query, axis, layer) lane of a batch with array expressions.
-Both compute through the same formula helpers, so their results agree bit
-for bit.
+Both entry points gather the stencils of every axis at once
+(``neighbors._axis_stencils``).  ``evaluate_smooth`` then walks the axes of
+one query; ``evaluate_smooth_batch`` evaluates every (query, axis, layer)
+lane of a batch with array expressions.  Both compute through the same
+formula helpers, so their results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .model import (
     _query_rows,
     _query_vector,
 )
-from .neighbors import Stencil1D, _axis_stencils, _mesh_cell, axis_stencil, is_extrapolation
+from .neighbors import Stencil1D, _axis_stencils, _mesh_reference, _stencil, is_extrapolation
 from .solvers import find_root
 
 TRIVIAL_SLOPE = 1e-12  # below this the rotation is skipped entirely
@@ -335,14 +336,17 @@ def evaluate_smooth(
     """
     _check_arguments(mesh, d, tol, max_iter)
     query = _query_vector(query, training, layer)
-    cell, reference = _mesh_cell(training, mesh, query)
+    cells = mesh.cells_of(query[None, :])
+    reference, rows, x = _axis_stencils(training, mesh, cells)
+    reference = _mesh_reference(cells, reference)
     y_ref = float(training.y[reference, layer])
+    stencils = zip(rows[0].tolist(), x[0].tolist(), training.y[rows[0], layer].tolist())
 
     total = y_ref
     iterations = []
     flags = []
-    for axis in range(training.n):
-        stencil = axis_stencil(training, mesh, cell, axis, layer)
+    for axis, (seq, xs, ys) in enumerate(stencils):
+        stencil = _stencil(axis, seq, xs, ys)
         x1, x2 = stencil.x[1], stencil.x[2]
         y1, y2 = stencil.y[1], stencil.y[2]
         q = float(query[axis])

@@ -27,23 +27,24 @@ def solve_linear_system(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale[scale == 0.0] = 1.0
     threshold = SINGULARITY_RTOL * scale.max()
 
-    for k in range(n - 1):
-        p = int(np.argmax(np.abs(A[k:, k]))) + k
-        if abs(A[p, k]) <= threshold:
-            raise SingularSystem(f"pivot {A[p, k]!r} below threshold at column {k}")
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        for i in range(k + 1, n):
-            lam = A[i, k] / A[k, k]
-            A[i, k + 1 :] -= lam * A[k, k + 1 :]
-            b[i] -= lam * b[k]
-    if abs(A[n - 1, n - 1]) <= threshold:
-        raise SingularSystem("matrix is singular")
+    with np.errstate(all="ignore"):  # inf or NaN from values past the float range
+        for k in range(n - 1):
+            p = int(np.argmax(np.abs(A[k:, k]))) + k
+            if abs(A[p, k]) <= threshold:
+                raise SingularSystem(f"pivot {A[p, k]!r} below threshold at column {k}")
+            if p != k:
+                A[[k, p]] = A[[p, k]]
+                b[[k, p]] = b[[p, k]]
+            for i in range(k + 1, n):
+                lam = A[i, k] / A[k, k]
+                A[i, k + 1 :] -= lam * A[k, k + 1 :]
+                b[i] -= lam * b[k]
+        if abs(A[n - 1, n - 1]) <= threshold:
+            raise SingularSystem("matrix is singular")
 
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
+        x = np.empty(n)
+        for k in range(n - 1, -1, -1):
+            x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
     return x
 
 

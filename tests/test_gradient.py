@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -390,6 +391,35 @@ class TestGradientBatch:
         ts = validate_training_set((x, x.sum(axis=1)), n=2)
         mesh = MeshIndex(axes=(nodes, nodes))
         assert evaluate_gradient_batch(ts, [], mesh).y_hat.shape == (0, 1)
+
+
+class TestOutcomesPastTheFloatRange:
+    """Outcome differences past the float range end as the same typed errors
+    on every gradient path, and no path prints a numpy warning for them."""
+
+    @pytest.mark.parametrize("combinations", [1, 2, 4])
+    @pytest.mark.parametrize("on_mesh", [True, False])
+    def test_every_path_refuses_them_without_a_warning(self, combinations, on_mesh):
+        # the batch kernel's subtraction, the scalar path's and the scalar
+        # solver's elimination used to print overflow warnings
+        nodes = np.arange(6.0)
+        x = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+        y = x.sum(axis=1)
+        y[[14, 15]] = 1e308, -1e308  # the nodes (2, 2) and (2, 3)
+        ts = validate_training_set((x, y), n=2)
+        mesh = MeshIndex(axes=(nodes, nodes)) if on_mesh else None
+        queries = np.vstack([[[2.5, 2.5], [2.2, 2.7], [1.6, 2.5]],
+                             np.random.default_rng(5).uniform(0.0, 5.0, (17, 2))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = evaluate_gradient_batch(ts, queries, mesh, combinations)
+            scalar = [outcome(evaluate_gradient, ts, q, mesh, combinations) for q in queries]
+        assert batch.errors
+        for i, expected in enumerate(scalar):
+            if isinstance(expected, type):
+                assert type(batch.errors[i]) is expected
+            else:
+                assert i not in batch.errors and batch.y_hat[i, 0] == expected.y_hat
 
 
 class TestCombinationsUsed:

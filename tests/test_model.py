@@ -22,12 +22,14 @@ from gradsurf import (
     evaluate_smooth,
     evaluate_smooth_batch,
     locate_reference,
+    select_simplex,
     validate_query,
     validate_training_set,
 )
-from gradsurf import neighbors
+from gradsurf import model
 from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
 from gradsurf.neighbors import axis_stencil
+from tests_oracles import oracle_cell_of
 
 
 class TestValidateTrainingSet:
@@ -238,6 +240,44 @@ class TestMeshIndex:
             mesh.point_at(grid_idx)
         assert mesh.point_at((1, 2)) == 6
 
+    @staticmethod
+    def cube(sparse):
+        """A 4x4x4 grid, complete or filed as a sparse map in uint8 entries."""
+        nodes = np.linspace(0.0, 1.0, 4)
+        index_map = {g: 16 * g[0] + 4 * g[1] + g[2]
+                     for g in np.ndindex(4, 4, 4)} if sparse else None
+        return MeshIndex(axes=(nodes,) * 3, index_map=index_map)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("grid_idx", [(1.5, 2, 0), (1.0, 2, 0), [1, 2.0, 0],
+                                          np.array([1.0, 2.0, 0.0]), (1, "2", 0)])
+    def test_index_entry_that_is_not_an_integer_is_rejected(self, sparse, grid_idx):
+        # a complete grid used to return 32.0 for (1.5, 2, 0) and 24.0 for
+        # (1.0, 2, 0), and a sparse one to raise a bare TypeError
+        mesh = self.cube(sparse)
+        with pytest.raises(ValidationError, match="grid index entries must be integers"):
+            mesh.point_at(grid_idx)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("grid_idx", [(1, 2, 0), [1, 2, 0], (np.int64(1), np.uint8(2), 0),
+                                          np.array([1, 2, 0]), np.array([1, 2, 0], np.uint8)])
+    def test_numpy_integer_entries_are_accepted(self, sparse, grid_idx):
+        row = self.cube(sparse).point_at(grid_idx)
+        assert row == 24 and type(row) is int
+
+    @pytest.mark.parametrize("query", [[0.5], [0.5, 1.5, 9.0], 0.5])
+    def test_query_of_the_wrong_length_is_rejected(self, query):
+        # cell_of used to raise IndexError for a short query and to read a
+        # long one's first entries; a one-row cells_of broadcast a short one
+        nodes = np.arange(3.0)
+        x = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+        ts = validate_training_set((x, x.sum(axis=1)), n=2)
+        mesh = MeshIndex(axes=(nodes, nodes))
+        for lookup in (mesh.cell_of, lambda q: locate_reference(ts, q, mesh),
+                       lambda q: select_simplex(ts, q, mesh)):
+            with pytest.raises(DimensionMismatch, match=r"queries must be an \(M, 2\) array"):
+                lookup(query)
+
     def test_axis_validation(self):
         with pytest.raises(ValidationError):
             MeshIndex(axes=(np.array([0.0]),))
@@ -248,8 +288,10 @@ class TestMeshIndex:
 
 
 class TestCellsOf:
-    """``cells_of`` is ``cell_of`` row by row, whatever the axes share, and
-    the per-mesh facts it and the batch kernels build are read-only."""
+    """``cells_of`` and ``cell_of``, a one-row ``cells_of``, give the cells
+    that bisection of each axis gives (``oracle_cell_of``), whatever the axes
+    share, and the per-mesh facts they and the batch kernels build are
+    read-only."""
 
     @staticmethod
     def mesh(rng, n, distinct, kind):
@@ -281,15 +323,17 @@ class TestCellsOf:
             special = rng.choice(specials, count)
             queries[:, a] = np.choose(pick, [on_node, inside, outside, special, nodes[-1]])
         cells = mesh.cells_of(queries)
+        want = [oracle_cell_of(mesh, q) for q in queries]
         assert cells.shape == (count, n)
-        assert [tuple(c) for c in cells.tolist()] == [mesh.cell_of(q) for q in queries]
+        assert [tuple(c) for c in cells.tolist()] == want
+        assert [mesh.cell_of(q) for q in queries] == want
 
     def test_cached_facts_are_read_only(self):
         nodes, other = np.arange(4.0), np.arange(5.0)
         for mesh in (MeshIndex((nodes, other, nodes)),
                      MeshIndex((nodes, other, nodes), grid=[[0, 0, 0], [3, 4, 3]], rows=[0, 1])):
             mesh.cells_of(np.zeros((1, 3)))
-            facts = [mesh._shape_array, mesh._strides, neighbors._replaced_entries(3, 4)]
+            facts = [mesh._shape_array, mesh._strides, model._replaced_entries(3, 4)]
             for inner, axes in mesh._axis_groups:
                 facts += [inner] + ([axes] if isinstance(axes, np.ndarray) else [])
             assert [type(axes) for _, axes in mesh._axis_groups] == [np.ndarray, slice]

@@ -1,3 +1,5 @@
+import warnings
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -15,6 +17,7 @@ from gradsurf import (
     enumerate_combinations,
     evaluate_batch,
     evaluate_gradient,
+    evaluate_smooth,
     gen_local_cell_dataset,
     locate_reference,
     select_simplex,
@@ -23,7 +26,19 @@ from gradsurf import (
 from gradsurf import gradient, model, neighbors
 from gradsurf.model import GradsurfError, TrainingSet
 from gradsurf.neighbors import axis_stencil, is_extrapolation
-from tests_oracles import _oracle_d2, oracle_grid_rows, oracle_scattered_plan
+from tests_oracles import (
+    _oracle_d2,
+    oracle_axis_stencil,
+    oracle_cell_of,
+    oracle_evaluate_smooth,
+    oracle_grid_rows,
+    oracle_locate_reference,
+    oracle_mesh_simplex,
+    oracle_point_at,
+    oracle_scattered_plan,
+    verdict,
+)
+from tests_oracles import grid_queries as mesh_queries
 
 
 def mesh_training(nodes, n, fn):
@@ -624,7 +639,7 @@ class TestSparseLookup:
 
     @staticmethod
     def assert_walk(mesh, cells, steps):
-        got, want = neighbors._grid_rows(mesh, cells, steps), oracle_grid_rows(mesh, cells, steps)
+        got, want = model._grid_rows(mesh, cells, steps), oracle_grid_rows(mesh, cells, steps)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @settings(max_examples=150, deadline=None)
@@ -643,8 +658,8 @@ class TestSparseLookup:
         if kept == 1.0:  # a complete map in row-major order is the complete grid
             row_major = MeshIndex(axes, grid=grid, rows=np.arange(len(grid)))
             assert all(np.array_equal(a, b) for a, b in zip(
-                neighbors._grid_rows(MeshIndex(axes), cells, steps),
-                neighbors._grid_rows(row_major, cells, steps)))
+                model._grid_rows(MeshIndex(axes), cells, steps),
+                model._grid_rows(row_major, cells, steps)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_local_cells_at_99_axes(self, seed):
@@ -666,7 +681,7 @@ class TestSparseLookup:
             mesh = MeshIndex(axes, grid=[[0, 0], [0, 1], [2, 2]], rows=[0, 1, 2])
         assert mesh._weights.tolist() == [1, 1]
         cells = np.array([[0, 0], [1, 0], [0, 1]])
-        reference, rows = neighbors._grid_rows(mesh, cells, np.array([[[1], [1]]] * 3))
+        reference, rows = model._grid_rows(mesh, cells, np.array([[[1], [1]]] * 3))
         assert reference.tolist() == [0, -1, 1]
         assert rows[:, :, 0].tolist() == [[-1, 1], [-1, -1], [-1, -1]]
         self.assert_walk(mesh, cells, np.array([[[-1, 0, 1, 2]] * 2] * 3))
@@ -690,3 +705,80 @@ class TestSparseLookup:
         cells = np.array([[0, 0], [1, 0], [0, 1], [2, 2]])
         self.assert_walk(mesh, cells, np.array([[[-1, 0, 1, 2]] * 2] * 4))
         assert mesh.index_map == {(0, 1): 0, (1, 0): 1, (2, 2): 2}
+
+
+def lookup_mesh(seed, n, kind, wide):
+    """Points on a mesh of n axes of 2-5 nodes, and the mesh.  ``kind`` is
+    complete, jittered (each coordinate moved by up to 0.6, more than half
+    of the narrowest gap, so that neighbours can swap places), sparse (about
+    40% of the nodes absent) or holed (all but up to three nodes filed); a
+    sparse or holed grid files its nodes in shuffled order.  ``wide`` gives
+    axis 0 257-299 nodes, so that a sparse grid's entries need uint16
+    rather than uint8."""
+    rng = np.random.default_rng(seed)
+    shape = [int(m) for m in rng.integers(2, 6, size=n)]
+    if wide:
+        shape[0] = int(rng.integers(257, 300))
+    axes = tuple(np.cumsum(rng.uniform(0.5, 2.0, m)) for m in shape)
+    grid = np.stack(np.unravel_index(np.arange(prod(shape)), shape), axis=1)
+    jitter = 0.3 if kind == "jittered" else 0.0
+    x = np.stack([nodes[grid[:, a]] for a, nodes in enumerate(axes)], axis=1)
+    x += 2.0 * jitter * rng.uniform(-1.0, 1.0, x.shape)  # every gap is at least 0.5
+    y = np.sin(x).sum(axis=1) + rng.normal(0.0, 0.05, len(x))
+    if kind in ("complete", "jittered"):
+        return x, y, MeshIndex(axes, jitter), rng
+    kept = rng.random(len(grid)) < (0.6 if kind == "sparse" else 1.0)
+    kept[rng.integers(0, len(grid), 3)] = kind != "holed"
+    filed = rng.permutation(np.flatnonzero(kept))
+    mesh = MeshIndex(axes, grid=grid[filed], rows=np.arange(len(filed)))
+    assert mesh.grid.dtype == (np.uint16 if wide else np.uint8)
+    return x[filed], y[filed], mesh, rng
+
+
+def grid_indices(mesh, rng, count):
+    """Grid indices whose entries are on the grid, past its end or negative,
+    as tuples, lists, tuples of numpy integers and integer arrays."""
+    indices = []
+    for _ in range(count):
+        idx = [int(rng.integers(-2, m + 2)) if rng.random() < 0.2 else int(rng.integers(0, m))
+               for m in mesh.shape]
+        dtype = np.uint16 if min(idx) >= 0 else np.int16
+        indices.append([tuple(idx), idx, tuple(np.int64(i) for i in idx), np.array(idx),
+                        np.array(idx, dtype=dtype)][rng.integers(5)])
+    return indices
+
+
+class TestMeshLookupOracle:
+    """Every single-query mesh lookup, a batch of one over the mesh's node
+    lookup, gives what the oracles' walks give, one node at a time through a
+    dict or row-major arithmetic: the same result, or an error of the same
+    type and message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           kind=st.sampled_from(["complete", "jittered", "sparse", "holed"]),
+           wide=st.booleans())
+    def test_lookups_equal_the_oracles(self, seed, n, kind, wide):
+        x, y, mesh, rng = lookup_mesh(seed, n, kind, wide)
+        for idx in grid_indices(mesh, rng, 16):
+            got, want = mesh.point_at(idx), oracle_point_at(mesh, idx)
+            assert got == want and type(got) is type(want)
+        queries = mesh_queries(mesh, rng, 12)  # in a cell, on a node or outside the box
+        special = rng.random(queries.shape) < 0.1
+        queries[special] = rng.choice([np.inf, -np.inf, np.nan], np.count_nonzero(special))
+        for q in queries:
+            assert mesh.cell_of(q) == oracle_cell_of(mesh, q)
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, y), n=n)
+        for q in queries:
+            assert verdict(select_simplex, ts, q, mesh) == verdict(oracle_mesh_simplex, mesh, q)
+            assert verdict(locate_reference, ts, q, mesh) == verdict(
+                oracle_locate_reference, mesh, q)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an infinite query's chord is NaN
+                assert verdict(evaluate_smooth, ts, q, mesh) == verdict(
+                    oracle_evaluate_smooth, ts, q, mesh)
+        for cell in grid_indices(mesh, rng, 8):
+            for axis in range(n):
+                assert verdict(axis_stencil, ts, mesh, cell, axis) == verdict(
+                    oracle_axis_stencil, ts, mesh, cell, axis)

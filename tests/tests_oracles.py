@@ -3,14 +3,15 @@ shared across test modules."""
 
 import csv
 import itertools
+from bisect import bisect_right
 from contextlib import contextmanager
 from math import comb, prod
 from unittest import mock
 
 import numpy as np
 
-from gradsurf import (DegenerateNeighborhood, InsufficientPoints, MeshIndex, ValidationError,
-                      solvers, validate_training_set)
+from gradsurf import (DegenerateNeighborhood, DimensionMismatch, InsufficientPoints, MeshIndex,
+                      ValidationError, solvers, validate_training_set)
 
 
 def grid_bisection_root(f, lo, hi, cells=4096, tol=1e-12, nearest_to=None):
@@ -210,7 +211,7 @@ def oracle_gen_queries(mesh, function, training, seed=0, budget=5000,
         lower = np.array([mesh.axes[a][cell[a]] for a in range(n)])
         upper = np.array([mesh.axes[a][cell[a] + 1] for a in range(n)])
         queries[i] = lower + off * (upper - lower)
-        ref_truths[i] = training.y[mesh.point_at(cell), 0]
+        ref_truths[i] = training.y[oracle_point_at(mesh, cell), 0]
     return queries, function(queries), ref_truths
 
 
@@ -303,21 +304,49 @@ def oracle_high_dim_scenario(function, n, m_queries, seed, method, nodes_per_axi
     return stats
 
 
-# -- mesh neighbourhoods as they were: each caller steps on the grid its own
-# way, the stencil sorts its points with an argsort, and the smooth method
-# computes each axis's increment in a separate function ----------------------
+# -- mesh neighbourhoods as they were: a cell by bisection of plain lists, a
+# node's row by a dict lookup or row-major arithmetic, each caller stepping
+# on the grid its own way, the stencil sorting its points with an argsort,
+# and the smooth method computing each axis's increment in a separate function
+
+
+def oracle_cell_of(mesh, query):
+    """The lower corner of the query's cell: ``bisect_right`` on each axis's
+    nodes as a list of floats, clamped to the axis."""
+    idx = []
+    for a, nodes in enumerate(mesh.axes):
+        nodes = [float(v) for v in nodes]
+        j = bisect_right(nodes, query[a]) - 1
+        idx.append(min(max(j, 0), len(nodes) - 1))
+    return tuple(idx)
+
+
+def oracle_point_at(mesh, grid_idx):
+    """A node's row, or None: a sparse grid's ``index_map`` dict, a complete
+    grid's row-major arithmetic, each entry bounds-checked."""
+    if len(grid_idx) != mesh.n:
+        raise DimensionMismatch(f"grid index must have {mesh.n} entries, got {len(grid_idx)}")
+    if mesh.grid is not None:
+        return mesh.index_map.get(tuple(int(i) for i in grid_idx))
+    flat = 0
+    for i, m in zip(grid_idx, mesh.shape):
+        if not (0 <= i < m):
+            return None
+        flat = flat * m + int(i)
+    return flat
 
 
 def _oracle_reference(mesh, query):
-    cell = mesh.cell_of(query)
-    idx = mesh.point_at(cell)
+    cell = oracle_cell_of(mesh, query)
+    idx = oracle_point_at(mesh, cell)
     if idx is None:
         raise DegenerateNeighborhood(f"no training point at grid index {cell}")
     return cell, idx
 
 
 def oracle_mesh_simplex(mesh, query):
-    """The reference and its edge-adjacent corners, one step up (down at the top)."""
+    """The reference and its edge-adjacent corners, one step up (down at the
+    top), looked up one node at a time."""
     from gradsurf.neighbors import Simplex
 
     cell, reference = _oracle_reference(mesh, query)
@@ -325,17 +354,23 @@ def oracle_mesh_simplex(mesh, query):
     for a in range(mesh.n):
         neighbor = list(cell)
         neighbor[a] += 1 if cell[a] + 1 < mesh.shape[a] else -1
-        idx = mesh.point_at(neighbor)
+        idx = oracle_point_at(mesh, neighbor)
         if idx is None:
-            raise DegenerateNeighborhood(f"missing grid neighbor {tuple(neighbor)}")
+            raise DegenerateNeighborhood(f"missing grid neighbor along axis {a} of cell {cell}")
         aux.append(idx)
     return Simplex(reference=reference, auxiliaries=tuple(aux))
 
 
+def oracle_locate_reference(mesh, query):
+    return _oracle_reference(mesh, query)[1]
+
+
 def oracle_axis_stencil(training, mesh, cell, axis, layer=0):
-    """Y0..Y3 along one axis, fetched with a bounds check per step."""
+    """Y0..Y3 along one axis, walked one node at a time with a bounds check
+    per step."""
     from gradsurf.neighbors import Stencil1D
 
+    cell = [int(i) for i in cell]
     m = mesh.shape[axis]
     j = cell[axis]
     if j + 1 >= m:
@@ -346,7 +381,7 @@ def oracle_axis_stencil(training, mesh, cell, axis, layer=0):
         g[axis] = j + offset
         if not (0 <= g[axis] < m):
             return None
-        return mesh.point_at(g)
+        return oracle_point_at(mesh, g)
 
     i0, i1, i2, i3 = (fetch(k) for k in (-1, 0, 1, 2))
     if i1 is None or i2 is None:
@@ -527,6 +562,14 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:  # the error type is part of the result
         return type(exc)
+
+
+def verdict(fn, *args, **kwargs):
+    """``fn``'s result, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 @contextmanager
