@@ -41,7 +41,7 @@ from .neighbors import (
 )
 from .solvers import solve_lanes, solve_linear_system
 
-LOCKSTEP_MIN_QUERIES = 16  # fewer scattered queries are planned faster one by one
+LOCKSTEP_MIN_QUERIES = 8  # fewer scattered queries are planned faster one by one
 LOCKSTEP_MAX_QUERIES = 128  # per lockstep call, which holds a (Q, n, n) basis
 
 
@@ -203,12 +203,17 @@ def _lane_estimates(x, y, queries, reference, aux) -> tuple:
 def _planned_lanes(training: TrainingSet, queries, mesh, combinations) -> tuple:
     """Each query's ``enumerate_combinations`` plan, shared by every layer.
 
-    Scattered queries are planned in lockstep (``_scattered_plans``), in
-    even parts of at most ``LOCKSTEP_MAX_QUERIES``; a query it hands back,
-    every query on a mesh and a batch of fewer than ``LOCKSTEP_MIN_QUERIES``
-    scattered queries go through ``enumerate_combinations`` itself.  Returns
-    the rows of the queries that have a plan, (P,), and their plans as (P, C)
-    reference and (P, C, n) auxiliary rows of ``training``.
+    Scattered queries are planned in lockstep (``_scattered_plans``, one
+    simplex of every query per step), in even parts of at most
+    ``LOCKSTEP_MAX_QUERIES``; a query it hands back, every query on a mesh
+    and a batch of fewer than ``LOCKSTEP_MIN_QUERIES`` scattered queries go
+    through ``enumerate_combinations`` itself.  A step's cost is mostly
+    fixed, so one query costs the lockstep 4 to 5 times the scalar
+    planner's at n = 3 (C = 1 to 16), and the lockstep costs less from 4 to
+    7 queries at n = 3 and n = 9 (``lockstep_crossover`` in
+    ``BENCH_scatter-scale.json``).  Returns the rows of the queries that
+    have a plan, (P,), and their plans as (P, C) reference and (P, C, n)
+    auxiliary rows of ``training``.
     """
     M = len(queries)
     reference = np.empty((M, combinations), dtype=int)
@@ -263,8 +268,10 @@ def evaluate_gradient_batch(
     plan, one for all layers; in a batch of at least
     ``LOCKSTEP_MIN_QUERIES``, scattered plans are built in lockstep
     (``_scattered_plans``, at most ``LOCKSTEP_MAX_QUERIES`` queries a call),
-    which hands a query back to that function where its base simplex fails
-    or its blocks run past its nearest points.  The lockstep finds every
+    one simplex of every query per step, the base simplex and then one
+    disjoint block a step; it hands a query back to that function where its
+    base simplex fails or its blocks run past its nearest points.  The
+    lockstep finds every
     query's nearest points at once, through a bucket grid over the points
     (``TrainingSet.buckets``, built on first use) at up to six axes where a
     query's box of buckets holds a small share of them, and from the

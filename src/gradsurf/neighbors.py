@@ -36,6 +36,7 @@ GRID_MAX_AXES = 6  # beyond, a box of 3^n buckets holds too many points to gathe
 GRID_MAX_SHARE = 1 / 5  # the most of N a box may hold on average, else brute force
 GRID_CAP = 4  # a box holding this many times the average is searched by brute force
 GRID_TABLE_BYTES = 1 << 24  # about this many bytes of candidate terms at a time
+SCREEN_MARGIN = 1e-12  # times n^2, far above the rounding of a squared projection length
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,8 @@ def _normalised_d2(training: TrainingSet, query: np.ndarray) -> np.ndarray:
     if columns.nbytes <= D2_SINGLE_PASS_BYTES:
         terms = np.subtract(columns, query)
         terms /= scale
-        terms *= terms
+        with np.errstate(over="ignore"):  # a term past the float range is inf
+            terms *= terms
         return _sum_rows(terms)
     n, npoints = columns.shape
     block = max(D2_MIN_BLOCK_POINTS, D2_BLOCK_BYTES // (8 * n))
@@ -105,7 +107,8 @@ def _normalised_d2(training: TrainingSet, query: np.ndarray) -> np.ndarray:
         terms = buffer[:, : min(block, npoints - start)]
         np.subtract(columns[:, start : start + block], query, out=terms)
         terms /= scale
-        terms *= terms
+        with np.errstate(over="ignore"):
+            terms *= terms
         d2[start : start + block] = _sum_rows(terms)
     return d2
 
@@ -520,17 +523,18 @@ def _scattered_plans(training: TrainingSet, queries: np.ndarray, c: int) -> tupl
     Each query takes the first P = max(3n + 1, 2(n + 1)C) points of its
     distance order, found for all queries at once (``_nearest_prefixes``:
     through the bucket grid where it pays, else from the distances to all
-    N points).  The queries then step together: at each step every
-    query still building tests its next candidate, ``_build_simplex``'s test
-    on stacked arrays (``_accept_lanes``).  The base simplex takes the
-    nearest point as reference and the next 3n as candidates; the disjoint
-    blocks then run over the rest of the prefix, a block's first point its
-    reference.  A query is handed back, to go through
-    ``enumerate_combinations`` itself, when its base simplex fails or its
-    blocks run past its prefix, where that function would read further or
-    fill from subsets.  Returns the (Q, C) reference and (Q, C, n)
-    auxiliary rows of ``training`` and the (Q,) mask of the queries handed
-    back, whose rows are meaningless.
+    N points).  The queries then build one simplex per step together
+    (``_first_independent``).  The base simplex takes the nearest point as
+    reference and the first independent of the next 3n, which it reads
+    n + 1 at first, as most queries take those.  The disjoint blocks then
+    run over the rest of the prefix: at each step, every query still
+    building starts a block at the next point of its stream, the block's
+    reference, and reads the points after it 3n at first.  A query is
+    handed back, to go through ``enumerate_combinations`` itself, when its
+    base simplex fails or its blocks run past its prefix, where that
+    function would read further or fill from subsets.  Returns the (Q, C)
+    reference and (Q, C, n) auxiliary rows of ``training`` and the (Q,)
+    mask of the queries handed back, whose rows are meaningless.
     """
     n, npoints, Q = training.n, training.npoints, len(queries)
     budget = min(npoints - 1, CANDIDATE_FACTOR * n)
@@ -538,78 +542,153 @@ def _scattered_plans(training: TrainingSet, queries: np.ndarray, c: int) -> tupl
     order = _nearest_prefixes(training, queries, width)
     reference = np.full((Q, c), -1)
     aux = np.full((Q, c, n), -1)
-    basis = np.empty((Q, n, n))  # each query's accepted unit rows
-    k = np.zeros(Q, dtype=int)  # and their count
+    every = np.arange(Q)[:, None]
 
     # the base simplex: the nearest point and the first independent of the next 3n
     reference[:, 0] = order[:, 0]
-    used = np.zeros((Q, width), dtype=bool)
-    used[:, 0] = True
-    for j in range(1, budget + 1):
-        live = (k < n).nonzero()[0]
-        if not len(live):
-            break
-        cand = order[live, j]
-        took = live[_accept_lanes(training, order[live, 0], cand, basis, live, k, RANK_RTOL)]
-        aux[took, 0, k[took]] = order[took, j]
-        used[took, j] = True
-        k[took] += 1
-    handed = k < n
+    taken, handed = _first_independent(training, order[:, 0], order[:, 1 : budget + 1],
+                                       np.zeros(Q, dtype=int), RANK_RTOL, n + 1)
+    taken[handed] = np.arange(n)  # so a query whose base failed drops its first n + 1 points
+    aux[:, 0] = order[every, 1 + taken]
     if c == 1:
         return reference, aux, handed
 
-    # disjoint blocks over the rest of the prefix; a query whose base failed
-    # marks n + 1 points too, so that every query has width - n - 1 left
-    used[handed, : n + 1], used[handed, n + 1 :] = True, False
+    # disjoint blocks over the rest of the prefix, F = width - n - 1 points for each query
+    used = np.zeros((Q, width), dtype=bool)
+    used[:, 0] = True
+    used[every, 1 + taken] = True
     free = order[~used].reshape(Q, width - n - 1)
+    F = free.shape[1]
     plans = np.where(handed, c, 1)
-    ref = np.full(Q, -1)  # the current block's reference; -1 before it is taken
-    for j in range(free.shape[1]):
+    start = np.zeros(Q, dtype=int)  # each query's next block reference, in free
+    while True:
+        live = (plans < c).nonzero()[0]
+        short = live[start[live] + n >= F]  # fewer than n + 1 points left
+        handed[short], plans[short] = True, c
         live = (plans < c).nonzero()[0]
         if not len(live):
-            break
-        cand = free[live, j]
-        lead = ref[live] < 0
-        ref[live[lead]], k[live[lead]] = cand[lead], 0
-        live, cand = live[~lead], cand[~lead]
-        took = _accept_lanes(training, ref[live], cand, basis, live, k, 0.3)
-        live, cand = live[took], cand[took]
-        aux[live, plans[live], k[live]] = cand
-        k[live] += 1
-        done = live[k[live] == n]
-        reference[done, plans[done]] = ref[done]
+            return reference, aux, handed
+        at = start[live]
+        taken, failed = _first_independent(training, free[live, at], free[live], at + 1, 0.3,
+                                           CANDIDATE_FACTOR * n)
+        done, ok = live[~failed], ~failed
+        reference[done, plans[done]] = free[done, at[ok]]
+        aux[done, plans[done]] = free[done[:, None], taken[ok]]
+        start[done] = taken[ok, -1] + 1
         plans[done] += 1
-        ref[done] = -1
-    return reference, aux, handed | (plans < c)
+        handed[live[failed]], plans[live[failed]] = True, c
 
 
-def _accept_lanes(training, origin, cand, basis, lanes, k, min_fraction) -> np.ndarray:
-    """``_build_simplex``'s test of one candidate in each of several lanes.
+def _first_independent(training, origin, stream, begin, min_fraction, window) -> tuple:
+    """``_build_simplex`` for several references at once, each over a
+    stream of candidates.
 
-    Lane i tests the row ``(x[cand[i]] - x[origin[i]]) / axis_ranges``
-    against its accepted rows ``basis[lanes[i], :k[lanes[i]]]``, with the
-    same arithmetic: the norm is a BLAS dot, and the projection runs once
-    for each group of lanes with the same count of accepted rows.  An
-    accepted row's unit vector is written to ``basis``.  Returns the mask of
-    the lanes that accept their candidate.
+    Row i has reference ``origin[i]`` and candidates ``stream[i, begin[i]:]``,
+    in order.  The candidates are read in a window, ``window`` of them at
+    first, which doubles while a row searches past it: for each, the row
+    ``(x[cand] - x[origin]) / axis_ranges``, its norm (a BLAS dot) and its
+    unit vector u.  Stage s takes, in each row, the first candidate after
+    the one stage s - 1 took whose norm is over RANK_RTOL and, from stage 1
+    on, whose component r orthogonal to the s accepted unit rows A is
+    longer than ``min_fraction``, with ``_build_simplex``'s arithmetic
+    (``_residuals``).
+
+    Stage 0, and every stage where ``min_fraction`` is RANK_RTOL, first
+    tests each row's next candidate, which passes unless it is (nearly)
+    dependent; when every row takes it, the stage is done.  Otherwise the
+    stage screens the window, from the first candidate any row may still
+    take.  With c = A u, |r|^2 is |u|^2 - |c|^2 + c'(AA' - I)c, so
+    ``1 - sum(c^2)``, the sum brought up to date at each screen, is within
+    ``screen`` of the |r|^2 that ``_residuals`` forms: ``SCREEN_MARGIN *
+    n^2`` for rounding (|u| and the diagonal of AA' are 1 to within about n
+    units of rounding), and a bound on the last term from the largest entry
+    of AA' - I over all rows, tracked alongside.  Only the first candidate
+    that the screen passes and those it cannot tell go through
+    ``_residuals``, so each row takes the candidates that function takes
+    and accepts the same unit rows.  Returns the (K, n) positions in
+    ``stream`` of the accepted candidates and the (K,) mask of the rows
+    that found fewer than n, whose positions are meaningless.
     """
-    x = training.x
-    row = (x[cand] - x[origin]) / training.axis_ranges
-    norm = np.sqrt(np.matmul(row[:, None, :], row[:, :, None])[:, 0, 0])
-    took = norm > RANK_RTOL
-    count = k[lanes]
-    with np.errstate(all="ignore"):  # a rejected row may be zero
-        r = row / norm[:, None]
-        for m in np.bincount(count[took], minlength=1)[1:].nonzero()[0] + 1:
-            group = (took & (count == m)).nonzero()[0]
-            accepted = basis[lanes[group], :m]
-            rg = r[group] - np.matmul(accepted.transpose(0, 2, 1),
-                                      np.matmul(accepted, r[group, :, None]))[..., 0]
-            rn = np.sqrt(np.matmul(rg[:, None, :], rg[:, :, None])[:, 0, 0])
-            took[group] = rn > min_fraction
-            r[group] = rg / rn[:, None]
-    basis[lanes[took], count[took]] = r[took]
-    return took
+    x, n = training.x, training.n
+    K, S = stream.shape
+    W = S - int(begin.min(initial=S))  # the most candidates a row has
+    origins, scale = x[origin][:, None], training.axis_ranges
+    basis = np.zeros((K, n, n))  # each row's accepted unit rows
+    taken = np.full((K, n), W)  # from begin; W where a stage found none
+    after = np.zeros(K, dtype=int)  # each row's first candidate not yet passed
+    unit, ok = np.empty((K, 0, n)), np.empty((K, 0), dtype=bool)
+    # room: 1 - min_fraction^2 - sum(c^2), and drift: the largest |AA' - I| of
+    # any row, both over the first `fresh` accepted rows
+    room, drift, fresh = np.empty((K, 0)), 0.0, 0
+    position, everyone = np.arange(W), np.arange(K)
+    with np.errstate(all="ignore"):  # a rejected row may be zero; a failed row reads NaN
+        for s in range(n):
+            low = int(after.min(initial=W))
+            if low >= W:
+                break
+            hopeful = s == 0 or min_fraction <= RANK_RTOL
+            top = int(after.max()) if hopeful else low
+            accepted = basis[:, :s]
+            while True:
+                width = unit.shape[1]
+                if hopeful and top < width:
+                    u = unit[everyone, after]
+                    if s:
+                        r, length = _residuals(u, accepted)
+                        u = r / length[:, None]
+                    if ok[everyone, after].all() and (s == 0 or (length > min_fraction).all()):
+                        basis[:, s], taken[:, s] = u, after
+                        after += 1
+                        break
+                if low < width:
+                    passing = ok[:, low:] & (position[low:width] >= after[:, None])
+                    if s:  # drop the surely short; test the near ones exactly
+                        for f in range(fresh, s):  # bring room and drift up to date
+                            a = basis[:, f, :, None]
+                            c = np.matmul(unit[:, low:], a)[..., 0]
+                            room[:, low:] -= c * c
+                            if f:
+                                drift = max(drift, float(np.abs(np.matmul(basis[:, :f], a)).max()))
+                        fresh = s
+                        screen = (SCREEN_MARGIN * n * n + 4 * s * drift) * (1 + s * drift) ** 2
+                        passing &= room[:, low:] >= -screen
+                        near = passing & (room[:, low:] <= screen)
+                        if near.any():
+                            k, w = near.nonzero()
+                            passing[k, w] = (_residuals(unit[k, low + w], accepted[k])[1]
+                                             > min_fraction)
+                    first = passing.argmax(axis=1)
+                    found = passing[everyone, first]
+                    if width == W or found.all() or found[after < W].all():
+                        found = found.nonzero()[0]
+                        first = low + first[found]
+                        u = unit[found, first]
+                        if s:
+                            r, length = _residuals(u, accepted[found])
+                            u = r / length[:, None]
+                        after[:] = W
+                        basis[found, s], taken[found, s], after[found] = u, first, first + 1
+                        break
+                # a row searches past the window: read on
+                cols = begin[:, None] + position[width : max(window, 2 * width, top + 1)]
+                rows = (x[stream[everyone[:, None], np.minimum(cols, S - 1)]] - origins) / scale
+                norm = np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+                u, keep = rows / norm[..., None], (norm > RANK_RTOL) & (cols < S)
+                c = np.matmul(u, basis[:, :fresh].transpose(0, 2, 1))
+                more = 1.0 - min_fraction**2 - (c * c).sum(axis=-1)
+                if width:
+                    u, keep, more = (np.concatenate(pair, axis=1)
+                                     for pair in ((unit, u), (ok, keep), (room, more)))
+                unit, ok, room = u, keep, more
+    return begin[:, None] + taken, taken[:, -1] == W
+
+
+def _residuals(u: np.ndarray, accepted: np.ndarray) -> tuple:
+    """``_build_simplex``'s component of each unit row of ``u`` (m, n)
+    orthogonal to its accepted rows (m, s, n), ``r - A.T @ (A @ r)`` by BLAS
+    matrix-vector products, and its length by a BLAS dot."""
+    r = u - np.matmul(accepted.transpose(0, 2, 1), np.matmul(accepted, u[:, :, None]))[..., 0]
+    return r, np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
 
 
 def axis_stencil(
@@ -631,9 +710,9 @@ def axis_stencil(
     lower[axis] = min(lower[axis], mesh.shape[axis] - 2)  # so the bracketing pair exists
     if mesh.point_at(lower) is None:  # Y1: off the grid, or a hole
         raise DegenerateNeighborhood(f"stencil core missing along axis {axis}")
-    _, rows, x = _axis_stencils(training, mesh, np.array([lower], dtype=np.intp))
-    return _stencil(axis, rows[0, axis].tolist(), x[0, axis].tolist(),
-                    training.y[rows[0, axis], layer].tolist())
+    _, rows, x = _axis_stencils(training, mesh, np.array([lower], dtype=np.intp), axis)
+    return _stencil(axis, rows[0, 0].tolist(), x[0, 0].tolist(),
+                    training.y[rows[0, 0], layer].tolist())
 
 
 def _stencil(axis: int, rows: list, x: list, y: list) -> Stencil1D:
@@ -661,25 +740,28 @@ def _mesh_simplexes(mesh: MeshIndex, cells: np.ndarray):
     return reference, aux[..., 0]
 
 
-def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray):
+def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray,
+                   axis: Optional[int] = None):
     """The reference and the ``axis_stencil`` points of many cells at once,
     for one query (``axis_stencil``, ``evaluate_smooth``) or a batch.
 
     ``cells`` is an (M, n) array of grid indices on the grid.  Returns each
     cell's reference row, (M,), the rows of Y0..Y3 along each axis,
-    (M, n, 4), and their coordinates along that axis.  Row -1 marks an
-    absent point.  Where Y1 and Y2 are present, the present points are
-    ordered by coordinate, ties in step order, and an absent end stays in
-    place.
+    (M, n, 4), and their coordinates along that axis; with ``axis``, along
+    that axis only, (M, 1, 4).  Row -1 marks an absent point.  Where Y1 and
+    Y2 are present, the present points are ordered by coordinate, ties in
+    step order, and an absent end stays in place.
     """
     mesh.check_fit(training)
-    n = cells.shape[1]
+    axes = slice(None) if axis is None else slice(axis, axis + 1)
+    columns = np.arange(cells.shape[1])[axes, None]
     # clamp so the bracketing pair exists
-    lower = np.minimum(cells, mesh._shape_array - 2)
-    reference, rows = _grid_rows(mesh, cells, (lower - cells)[..., None] + STENCIL_STEPS)
+    lower = np.minimum(cells[:, axes], mesh._shape_array[axes] - 2)
+    reference, rows = _grid_rows(mesh, cells, (lower - cells[:, axes])[..., None] + STENCIL_STEPS,
+                                 axes)
     # a stable sort keeps tied points in step order and absent ends in place;
     # a stencil without its core is left as found
-    x = training.x[rows, np.arange(n)[:, None]]
+    x = training.x[rows, columns]
     key = np.where(rows >= 0, x, [-np.inf, -np.inf, np.inf, np.inf])
     if (key[..., 1:] < key[..., :-1]).any():  # jitter put nodes out of order
         key[(rows[..., 1] < 0) | (rows[..., 2] < 0)] = STENCIL_STEPS

@@ -422,6 +422,34 @@ class TestOutcomesPastTheFloatRange:
                 assert i not in batch.errors and batch.y_hat[i, 0] == expected.y_hat
 
 
+class TestQueriesPastTheFloatRange:
+    """A scattered query whose range-normalised distances overflow gets the
+    error it got before the overflow was silenced, on the single-query path
+    and in batches of one and of many (the lockstep), without a warning."""
+
+    @pytest.mark.parametrize("combinations", [1, 4])
+    @pytest.mark.parametrize("query", [[1e308, -1e308, 0.3], [0.5, 0.5, 1e200],
+                                       [-1e308, 1e308, -1e308]])
+    def test_overflowing_distances_give_the_same_error_without_a_warning(self, query,
+                                                                          combinations):
+        # every term overflows to inf, so the distance order is the index
+        # order, whose first points lie on one line of the 6^3 grid
+        nodes = np.linspace(0.0, 1.0, 6)
+        x = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 3)
+        ts = validate_training_set((x, np.sin(x).sum(axis=1)), n=3)
+        message = "no nonsingular simplex among the 9 nearest candidates"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateNeighborhood, match=message):
+                evaluate_gradient(ts, query, combinations=combinations)
+            for count in (1, 2 * gradient.LOCKSTEP_MIN_QUERIES):
+                batch = evaluate_gradient_batch(ts, np.array([query] * count),
+                                                combinations=combinations)
+                assert sorted(batch.errors) == list(range(count))
+                assert all(type(e) is DegenerateNeighborhood and str(e) == message
+                           for e in batch.errors.values())
+
+
 class TestCombinationsUsed:
     """``EstimateBatch.combinations_used`` is each query's
     ``evaluate_gradient(...).combinations_used``, or 0 where that raises."""

@@ -476,6 +476,26 @@ class TestLockstepPlans:
         handed, rows = self.check(np.vstack([near_a, near_b, far]), np.array([qa, qb]), 2)
         assert handed.tolist() == [True, False] and rows.tolist() == [0, 1]
 
+    def test_block_that_uses_up_its_window_reads_on(self):
+        # n = 2 and C = 2 read a prefix of 12 points: the base simplex takes
+        # the 3 nearest, and the second block starts at the first of 7
+        # points on one line.  It takes the second, rejects the other 5, and
+        # finds its last point 7 candidates on, past its first window of 3n
+        # = 6 but inside the prefix: the window doubles and the query keeps
+        # its lockstep plan
+        qa, qb = np.array([0.5, 0.5]), np.array([0.2, 0.8])
+        line = qa + np.outer(np.linspace(0.02, 0.07, 7), [0.6, 0.8])
+        near_a = np.vstack([qa + [[0.01, 0.0], [0.0, 0.012], [-0.011, -0.003]], line,
+                            qa + [[-0.08, 0.0]]])
+        far = np.random.default_rng(1).uniform(0.0, 1.0, (80, 2))
+        far = far[np.abs(far - qa).max(axis=1) > 0.3]
+        x = np.vstack([near_a, far])
+        handed, rows = self.check(x, np.array([qa, qb]), 2)
+        assert handed.tolist() == [False, False] and rows.tolist() == [0, 1]
+        ts = validate_training_set((x, np.zeros(len(x))), n=2)
+        reference, aux, _ = neighbors._scattered_plans(ts, np.array([qa]), 2)
+        assert reference[0, 1] == 3 and aux[0, 1].tolist() == [4, 10]
+
     @pytest.mark.parametrize("count", [1, gradient.LOCKSTEP_MIN_QUERIES - 1,
                                        gradient.LOCKSTEP_MIN_QUERIES,
                                        2 * gradient.LOCKSTEP_MAX_QUERIES + 1])
@@ -782,3 +802,35 @@ class TestMeshLookupOracle:
             for axis in range(n):
                 assert verdict(axis_stencil, ts, mesh, cell, axis) == verdict(
                     oracle_axis_stencil, ts, mesh, cell, axis)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           kind=st.sampled_from(["complete", "jittered", "sparse", "holed"]),
+           wide=st.booleans())
+    def test_one_axis_stencil_equals_the_all_axes_one(self, seed, n, kind, wide):
+        # axis_stencil gathers its axis only; rows and coordinates equal
+        # that axis of the all-axes gather, at every cell of the grid,
+        # top cells (clamped down one node) included
+        x, y, mesh, rng = lookup_mesh(seed, n, kind, wide)
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, y), n=n)
+        cells = np.stack(np.unravel_index(np.arange(prod(mesh.shape)), mesh.shape), axis=1)
+        cells = cells[rng.permutation(len(cells))[:40]]
+        _, all_rows, all_x = neighbors._axis_stencils(ts, mesh, cells)
+        for axis in range(n):
+            _, rows, x_axis = neighbors._axis_stencils(ts, mesh, cells, axis)
+            assert rows.shape == x_axis.shape == (len(cells), 1, 4)
+            assert np.array_equal(rows[:, 0], all_rows[:, axis])
+            assert np.array_equal(x_axis[:, 0], all_x[:, axis])
+        for cell in cells[:8].tolist():
+            for axis in range(n):
+                got = verdict(axis_stencil, ts, mesh, tuple(cell), axis)
+                _, rows, x_axis = neighbors._axis_stencils(ts, mesh, np.array([cell]))
+                if isinstance(got, tuple):  # an error: the core is missing
+                    assert got[0] is DegenerateNeighborhood
+                    assert (rows[0, axis, 1:3] < 0).any()
+                    continue
+                want = [None if r < 0 else r for r in rows[0, axis].tolist()]
+                assert list(got.indices) == want
+                assert list(got.x) == [None if r < 0 else v
+                                       for r, v in zip(rows[0, axis].tolist(), x_axis[0, axis].tolist())]

@@ -22,6 +22,12 @@ median microseconds per query of each side, their ratio, and ``nproc``.
 Each run checks that its batch and single-query estimates agree bit for
 bit, and the JSON records whether the two sides' estimates are equal.
 
+Each side also times ``neighbors._scattered_plans`` alone, the batch's
+lockstep planner, at each n and N of ``PLANNER_SHAPES``, C in
+``COMBINATIONS`` and batch size Q in ``PLANNER_QUERIES``, in its own fresh
+process after each of the runs above (``planner`` in the JSON), and checks
+that both sides plan the same rows and hand back the same queries.
+
 The current tree alone also times one ``neighbors._normalised_d2`` call at
 each n and N of ``DISTANCE_SHAPES``, on both sides of the constants that
 choose its passes: one pass over all terms against blocks of points, and
@@ -31,7 +37,11 @@ JSON).  And it times one ``neighbors._nearest_prefixes`` call on
 of the constants that choose the bucket grid: through the grid, whatever
 the box's share of N and the count of axes, against the distances to all
 N points, and through grids sized for other counts of points in a ball of
-one bucket's radius (``grid_constants`` in the JSON).
+one bucket's radius (``grid_constants`` in the JSON).  And it times the
+lockstep planner against one ``enumerate_combinations`` call per query on
+batches of 1 to 16 queries, at n in ``CROSSOVER_DIMENSIONS`` and C in
+``CROSSOVER_COMBINATIONS``, where the batch's choice between them
+(``gradient.LOCKSTEP_MIN_QUERIES``) is made (``lockstep_crossover``).
 """
 
 from __future__ import annotations
@@ -58,6 +68,11 @@ GRID_SHAPES = ((1, 5_000, 1), (2, 5_000, 1), (3, 5_000, 1), (3, 5_000, 2), (3, 5
                (4, 50_000, 4), (5, 50_000, 1), (5, 50_000, 2), (6, 50_000, 1),
                (6, 200_000, 1), (6, 200_000, 2), (7, 200_000, 1), (3, 500_000, 1))
 BALL_POINTS = (1.5, 2, 2.5, 3)  # the grid sizes timed, as BUCKET_BALL_POINTS
+PLANNER_SHAPES = ((3, 5_000), (9, 5_000), (17, 5_000))
+PLANNER_QUERIES = (1, 16, 50, 128)
+CROSSOVER_DIMENSIONS = (3, 9)
+CROSSOVER_COMBINATIONS = (1, 2, 16)
+CROSSOVER_QUERIES = tuple(range(1, 17))
 COMBINATIONS = (1, 16)
 QUERIES = 50
 REPEATS = 5
@@ -206,6 +221,72 @@ def grid_constants() -> dict:
     return out
 
 
+def _plans_digest(reference, aux, handed) -> str:
+    """A digest of a lockstep's hand-back mask and of its planned rows."""
+    import hashlib
+
+    digest = hashlib.sha256(np.packbits(handed).tobytes())
+    digest.update(np.ascontiguousarray(reference[~handed], dtype=np.int64).tobytes())
+    digest.update(np.ascontiguousarray(aux[~handed], dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def _per_call_us(call) -> float:
+    """Microseconds per call: the best of 3 repeats of enough calls for about 50 ms."""
+    import timeit
+
+    t0 = time.perf_counter()
+    call()
+    number = max(1, int(0.05 / max(time.perf_counter() - t0, 1e-6)))
+    return min(timeit.repeat(call, number=number, repeat=3)) / number * 1e6
+
+
+def planner_times() -> dict:
+    """Microseconds of one ``neighbors._scattered_plans`` call, per n, N, C and
+    batch size Q, and a digest of its plans and hand-back mask."""
+    from gradsurf import neighbors, validate_training_set
+
+    out = {}
+    for n, npoints in PLANNER_SHAPES:
+        x, y, _ = inputs(n, npoints)
+        training = validate_training_set((x, y), n=n)
+        queries = np.random.default_rng([SEED, n]).uniform(0.1, 0.9, (max(PLANNER_QUERIES), n))
+        for c in COMBINATIONS:
+            for q in PLANNER_QUERIES:
+                call = lambda: neighbors._scattered_plans(training, queries[:q], c)  # noqa: E731
+                out[f"n={n} N={npoints} C={c} Q={q}"] = {
+                    "us_per_call": _per_call_us(call), "plans_sha256": _plans_digest(*call()),
+                    "handed_back": int(call()[2].sum()),
+                }
+    return out
+
+
+def lockstep_crossover() -> dict:
+    """Microseconds per batch of Q queries planned by the lockstep
+    (``_scattered_plans``) and by the scalar planner (one
+    ``enumerate_combinations`` call per query), per n and C, at N = 5000."""
+    from gradsurf import enumerate_combinations, neighbors, validate_training_set
+
+    out = {}
+    for n in CROSSOVER_DIMENSIONS:
+        x, y, _ = inputs(n, 5_000)
+        training = validate_training_set((x, y), n=n)
+        queries = np.random.default_rng([SEED, n]).uniform(0.1, 0.9, (max(CROSSOVER_QUERIES), n))
+        for c in CROSSOVER_COMBINATIONS:
+            for q in CROSSOVER_QUERIES:
+                times = {"lockstep_us": [], "scalar_us": []}
+                lockstep = lambda: neighbors._scattered_plans(training, queries[:q], c)  # noqa: E731
+                scalar = lambda: [enumerate_combinations(training, v, c)  # noqa: E731
+                                  for v in queries[:q]]
+                for _ in range(REPEATS):  # the planners take turns
+                    times["lockstep_us"].append(_per_call_us(lockstep))
+                    times["scalar_us"].append(_per_call_us(scalar))
+                entry = {name: statistics.median(t) for name, t in times.items()}
+                entry["lockstep_over_scalar"] = entry["lockstep_us"] / entry["scalar_us"]
+                out[f"n={n} C={c} Q={q}"] = entry
+    return out
+
+
 def run_side(checkout: Path, flag: str = "--measure") -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     args = [sys.executable, str(Path(__file__).resolve()), flag]
@@ -229,6 +310,10 @@ def main(argv=None) -> int:
                    help="time its distance pass's variants and print JSON")
     p.add_argument("--measure-grid", action="store_true",
                    help="time its nearest-point search's variants and print JSON")
+    p.add_argument("--measure-planner", action="store_true",
+                   help="time its lockstep planner and print JSON")
+    p.add_argument("--measure-crossover", action="store_true",
+                   help="time its lockstep against its scalar planner and print JSON")
     args = p.parse_args(argv)
     if args.measure:
         print(json.dumps(measure()))
@@ -239,15 +324,23 @@ def main(argv=None) -> int:
     if args.measure_grid:
         print(json.dumps(grid_constants()))
         return 0
+    if args.measure_planner:
+        print(json.dumps(planner_times()))
+        return 0
+    if args.measure_crossover:
+        print(json.dumps(lockstep_crossover()))
+        return 0
     if args.parent is None:
         p.error("--parent is required")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {side: [] for side in sides}
+    planner_runs = {side: [] for side in sides}
     for r in range(REPEATS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_side(sides[side]))
+            planner_runs[side].append(run_side(sides[side], "--measure-planner"))
             print(f"# repeat {r + 1}/{REPEATS}: {side} done", file=sys.stderr)
 
     results = {}
@@ -262,6 +355,18 @@ def main(argv=None) -> int:
             entry[field] = {"parent": parent, "change": change,
                             "speedup": parent["median"] / change["median"]}
         results[key] = entry
+
+    planner = {}
+    for key in planner_runs["change"][0]:
+        every = [run[key] for side in planner_runs.values() for run in side]
+        parent, change = (summarise(planner_runs[s], key, "us_per_call")
+                          for s in ("parent", "change"))
+        planner[key] = {
+            "plans_equal": len({r["plans_sha256"] for r in every}) == 1,
+            "handed_back": sorted({r["handed_back"] for r in every}),
+            "us_per_call": {"parent": parent, "change": change,
+                            "speedup": parent["median"] / change["median"]},
+        }
 
     report = {
         "command": "python3 tools/scatter_scale.py --parent PARENT",
@@ -280,6 +385,20 @@ def main(argv=None) -> int:
                        f"the variants, each the best of 3 timeit repeats of one call on "
                        f"{QUERIES} queries; medians of microseconds per query",
         "grid_constants": run_side(sides["change"], "--measure-grid"),
+        "planner_method": f"neighbors._scattered_plans alone on Q of {max(PLANNER_QUERIES)} "
+                          f"queries, seed {SEED}, N uniform points in [0, 1]^n: in each "
+                          "repeat's fresh process of each side, after the main runs, the "
+                          "best of 3 timeit repeats of about 50 ms of calls; medians of "
+                          "microseconds per call; plans_equal says whether every run of both "
+                          "sides gave the same hand-back mask and planned rows",
+        "planner": planner,
+        "crossover_method": f"the change side alone, one fresh process: Q queries planned by "
+                            f"neighbors._scattered_plans (lockstep) and by one "
+                            f"enumerate_combinations call per query (scalar), N = 5000; "
+                            f"{REPEATS} rounds, the planners taking turns, each the best of "
+                            "3 timeit repeats of about 50 ms of calls; medians of "
+                            "microseconds per batch",
+        "lockstep_crossover": run_side(sides["change"], "--measure-crossover"),
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
