@@ -42,7 +42,7 @@ from .neighbors import (
 from .solvers import solve_lanes, solve_linear_system
 
 LOCKSTEP_MIN_QUERIES = 8  # fewer scattered queries are planned faster one by one
-LOCKSTEP_MAX_QUERIES = 128  # per lockstep call, which holds a (Q, n, n) basis
+LOCKSTEP_MAX_QUERIES = 128  # per lockstep call, which holds two (Q, n, n) arrays at most
 
 
 def estimate_gradients(training: TrainingSet, simplex: Simplex, layer: int = 0) -> np.ndarray:
@@ -208,7 +208,7 @@ def _planned_lanes(training: TrainingSet, queries, mesh, combinations) -> tuple:
     ``LOCKSTEP_MAX_QUERIES``; a query it hands back, every query on a mesh
     and a batch of fewer than ``LOCKSTEP_MIN_QUERIES`` scattered queries go
     through ``enumerate_combinations`` itself.  A step's cost is mostly
-    fixed, so one query costs the lockstep 4 to 5 times the scalar
+    fixed, so one query costs the lockstep about 5 times the scalar
     planner's at n = 3 (C = 1 to 16), and the lockstep costs less from 4 to
     7 queries at n = 3 and n = 9 (``lockstep_crossover`` in
     ``BENCH_scatter-scale.json``).  Returns the rows of the queries that
@@ -271,11 +271,11 @@ def evaluate_gradient_batch(
     one simplex of every query per step, the base simplex and then one
     disjoint block a step; it hands a query back to that function where its
     base simplex fails or its blocks run past its nearest points.  The
-    lockstep finds every
-    query's nearest points at once, through a bucket grid over the points
-    (``TrainingSet.buckets``, built on first use) at up to six axes where a
-    query's box of buckets holds a small share of them, and from the
-    distances to all points elsewhere; the points found are the same.  One
+    lockstep finds every query's nearest points at once, through a bucket
+    grid over the points (``TrainingSet.buckets``, built on first use) at
+    up to six axes where a query's box of buckets holds a small share of
+    them, and from the distances to all points elsewhere; the points found
+    are the same.  One
     ``solve_lanes`` call solves every (query, combination) system with one
     right-hand side per layer; on an unjittered mesh each system is
     diagonal, and a lane whose right-hand sides hold no ``-0.0`` takes the

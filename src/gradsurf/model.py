@@ -371,7 +371,7 @@ class MeshIndex:
             raise DimensionMismatch(
                 f"grid index must have {len(self.axes)} entries, got {len(grid_idx)}"
             )
-        if not all(type(i) is int or isinstance(i, Integral) for i in grid_idx):
+        if not all(isinstance(i, Integral) for i in grid_idx):
             raise ValidationError(f"grid index entries must be integers, got {grid_idx!r}")
         # _grid_rows checks only the entries it steps
         if not all(0 <= i < m for i, m in zip(grid_idx, self.shape)):
@@ -512,18 +512,20 @@ def _filed_nodes(shape: tuple, grid, rows) -> tuple:
     return grid, rows, weights, keys
 
 
-def _grid_rows(mesh: MeshIndex, cells: np.ndarray, steps: np.ndarray, axes=slice(None)):
-    """The rows of many cells and of nodes a few steps from each along some axes.
+def _grid_rows(mesh: MeshIndex, cells: np.ndarray, steps: np.ndarray,
+               axis: Optional[int] = None):
+    """The rows of many cells and of nodes a few steps from each along each axis.
 
     ``cells`` is an (M, n) array of grid indices on the grid and ``steps`` an
-    (M, A, K) integer array, A the count of the axes ``axes`` (a slice, every
-    axis by default) picks.  Returns each cell's row, (M,), and the rows of
-    the nodes ``steps[i, a, k]`` nodes from cell i along the a-th picked
-    axis, (M, A, K).  Row -1 marks a node off the grid or at a hole.  A
-    complete grid finds rows by row-major strides, a sparse one by the keys
-    of its nodes (``_filed_rows``), for as many cells at a time as compare
-    about ``COMPARE_BYTES`` grid index entries.
+    (M, n, K) integer array, or (M, 1, K) with ``axis``.  Returns each cell's
+    row, (M,), and the rows of the nodes ``steps[i, a, k]`` nodes from cell i
+    along axis a, or along ``axis`` alone, (M, n, K) or (M, 1, K).  Row -1
+    marks a node off the grid or at a hole.  A complete grid finds rows by
+    row-major strides, a sparse one by the keys of its nodes
+    (``_filed_rows``), for as many cells at a time as compare about
+    ``COMPARE_BYTES`` grid index entries.
     """
+    axes = slice(None) if axis is None else slice(axis, axis + 1)
     nodes = cells[:, axes, None] + steps
     inside = (nodes >= 0) & (nodes < mesh._shape_array[axes, None])
     if mesh.grid is None:
@@ -537,40 +539,42 @@ def _grid_rows(mesh: MeshIndex, cells: np.ndarray, steps: np.ndarray, axes=slice
     part = max(1, COMPARE_BYTES // (n * found.shape[1]))
     for start in range(0, M, part):
         q = slice(start, start + part)
-        found[q] = _filed_rows(mesh, cells[q], nodes[q], steps[q], axes)
+        found[q] = _filed_rows(mesh, cells[q], nodes[q], steps[q], axis)
     found[:, 1:][~inside.reshape(M, A * K)] = -1
     return found[:, 0], found[:, 1:].reshape(M, A, K)
 
 
 @lru_cache(maxsize=64)
-def _replaced_entries(n: int, K: int, first: int = 0, count: Optional[int] = None) -> np.ndarray:
-    """Where ``_filed_rows``'s node ``1 + a * K + k`` holds its entry
-    ``first + a``, for the ``count`` axes from ``first`` (all n by default),
-    in the flat (1 + count K, n) array of the nodes' grid indices; read-only."""
-    node = np.arange((n if count is None else count) * K)
-    slots = (1 + node) * n + first + node // K
+def _replaced_entries(n: int, K: int, axis: Optional[int] = None) -> np.ndarray:
+    """Where ``_filed_rows``'s node ``1 + a * K + k`` holds its entry a, in the
+    flat (1 + nK, n) array of the nodes' grid indices; with ``axis``, where
+    node ``1 + k`` holds its entry ``axis``, in the flat (1 + K, n) array;
+    read-only."""
+    node = np.arange((n if axis is None else 1) * K)
+    slots = (1 + node) * n + (node // K if axis is None else axis)
     slots.setflags(write=False)
     return slots
 
 
 def _filed_rows(mesh: MeshIndex, cells: np.ndarray, nodes: np.ndarray, steps,
-                axes=slice(None)) -> np.ndarray:
+                axis: Optional[int] = None) -> np.ndarray:
     """The rows filed under each cell of a sparse grid and under the nodes
-    ``steps`` from it along the axes ``axes`` picks, -1 where none is;
-    (M, 1 + AK), the cell's row first.
+    ``steps`` from it along each axis, or along ``axis`` alone, -1 where
+    none is; (M, 1 + AK), A = n or 1, the cell's row first.
 
-    Node (i, a, k) is cell i with the entry of its a-th picked axis replaced
-    by ``nodes[i, a, k]``.  Its key is the cell's key plus the step times
-    the axis's weight, wrapping in int64 as the mesh's keys do.  One search
-    of the sorted keys finds each node's candidate, and a candidate counts
-    only if its grid index equals the node's, compared in the grid's narrow
-    dtype, so a key that an absent node shares with a filed one never
-    returns a wrong row.  A node off the grid may wrap to a filed index
-    there; the caller masks it.
+    Node (i, a, k) is cell i with its entry a, or its entry ``axis``,
+    replaced by ``nodes[i, a, k]``.  Its key is the cell's key plus the
+    step times the axis's weight, wrapping in int64 as the mesh's keys do.
+    One search of the sorted keys finds each node's candidate, and a
+    candidate counts only if its grid index equals the node's, compared in
+    the grid's narrow dtype, so a key that an absent node shares with a
+    filed one never returns a wrong row.  A node off the grid may wrap to a
+    filed index there; the caller masks it.
     """
     keys, weights = mesh._keys, mesh._weights
     M, A, K = nodes.shape
     n = cells.shape[1]
+    axes = slice(None) if axis is None else slice(axis, axis + 1)
     if not len(keys):
         return np.full((M, 1 + A * K), -1)
     base = cells @ weights
@@ -584,8 +588,7 @@ def _filed_rows(mesh: MeshIndex, cells: np.ndarray, nodes: np.ndarray, steps,
     narrow = mesh.grid.dtype
     differ ^= cells.astype(narrow)[:, None, :]
     moved = (nodes ^ cells[:, axes, None]).astype(narrow)
-    first = range(n)[axes].start if A else 0
-    differ.reshape(M, -1)[:, _replaced_entries(n, K, first, A)] ^= moved.reshape(M, A * K)
+    differ.reshape(M, -1)[:, _replaced_entries(n, K, axis)] ^= moved.reshape(M, A * K)
     # nonzero where a stored index differs; faster than == and all(axis=2)
     differ = np.bitwise_or.reduce(differ, axis=2)
     return np.where(differ == 0, mesh.rows.take(at, mode="clip"), -1)

@@ -37,6 +37,7 @@ GRID_MAX_SHARE = 1 / 5  # the most of N a box may hold on average, else brute fo
 GRID_CAP = 4  # a box holding this many times the average is searched by brute force
 GRID_TABLE_BYTES = 1 << 24  # about this many bytes of candidate terms at a time
 SCREEN_MARGIN = 1e-12  # times n^2, far above the rounding of a squared projection length
+WINDOW_BYTES = 1 << 21  # about this many bytes of candidate unit rows in a lockstep stage
 
 
 @dataclass(frozen=True)
@@ -525,11 +526,11 @@ def _scattered_plans(training: TrainingSet, queries: np.ndarray, c: int) -> tupl
     through the bucket grid where it pays, else from the distances to all
     N points).  The queries then build one simplex per step together
     (``_first_independent``).  The base simplex takes the nearest point as
-    reference and the first independent of the next 3n, which it reads
-    n + 1 at first, as most queries take those.  The disjoint blocks then
+    reference and the first independent of the next 3n, which it reads in
+    windows of n + 1, as most queries take those.  The disjoint blocks then
     run over the rest of the prefix: at each step, every query still
     building starts a block at the next point of its stream, the block's
-    reference, and reads the points after it 3n at first.  A query is
+    reference, and reads the points after it in windows of 3n.  A query is
     handed back, to go through ``enumerate_combinations`` itself, when its
     base simplex fails or its blocks run past its prefix, where that
     function would read further or fill from subsets.  Returns the (Q, C)
@@ -584,103 +585,116 @@ def _first_independent(training, origin, stream, begin, min_fraction, window) ->
     stream of candidates.
 
     Row i has reference ``origin[i]`` and candidates ``stream[i, begin[i]:]``,
-    in order.  The candidates are read in a window, ``window`` of them at
-    first, which doubles while a row searches past it: for each, the row
-    ``(x[cand] - x[origin]) / axis_ranges``, its norm (a BLAS dot) and its
-    unit vector u.  Stage s takes, in each row, the first candidate after
-    the one stage s - 1 took whose norm is over RANK_RTOL and, from stage 1
-    on, whose component r orthogonal to the s accepted unit rows A is
-    longer than ``min_fraction``, with ``_build_simplex``'s arithmetic
-    (``_residuals``).
+    in order.  Each row reads its candidates in a window of ``window`` of
+    them, or fewer where K windows of unit rows would pass ``WINDOW_BYTES``
+    (``_window``): for each, the row ``(x[cand] - x[origin]) / axis_ranges``,
+    its norm (a BLAS dot) and its unit vector u.  A row that finds nothing
+    to take in its window reads the next one in its place, so the arrays
+    stay K windows wide however far a row searches.  Stage s takes, in each
+    row, the first candidate after the one stage s - 1 took whose norm is
+    over RANK_RTOL and, from stage 1 on, whose component r orthogonal to
+    the s accepted unit rows A is longer than ``min_fraction``, with
+    ``_build_simplex``'s arithmetic (``_residuals``).
 
-    Stage 0, and every stage where ``min_fraction`` is RANK_RTOL, first
-    tests each row's next candidate, which passes unless it is (nearly)
-    dependent; when every row takes it, the stage is done.  Otherwise the
-    stage screens the window, from the first candidate any row may still
-    take.  With c = A u, |r|^2 is |u|^2 - |c|^2 + c'(AA' - I)c, so
-    ``1 - sum(c^2)``, the sum brought up to date at each screen, is within
-    ``screen`` of the |r|^2 that ``_residuals`` forms: ``SCREEN_MARGIN *
-    n^2`` for rounding (|u| and the diagonal of AA' are 1 to within about n
-    units of rounding), and a bound on the last term from the largest entry
-    of AA' - I over all rows, tracked alongside.  Only the first candidate
-    that the screen passes and those it cannot tell go through
-    ``_residuals``, so each row takes the candidates that function takes
-    and accepts the same unit rows.  Returns the (K, n) positions in
-    ``stream`` of the accepted candidates and the (K,) mask of the rows
-    that found fewer than n, whose positions are meaningless.
+    From stage 1 on a stage screens the window.  With c = A u, |r|^2 is
+    |u|^2 - |c|^2 + c'(AA' - I)c, so ``1 - sum(c^2)``, the sum brought up to
+    date at each stage, is within ``screen`` of the |r|^2 that
+    ``_residuals`` forms: ``SCREEN_MARGIN * n^2`` for rounding (|u| and the
+    diagonal of AA' are 1 to within about n units of rounding), and a bound
+    on the last term from the largest entry of AA' - I over all rows,
+    tracked alongside.  A row's first candidate that the screen cannot
+    tell goes through ``_residuals``, and the next such one while that
+    fails, and the candidate a row takes goes through it for its unit row,
+    so each row takes the candidates that function takes and accepts the
+    same unit rows.  Besides the windows, a call holds the K (n, n)
+    accepted rows and at most one gather of them.  Returns
+    the (K, n) positions in ``stream`` of the accepted candidates and the
+    (K,) mask of the rows that found fewer than n, whose positions are
+    meaningless.
     """
-    x, n = training.x, training.n
-    K, S = stream.shape
-    W = S - int(begin.min(initial=S))  # the most candidates a row has
-    origins, scale = x[origin][:, None], training.axis_ranges
+    n, (K, S) = training.n, stream.shape
+    width = max(1, min(window, WINDOW_BYTES // (8 * n * max(K, 1))))
     basis = np.zeros((K, n, n))  # each row's accepted unit rows
-    taken = np.full((K, n), W)  # from begin; W where a stage found none
-    after = np.zeros(K, dtype=int)  # each row's first candidate not yet passed
-    unit, ok = np.empty((K, 0, n)), np.empty((K, 0), dtype=bool)
-    # room: 1 - min_fraction^2 - sum(c^2), and drift: the largest |AA' - I| of
-    # any row, both over the first `fresh` accepted rows
-    room, drift, fresh = np.empty((K, 0)), 0.0, 0
-    position, everyone = np.arange(W), np.arange(K)
-    with np.errstate(all="ignore"):  # a rejected row may be zero; a failed row reads NaN
+    taken = np.zeros((K, n), dtype=int)
+    failed = np.zeros(K, dtype=bool)
+    start = begin.copy()  # where each row's window starts in its stream
+    after = begin.copy()  # each row's first candidate not yet passed
+    rows, position = np.arange(K), np.arange(width)
+    with np.errstate(all="ignore"):  # a rejected row may be zero
+        # room: 1 - min_fraction^2 - sum(c^2), and drift: the largest |AA' - I| of any row
+        unit, ok, room = _window(training, origin, stream, rows, start, width, basis[:, :0],
+                                 min_fraction)
+        drift = 0.0
         for s in range(n):
-            low = int(after.min(initial=W))
-            if low >= W:
-                break
-            hopeful = s == 0 or min_fraction <= RANK_RTOL
-            top = int(after.max()) if hopeful else low
-            accepted = basis[:, :s]
-            while True:
-                width = unit.shape[1]
-                if hopeful and top < width:
-                    u = unit[everyone, after]
-                    if s:
-                        r, length = _residuals(u, accepted)
-                        u = r / length[:, None]
-                    if ok[everyone, after].all() and (s == 0 or (length > min_fraction).all()):
-                        basis[:, s], taken[:, s] = u, after
-                        after += 1
-                        break
-                if low < width:
-                    passing = ok[:, low:] & (position[low:width] >= after[:, None])
-                    if s:  # drop the surely short; test the near ones exactly
-                        for f in range(fresh, s):  # bring room and drift up to date
-                            a = basis[:, f, :, None]
-                            c = np.matmul(unit[:, low:], a)[..., 0]
-                            room[:, low:] -= c * c
-                            if f:
-                                drift = max(drift, float(np.abs(np.matmul(basis[:, :f], a)).max()))
-                        fresh = s
-                        screen = (SCREEN_MARGIN * n * n + 4 * s * drift) * (1 + s * drift) ** 2
-                        passing &= room[:, low:] >= -screen
-                        near = passing & (room[:, low:] <= screen)
-                        if near.any():
-                            k, w = near.nonzero()
-                            passing[k, w] = (_residuals(unit[k, low + w], accepted[k])[1]
-                                             > min_fraction)
-                    first = passing.argmax(axis=1)
-                    found = passing[everyone, first]
-                    if width == W or found.all() or found[after < W].all():
-                        found = found.nonzero()[0]
-                        first = low + first[found]
-                        u = unit[found, first]
-                        if s:
-                            r, length = _residuals(u, accepted[found])
-                            u = r / length[:, None]
-                        after[:] = W
-                        basis[found, s], taken[found, s], after[found] = u, first, first + 1
-                        break
-                # a row searches past the window: read on
-                cols = begin[:, None] + position[width : max(window, 2 * width, top + 1)]
-                rows = (x[stream[everyone[:, None], np.minimum(cols, S - 1)]] - origins) / scale
-                norm = np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
-                u, keep = rows / norm[..., None], (norm > RANK_RTOL) & (cols < S)
-                c = np.matmul(u, basis[:, :fresh].transpose(0, 2, 1))
-                more = 1.0 - min_fraction**2 - (c * c).sum(axis=-1)
-                if width:
-                    u, keep, more = (np.concatenate(pair, axis=1)
-                                     for pair in ((unit, u), (ok, keep), (room, more)))
-                unit, ok, room = u, keep, more
-    return begin[:, None] + taken, taken[:, -1] == W
+            if s:  # bring room and drift up to date with the row stage s - 1 accepted
+                a = basis[:, s - 1, :, None]
+                c = np.matmul(unit, a)[..., 0]
+                room -= c * c
+                if s > 1:
+                    drift = max(drift, float(np.abs(np.matmul(basis[:, : s - 1], a)).max()))
+                screen = (SCREEN_MARGIN * n * n + 4 * s * drift) * (1 + s * drift) ** 2
+            live = rows[~failed]
+            while len(live):
+                at = slice(None) if len(live) == K else live  # a view where it can be
+                index = rows[: len(live)]
+                passing = ok[at] & (position >= (after - start)[at, None])
+                if s:  # drop the surely short
+                    lead = room[at]
+                    passing &= lead >= -screen
+                    near = passing & (lead <= screen)
+                    while near.any():  # test exactly a row's first candidate the screen cannot tell
+                        first = passing.argmax(axis=1)
+                        k = near[index, first].nonzero()[0]
+                        if not len(k):
+                            break
+                        w = first[k]
+                        short = _residuals(unit[live[k], w], basis[live[k], :s])[1] <= min_fraction
+                        passing[k[short], w[short]] = near[k, w] = False
+                first = passing.argmax(axis=1)
+                found = passing[index, first]
+                every = found.all()
+                took, w = (live, first) if every else (live[found], first[found])
+                u = unit[took, w]
+                if s:
+                    r, length = _residuals(u, basis[:, :s] if len(took) == K else basis[took, :s])
+                    u = r / length[:, None]
+                basis[took, s], taken[took, s] = u, start[took] + w
+                after[took] = taken[took, s] + 1
+                if every:
+                    break
+                # the rest read their next window, or fail where their stream ends
+                live = live[~found]
+                failed[live[start[live] + width >= S]] = True
+                live = live[start[live] + width < S]
+                if len(live):
+                    start[live] += width
+                    after[live] = start[live]
+                    unit[live], ok[live], room[live] = _window(
+                        training, origin[live], stream, live, start[live], width,
+                        basis[live, :s], min_fraction)
+    return taken, failed
+
+
+def _window(training, origin, stream, rows, start, width, accepted, min_fraction) -> tuple:
+    """``_first_independent``'s window of each of several rows.
+
+    Row i reads the ``width`` candidates from ``start[i]`` of
+    ``stream[rows[i]]``, with reference ``origin[i]`` and accepted unit rows
+    ``accepted[i]`` (s, n).  Returns each candidate's unit row u, (m, width,
+    n), whether its norm is over RANK_RTOL and it lies in the stream, and
+    its ``1 - min_fraction^2 - sum(c^2)``, c = ``accepted[i]`` u.  A zero row
+    reads NaN; the caller ignores the floating-point errors.
+    """
+    cols = start[:, None] + np.arange(width)
+    inside = cols < stream.shape[1]
+    u = training.x[stream[rows[:, None], np.minimum(cols, stream.shape[1] - 1)]]
+    u -= training.x[origin][:, None]
+    u /= training.axis_ranges
+    norm = np.sqrt(np.matmul(u[..., None, :], u[..., :, None])[..., 0, 0])
+    u /= norm[..., None]
+    c = np.matmul(u, accepted.transpose(0, 2, 1))
+    c *= c
+    return u, (norm > RANK_RTOL) & inside, 1.0 - min_fraction**2 - c.sum(axis=-1)
 
 
 def _residuals(u: np.ndarray, accepted: np.ndarray) -> tuple:
@@ -758,7 +772,7 @@ def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray,
     # clamp so the bracketing pair exists
     lower = np.minimum(cells[:, axes], mesh._shape_array[axes] - 2)
     reference, rows = _grid_rows(mesh, cells, (lower - cells[:, axes])[..., None] + STENCIL_STEPS,
-                                 axes)
+                                 axis)
     # a stable sort keeps tied points in step order and absent ends in place;
     # a stencil without its core is left as found
     x = training.x[rows, columns]

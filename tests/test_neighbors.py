@@ -481,8 +481,8 @@ class TestLockstepPlans:
         # the 3 nearest, and the second block starts at the first of 7
         # points on one line.  It takes the second, rejects the other 5, and
         # finds its last point 7 candidates on, past its first window of 3n
-        # = 6 but inside the prefix: the window doubles and the query keeps
-        # its lockstep plan
+        # = 6 but inside the prefix: it reads the next window and the query
+        # keeps its lockstep plan
         qa, qb = np.array([0.5, 0.5]), np.array([0.2, 0.8])
         line = qa + np.outer(np.linspace(0.02, 0.07, 7), [0.6, 0.8])
         near_a = np.vstack([qa + [[0.01, 0.0], [0.0, 0.012], [-0.011, -0.003]], line,
@@ -519,6 +519,71 @@ class TestLockstepPlans:
         assert rows.tolist() == list(range(count))
         for i, r, a in zip(rows, reference, aux):
             assert _plan_rows(r, a) == oracle_scattered_plan(ts, queries[i], 4)
+
+    @pytest.mark.parametrize("n, c", [(2, 16), (3, 4), (9, 16)])
+    @pytest.mark.parametrize("window_bytes", [1, 8 * 9 * 5])
+    def test_plans_do_not_depend_on_the_window(self, monkeypatch, n, c, window_bytes):
+        # a window capped at one candidate, or a few, is read again and
+        # again, and every plan and hand-back stays as with the full window
+        rng = np.random.default_rng([n, c])
+        ts = validate_training_set((rng.uniform(0.0, 1.0, (400, n)), np.zeros(400)), n=n)
+        queries = rng.uniform(0.0, 1.0, (12, n))
+        want = neighbors._scattered_plans(ts, queries, c)
+        monkeypatch.setattr(neighbors, "WINDOW_BYTES", window_bytes)
+        got = neighbors._scattered_plans(ts, queries, c)
+        assert np.array_equal(got[2], want[2])
+        assert np.array_equal(got[0][~want[2]], want[0][~want[2]])
+        assert np.array_equal(got[1][~want[2]], want[1][~want[2]])
+
+
+class TestScreenBound:
+    """The lockstep's screen (``_first_independent``) takes the candidates
+    ``_build_simplex`` takes where a candidate's component orthogonal to the
+    accepted rows is within rounding of the threshold."""
+
+    def check(self, x, origin, streams, min_fraction):
+        n = x.shape[1]
+        ts = validate_training_set((x, np.zeros(len(x))), n=n)
+        taken, failed = neighbors._first_independent(
+            ts, origin, streams, np.zeros(len(streams), dtype=int), min_fraction, 3 * n)
+        for i, stream in enumerate(streams):
+            simplex = neighbors._build_simplex(ts, origin[i], stream, min_fraction)
+            got = None if failed[i] else stream[taken[i]].tolist()
+            assert got == (None if simplex is None else list(simplex.auxiliaries))
+
+    @pytest.mark.parametrize("min_fraction", [0.3, neighbors.RANK_RTOL])
+    def test_components_within_rounding_of_the_threshold(self, min_fraction):
+        # each row: a first candidate along d0, then one whose component
+        # along d1 is within a few units of rounding of min_fraction, then
+        # one along d1, which passes.  The screen's running sum cannot tell
+        # the second; with no margin it took or skipped some wrongly
+        k = np.arange(-60, 61)
+        d0, d1 = np.array([np.cos(0.7), np.sin(0.7)]), np.array([-np.sin(0.7), np.cos(0.7)])
+        s = 0.3 + k * 2.0**-55 if min_fraction == 0.3 else neighbors.RANK_RTOL * (1 + k * 0.01)
+        o = np.full(2, 0.5)
+        near = o + np.linspace(0.2, 0.4, len(k))[:, None] * (np.sqrt(1 - s * s)[:, None] * d0
+                                                              + s[:, None] * d1)
+        x = np.vstack([[0.0, 0.0], [1.0, 1.0], o, o + 0.3 * d0, o + 0.3 * d1, near])
+        streams = np.column_stack([np.full(len(k), 3), 5 + k + 60, np.full(len(k), 4)])
+        self.check(x, np.full(len(k), 2), streams, min_fraction)
+
+    def test_accepted_rows_that_are_not_orthogonal(self):
+        # the second accepted row is 1e-6 off the first, so the accepted
+        # unit rows are orthogonal only to about 1e-10; the third candidates'
+        # components orthogonal to them, 1e-7 to 1e-4, are told within the
+        # screen's bound from that drift, which they fell outside without it
+        rng = np.random.default_rng(3)
+        d0, d1, d2 = np.linalg.qr(rng.normal(size=(3, 3)))[0].T
+        o = np.full(3, 0.5)
+        eps = np.geomspace(1e-7, 1e-4, 60) * rng.choice([-1, 1], 60)
+        a = rng.uniform(-1.0, 1.0, (60, 2))
+        third = o + 0.3 * (a[:, :1] * d0 + a[:, 1:] * d1 + eps[:, None] * d2)
+        x = np.vstack([np.zeros(3), np.ones(3), o, o + 0.3 * d0, o + 0.3 * (d0 + 1e-6 * d1),
+                       o + 0.3 * d2, third])
+        streams = np.column_stack([np.full(60, 3), np.full(60, 4), 6 + np.arange(60),
+                                   np.full(60, 5)])
+        self.check(x, np.full(60, 2), streams, neighbors.RANK_RTOL)
+
 
 
 def grid_points(kind, n, rng):

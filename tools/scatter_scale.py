@@ -42,6 +42,13 @@ lockstep planner against one ``enumerate_combinations`` call per query on
 batches of 1 to 16 queries, at n in ``CROSSOVER_DIMENSIONS`` and C in
 ``CROSSOVER_COMBINATIONS``, where the batch's choice between them
 (``gradient.LOCKSTEP_MIN_QUERIES``) is made (``lockstep_crossover``).
+
+Each side also plans ``max(PLANNER_QUERIES)`` queries at C =
+``max(COMBINATIONS)`` once at each n and N of ``MEMORY_SHAPES``, in a fresh
+process per call, and records the call's peak of memory allocated, as
+``tracemalloc`` counts it (numpy reports its arrays to it), and the
+process's peak resident set size before and after the call
+(``planner_memory``).
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ GRID_SHAPES = ((1, 5_000, 1), (2, 5_000, 1), (3, 5_000, 1), (3, 5_000, 2), (3, 5
 BALL_POINTS = (1.5, 2, 2.5, 3)  # the grid sizes timed, as BUCKET_BALL_POINTS
 PLANNER_SHAPES = ((3, 5_000), (9, 5_000), (17, 5_000))
 PLANNER_QUERIES = (1, 16, 50, 128)
+MEMORY_SHAPES = ((3, 5_000), (17, 5_000), (99, 5_000))
 CROSSOVER_DIMENSIONS = (3, 9)
 CROSSOVER_COMBINATIONS = (1, 2, 16)
 CROSSOVER_QUERIES = tuple(range(1, 17))
@@ -261,6 +269,33 @@ def planner_times() -> dict:
     return out
 
 
+def planner_memory(n: int, npoints: int) -> dict:
+    """The memory one ``neighbors._scattered_plans`` call at C =
+    ``max(COMBINATIONS)`` takes on ``max(PLANNER_QUERIES)`` queries: the
+    peak of what it allocates, in MiB, and the process's peak resident set
+    before and after it, with its seconds and a digest of its plans."""
+    import resource
+    import tracemalloc
+
+    from gradsurf import neighbors, validate_training_set
+
+    x, y, _ = inputs(n, npoints)
+    training = validate_training_set((x, y), n=n)
+    queries = np.random.default_rng([SEED, n]).uniform(0.1, 0.9, (max(PLANNER_QUERIES), n))
+    training.columns  # built on first use, as in every call after the first
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    plans = neighbors._scattered_plans(training, queries, max(COMBINATIONS))
+    seconds = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    return {"traced_peak_mib": peak / 2**20, "maxrss_mib_before": before / 1024,
+            "maxrss_mib_after": after / 1024, "seconds": seconds,
+            "handed_back": int(plans[2].sum()), "plans_sha256": _plans_digest(*plans)}
+
+
 def lockstep_crossover() -> dict:
     """Microseconds per batch of Q queries planned by the lockstep
     (``_scattered_plans``) and by the scalar planner (one
@@ -287,9 +322,9 @@ def lockstep_crossover() -> dict:
     return out
 
 
-def run_side(checkout: Path, flag: str = "--measure") -> dict:
+def run_side(checkout: Path, *flags: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    args = [sys.executable, str(Path(__file__).resolve()), flag]
+    args = [sys.executable, str(Path(__file__).resolve()), *(flags or ["--measure"])]
     done = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -314,6 +349,8 @@ def main(argv=None) -> int:
                    help="time its lockstep planner and print JSON")
     p.add_argument("--measure-crossover", action="store_true",
                    help="time its lockstep against its scalar planner and print JSON")
+    p.add_argument("--measure-memory", nargs=2, type=int, metavar=("N", "NPOINTS"),
+                   help="measure the memory of one lockstep call and print JSON")
     args = p.parse_args(argv)
     if args.measure:
         print(json.dumps(measure()))
@@ -329,6 +366,9 @@ def main(argv=None) -> int:
         return 0
     if args.measure_crossover:
         print(json.dumps(lockstep_crossover()))
+        return 0
+    if args.measure_memory:
+        print(json.dumps(planner_memory(*args.measure_memory)))
         return 0
     if args.parent is None:
         p.error("--parent is required")
@@ -368,6 +408,13 @@ def main(argv=None) -> int:
                             "speedup": parent["median"] / change["median"]},
         }
 
+    memory = {}
+    for n, npoints in MEMORY_SHAPES:
+        entry = {side: run_side(sides[side], "--measure-memory", str(n), str(npoints))
+                 for side in sides}
+        entry["plans_equal"] = len({entry[side].pop("plans_sha256") for side in sides}) == 1
+        memory[f"n={n} N={npoints} C={max(COMBINATIONS)} Q={max(PLANNER_QUERIES)}"] = entry
+
     report = {
         "command": "python3 tools/scatter_scale.py --parent PARENT",
         "nproc": os.cpu_count(),
@@ -392,6 +439,10 @@ def main(argv=None) -> int:
                           "microseconds per call; plans_equal says whether every run of both "
                           "sides gave the same hand-back mask and planned rows",
         "planner": planner,
+        "memory_method": "one neighbors._scattered_plans call per side in its own fresh "
+                         "process: tracemalloc's peak during the call (MiB) and the "
+                         "process's ru_maxrss before and after it",
+        "planner_memory": memory,
         "crossover_method": f"the change side alone, one fresh process: Q queries planned by "
                             f"neighbors._scattered_plans (lockstep) and by one "
                             f"enumerate_combinations call per query (scalar), N = 5000; "
