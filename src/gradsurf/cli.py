@@ -13,11 +13,12 @@ from . import bench as bench_mod
 from .io import ParseError, _numbers, load_dataset, load_queries
 from .io import write_imputed, write_plot_csv, write_report
 from .layers import _fan_out, _method_batch, evaluate_layers
-from .model import GradsurfError, ValidationError, validate_query
+from .model import FLAG_NAMES, GradsurfError, ValidationError, validate_query
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
+_COLUMN_NAMES = FLAG_NAMES.tolist() + ["extrapolated"]  # bit k of a row's flag mask
 
 
 def _positive(convert):
@@ -91,16 +92,16 @@ def _query_error(coords, n: int) -> Optional[GradsurfError]:
         return exc
 
 
-def _flag_column(flags: np.ndarray, extrapolated: np.ndarray) -> np.ndarray:
+def _flag_column(flag_codes: np.ndarray, extrapolated: np.ndarray) -> np.ndarray:
     """Each row's flags, over every layer and axis, plus "extrapolated", as
-    the sorted set joined by ';'.  Each distinct set is joined once."""
-    names = sorted(set(flags.ravel().tolist()) | {"extrapolated"})
-    bit = {name: 1 << k for k, name in enumerate(names)}
-    codes = np.fromiter(map(bit.get, flags.ravel().tolist()), dtype=np.int64, count=flags.size)
-    codes = np.bitwise_or.reduce(codes.reshape(flags.shape), axis=(1, 2))
-    codes |= np.where(extrapolated, bit["extrapolated"], 0)
-    unique, inverse = np.unique(codes, return_inverse=True)
-    text = [";".join(n for k, n in enumerate(names) if code >> k & 1) for code in unique.tolist()]
+    the sorted set of their names joined by ';'.  A row's set is a mask with
+    bit k for code k, and bit 8 for "extrapolated"; each distinct mask is
+    joined once."""
+    masks = np.bitwise_or.reduce(1 << flag_codes, axis=(1, 2))  # 8 codes fit a uint8
+    masks = masks | np.where(extrapolated, 1 << len(FLAG_NAMES), 0)
+    unique, inverse = np.unique(masks, return_inverse=True)
+    text = [";".join(sorted(name for k, name in enumerate(_COLUMN_NAMES) if mask >> k & 1))
+            for mask in unique.tolist()]
     return np.array(text, dtype=object)[inverse]
 
 
@@ -127,7 +128,7 @@ def impute_rows(training, mesh, args: argparse.Namespace, queries: np.ndarray) -
     for part in parts:
         here, rows = rows[:len(part.y_hat)], rows[len(part.y_hat):]
         y_hat[here] = part.y_hat
-        flags[here] = _flag_column(part.flags, part.extrapolated)
+        flags[here] = _flag_column(part.flag_codes, part.extrapolated)
         for j, error in part.errors.items():
             status[here[j]], flags[here[j]] = f"error: {error}", ""
     for i in np.flatnonzero(~finite):

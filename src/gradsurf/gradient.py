@@ -322,5 +322,5 @@ def evaluate_gradient_batch(
     each_layer = partial(_gradient_layers, training, mesh=mesh, combinations=combinations)
     return _finish_batch(
         training, queries, each_layer, redo, y_hat, reference, used,
-        np.zeros((M, L, 0), dtype=int), np.empty((M, L, 0), dtype=object),
+        np.zeros((M, L, 0), dtype=int), np.zeros((M, L, 0), dtype=np.uint8),
     )

@@ -21,7 +21,6 @@ class ParseError(ValidationError):
 
 
 _X_COL = re.compile(r"^x(\d+)$")
-_Y_COL = re.compile(r"^y(\d*)$")
 
 
 def _sidecar_path(path) -> Path:

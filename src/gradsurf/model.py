@@ -594,6 +594,14 @@ def _filed_rows(mesh: MeshIndex, cells: np.ndarray, nodes: np.ndarray, steps,
     return np.where(differ == 0, mesh.rows.take(at, mode="clip"), -1)
 
 
+# The smooth method's flag for one (query, layer, axis) is a code k into
+# FLAG_NAMES: FLAGS[k % 4], with "+inflection" where k >= 4.
+FLAGS = ("corrected", "boundary-fallback", "chord-fallback", "newton-fallback")
+FLAG_NAMES = np.array([f + s for s in ("", "+inflection") for f in FLAGS], dtype=object)
+FLAG_NAMES.setflags(write=False)
+_FLAG_CODES = {name: k for k, name in enumerate(FLAG_NAMES.tolist())}
+
+
 @dataclass(frozen=True)
 class Estimate:
     """Per-query result with provenance and solver diagnostics."""
@@ -619,21 +627,27 @@ class EstimateBatch:
 
     Row i, layer l holds what the method's single-query function returns for
     query i and layer l.  The smooth method fills one Newton iteration
-    count and one flag per axis; the gradient method has neither, so those
+    count and one flag per axis, the flag as a code into ``FLAG_NAMES``
+    (``flags`` gives the text); the gradient method has neither, so those
     arrays are (M, L, 0).  ``combinations_used`` counts the point
     combinations each query's estimates average, as ``Estimate`` does.  A
     query whose single-query evaluation raised has its error in ``errors``
     (keyed by row, in input order), NaN estimates, reference -1 and 0
-    combinations used.
+    combinations used; its iteration counts and flag codes hold no result.
     """
 
     y_hat: np.ndarray  # (M, L)
     newton_iterations: np.ndarray  # (M, L, n) or (M, L, 0)
-    flags: np.ndarray  # (M, L, n) or (M, L, 0) flag strings
+    flag_codes: np.ndarray  # (M, L, n) or (M, L, 0) uint8 codes into FLAG_NAMES
     reference_index: np.ndarray  # (M,)
     combinations_used: np.ndarray  # (M,)
     extrapolated: np.ndarray  # (M,)
     errors: dict
+
+    @property
+    def flags(self) -> np.ndarray:
+        """``flag_codes`` as text: an object array of ``FLAG_NAMES``."""
+        return FLAG_NAMES[self.flag_codes]
 
     def estimates(self, i: int, method: str) -> tuple:
         """Row ``i`` as one Estimate per layer, in order; the row must not
@@ -644,12 +658,12 @@ class EstimateBatch:
                      newton_iterations=tuple(its), flags=tuple(flags),
                      extrapolated=bool(self.extrapolated[i]))
             for y, its, flags in zip(self.y_hat[i].tolist(), self.newton_iterations[i].tolist(),
-                                     self.flags[i].tolist())
+                                     FLAG_NAMES[self.flag_codes[i]].tolist())
         )
 
 
 def _finish_batch(training, queries, each_layer, redo, y_hat, reference,
-                  combinations_used, newton_iterations, flags) -> EstimateBatch:
+                  combinations_used, newton_iterations, flag_codes) -> EstimateBatch:
     """The kernel's arrays as an EstimateBatch, with each query in ``redo``
     handed to ``each_layer(query)``, the single-query path's Estimate of every
     layer in order, so that its result or error is that path's."""
@@ -659,7 +673,7 @@ def _finish_batch(training, queries, each_layer, redo, y_hat, reference,
             for l, est in enumerate(each_layer(queries[i])):
                 y_hat[i, l] = est.y_hat
                 newton_iterations[i, l] = est.newton_iterations
-                flags[i, l] = est.flags
+                flag_codes[i, l] = [_FLAG_CODES[flag] for flag in est.flags]
                 reference[i] = est.reference_index
                 combinations_used[i] = est.combinations_used
         except GradsurfError as exc:
@@ -667,7 +681,7 @@ def _finish_batch(training, queries, each_layer, redo, y_hat, reference,
             y_hat[i], reference[i], combinations_used[i] = np.nan, -1, 0
     lo, hi = training.bounding_box
     return EstimateBatch(
-        y_hat=y_hat, newton_iterations=newton_iterations, flags=flags,
+        y_hat=y_hat, newton_iterations=newton_iterations, flag_codes=flag_codes,
         reference_index=reference, combinations_used=combinations_used,
         extrapolated=((queries < lo) | (queries > hi)).any(axis=1), errors=errors,
     )

@@ -25,6 +25,7 @@ from numbers import Integral
 import numpy as np
 
 from .model import (
+    FLAGS,
     Estimate,
     EstimateBatch,
     MeshIndex,
@@ -40,10 +41,9 @@ from .neighbors import Stencil1D, _axis_stencils, _mesh_reference, _stencil, is_
 from .solvers import find_root
 
 TRIVIAL_SLOPE = 1e-12  # below this the rotation is skipped entirely
-FLAGS = ("corrected", "boundary-fallback", "chord-fallback", "newton-fallback")
+# a lane's flag code; with its inflection test, its code into model.FLAG_NAMES
+# is code + len(FLAGS) * inflection
 CORRECTED, BOUNDARY, CHORD, NEWTON = range(len(FLAGS))
-# flag code + len(FLAGS) * inflection -> flag text
-_FLAG_NAMES = np.array([f + s for s in ("", "+inflection") for f in FLAGS], dtype=object)
 INFLECTION_SAMPLES = 257  # grid points over [0, B] of the inflection test, ends included
 INFLECTION_BLOCK = 256  # lanes per inflection test: each samples 255 points
 
@@ -581,9 +581,10 @@ def evaluate_smooth_batch(
     y_hat = total[:, -1, :].copy()
     bad |= ~np.isfinite(y_hat).all(axis=1)
 
-    flags = _FLAG_NAMES[code + len(FLAGS) * inflection].reshape(M, n, L).transpose(0, 2, 1)
+    codes = (code + len(FLAGS) * inflection).astype(np.uint8)
+    codes = codes.reshape(M, n, L).transpose(0, 2, 1)
     iters = iters.reshape(M, n, L).transpose(0, 2, 1)
 
     each_layer = partial(_smooth_layers, training, mesh=mesh, d=d, tol=tol, max_iter=max_iter)
     return _finish_batch(training, queries, each_layer, bad, y_hat, reference,
-                         np.ones(M, dtype=int), iters, flags)
+                         np.ones(M, dtype=int), iters, codes)

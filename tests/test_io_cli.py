@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import pickle
 import re
@@ -22,9 +23,11 @@ from gradsurf import (
     TEST_FUNCTIONS,
     evaluate_gradient_batch,
     evaluate_layers,
+    evaluate_smooth,
     evaluate_smooth_batch,
     gen_local_cell_dataset,
     gen_mesh_dataset,
+    gen_queries,
     load_dataset,
     load_queries,
     run_benchmark,
@@ -35,9 +38,10 @@ from gradsurf import (
     write_plot_csv,
     write_report,
 )
-from gradsurf import cli, io as gio
+from gradsurf import cli, io as gio, smooth
 from gradsurf.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from tests_oracles import oracle_save_dataset_csv, oracle_write_imputed
+from gradsurf.model import FLAG_NAMES
+from tests_oracles import oracle_flag_column, oracle_save_dataset_csv, oracle_write_imputed
 
 
 def affine_files(tmp_path, with_mesh=True):
@@ -763,6 +767,83 @@ class TestUsedMeshImpute:
                           "--output", str(out), "--workers", workers, "--method", method])
                 outputs.add(out.read_bytes())
         assert len(outputs) == 1
+
+
+def holed_mesh_queries(nodes, jitter, seed=0):
+    """A jittered ``nodes``^3 mesh of S1 and S2 without about 15% of its
+    nodes, one query per interior cell (at most 60) and 6 outside the box."""
+    f1, f2 = TEST_FUNCTIONS["S1"], TEST_FUNCTIONS["S2"]
+    full, mesh = gen_mesh_dataset(f1, nodes, x_jitter_fraction=jitter, seed=seed)
+    queries, _, _ = gen_queries(mesh, f1, full, seed=seed + 1, budget=60)
+    rng = np.random.default_rng(seed)
+    kept = np.flatnonzero(rng.random(full.npoints) < 0.85)
+    grid = np.stack(np.unravel_index(kept, mesh.shape), axis=1)
+    x = full.x[kept]
+    mesh = MeshIndex(axes=mesh.axes, jitter_fraction=jitter,
+                     index_map={tuple(g): i for i, g in enumerate(grid.tolist())})
+    training = validate_training_set((x, np.stack([f1(x), f2(x)], axis=1)),
+                                     n=3, layer_count=2)
+    lo, hi = training.bounding_box
+    outside = lo + (hi - lo) * rng.uniform(-0.2, 1.2, (6, 3))
+    return training, mesh, np.vstack([queries, outside])
+
+
+class TestFlagColumn:
+    """``cli._flag_column`` reads a batch's flag codes and gives the text that
+    the batch's flag strings give (``oracle_flag_column``)."""
+
+    @staticmethod
+    def assert_equals_oracle(flag_codes, extrapolated):
+        column = cli._flag_column(flag_codes, extrapolated)
+        assert column.tolist() == oracle_flag_column(FLAG_NAMES[flag_codes], extrapolated).tolist()
+
+    def test_every_subset_of_the_names(self):
+        # one row per nonempty subset of the 8 codes, cycled over 2 layers and
+        # 4 axes in shuffled order; the empty set is a gradient batch's
+        rng = np.random.default_rng(0)
+        subsets = [s for r in range(1, 9) for s in itertools.combinations(range(8), r)]
+        codes = np.array([rng.permutation(np.resize(s, 8)) for s in subsets], dtype=np.uint8)
+        codes = codes.reshape(-1, 2, 4)
+        for extrapolated in (np.zeros(len(codes), dtype=bool), np.ones(len(codes), dtype=bool),
+                             rng.random(len(codes)) < 0.5):
+            self.assert_equals_oracle(codes, extrapolated)
+        assert cli._flag_column(codes[:0], extrapolated[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("layout,combinations", [("mesh", 1), ("mesh", 4),
+                                                     ("scattered", 1)])
+    def test_gradient_batches(self, tmp_path, layout, combinations):
+        data, q_csv = impute_inputs(tmp_path, layout)
+        training, mesh = load_dataset(data)
+        queries = load_queries(q_csv)[:-1]  # the last is NaN
+        batch = evaluate_gradient_batch(training, queries, mesh, combinations=combinations)
+        assert batch.flag_codes.shape == (len(queries), 2, 0)
+        assert batch.flag_codes.dtype == np.uint8
+        assert batch.extrapolated.any() and not batch.extrapolated.all()
+        self.assert_equals_oracle(batch.flag_codes, batch.extrapolated)
+
+    @pytest.mark.parametrize("d", [1.0, 300.0])
+    def test_rows_the_single_query_path_redoes(self, d):
+        """The kernel hands a holed mesh's rows at holes to ``evaluate_smooth``,
+        which fails them.  At d = 300 a power overflows in cells that jitter
+        narrowed, so the kernel hands over every row, and each row that
+        ``evaluate_smooth`` answers has its flags written back as codes."""
+        training, mesh, queries = holed_mesh_queries(20, 0.3)
+        with warnings.catch_warnings(), \
+                mock.patch.object(smooth, "_smooth_layers", wraps=smooth._smooth_layers) as spy:
+            warnings.simplefilter("ignore")  # d > 1 warns of inflections
+            batch = evaluate_smooth_batch(training, queries, mesh, d=d)
+            redone = np.array([call.args[1] for call in spy.call_args_list])
+            redone = (queries[:, None, :] == redone[None]).all(axis=2).any(axis=1)
+            failed = np.isin(np.arange(len(queries)), list(batch.errors))
+            for i in np.flatnonzero(redone & ~failed):
+                for layer in range(2):
+                    expected = evaluate_smooth(training, queries[i], mesh, d=d, layer=layer)
+                    assert tuple(batch.flags[i, layer]) == expected.flags
+        assert redone.all() == (d == 300.0)
+        assert failed.any() and not (failed & ~redone).any()
+        assert (redone & ~failed).any() == (d == 300.0)
+        self.assert_equals_oracle(batch.flag_codes, batch.extrapolated)
+        self.assert_equals_oracle(batch.flag_codes[redone], batch.extrapolated[redone])
 
 
 EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, -2.5e-310, 123456.789, 1.0 / 3.0)

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from gradsurf import (
 )
 from gradsurf import smooth, solvers
 from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset, gen_mesh_dataset, gen_queries
-from gradsurf.model import ZeroWidthSegment
+from gradsurf.model import FLAG_NAMES, ZeroWidthSegment
 from gradsurf.neighbors import Stencil1D, axis_stencil, locate_reference
 from gradsurf.solvers import find_root
 from tests_oracles import (
@@ -561,6 +562,32 @@ class TestSmoothBatch:
             for layer in range(2):
                 assert_same(batch, i, layer,
                             evaluate_smooth(ts, q, mesh, tol=1e-12, max_iter=2, layer=layer))
+
+    @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("jitter,sparse", [(0.0, False), (0.3, False), (0.3, True)],
+                             ids=["complete", "jittered", "holed"])
+    def test_flag_counts_are_one_bincount_of_the_codes(self, jitter, sparse, d):
+        """Over the rows the batch answers, ``np.bincount`` of the flag codes
+        counts each of ``FLAG_NAMES`` as often as ``evaluate_smooth``'s flags
+        hold it; a failed row's codes hold no result."""
+        x, y, mesh, rng = random_grid(5, 3, jitter, sparse)
+        ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
+                                   n=3, layer_count=2)
+        queries = grid_queries(mesh, rng, 40)
+        names = Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # d > 1 warns of inflections
+            batch = evaluate_smooth_batch(ts, queries, mesh, d=d)
+            for i, q in enumerate(queries):
+                if i not in batch.errors:
+                    for layer in range(2):
+                        names.update(evaluate_smooth(ts, q, mesh, d=d, layer=layer).flags)
+        answered = np.delete(batch.flag_codes, list(batch.errors), axis=0)
+        counts = np.bincount(answered.ravel(), minlength=len(FLAG_NAMES))
+        assert counts.tolist() == [names[name] for name in FLAG_NAMES.tolist()]
+        assert set(names) <= set(FLAG_NAMES.tolist())
+        assert bool(batch.errors) == sparse
+        assert counts[len(smooth.FLAGS):].any() == (d > 1.0)  # "+inflection"
 
     def test_argument_errors_and_query_shape(self):
         ts, mesh = mesh_training_1d(np.linspace(0.0, 3.0, 7), np.sin)

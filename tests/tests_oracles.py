@@ -262,6 +262,19 @@ def oracle_write_imputed(path, coords, y_hat, method, status, flags):
             writer.writerow([repr(float(v)) for v in x] + estimates + [method, s, f])
 
 
+def oracle_flag_column(flags, extrapolated):
+    """The impute flag column from (M, L, n) flag strings: each row's sorted
+    set of flags plus "extrapolated", joined by ';', one bit per name present."""
+    names = sorted(set(flags.ravel().tolist()) | {"extrapolated"})
+    bit = {name: 1 << k for k, name in enumerate(names)}
+    codes = np.fromiter(map(bit.get, flags.ravel().tolist()), dtype=np.int64, count=flags.size)
+    codes = np.bitwise_or.reduce(codes.reshape(flags.shape), axis=(1, 2))
+    codes |= np.where(extrapolated, bit["extrapolated"], 0)
+    unique, inverse = np.unique(codes, return_inverse=True)
+    text = [";".join(n for k, n in enumerate(names) if code >> k & 1) for code in unique.tolist()]
+    return np.array(text, dtype=object)[inverse]
+
+
 # -- benchmark scenarios as they were: one method per call, data built per call
 
 
