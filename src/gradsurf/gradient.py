@@ -3,15 +3,15 @@
 Simplexes are solved as lanes, one ``solvers.solve_lanes`` call for many
 systems (``_lane_estimates``): ``evaluate_gradient_batch`` solves a batch's
 (query, combination) systems so, and ``evaluate_gradient`` a query's plan of
-two or more simplexes.  ``evaluate_gradient`` solves a one-simplex plan with
-the scalar solver instead: at n=3 that costs about half a one-lane call, and
-acceptance criterion 9a times it on unjittered n=99 cells.  Lanes and the
+two or more simplexes, both averaged by ``_averaged_lanes``.
+``evaluate_gradient`` solves a one-simplex plan with the scalar solver
+instead: at n=3 that costs about half a one-lane call, and acceptance
+criterion 9a times it on unjittered n=99 cells.  Lanes and the
 scalar solver do the same arithmetic, so every result agrees bit for bit.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from numbers import Integral
 from typing import Optional
 
@@ -23,6 +23,7 @@ from .model import (
     EstimateBatch,
     GradsurfError,
     MeshIndex,
+    NonFiniteValue,
     SingularSystem,
     TrainingSet,
     ValidationError,
@@ -33,8 +34,10 @@ from .model import (
 from .neighbors import (
     CombinationPlan,
     Simplex,
+    _absent_point,
     _check_combination_count,
     _mesh_simplexes,
+    _most_plans,
     _scattered_plans,
     enumerate_combinations,
     is_extrapolation,
@@ -88,35 +91,38 @@ def evaluate_gradient(
     ``plan``) contributes one extrapolated value; degenerate combinations
     are skipped and the survivors averaged with equal weight.  A plan of two
     or more simplexes is solved as lanes, one ``solve_lanes`` call for all
-    of them (``_plan_estimates``), as ``evaluate_gradient_batch`` solves
-    them.  A one-simplex plan keeps the scalar solver: one scalar solve at
-    n=3 costs about half of a one-lane call, and acceptance criterion 9a
-    times this path on unjittered n=99 cells.  A caller's plan is checked
-    first: each simplex must name a reference and exactly n auxiliaries,
-    each an integer row of ``training``, or ValidationError is raised.
+    of them, and averaged as ``evaluate_gradient_batch`` averages a batch's
+    plans (``_averaged_lanes``).  A one-simplex plan keeps the scalar
+    solver: one scalar solve at n=3 costs about half of a one-lane call, and
+    acceptance criterion 9a times this path on unjittered n=99 cells.  A
+    caller's plan is checked first: each simplex must name a reference and
+    exactly n auxiliaries, each an integer row of ``training``, or
+    ValidationError is raised.
     """
     query = _query_vector(query, training, layer)
     if plan is None:
         plan = enumerate_combinations(training, query, combinations, mesh)
     else:
         _check_plan(training, plan)
-    if len(plan.simplexes) != 1:
-        return _plan_estimates(training, query, plan, training.y[:, layer : layer + 1])[0]
-
-    simplex = plan.simplexes[0]
-    try:
-        p = estimate_gradients(training, simplex, layer)
-    except DegenerateNeighborhood:
-        raise DegenerateNeighborhood("all point combinations were degenerate") from None
-    ref = simplex.reference
-    value = extrapolate(training.x[ref], float(training.y[ref, layer]), p, query)
-    return Estimate(
-        y_hat=value + 0.0,  # np.mean([value]): a sum starts at +0.0, so -0.0 reads +0.0
-        method="gradient",
-        reference_index=ref,
-        combinations_used=1,
-        extrapolated=is_extrapolation(training, query),
-    )
+    simplexes = plan.simplexes
+    if len(simplexes) == 1:
+        try:
+            p = estimate_gradients(training, simplexes[0], layer)
+        except DegenerateNeighborhood:
+            raise DegenerateNeighborhood("all point combinations were degenerate") from None
+        ref, used = simplexes[0].reference, 1
+        # np.mean([value]): a sum starts at +0.0, so -0.0 reads +0.0
+        value = extrapolate(training.x[ref], float(training.y[ref, layer]), p, query) + 0.0
+    else:
+        reference = np.array([[s.reference for s in simplexes]], dtype=int)
+        aux = np.array([s.auxiliaries for s in simplexes], dtype=int).reshape(1, -1, training.n)
+        y_hat, used, errors = _averaged_lanes(training, query[None, :], reference, aux,
+                                              training.y[:, layer : layer + 1])
+        if errors:
+            raise errors[0]
+        ref, value, used = int(reference[0, 0]), float(y_hat[0, 0]), int(used[0])
+    return Estimate(y_hat=value, method="gradient", reference_index=ref, combinations_used=used,
+                    extrapolated=is_extrapolation(training, query))
 
 
 def _check_plan(training: TrainingSet, plan: CombinationPlan) -> None:
@@ -138,44 +144,6 @@ def _check_plan(training: TrainingSet, plan: CombinationPlan) -> None:
                 raise ValidationError(
                     f"simplex rows must be integers in [0, {npoints}), got {row!r} in {simplex!r}"
                 )
-
-
-def _plan_estimates(training: TrainingSet, query: np.ndarray, plan, y: np.ndarray) -> tuple:
-    """The Estimate of each outcome column of ``y`` (N, L) at the query, from
-    one ``_lane_estimates`` call over every simplex of the plan.  Each
-    column's nonsingular values are averaged in plan order by ``np.mean`` of
-    a contiguous row, as the scalar loop averaged them.  No nonsingular
-    simplex raises DegenerateNeighborhood; a mean that is not finite,
-    NonFiniteValue for the first such column.  Numpy's warnings are
-    silenced: a value that overflows is not finite, and the Estimate
-    refuses it."""
-    reference = np.array([s.reference for s in plan.simplexes], dtype=int)
-    aux = np.array([s.auxiliaries for s in plan.simplexes], dtype=int).reshape(-1, training.n)
-    with np.errstate(all="ignore"):
-        values, singular = _lane_estimates(training.x, y, query, reference, aux)
-        kept = np.ascontiguousarray(values[~singular].T)  # one row per column of y
-        if not kept.shape[1]:
-            raise DegenerateNeighborhood("all point combinations were degenerate")
-        extrapolated = is_extrapolation(training, query)
-        return tuple(
-            Estimate(
-                y_hat=float(np.mean(row)),
-                method="gradient",
-                reference_index=plan.simplexes[0].reference,
-                combinations_used=kept.shape[1],
-                extrapolated=extrapolated,
-            )
-            for row in kept
-        )
-
-
-def _gradient_layers(training: TrainingSet, query, mesh=None, combinations=1) -> tuple:
-    """``evaluate_gradient`` on every layer of one query.  The point
-    combinations do not depend on the layer, so they are built once, and
-    one ``_lane_estimates`` call solves them for every layer."""
-    query = _query_vector(query, training)
-    plan = enumerate_combinations(training, query, combinations, mesh)
-    return _plan_estimates(training, query, plan, training.y)
 
 
 def _lane_estimates(x, y, queries, reference, aux) -> tuple:
@@ -201,40 +169,41 @@ def _lane_estimates(x, y, queries, reference, aux) -> tuple:
 
 
 def _planned_lanes(training: TrainingSet, queries, mesh, combinations) -> tuple:
-    """Each query's ``enumerate_combinations`` plan, shared by every layer.
+    """Each query's ``enumerate_combinations`` plan, shared by every layer,
+    or the error that function raises for it.
 
-    Scattered queries are planned in lockstep (``_scattered_plans``, one
-    simplex of every query per step), in even parts of at most
-    ``LOCKSTEP_MAX_QUERIES``; a query it hands back, every query on a mesh
-    and a batch of fewer than ``LOCKSTEP_MIN_QUERIES`` scattered queries go
-    through ``enumerate_combinations`` itself.  A step's cost is mostly
-    fixed, so one query costs the lockstep about 5 times the scalar
-    planner's at n = 3 (C = 1 to 16), and the lockstep costs less from 4 to
-    7 queries at n = 3 and n = 9 (``lockstep_crossover`` in
-    ``BENCH_scatter-scale.json``).  Returns the rows of the queries that
-    have a plan, (P,), and their plans as (P, C) reference and (P, C, n)
-    auxiliary rows of ``training``.
+    Scattered queries are planned in lockstep (``_scattered_plans``), in
+    even parts of at most ``LOCKSTEP_MAX_QUERIES``; a query it hands back,
+    every query on a mesh, a batch of fewer than ``LOCKSTEP_MIN_QUERIES``
+    scattered queries (the lockstep costs less from 4 to 7 queries,
+    ``lockstep_crossover`` in ``BENCH_scatter-scale.json``), and a batch
+    asking for more plans than any query can have (``_most_plans``) go
+    through ``enumerate_combinations`` itself.  Returns the rows of the
+    queries with a plan, (P,), in order, their plans as (P, C) reference
+    and (P, C, n) auxiliary rows of ``training``, and the error of each
+    other query, by row; only plans found take room.
     """
-    M = len(queries)
-    reference = np.empty((M, combinations), dtype=int)
-    aux = np.empty((M, combinations, training.n), dtype=int)
+    M, n = len(queries), training.n
+    found = [(np.empty(0, dtype=int), np.empty((0, combinations), dtype=int),
+              np.empty((0, combinations, n), dtype=int))]  # (rows, reference, aux)
     handed = np.ones(M, dtype=bool)
-    if mesh is None and M >= LOCKSTEP_MIN_QUERIES:
+    if (mesh is None and M >= LOCKSTEP_MIN_QUERIES
+            and combinations <= _most_plans(training.npoints, n)):
         for part in np.array_split(np.arange(M), -(-M // LOCKSTEP_MAX_QUERIES)):
-            reference[part], aux[part], handed[part] = _scattered_plans(
-                training, queries[part], combinations
-            )
-    planned = ~handed
-    for i in np.flatnonzero(handed):
+            reference, aux, back = _scattered_plans(training, queries[part], combinations)
+            handed[part] = back
+            found.append((part[~back], reference[~back], aux[~back]))
+    errors = {}
+    for i in np.flatnonzero(handed).tolist():
         try:
             plan = enumerate_combinations(training, queries[i], combinations, mesh).simplexes
-        except GradsurfError:
-            continue
-        reference[i] = [s.reference for s in plan]
-        aux[i] = [s.auxiliaries for s in plan]
-        planned[i] = True
-    rows = np.flatnonzero(planned)
-    return rows, reference[rows], aux[rows]
+        except GradsurfError as exc:
+            errors[i] = exc
+        else:
+            found.append(([i], [[s.reference for s in plan]], [[s.auxiliaries for s in plan]]))
+    rows, reference, aux = (np.concatenate(v) for v in zip(*found))
+    order = np.argsort(rows, kind="stable")
+    return rows[order], reference[order], aux[order], errors
 
 
 def _average(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -242,19 +211,49 @@ def _average(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
     ``values`` is (M, C, L) and ``kept`` (M, C).  The mean runs along the
     last axis of a contiguous (M, L, C) copy, which sums each row as
-    ``np.mean`` sums a 1-D array, so each mean equals the scalar path's
-    ``np.mean(values)`` bit for bit.  A boolean mask on the last axis gives
-    a column-first array, so the kept values are copied to rows first.  A
-    query that keeps no combination gets NaN.
+    ``np.mean`` sums a 1-D array, so each mean equals ``np.mean(values)``
+    bit for bit; where every combination is kept, ``np.mean``'s own sum and
+    division serve every row at once.  A boolean mask on the last axis
+    gives a column-first array, so the kept values are copied to rows
+    first.  A query that keeps no combination gets NaN.
     """
     rows = np.ascontiguousarray(values.transpose(0, 2, 1))
+    if kept.all():  # also a caller's empty plan, whose 0 / 0 is NaN
+        return np.add.reduce(rows, axis=-1) / kept.shape[1]
     mean = np.full(rows.shape[:2], np.nan)
     full = kept.all(axis=1)
-    with np.errstate(all="ignore"):  # a non-finite estimate is redone
-        mean[full] = rows[full].mean(axis=-1)
-        for i in np.flatnonzero(~full & kept.any(axis=1)):
-            mean[i] = np.ascontiguousarray(rows[i][:, kept[i]]).mean(axis=-1)
+    mean[full] = rows[full].mean(axis=-1)
+    for i in np.flatnonzero(~full & kept.any(axis=1)):
+        mean[i] = np.ascontiguousarray(rows[i][:, kept[i]]).mean(axis=-1)
     return mean
+
+
+def _lane_errors(y_hat: np.ndarray, used: np.ndarray) -> dict:
+    """``evaluate_gradient``'s error for each query whose (M, L) estimates
+    it refuses, by row: DegenerateNeighborhood where none of its simplexes
+    was nonsingular (``used`` is 0), else NonFiniteValue where an estimate
+    is not finite."""
+    if used.all() and np.isfinite(y_hat).all():
+        return {}
+    failed = (used == 0) | ~np.isfinite(y_hat).all(axis=1)
+    return {int(i): NonFiniteValue("estimate is not finite") if used[i] else
+            DegenerateNeighborhood("all point combinations were degenerate")
+            for i in np.flatnonzero(failed)}
+
+
+def _averaged_lanes(training: TrainingSet, queries, reference, aux, y) -> tuple:
+    """The (P, L) estimates of (P, n) queries from their plans, (P, C)
+    reference and (P, C, n) auxiliary rows, for each column of ``y`` (N, L),
+    from one ``_lane_estimates`` call; the (P,) counts of nonsingular
+    simplexes, whose values ``_average`` takes; and ``_lane_errors``'."""
+    P, C = reference.shape
+    values, singular = _lane_estimates(training.x, y, queries.repeat(C, axis=0),
+                                       reference.ravel(), aux.reshape(-1, training.n))
+    kept = ~singular.reshape(P, C)
+    used = kept.sum(axis=1)
+    with np.errstate(all="ignore"):  # a mean that is not finite is its query's error
+        y_hat = _average(values.reshape(P, C, y.shape[1]), kept)
+    return y_hat, used, _lane_errors(y_hat, used)
 
 
 def evaluate_gradient_batch(
@@ -264,63 +263,43 @@ def evaluate_gradient_batch(
 
     On a mesh with one combination, each query's simplex is gathered as
     ``select_simplex`` picks it (``_mesh_simplexes``).  Every other query
-    (scattered data, several combinations) gets its ``enumerate_combinations``
-    plan, one for all layers; in a batch of at least
-    ``LOCKSTEP_MIN_QUERIES``, scattered plans are built in lockstep
-    (``_scattered_plans``, at most ``LOCKSTEP_MAX_QUERIES`` queries a call),
-    one simplex of every query per step, the base simplex and then one
-    disjoint block a step; it hands a query back to that function where its
-    base simplex fails or its blocks run past its nearest points.  The
-    lockstep finds every query's nearest points at once, through a bucket
-    grid over the points (``TrainingSet.buckets``, built on first use) at
-    up to six axes where a query's box of buckets holds a small share of
-    them, and from the distances to all points elsewhere; the points found
-    are the same.  One
-    ``solve_lanes`` call solves every (query, combination) system with one
-    right-hand side per layer; on an unjittered mesh each system is
-    diagonal, and a lane whose right-hand sides hold no ``-0.0`` takes the
-    quotient instead of the elimination (the conditions are
-    ``solve_lanes``'s).  A singular system is skipped, as
-    ``evaluate_gradient`` skips it, and the rest averaged as it averages
-    them, so every estimate equals that function's bit for bit: its plans
-    of two or more simplexes take the same lanes, and its one-simplex plans
-    the scalar solver, which the lanes match.  A query without a plan (an
-    absent simplex point, too few points), without a nonsingular system, or
-    with an estimate that is not finite is redone on its own
-    (``_gradient_layers``): its plan is built again and solved once for all
-    layers, so that its result, or its first failing layer's error, is
-    ``evaluate_gradient``'s too.  ``combinations_used`` counts each
-    query's nonsingular systems.  A combination count that is not an
-    integer >= 1 raises ValidationError before any query is planned.
+    gets its ``enumerate_combinations`` plan, one for all layers
+    (``_planned_lanes``; scattered batches are planned in lockstep, finding
+    every query's nearest points at once, through the bucket grid
+    ``TrainingSet.buckets`` where it pays).  One ``solve_lanes`` call
+    solves every (query, combination) system with one right-hand side per
+    layer; on an unjittered mesh a lane may take the diagonal quotient
+    instead of the elimination (``solve_lanes``' conditions).  A singular
+    system is skipped and the rest averaged as ``evaluate_gradient``
+    averages them (``_averaged_lanes``), so every estimate equals that
+    function's bit for bit.  Each query is planned once and none is handed
+    to a single-query function: a query that fails gets, in ``errors``,
+    the error that ``evaluate_gradient`` raises on its first failing layer,
+    named where the batch meets it: the planner's, ``select_simplex``'s
+    for a mesh simplex with an absent point (``_absent_point``), or
+    ``_lane_errors``'.  ``combinations_used`` counts each query's
+    nonsingular systems.  A combination count that is not an integer >= 1
+    raises ValidationError before any query is planned.
     """
     _check_combination_count(combinations)
     queries = _query_rows(queries, training.n)
     if mesh is not None:
         mesh.check_fit(training)
+    M, L = len(queries), training.layer_count
     if mesh is not None and combinations == 1:
-        reference, aux = _mesh_simplexes(mesh, mesh.cells_of(queries))
+        cells = mesh.cells_of(queries)
+        reference, aux = _mesh_simplexes(mesh, cells)
         y_hat, singular = _lane_estimates(training.x, training.y, queries, reference, aux)
-        redo = (reference < 0) | (aux < 0).any(axis=1) | singular
-        used = np.ones(len(queries), dtype=int)
+        used = (~singular).astype(int)
+        errors = _lane_errors(y_hat, used)
+        for i in ((reference < 0) | (aux < 0).any(axis=1)).nonzero()[0]:
+            errors[int(i)] = _absent_point(cells[i], reference[i], aux[i])
     else:
-        planned, plans, aux = _planned_lanes(training, queries, mesh, combinations)
-        C = plans.shape[1]
-        values, singular = _lane_estimates(
-            training.x, training.y, np.repeat(queries[planned], C, axis=0), plans.ravel(),
-            aux.reshape(-1, training.n),
-        )
-        kept = ~singular.reshape(-1, C)
-        y_hat = np.full((len(queries), training.layer_count), np.nan)
-        y_hat[planned] = _average(values.reshape(-1, C, training.layer_count), kept)
-        reference, redo = np.full(len(queries), -1), np.ones(len(queries), dtype=bool)
-        reference[planned], redo[planned] = plans[:, 0], ~kept.any(axis=1)
-        used = np.zeros(len(queries), dtype=int)
-        used[planned] = kept.sum(axis=1)
-    redo |= ~np.isfinite(y_hat).all(axis=1)
-
-    M, L = y_hat.shape
-    each_layer = partial(_gradient_layers, training, mesh=mesh, combinations=combinations)
-    return _finish_batch(
-        training, queries, each_layer, redo, y_hat, reference, used,
-        np.zeros((M, L, 0), dtype=int), np.zeros((M, L, 0), dtype=np.uint8),
-    )
+        planned, plans, aux, errors = _planned_lanes(training, queries, mesh, combinations)
+        y_hat, reference, used = np.full((M, L), np.nan), np.full(M, -1), np.zeros(M, dtype=int)
+        y_hat[planned], used[planned], failed = _averaged_lanes(
+            training, queries[planned], plans, aux, training.y)
+        reference[planned] = plans[:, 0]
+        errors.update((int(planned[k]), e) for k, e in failed.items())
+    return _finish_batch(training, queries, errors, y_hat, reference, used,
+                         np.zeros((M, L, 0), dtype=int), np.zeros((M, L, 0), dtype=np.uint8))

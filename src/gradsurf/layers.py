@@ -126,9 +126,9 @@ def evaluate_layers(
     gradient; ``d``, ``tol``, ``max_iter`` for smooth); any other keyword
     raises ValidationError, as in ``evaluate_batch``.  The query is answered
     by the method's batch function as a batch of one, which solves every
-    layer at once and hands a query it cannot finish to the single-query
-    path; so each component, and the error of a query that fails (its first
-    failing layer's), is that path's.
+    layer at once and names the error of a query it cannot finish as the
+    single-query path raises it; so each component, and the error of a
+    query that fails (its first failing layer's), is that path's.
     """
     batch = _method_batch(mesh, method, kwargs)
     try:

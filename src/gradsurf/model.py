@@ -662,23 +662,15 @@ class EstimateBatch:
         )
 
 
-def _finish_batch(training, queries, each_layer, redo, y_hat, reference,
+def _finish_batch(training, queries, errors, y_hat, reference,
                   combinations_used, newton_iterations, flag_codes) -> EstimateBatch:
-    """The kernel's arrays as an EstimateBatch, with each query in ``redo``
-    handed to ``each_layer(query)``, the single-query path's Estimate of every
-    layer in order, so that its result or error is that path's."""
-    errors = {}
-    for i in redo.nonzero()[0]:
-        try:
-            for l, est in enumerate(each_layer(queries[i])):
-                y_hat[i, l] = est.y_hat
-                newton_iterations[i, l] = est.newton_iterations
-                flag_codes[i, l] = [_FLAG_CODES[flag] for flag in est.flags]
-                reference[i] = est.reference_index
-                combinations_used[i] = est.combinations_used
-        except GradsurfError as exc:
-            errors[int(i)] = exc
-            y_hat[i], reference[i], combinations_used[i] = np.nan, -1, 0
+    """The kernel's arrays and the errors of its failed queries (a dict by
+    row) as an EstimateBatch, with the errors in row order and each failed
+    row's estimates NaN, its reference -1 and its combinations used 0."""
+    if errors:
+        errors = dict(sorted(errors.items()))
+        failed = list(errors)
+        y_hat[failed], reference[failed], combinations_used[failed] = np.nan, -1, 0
     lo, hi = training.bounding_box
     return EstimateBatch(
         y_hat=y_hat, newton_iterations=newton_iterations, flag_codes=flag_codes,

@@ -153,10 +153,18 @@ def _mesh_reference(cells: np.ndarray, reference: np.ndarray) -> int:
     this once per file), so the cell is also the reference's grid index.
     """
     if reference[0] < 0:
-        raise DegenerateNeighborhood(
-            f"no training point at grid index {tuple(cells[0].tolist())}"
-        )
+        raise _absent_point(cells[0], reference[0])
     return int(reference[0])
+
+
+def _absent_point(cell: np.ndarray, reference: int, aux=None) -> DegenerateNeighborhood:
+    """``select_simplex``'s error for a cell whose simplex lacks a point
+    (``_mesh_simplexes``' row -1): at the cell, else its first axis's."""
+    cell = tuple(cell.tolist())
+    if reference < 0:
+        return DegenerateNeighborhood(f"no training point at grid index {cell}")
+    return DegenerateNeighborhood(
+        f"missing grid neighbor along axis {int(np.argmax(aux < 0))} of cell {cell}")
 
 
 def locate_reference(
@@ -421,10 +429,9 @@ def select_simplex(
         mesh.check_fit(training)
         cells = mesh.cells_of(np.asarray(query).reshape(1, -1))
         reference, aux = _mesh_simplexes(mesh, cells)
-        reference, aux = _mesh_reference(cells, reference), aux[0].tolist()
-        if -1 in aux:
-            raise DegenerateNeighborhood(f"missing grid neighbor along axis {aux.index(-1)} "
-                                         f"of cell {tuple(cells[0].tolist())}")
+        reference, aux = int(reference[0]), aux[0].tolist()
+        if reference < 0 or -1 in aux:
+            raise _absent_point(cells[0], reference, np.array(aux))
         return Simplex(reference=reference, auxiliaries=tuple(aux))
     d2 = _normalised_d2(training, query)
     return _nearest_simplex(training, _nearest_prefix(d2, CANDIDATE_FACTOR * training.n + 1))
@@ -491,6 +498,13 @@ def enumerate_combinations(
             f"only {len(plans)} distinct combinations available, {c} requested"
         )
     return CombinationPlan(simplexes=tuple(plans))
+
+
+def _most_plans(npoints: int, n: int) -> int:
+    """The most plans ``enumerate_combinations`` can build from ``npoints``:
+    the base, a disjoint block per n + 1 further points, and the subsets of
+    ``_fill_from_subsets``' pool, trimmed to ``SMALL_POOL_LIMIT`` or n + 2."""
+    return 1 + (npoints - n - 1) // (n + 1) + max(SMALL_POOL_LIMIT, n + 2)
 
 
 def _fill_from_subsets(training, plans, add, order: _DistanceOrder, c):

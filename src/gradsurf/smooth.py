@@ -18,7 +18,6 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from numbers import Integral
 
@@ -28,11 +27,13 @@ from .model import (
     FLAGS,
     Estimate,
     EstimateBatch,
+    GradsurfError,
     MeshIndex,
     NoConvergence,
     TrainingSet,
     ValidationError,
     ZeroWidthSegment,
+    _FLAG_CODES,
     _finish_batch,
     _query_rows,
     _query_vector,
@@ -335,7 +336,14 @@ def evaluate_smooth(
     range does, with ValidationError.
     """
     _check_arguments(mesh, d, tol, max_iter)
-    query = _query_vector(query, training, layer)
+    return _smooth_estimate(training, _query_vector(query, training, layer), mesh, d, tol,
+                            max_iter, layer)
+
+
+def _smooth_estimate(training: TrainingSet, query: np.ndarray, mesh: MeshIndex, d: float,
+                     tol: float, max_iter: int, layer: int) -> Estimate:
+    """``evaluate_smooth`` on an (n,) float query, without its argument
+    checks and its d > 1 warning."""
     cells = mesh.cells_of(query[None, :])
     reference, rows, x = _axis_stencils(training, mesh, cells)
     reference = _mesh_reference(cells, reference)
@@ -382,12 +390,6 @@ def evaluate_smooth(
         flags=tuple(flags),
         extrapolated=is_extrapolation(training, query),
     )
-
-
-def _smooth_layers(training: TrainingSet, query, mesh: MeshIndex, **kwargs) -> tuple:
-    """``evaluate_smooth`` with ``kwargs`` on every layer of one query, in order."""
-    layers = range(training.layer_count)
-    return tuple(evaluate_smooth(training, query, mesh, layer=l, **kwargs) for l in layers)
 
 
 def _arc_and_slope(p, x, d):
@@ -548,8 +550,8 @@ def evaluate_smooth_batch(
     count and flag equals the scalar path's.  A query the kernel cannot
     finish (absent reference or stencil core, a zero-width segment, an
     estimate that is not finite, or any query of a batch in which a power
-    overflows) is handed to ``evaluate_smooth`` itself, layer by layer, so
-    that its result or error is the scalar path's too.
+    overflows) is redone by ``evaluate_smooth``'s body, layer by layer, so
+    that its result or error is the scalar path's too; d > 1 warns once.
     """
     _check_arguments(mesh, d, tol, max_iter)
     queries = _query_rows(queries, training.n)
@@ -585,6 +587,15 @@ def evaluate_smooth_batch(
     codes = codes.reshape(M, n, L).transpose(0, 2, 1)
     iters = iters.reshape(M, n, L).transpose(0, 2, 1)
 
-    each_layer = partial(_smooth_layers, training, mesh=mesh, d=d, tol=tol, max_iter=max_iter)
-    return _finish_batch(training, queries, each_layer, bad, y_hat, reference,
-                         np.ones(M, dtype=int), iters, codes)
+    errors = {}
+    for i in bad.nonzero()[0]:
+        try:
+            for l in range(L):
+                est = _smooth_estimate(training, queries[i], mesh, d, tol, max_iter, l)
+                y_hat[i, l], iters[i, l] = est.y_hat, est.newton_iterations
+                codes[i, l] = [_FLAG_CODES[flag] for flag in est.flags]
+                reference[i] = est.reference_index
+        except GradsurfError as exc:
+            errors[int(i)] = exc
+    return _finish_batch(training, queries, errors, y_hat, reference, np.ones(M, dtype=int),
+                         iters, codes)

@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -24,7 +26,7 @@ from gradsurf import (
 from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset
 from gradsurf.neighbors import CombinationPlan
 from tests_oracles import (eliminations, grid_queries, holed_local_cell, oracle_evaluate_gradient,
-                           outcome, random_grid)
+                           outcome, random_grid, verdict)
 
 
 class TestEstimateGradients:
@@ -166,20 +168,29 @@ class TestEvaluateGradient:
         assert abs(est.y_hat - truth) <= 1e-9 * (1.0 + abs(truth))
 
 
-def batch_with_handovers(training, queries, mesh):
-    """The kernel's result and the rows it handed to the single-query path."""
-    handed = []
-    each_layer = gradient._gradient_layers
+def planned_once(training, queries, mesh, combinations=1):
+    """The batch's result, checked to come without a call of a single-query
+    gradient function (``evaluate_gradient``, ``estimate_gradients``, the
+    scalar solver) and with at most one ``enumerate_combinations`` call per
+    query."""
+    queries = np.asarray(queries, dtype=float)
+    with mock.patch.object(gradient, "evaluate_gradient", wraps=evaluate_gradient) as single, \
+            mock.patch.object(gradient, "estimate_gradients", wraps=estimate_gradients) as solve, \
+            mock.patch.object(gradient, "solve_linear_system") as scalar, \
+            mock.patch.object(gradient, "enumerate_combinations",
+                              wraps=enumerate_combinations) as plan:
+        batch = evaluate_gradient_batch(training, queries, mesh, combinations=combinations)
+    assert single.call_count == solve.call_count == scalar.call_count == 0
+    rows = Counter(q.tobytes() for q in queries)
+    assert Counter(call.args[1].tobytes() for call in plan.call_args_list) <= rows
+    return batch
 
-    def scalar(training, query, *args, **kwargs):
-        handed.append(query)
-        return each_layer(training, query, *args, **kwargs)
 
-    with mock.patch.object(gradient, "_gradient_layers", scalar):
-        batch = evaluate_gradient_batch(training, queries, mesh)
-    rows = {i for i, q in enumerate(queries) for h in handed
-            if np.array_equal(h, q, equal_nan=True)}
-    return batch, rows
+def assert_errors_are_the_scalar_ones(batch, raised: dict):
+    """Exactly the rows of ``raised`` are in the batch's errors, in row
+    order, each with the type and message that the single-query path raised."""
+    assert list(batch.errors) == sorted(raised)
+    assert {i: (type(e), str(e)) for i, e in batch.errors.items()} == raised
 
 
 def assert_same(batch, i, layer, expected):
@@ -231,21 +242,19 @@ class TestGradientBatch:
         ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
                                    n=n, layer_count=2)
         queries = grid_queries(mesh, rng, 12)
-        batch, handed = batch_with_handovers(ts, queries, mesh)
+        batch = planned_once(ts, queries, mesh)
         assert batch.newton_iterations.shape == batch.flags.shape == (12, 2, 0)
-        raised = set()
+        raised = {}
         for i, q in enumerate(queries):
             for layer in range(2):
-                expected = outcome(evaluate_gradient, ts, q, mesh, layer=layer)
-                if isinstance(expected, type):
-                    assert type(batch.errors[i]) is expected
+                expected = verdict(evaluate_gradient, ts, q, mesh, layer=layer)
+                if isinstance(expected, tuple):
                     assert batch.reference_index[i] == -1
-                    raised.add(i)
+                    raised[i] = expected
                     break
                 assert i not in batch.errors
                 assert_same(batch, i, layer, expected)
-        assert handed == raised
-        assert list(batch.errors) == sorted(raised)
+        assert_errors_are_the_scalar_ones(batch, raised)
         scalar = [outcome(evaluate_gradient, ts, q, mesh) for q in queries]
         errors = [e for e in scalar if isinstance(e, type)]
         assert outcome(evaluate_batch, ts, queries, mesh=mesh, method="gradient") == (
@@ -257,8 +266,8 @@ class TestGradientBatch:
     def test_high_dimensional_local_cell(self, n, seed):
         rng = np.random.default_rng(seed)
         ts, mesh, query, _, _ = gen_local_cell_dataset(TEST_FUNCTIONS["H1"], n, 20, rng)
-        batch, handed = batch_with_handovers(ts, query[None, :], mesh)
-        assert not handed
+        batch = planned_once(ts, query[None, :], mesh)
+        assert not batch.errors
         expected = evaluate_gradient(ts, query, mesh=mesh)
         assert_same(batch, 0, 0, expected)
         assert batch.combinations_used[0] == expected.combinations_used
@@ -273,17 +282,18 @@ class TestGradientBatch:
         assert str(batch.errors[0]) == str(scalar.value)
         assert batch.reference_index[0] == -1 and np.isnan(batch.y_hat[0, 0])
 
-    def test_singular_system_and_nan_query_are_handed_over(self):
+    def test_singular_system_and_nan_query_are_named_by_the_batch(self):
         # node (0, 1) lies on the x1 axis, so the first cell's system is
         # singular; a NaN query gives an estimate that is not finite
         x = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0]])
         ts = validate_training_set((x, x.sum(axis=1)), n=2)
         mesh = MeshIndex(axes=(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
         queries = [[0.5, 0.5], [np.nan, 0.5], [1.0, 1.0]]
-        batch, handed = batch_with_handovers(ts, queries, mesh)
-        assert handed == {0, 1}
-        for i in (0, 1):
-            assert type(batch.errors[i]) is outcome(evaluate_gradient, ts, queries[i], mesh)
+        batch = planned_once(ts, queries, mesh)
+        assert_errors_are_the_scalar_ones(
+            batch, {i: verdict(evaluate_gradient, ts, queries[i], mesh) for i in (0, 1)})
+        assert batch.errors[0].args == ("all point combinations were degenerate",)
+        assert batch.errors[1].args == ("estimate is not finite",)
         assert_same(batch, 2, 0, evaluate_gradient(ts, queries[2], mesh=mesh))
 
     @settings(max_examples=100, deadline=None)
@@ -506,6 +516,65 @@ class TestCombinationsUsed:
             assert set(used.tolist()) <= {0, 1}
 
 
+def scalar_errors(training, queries, mesh, c):
+    """The type and message of ``evaluate_gradient``'s error for each query
+    that fails on its single layer, by row."""
+    found = {i: verdict(evaluate_gradient, training, q, mesh, c) for i, q in enumerate(queries)}
+    return {i: v for i, v in found.items() if isinstance(v, tuple)}
+
+
+class TestEachQueryIsPlannedOnce:
+    """The batch plans each query once and names each failure where it meets
+    it, with ``evaluate_gradient``'s error: no query is planned again or
+    handed to a single-query gradient function."""
+
+    @pytest.mark.parametrize("c", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_holed_jittered_mesh(self, seed, c):
+        x, y, mesh, rng = random_grid(seed, 3, 0.3, True)
+        ts = validate_training_set((x, y), n=3)
+        queries = grid_queries(mesh, rng, 40)
+        batch = planned_once(ts, queries, mesh, c)
+        raised = scalar_errors(ts, queries, mesh, c)
+        assert raised
+        assert_errors_are_the_scalar_ones(batch, raised)
+
+    @pytest.mark.parametrize("count", [4, 2 * gradient.LOCKSTEP_MIN_QUERIES])
+    def test_scattered_queries_short_of_points(self, count):
+        # 30 points on a plane of 3-D space, and a few off it: most bases
+        # are degenerate, and no query finds 16 combinations
+        rng = np.random.default_rng(count)
+        x = np.vstack([np.c_[rng.uniform(0.0, 1.0, (27, 2)), np.zeros(27)],
+                       rng.uniform(0.0, 1.0, (3, 3))])
+        ts = validate_training_set((x, x.sum(axis=1)), n=3)
+        queries = rng.uniform(0.0, 1.0, (count, 3))
+        for c in (1, 16):
+            batch = planned_once(ts, queries, None, c)
+            raised = scalar_errors(ts, queries, None, c)
+            assert raised
+            assert_errors_are_the_scalar_ones(batch, raised)
+
+    def test_a_combination_count_no_query_can_meet(self):
+        # 40 points at n = 3 offer at most 1 + 9 + 4000 plans; the batch
+        # used to allocate (M, C) and (M, C, n) plan arrays first, a
+        # MemoryError at C = 10**8
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 1.0, (40, 3))
+        ts = validate_training_set((x, x.sum(axis=1)), n=3)
+        queries = rng.uniform(0.0, 1.0, (8, 3))
+        c = 10**5
+        tracemalloc.start()
+        try:
+            batch = evaluate_gradient_batch(ts, queries, combinations=c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        raised = scalar_errors(ts, queries, None, c)
+        assert len(raised) == len(queries)
+        assert_errors_are_the_scalar_ones(batch, raised)
+
+
 class TestCombinationCount:
     """A combination count that is not an integer >= 1 fails before any work."""
 
@@ -585,9 +654,22 @@ def caller_plan(rng, kind, training, query, c, mesh):
     return CombinationPlan(tuple(simplexes))
 
 
+def judged_row(batch, i):
+    """``judged`` of row i of a batch: its error's type and message, or each
+    layer's estimate bits and provenance."""
+    if i in batch.errors:
+        return type(batch.errors[i]), str(batch.errors[i])
+    return [(y.hex(), int(batch.reference_index[i]), int(batch.combinations_used[i]),
+             bool(batch.extrapolated[i])) for y in batch.y_hat[i].tolist()]
+
+
 def assert_judged_by_the_oracle(training, queries, mesh, c, kind, rng):
-    """``evaluate_gradient`` on every query and layer, and ``_gradient_layers``
-    on every query, give the per-simplex loop's results or errors."""
+    """``evaluate_gradient`` on every query and layer gives the per-simplex
+    loop's results or errors; with the enumerated plans, so does each row of
+    one ``evaluate_gradient_batch`` call on the queries twice over (enough
+    scattered queries for the lockstep): every layer, or the first failing
+    layer's error."""
+    rows = []
     for q in queries:
         plan = caller_plan(rng, kind, training, q, c, mesh)
         expected = []
@@ -595,10 +677,11 @@ def assert_judged_by_the_oracle(training, queries, mesh, c, kind, rng):
             want = judged(oracle_evaluate_gradient, training, q, mesh, c, layer, plan)
             assert judged(evaluate_gradient, training, q, mesh, c, layer, plan) == want
             expected.append(want)
-        if plan is None:  # the batch's redo path: every layer, or the first error
-            failed = [e for e in expected if isinstance(e, tuple)]
-            want = failed[0] if failed else [e[0] for e in expected]
-            assert judged(gradient._gradient_layers, training, q, mesh, c) == want
+        failed = [e for e in expected if isinstance(e, tuple)]
+        rows.append(failed[0] if failed else [e[0] for e in expected])
+    if kind == "enumerated":
+        batch = planned_once(training, np.tile(queries, (2, 1)), mesh, c)
+        assert [judged_row(batch, i) for i in range(2 * len(queries))] == rows * 2
 
 
 class TestEvaluateGradientOracle:
@@ -647,7 +730,7 @@ class TestEvaluateGradientOracle:
                 evaluate_gradient(ts, q, combinations=c)
                 assert lanes.call_count == lane_calls
                 lanes.reset_mock()
-                judged(gradient._gradient_layers, ts, q, combinations=c)
+                evaluate_gradient_batch(ts, q[None, :], combinations=c)
                 assert lanes.call_count == 1  # for all three layers
 
 
@@ -696,5 +779,5 @@ class TestCallerPlan:
         ts = self.training()
         with mock.patch.object(gradient, "_check_plan") as check:
             evaluate_gradient(ts, np.full(3, 0.5), combinations=4)
-            gradient._gradient_layers(ts, np.full(3, 0.5), combinations=4)
+            evaluate_gradient_batch(ts, np.full((1, 3), 0.5), combinations=4)
         assert check.call_count == 0

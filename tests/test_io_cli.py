@@ -823,13 +823,14 @@ class TestFlagColumn:
 
     @pytest.mark.parametrize("d", [1.0, 300.0])
     def test_rows_the_single_query_path_redoes(self, d):
-        """The kernel hands a holed mesh's rows at holes to ``evaluate_smooth``,
-        which fails them.  At d = 300 a power overflows in cells that jitter
-        narrowed, so the kernel hands over every row, and each row that
-        ``evaluate_smooth`` answers has its flags written back as codes."""
+        """The kernel redoes a holed mesh's rows at holes with
+        ``evaluate_smooth``'s body, which fails them.  At d = 300 a power
+        overflows in cells that jitter narrowed, so the kernel redoes every
+        row, and each row that the body answers has its flags written back
+        as codes."""
         training, mesh, queries = holed_mesh_queries(20, 0.3)
         with warnings.catch_warnings(), \
-                mock.patch.object(smooth, "_smooth_layers", wraps=smooth._smooth_layers) as spy:
+                mock.patch.object(smooth, "_smooth_estimate", wraps=smooth._smooth_estimate) as spy:
             warnings.simplefilter("ignore")  # d > 1 warns of inflections
             batch = evaluate_smooth_batch(training, queries, mesh, d=d)
             redone = np.array([call.args[1] for call in spy.call_args_list])

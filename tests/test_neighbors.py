@@ -405,13 +405,50 @@ def _plan_rows(reference, aux):
     return list(zip(reference.tolist(), map(tuple, aux.tolist())))
 
 
+class TestMostPlans:
+    """``_most_plans`` bounds the plans ``enumerate_combinations`` can find,
+    so a batch asking for more skips the lockstep, which would allocate its
+    plan arrays first, and loses no plan."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 3), extra=st.integers(0, 60),
+           rounded=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_the_planner_finds_no_more(self, seed, n, extra, rounded):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (n + 1 + extra, n))
+        if rounded:  # ties and repeated blocks
+            x = np.round(x, 1)
+        x = x[np.sort(np.unique(x, axis=0, return_index=True)[1])]
+        assume(len(x) >= n + 1)
+        ts = validate_training_set((x, np.zeros(len(x))), n=n)
+        most = neighbors._most_plans(ts.npoints, n)
+        try:
+            enumerate_combinations(ts, rng.uniform(0.0, 1.0, n), most + 1)
+        except InsufficientPoints as exc:
+            found = int(str(exc).split()[1])  # "only K distinct combinations ..."
+        except DegenerateNeighborhood:
+            assume(False)
+        assert found <= most
+
+    def test_one_block_per_n_plus_1_points(self):
+        # n = 1: 200 points in a row make the base and 99 disjoint blocks,
+        # every block the bound counts; the pool of the 10 nearest points
+        # holds 45 pairs, 5 of which are the base and blocks already found
+        x = np.linspace(0.0, 1.0, 200)[:, None]
+        ts = validate_training_set((x, np.zeros(200)), n=1)
+        assert neighbors._most_plans(200, 1) == 1 + 99 + neighbors.SMALL_POOL_LIMIT
+        with pytest.raises(InsufficientPoints, match="only 140 distinct"):
+            enumerate_combinations(ts, np.array([0.5]), 200)
+
+
 class TestLockstepPlans:
     """The batch's scattered plans are built in lockstep (``_scattered_plans``);
     each equals the oracle's, and only the queries the lockstep hands back
     go through ``enumerate_combinations``."""
 
     def check(self, x, queries, c):
-        """The handed-back mask and the rows of the planned queries."""
+        """The handed-back mask and the rows of the planned queries.  Every
+        other query's error is the one its scalar plan raised."""
         n = x.shape[1]
         ts = validate_training_set((x, np.zeros(len(x))), n=n)
         want = [_plan_or_error(lambda: oracle_scattered_plan(ts, q, c)) for q in queries]
@@ -423,13 +460,20 @@ class TestLockstepPlans:
         tiled = -(-gradient.LOCKSTEP_MIN_QUERIES // len(queries))
         with mock.patch.object(gradient, "enumerate_combinations",
                                wraps=neighbors.enumerate_combinations) as scalar:
-            rows, reference, aux = gradient._planned_lanes(ts, np.tile(queries, (tiled, 1)), None, c)
+            rows, reference, aux, errors = gradient._planned_lanes(
+                ts, np.tile(queries, (tiled, 1)), None, c)
         called = [call.args[1] for call in scalar.call_args_list]
         assert len(called) == tiled * handed.sum()
         for q, i in zip(called, np.flatnonzero(np.tile(handed, tiled))):
             assert np.array_equal(q, queries[i % len(queries)], equal_nan=True)
         want_rows = [i for i, w in enumerate(want) if not isinstance(w, type)]
         assert rows.tolist() == [i + t * len(queries) for t in range(tiled) for i in want_rows]
+        assert {i: type(e) for i, e in errors.items()} == {
+            i + t * len(queries): w for t in range(tiled) for i, w in enumerate(want)
+            if isinstance(w, type)}
+        for i, e in errors.items():
+            assert verdict(neighbors.enumerate_combinations, ts, queries[i % len(queries)],
+                           c) == (type(e), str(e))
         for i, r, a in zip(rows, reference, aux):
             assert _plan_rows(r, a) == want[i % len(queries)]
         return handed, rows[: len(want_rows)]
@@ -508,7 +552,7 @@ class TestLockstepPlans:
         with mock.patch.object(gradient, "_scattered_plans", wraps=neighbors._scattered_plans) as lockstep, \
                 mock.patch.object(gradient, "enumerate_combinations",
                                   wraps=neighbors.enumerate_combinations) as scalar:
-            rows, reference, aux = gradient._planned_lanes(ts, queries, None, 4)
+            rows, reference, aux, errors = gradient._planned_lanes(ts, queries, None, 4)
         parts = [len(call.args[1]) for call in lockstep.call_args_list]
         if count < gradient.LOCKSTEP_MIN_QUERIES:
             assert parts == [] and scalar.call_count == count
@@ -516,7 +560,7 @@ class TestLockstepPlans:
             assert sum(parts) == count and max(parts) - min(parts) <= 1
             assert gradient.LOCKSTEP_MIN_QUERIES <= min(parts)
             assert max(parts) <= gradient.LOCKSTEP_MAX_QUERIES
-        assert rows.tolist() == list(range(count))
+        assert rows.tolist() == list(range(count)) and not errors
         for i, r, a in zip(rows, reference, aux):
             assert _plan_rows(r, a) == oracle_scattered_plan(ts, queries[i], 4)
 

@@ -589,6 +589,20 @@ class TestSmoothBatch:
         assert bool(batch.errors) == sparse
         assert counts[len(smooth.FLAGS):].any() == (d > 1.0)  # "+inflection"
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_warning_per_call(self, seed):
+        """d > 1 warns once per batch call, from the caller's line, however
+        many rows and layers the batch redoes."""
+        x, y, mesh, rng = random_grid(seed, 3, 0.3, True)
+        ts = validate_training_set((x, np.stack([y, np.cos(x).sum(axis=1)], axis=1)),
+                                   n=3, layer_count=2)
+        queries = grid_queries(mesh, rng, 40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = evaluate_smooth_batch(ts, queries, mesh, d=2.0)
+        assert len(batch.errors) > 1
+        assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+
     def test_argument_errors_and_query_shape(self):
         ts, mesh = mesh_training_1d(np.linspace(0.0, 3.0, 7), np.sin)
         with pytest.raises(ValidationError):

@@ -9,6 +9,8 @@ an older commit unpacked elsewhere:
         --output BENCH_cell-h1-n99.json
     python3 tools/cell_lookup.py --parent /path/to/other/checkout --layers \
         --output BENCH_impute-csv.json
+    python3 tools/cell_lookup.py --parent /path/to/other/checkout --holed \
+        --output BENCH_holed-mesh.json
 
 The default mode times local cells that are each used once, as the T3 and
 T4 tables use them.  For each dimension n in ``DIMENSIONS``, ``CELLS`` local
@@ -38,6 +40,15 @@ perfbench impute-csv's mesh (the 20^3 S1 mesh with outcome layers S1, S2
 and H1), the one-layer S1 mesh of mesh-s1-20, each with ``WARM_QUERIES`` of
 its queries, and ``WARM_CELLS`` local cells of H1 at n=99.  The report
 replaces the ``layers_warm`` entry.
+
+``--holed`` times whole batches on a mesh with holes, where many queries
+fail: a jittered ``HOLED_NODES``^3 S1 mesh without ``HOLED_SHARE`` of its
+points (fixed seed) and ``HOLED_QUERIES`` uniform queries over its box.
+``evaluate_gradient_batch`` at C=1 and C=4 and ``evaluate_smooth_batch``
+each run once untimed, then ``WARM_ROUNDS`` times, taking turns.  Each
+run records a digest of every estimate's bits and every error's type and
+message, and the count of failed rows.  The report replaces the
+``holed_mesh`` entry; write it to ``BENCH_holed-mesh.json``.
 
 Each side measures in a fresh process that imports ``src/gradsurf`` of its
 checkout.  The sides alternate, ``REPEATS`` times each.  Each run records
@@ -73,6 +84,10 @@ CALLS = ("gradient_scalar", "gradient_batch_of_one", "smooth_scalar", "smooth_ba
 LAYER_CALLS = tuple(f"{method}_{kind}" for method in ("gradient", "smooth")
                     for kind in ("scalar_loop", "batch_of_one", "evaluate_layers"))
 IMPUTE_LAYERS = ("S1", "S2", "H1")  # perfbench impute-csv's outcome layers
+HOLED_NODES = 12
+HOLED_JITTER = 0.2
+HOLED_SHARE = 0.3  # of the mesh's points removed
+HOLED_QUERIES = 2000
 ROOT = Path(__file__).resolve().parent.parent
 clock = time.perf_counter
 
@@ -217,6 +232,51 @@ def measure_layers() -> dict:
     return out
 
 
+def holed_inputs() -> tuple:
+    """The ``--holed`` training set, its sparse mesh and the queries."""
+    from gradsurf import TEST_FUNCTIONS, MeshIndex, gen_mesh_dataset, validate_training_set
+
+    full, mesh = gen_mesh_dataset(TEST_FUNCTIONS["S1"], HOLED_NODES,
+                                  x_jitter_fraction=HOLED_JITTER, seed=SEED)
+    rng = np.random.default_rng(SEED)
+    kept = np.flatnonzero(rng.random(full.npoints) >= HOLED_SHARE)
+    grid = np.stack(np.unravel_index(kept, mesh.shape), axis=1)
+    holed = MeshIndex(mesh.axes, HOLED_JITTER, grid=grid, rows=np.arange(len(kept)))
+    training = validate_training_set((full.x[kept], full.y[kept]), n=3)
+    lo, hi = training.bounding_box
+    return training, holed, rng.uniform(lo, hi, (HOLED_QUERIES, 3))
+
+
+def measure_holed() -> dict:
+    """Median microseconds per batch of each kind, the count of its failed
+    rows, and a digest of its estimates and errors."""
+    import hashlib
+
+    from gradsurf import evaluate_gradient_batch, evaluate_smooth_batch
+
+    training, mesh, queries = holed_inputs()
+    calls = {
+        "gradient_batch C=1": lambda: evaluate_gradient_batch(training, queries, mesh),
+        "gradient_batch C=4": lambda: evaluate_gradient_batch(training, queries, mesh,
+                                                              combinations=4),
+        "smooth_batch": lambda: evaluate_smooth_batch(training, queries, mesh),
+    }
+    out = {}
+    for name, call in calls.items():
+        batch = call()
+        found = hashlib.sha256(batch.y_hat.tobytes())
+        found.update(repr([(i, type(e).__name__, str(e)) for i, e in batch.errors.items()]).encode())
+        out[name] = {"failed_rows": len(batch.errors), "y_hat": found.hexdigest(), "spent": []}
+    for _ in range(WARM_ROUNDS):
+        for name, call in calls.items():
+            t0 = clock()
+            call()
+            out[name]["spent"].append(clock() - t0)
+    for entry in out.values():
+        entry["batch_us"] = statistics.median(entry.pop("spent")) * 1e6
+    return out
+
+
 def run_side(checkout: Path, mode: list) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     args = [sys.executable, str(Path(__file__).resolve()), "--measure"] + mode
@@ -239,13 +299,16 @@ def main(argv=None) -> int:
                    help="time warm scalar calls against batches of one")
     p.add_argument("--layers", action="store_true",
                    help="time evaluate_layers against the scalar loop and the batch of one")
+    p.add_argument("--holed", action="store_true",
+                   help="time whole batches on a jittered mesh with holes")
     p.add_argument("--measure", action="store_true",
                    help="time the gradsurf package on the import path and print JSON")
     args = p.parse_args(argv)
-    if args.warm and args.layers:
-        p.error("--warm and --layers are separate tables")
+    if args.warm + args.layers + args.holed > 1:
+        p.error("--warm, --layers and --holed are separate tables")
     if args.measure:
-        measured = measure_layers() if args.layers else measure_warm() if args.warm else measure()
+        measured = (measure_layers() if args.layers else measure_warm() if args.warm
+                    else measure_holed() if args.holed else measure())
         print(json.dumps(measured))
         return 0
     if args.parent is None:
@@ -257,7 +320,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_side(sides[side], ["--warm"] * args.warm
-                                       + ["--layers"] * args.layers))
+                                       + ["--layers"] * args.layers + ["--holed"] * args.holed))
             print(f"# repeat {r + 1}/{REPEATS}: {side} done", file=sys.stderr)
 
     results = {}
@@ -265,6 +328,9 @@ def main(argv=None) -> int:
         entry = {"estimates_bit_identical": all(
             run[key]["y_hat"] == first["y_hat"] and run[key].get("calls_agree", True)
             for side in runs.values() for run in side)}
+        if "failed_rows" in first:
+            entry["failed_rows"] = {side: sorted({run[key]["failed_rows"] for run in r})
+                                    for side, r in runs.items()}
         fields = [f for f in first if f.endswith("_us") or f.endswith("_us_per_cell")]
         for field in fields:
             parent, change = (summarise(runs[s], key, field) for s in sides)
@@ -273,7 +339,17 @@ def main(argv=None) -> int:
         results[key] = entry
 
     report = json.loads(args.output.read_text()) if args.output.exists() else {}
-    if args.layers:
+    if args.holed:
+        inputs = (f"a jittered {HOLED_NODES}^3 S1 mesh (jitter {HOLED_JITTER}, seed {SEED}) "
+                  f"without {HOLED_SHARE:.0%} of its points, and {HOLED_QUERIES} uniform "
+                  "queries over its box, all in one batch")
+        method = (f"{REPEATS} runs per side in fresh processes, sides alternating; in each, "
+                  f"every batch once untimed, then {WARM_ROUNDS} timed rounds of the three "
+                  "batches in turn, median microseconds per batch; medians and inclusive "
+                  "quartiles over runs. y_hat is a digest of the estimates' bits and the "
+                  "errors' rows, types and messages")
+        key, command = "holed_mesh", "python3 tools/cell_lookup.py --parent PARENT --holed"
+    elif args.layers:
         inputs = (f"perfbench impute-csv's 20^3 S1 mesh with outcome layers "
                   f"{', '.join(IMPUTE_LAYERS)} and mesh-s1-20's one-layer S1 mesh, "
                   f"{WARM_QUERIES} queries each, seed {SEED}; {WARM_CELLS} local cells of H1 "
