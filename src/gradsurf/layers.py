@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -80,6 +81,9 @@ def _fan_out(work: Callable[[np.ndarray], object], items, workers: int) -> list:
     pickle (a module-level function or a ``functools.partial`` of one), and
     so must its results; it is pickled anew for every chunk of every call.
 
+    A worker's warnings are given by this process instead, once each per
+    call, so a d > 1 warning reads once at any worker count.
+
     The workers start on the first fan-out of each worker count and are
     reused for the life of the process.  They keep the module state they
     were forked with, so a function replaced on a module later (a monkeypatch,
@@ -94,11 +98,20 @@ def _fan_out(work: Callable[[np.ndarray], object], items, workers: int) -> list:
     if pool is None:
         pool = _pools[workers] = ProcessPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(work, chunks))
+        parts = list(pool.map(partial(_recorded, work), chunks))
     except BrokenProcessPool:
         del _pools[workers]
         pool.shutdown()
         raise
+    for message in {(type(m), str(m)): m for _, caught in parts for m in caught}.values():
+        warnings.warn(message)
+    return [part for part, _ in parts]
+
+
+def _recorded(work: Callable, chunk):
+    """``work(chunk)`` and the warnings it gave, which are not shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        return work(chunk), [w.message for w in caught]
 
 
 @dataclass(frozen=True)

@@ -599,7 +599,6 @@ def _filed_rows(mesh: MeshIndex, cells: np.ndarray, nodes: np.ndarray, steps,
 FLAGS = ("corrected", "boundary-fallback", "chord-fallback", "newton-fallback")
 FLAG_NAMES = np.array([f + s for s in ("", "+inflection") for f in FLAGS], dtype=object)
 FLAG_NAMES.setflags(write=False)
-_FLAG_CODES = {name: k for k, name in enumerate(FLAG_NAMES.tolist())}
 
 
 @dataclass(frozen=True)
@@ -631,9 +630,10 @@ class EstimateBatch:
     (``flags`` gives the text); the gradient method has neither, so those
     arrays are (M, L, 0).  ``combinations_used`` counts the point
     combinations each query's estimates average, as ``Estimate`` does.  A
-    query whose single-query evaluation raised has its error in ``errors``
-    (keyed by row, in input order), NaN estimates, reference -1 and 0
-    combinations used; its iteration counts and flag codes hold no result.
+    query on which the single-query function raises has that error in
+    ``errors`` (keyed by row, in input order), named by the batch itself,
+    NaN estimates, reference -1 and 0 combinations used; its iteration
+    counts and flag codes hold no result.
     """
 
     y_hat: np.ndarray  # (M, L)

@@ -33,7 +33,6 @@ from .model import (
     TrainingSet,
     ValidationError,
     ZeroWidthSegment,
-    _FLAG_CODES,
     _finish_batch,
     _query_rows,
     _query_vector,
@@ -135,8 +134,9 @@ def _inflects(K, B, g1R, g2L, d: float) -> np.ndarray:
     xs = np.linspace(0.0, B, INFLECTION_SAMPLES, axis=-1)[:, 1:-1]
     h = (B / (INFLECTION_SAMPLES * 4.0))[:, None]
     K, B, g1R, g2L = (v[:, None] for v in (K, B, g1R, g2L))
-    ys, yp, ym = (_arc(K, B, g1R, g2L, d, x) for x in (xs, xs + h, xs - h))
-    curv = yp - 2.0 * ys + ym
+    with np.errstate(all="ignore"):  # a power past the float range reads inf
+        ys, yp, ym = (_arc(K, B, g1R, g2L, d, x) for x in (xs, xs + h, xs - h))
+        curv = yp - 2.0 * ys + ym
     mag = np.abs(curv)
     kept = mag > 1e-14 * np.fmax(1.0, mag.max(axis=1, keepdims=True))
     return (kept & (curv > 0)).any(axis=1) & (kept & (curv < 0)).any(axis=1)
@@ -307,8 +307,8 @@ def _check_arguments(mesh, d, tol, max_iter) -> None:
         raise ValidationError("the smooth method requires a mesh-structured dataset")
     if not tol > 0:
         raise ValidationError("tolerance must be positive")
-    if not d > 0:
-        raise ValidationError("shape exponent d must be positive")
+    if not 0 < d < float("inf"):
+        raise ValidationError("shape exponent d must be positive and finite")
     if not isinstance(max_iter, Integral) or max_iter < 1:
         raise ValidationError(f"max iterations must be an integer >= 1, got {max_iter!r}")
     if d > 1.0:
@@ -330,20 +330,15 @@ def evaluate_smooth(
 ) -> Estimate:
     """Estimate the outcome at the query with per-axis smooth corrections.
 
-    Requires mesh (or jittered-mesh) structure.  Axis-level failures fall
-    back to the plain chord gradient for that axis and never abort the
-    whole query; only a shape exponent that takes an arc past the float
-    range does, with ValidationError.
+    Requires mesh (or jittered-mesh) structure.  An axis whose query lies
+    outside its bracketing pair, or whose Newton and bisection both fail,
+    keeps the plain chord gradient.  The query fails, with the first error
+    met, where no point is filed at the reference's grid index; then, axis
+    by axis, where a stencil core is absent, a segment has zero width, or d
+    takes the arc past the float range; last, where the estimate is not finite.
     """
     _check_arguments(mesh, d, tol, max_iter)
-    return _smooth_estimate(training, _query_vector(query, training, layer), mesh, d, tol,
-                            max_iter, layer)
-
-
-def _smooth_estimate(training: TrainingSet, query: np.ndarray, mesh: MeshIndex, d: float,
-                     tol: float, max_iter: int, layer: int) -> Estimate:
-    """``evaluate_smooth`` on an (n,) float query, without its argument
-    checks and its d > 1 warning."""
+    query = _query_vector(query, training, layer)
     cells = mesh.cells_of(query[None, :])
     reference, rows, x = _axis_stencils(training, mesh, cells)
     reference = _mesh_reference(cells, reference)
@@ -368,8 +363,7 @@ def _smooth_estimate(training: TrainingSet, query: np.ndarray, mesh: MeshIndex, 
             except NoConvergence:
                 iters, flag = max_iter, "newton-fallback"
             except OverflowError as exc:  # from a float ``**``, such as the scale K
-                raise ValidationError(f"shape exponent d={d!r} takes the arc along axis "
-                                      f"{axis} past the float range") from exc
+                raise _past_float_range(d, axis) from exc
             else:
                 g_cor = adjust_gradient(angles.F1, x_star, y_star, problem.params.B)
                 delta = _corrected_increment(y_ref, y1, y2, x2, q, g_cor)
@@ -390,6 +384,12 @@ def _smooth_estimate(training: TrainingSet, query: np.ndarray, mesh: MeshIndex, 
         flags=tuple(flags),
         extrapolated=is_extrapolation(training, query),
     )
+
+
+def _past_float_range(d: float, axis: int) -> ValidationError:
+    """The error of an arc along ``axis`` whose float ``**`` overflows."""
+    return ValidationError(f"shape exponent d={d!r} takes the arc along axis {axis} "
+                           "past the float range")
 
 
 def _arc_and_slope(p, x, d):
@@ -534,6 +534,37 @@ def _intersect_lanes(x, y, y_ref, q, missing_lower, missing_upper, usable, d, to
     return delta, iters, code, inflection
 
 
+def _intersect_halves(lanes: tuple, d, tol, max_iter):
+    """``_intersect_lanes`` on ``lanes``, its first seven arguments, and a mask of the lanes
+    whose float ``**`` overflows (their increments NaN): each lane is solved on its own, so a
+    call that overflows solves each half of its lanes again, down to those lanes."""
+    N = len(lanes[3])
+    try:
+        return (*_intersect_lanes(*lanes, d, tol, max_iter), np.zeros(N, dtype=bool))
+    except OverflowError:
+        if N == 1:
+            return tuple(np.array([v]) for v in (np.nan, 0, CHORD, False, True))
+    parts = (_intersect_halves(tuple(v[..., half] for v in lanes), d, tol, max_iter)
+             for half in (slice(N // 2), slice(N // 2, None)))
+    return tuple(np.concatenate(pair) for pair in zip(*parts))
+
+
+def _refusal(training, cells, reference, rows, x, overflow, y_hat, d) -> GradsurfError:
+    """``evaluate_smooth``'s error on one query of a batch, from the query's rows of the
+    batch's arrays (``overflow`` (L, n)), raised by that function's steps in its order."""
+    try:
+        _mesh_reference(cells, reference)
+        for layer, (over, y) in enumerate(zip(overflow.tolist(), y_hat.tolist())):
+            for axis, (seq, xs) in enumerate(zip(rows.tolist(), x.tolist())):
+                segment_angles(_stencil(axis, seq, xs, training.y[seq, layer].tolist()))
+                if over[axis]:
+                    raise _past_float_range(d, axis)
+            # the Estimate that evaluate_smooth returns refuses a y that is not finite
+            Estimate(y_hat=y, method="smooth", reference_index=int(reference[0]))
+    except GradsurfError as exc:
+        return exc
+
+
 def evaluate_smooth_batch(
     training: TrainingSet,
     queries,
@@ -547,55 +578,42 @@ def evaluate_smooth_batch(
     The stencils are gathered once per query for all layers, and every
     (query, axis, layer) lane goes through one set of array expressions.  Each
     query's increments are summed in axis order, so every estimate, iteration
-    count and flag equals the scalar path's.  A query the kernel cannot
-    finish (absent reference or stencil core, a zero-width segment, an
-    estimate that is not finite, or any query of a batch in which a power
-    overflows) is redone by ``evaluate_smooth``'s body, layer by layer, so
-    that its result or error is the scalar path's too; d > 1 warns once.
+    count and flag equals the scalar path's.  A lane is solved unless its
+    axis has an absent core or a zero-width segment, or its query no
+    reference; a query that fails gets ``evaluate_smooth``'s error at its
+    first failing layer, named from these arrays.  d > 1 warns once.
     """
     _check_arguments(mesh, d, tol, max_iter)
     queries = _query_rows(queries, training.n)
     M, n, L = len(queries), training.n, training.layer_count
-    reference, rows, x = _axis_stencils(training, mesh, mesh.cells_of(queries))
+    cells = mesh.cells_of(queries)
+    reference, rows, x = _axis_stencils(training, mesh, cells)
     present = rows >= 0
     # a zero-width segment between present points, or an absent core
     wrong = (x[..., 1:] == x[..., :-1]) & present[..., 1:] & present[..., :-1]
     wrong[..., 1] |= ~(present[..., 1] & present[..., 2])
-    bad = (reference < 0) | wrong.any(axis=(1, 2))
+    usable = ~wrong.any(axis=2) & (reference >= 0)[:, None]  # (M, n)
 
     # one lane per (query, axis, layer), in that order: a (query, axis)
     # value repeats L times, a (query, layer) value n times
     y_ref = training.y[reference]
     missing = ~present[..., ::3].reshape(-1, 2).repeat(L, axis=0).T  # Y0, Y3
     with np.errstate(all="ignore"):
-        try:
-            delta, iters, code, inflection = _intersect_lanes(
-                x.reshape(-1, 4).repeat(L, axis=0).T,
-                training.y[rows].transpose(2, 0, 1, 3).reshape(4, -1),
-                y_ref.repeat(n, axis=0).ravel(), queries.repeat(L), *missing,
-                (~bad).repeat(n * L), d, tol, max_iter,
-            )
-        except OverflowError:  # NaN sends every query to evaluate_smooth and its errors
-            N = M * n * L
-            delta, iters, code, inflection = (np.full(N, v) for v in (np.nan, 0, CHORD, False))
+        delta, iters, code, inflection, overflow = _intersect_halves(
+            (x.reshape(-1, 4).repeat(L, axis=0).T,
+             training.y[rows].transpose(2, 0, 1, 3).reshape(4, -1),
+             y_ref.repeat(n, axis=0).ravel(), queries.repeat(L), *missing,
+             usable.ravel().repeat(L)), d, tol, max_iter,
+        )
         # the scalar path's running total: y_ref, then each axis in order
         total = np.concatenate([y_ref[:, None, :], delta.reshape(M, n, L)], axis=1).cumsum(axis=1)
     y_hat = total[:, -1, :].copy()
-    bad |= ~np.isfinite(y_hat).all(axis=1)
 
-    codes = (code + len(FLAGS) * inflection).astype(np.uint8)
-    codes = codes.reshape(M, n, L).transpose(0, 2, 1)
-    iters = iters.reshape(M, n, L).transpose(0, 2, 1)
-
-    errors = {}
-    for i in bad.nonzero()[0]:
-        try:
-            for l in range(L):
-                est = _smooth_estimate(training, queries[i], mesh, d, tol, max_iter, l)
-                y_hat[i, l], iters[i, l] = est.y_hat, est.newton_iterations
-                codes[i, l] = [_FLAG_CODES[flag] for flag in est.flags]
-                reference[i] = est.reference_index
-        except GradsurfError as exc:
-            errors[int(i)] = exc
+    codes, iters, overflow = (v.reshape(M, n, L).transpose(0, 2, 1) for v in (
+        (code + len(FLAGS) * inflection).astype(np.uint8), iters, overflow))
+    refused = ~(usable.all(axis=1) & np.isfinite(y_hat).all(axis=1))
+    errors = {int(i): _refusal(training, cells[i:i + 1], reference[i:i + 1], rows[i], x[i],
+                               overflow[i], y_hat[i], d)
+              for i in refused.nonzero()[0]}
     return _finish_batch(training, queries, errors, y_hat, reference, np.ones(M, dtype=int),
                          iters, codes)

@@ -1,8 +1,11 @@
 import csv
 import itertools
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from functools import partial
@@ -822,29 +825,45 @@ class TestFlagColumn:
         self.assert_equals_oracle(batch.flag_codes, batch.extrapolated)
 
     @pytest.mark.parametrize("d", [1.0, 300.0])
-    def test_rows_the_single_query_path_redoes(self, d):
-        """The kernel redoes a holed mesh's rows at holes with
-        ``evaluate_smooth``'s body, which fails them.  At d = 300 a power
-        overflows in cells that jitter narrowed, so the kernel redoes every
-        row, and each row that the body answers has its flags written back
-        as codes."""
+    def test_rows_the_batch_refuses_itself(self, d):
+        """The kernel fails a holed mesh's rows at holes, and at d = 300 the
+        rows whose arcs overflow in cells that jitter narrowed, without
+        calling ``evaluate_smooth``; ``find_root`` runs only for the lanes
+        that leave Newton.  Each answered row's flags are
+        ``evaluate_smooth``'s, and so is each failed row's error."""
         training, mesh, queries = holed_mesh_queries(20, 0.3)
+        newton, left = smooth._newton_lanes, []  # lanes that leave Newton, per kernel call
+
+        def newton_lanes(*args):
+            found = newton(*args)
+            left.append(int(np.count_nonzero(found[2])))
+            return found
+
         with warnings.catch_warnings(), \
-                mock.patch.object(smooth, "_smooth_estimate", wraps=smooth._smooth_estimate) as spy:
+                mock.patch.object(smooth, "evaluate_smooth", wraps=smooth.evaluate_smooth) as spy, \
+                mock.patch.object(smooth, "find_root", wraps=smooth.find_root) as root, \
+                mock.patch.object(smooth, "_newton_lanes", side_effect=newton_lanes):
             warnings.simplefilter("ignore")  # d > 1 warns of inflections
             batch = evaluate_smooth_batch(training, queries, mesh, d=d)
-            redone = np.array([call.args[1] for call in spy.call_args_list])
-            redone = (queries[:, None, :] == redone[None]).all(axis=2).any(axis=1)
-            failed = np.isin(np.arange(len(queries)), list(batch.errors))
-            for i in np.flatnonzero(redone & ~failed):
+        assert spy.call_count == 0 and not hasattr(smooth, "_smooth_estimate")
+        assert root.call_count == sum(left)
+        failed = np.isin(np.arange(len(queries)), list(batch.errors))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for i, q in enumerate(queries):
                 for layer in range(2):
-                    expected = evaluate_smooth(training, queries[i], mesh, d=d, layer=layer)
+                    try:
+                        expected = evaluate_smooth(training, q, mesh, d=d, layer=layer)
+                    except GradsurfError as exc:
+                        assert (type(batch.errors[i]), str(batch.errors[i])) == \
+                            (type(exc), str(exc))
+                        break
                     assert tuple(batch.flags[i, layer]) == expected.flags
-        assert redone.all() == (d == 300.0)
-        assert failed.any() and not (failed & ~redone).any()
-        assert (redone & ~failed).any() == (d == 300.0)
+        overflowed = ["past the float range" in str(e) for e in batch.errors.values()]
+        assert failed.any() and (~failed).any()
+        assert any(overflowed) == (d == 300.0) and not all(overflowed)
         self.assert_equals_oracle(batch.flag_codes, batch.extrapolated)
-        self.assert_equals_oracle(batch.flag_codes[redone], batch.extrapolated[redone])
+        self.assert_equals_oracle(batch.flag_codes[~failed], batch.extrapolated[~failed])
 
 
 EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, -2.5e-310, 123456.789, 1.0 / 3.0)
@@ -980,6 +999,49 @@ class TestCli:
             assert code == EXIT_RUNTIME
             rows = list(csv.reader(out.read_text().splitlines()))[1:]
             assert [r[3:] for r in rows] == [["", "smooth", f"error: {message}", ""]] * 4
+
+    def test_infinite_shape_exponent_is_an_argument_error(self, tmp_path, capsys):
+        """d = inf used to fail every in-domain row with NonFiniteValue and
+        answer the rows outside the domain."""
+        ts, mesh = gen_mesh_dataset(TEST_FUNCTIONS["S1"], 8)
+        data, q = tmp_path / "s1.csv", tmp_path / "q.csv"
+        save_dataset(data, ts, mesh)
+        message = "error: shape exponent d must be positive and finite"
+        code = main(["eval", "--data", str(data), "--at", "3.1,3.2,3.3", "--d-exponent", "inf"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == message + "\n"
+        q.write_text("x1,x2,x3\n3.1,3.2,3.3\n9.0,9.0,9.0\n")
+        out = tmp_path / "out.csv"
+        code = main(["impute", "--data", str(data), "--queries", str(q), "--output", str(out),
+                     "--d-exponent", "inf"])
+        assert code == EXIT_RUNTIME
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        assert [r[3:] for r in rows] == [["", "smooth", message, ""]] * 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_the_d_above_one_warning_is_given_once(self, tmp_path, workers):
+        """gradsurf impute warns of d > 1 once, from the parent process; each
+        worker used to warn as well."""
+        f = TEST_FUNCTIONS["S1"]
+        ts, mesh = gen_mesh_dataset(f, 8)
+        queries, _, _ = gen_queries(mesh, f, ts, seed=1, budget=40)
+        data, q = tmp_path / "s1.csv", tmp_path / "q.csv"
+        save_dataset(data, ts, mesh)
+        q.write_text("x1,x2,x3\n" + "".join(",".join(map(repr, r)) + "\n"
+                                         for r in queries.tolist()))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
+            if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradsurf.cli", "impute", "--data", str(data), "--queries",
+             str(q), "--output", str(tmp_path / "out.csv"), "--d-exponent", "2",
+             "--workers", workers],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+        assert proc.stderr.count("UserWarning: shape exponent d > 1") == 1
+        assert "process.py" not in proc.stderr
 
     def test_validation_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

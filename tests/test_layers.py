@@ -445,3 +445,20 @@ class TestWarmPools:
         layers._shutdown_pools()
         assert layers._pools == {}
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_fanned_out_call_gives_the_d_above_one_warning_once(self, workers):
+        """The workers' warnings are given by this process, once each per call."""
+        from gradsurf import TEST_FUNCTIONS, gen_mesh_dataset, gen_queries
+
+        f = TEST_FUNCTIONS["S1"]
+        ts, mesh = gen_mesh_dataset(f, 6)
+        queries, _, _ = gen_queries(mesh, f, ts, budget=30, seed=1)
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                evaluate_batch(ts, queries, mesh=mesh, method="smooth", workers=workers, d=2.0)
+            assert [(w.category, str(w.message)) for w in caught] == [
+                (UserWarning, "shape exponent d > 1 admits inflection points inside the "
+                              "approximation interval")]
+            assert workers == 1 or layers._pools[workers]

@@ -11,6 +11,7 @@ from gradsurf import (
     ApproxFunctionParams,
     DegenerateNeighborhood,
     Estimate,
+    GradsurfError,
     MeshIndex,
     NoConvergence,
     ValidationError,
@@ -30,7 +31,7 @@ from gradsurf import (
 )
 from gradsurf import smooth, solvers
 from gradsurf.bench import TEST_FUNCTIONS, gen_local_cell_dataset, gen_mesh_dataset, gen_queries
-from gradsurf.model import FLAG_NAMES, ZeroWidthSegment
+from gradsurf.model import FLAG_NAMES, TooFewPoints, ZeroWidthSegment
 from gradsurf.neighbors import Stencil1D, axis_stencil, locate_reference
 from gradsurf.solvers import find_root
 from tests_oracles import (
@@ -612,6 +613,145 @@ class TestSmoothBatch:
         with pytest.raises(ValidationError):
             evaluate_smooth_batch(ts, [1.0, 2.0], mesh)  # not (M, n)
         assert evaluate_smooth_batch(ts, [], mesh).y_hat.shape == (0, 1)
+
+
+def holed_layered_mesh(seed, layer_count):
+    """A jittered 20^3 S1 mesh without about 30% of its points, with
+    ``layer_count`` of the layers S1, +-1e308 and S2 (rotated by the seed),
+    and 150 queries over its box and a little past it."""
+    rng = np.random.default_rng(seed)
+    f1, f2 = TEST_FUNCTIONS["S1"], TEST_FUNCTIONS["S2"]
+    full, mesh = gen_mesh_dataset(f1, 20, x_jitter_fraction=0.3, seed=seed)
+    kept = np.flatnonzero(rng.random(full.npoints) < 0.7)
+    grid = np.stack(np.unravel_index(kept, mesh.shape), axis=1)
+    x = full.x[kept]
+    mesh = MeshIndex(axes=mesh.axes, jitter_fraction=0.3,
+                     index_map={tuple(g): i for i, g in enumerate(grid.tolist())})
+    layers = [f1(x), np.where(rng.random(len(x)) < 0.5, 1e308, -1e308), f2(x)]
+    layers = (layers[seed % 3:] + layers[:seed % 3])[:layer_count]
+    ts = validate_training_set((x, np.stack(layers, axis=1)), n=3, layer_count=layer_count)
+    lo, hi = ts.bounding_box
+    return ts, mesh, lo + (hi - lo) * rng.uniform(-0.05, 1.05, (150, 3))
+
+
+def tied_mesh(seed, n, layer_count):
+    """``random_grid``'s sparse grid at n axes with its coordinates rounded to
+    halves, so that neighbouring points can share a coordinate exactly (a
+    zero-width segment); ``layer_count`` layers, the third +-1e308; and 40
+    ``grid_queries``."""
+    x, y, mesh, rng = random_grid(seed, n, 0.45, True)
+    x = np.round(x * 2.0) / 2.0
+    keep = np.sort(np.unique(x, axis=0, return_index=True)[1])  # one point per place
+    node = {row: g for g, row in mesh.index_map.items()}
+    mesh = MeshIndex(axes=mesh.axes, jitter_fraction=0.45,
+                     index_map={node[int(r)]: i for i, r in enumerate(keep)})
+    x, y = x[keep], y[keep]
+    layers = [y, np.cos(x).sum(axis=1), np.where(np.sin(7.0 * x).sum(axis=1) < 0, -1e308, 1e308)]
+    ts = validate_training_set((x, np.stack(layers[:layer_count], axis=1)), n=n,
+                               layer_count=layer_count)
+    return ts, mesh, grid_queries(mesh, rng, 40)
+
+
+def refusal_kinds(ts, queries, mesh, d) -> Counter:
+    """Checks one batch call's every row against ``evaluate_smooth``, layer
+    by layer: bit for bit where it answers, and where it fails, the error
+    type and message of the row's first failing layer.  Counts the errors
+    by kind, an arc past the float range as "overflow"."""
+    kinds = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # d > 1 warns of inflections
+        batch = evaluate_smooth_batch(ts, queries, mesh, d=d)
+        for i, q in enumerate(queries):
+            try:
+                expected = [evaluate_smooth(ts, q, mesh, d=d, layer=layer)
+                            for layer in range(ts.layer_count)]
+            except GradsurfError as exc:
+                got = batch.errors[i]
+                assert (type(got), str(got)) == (type(exc), str(exc))
+                kinds["overflow" if "float range" in str(exc) else type(exc).__name__] += 1
+                continue
+            assert i not in batch.errors
+            for layer, estimate in enumerate(expected):
+                assert_same(batch, i, layer, estimate)
+    assert len(batch.errors) == sum(kinds.values())
+    return kinds
+
+
+class TestSmoothBatchRefusals:
+    """One batch call answers each row as ``evaluate_smooth`` does, or fails
+    it with the error of its first failing layer, named by the batch."""
+
+    @pytest.mark.parametrize("layer_count", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_holed_jittered_meshes(self, seed, layer_count):
+        ts, mesh, queries = holed_layered_mesh(seed, layer_count)
+        kinds = Counter()
+        for d in (0.5, 1.0, 2.0, 300.0):
+            kinds += refusal_kinds(ts, queries, mesh, d)
+        assert kinds["DegenerateNeighborhood"] and kinds["overflow"]
+
+    def test_tied_sparse_meshes(self):
+        kinds = Counter()
+        for seed in range(36):
+            n, layer_count = 1 + seed % 3, 1 + seed // 3 % 3
+            try:
+                ts, mesh, queries = tied_mesh(seed, n, layer_count)
+            except TooFewPoints:  # rounding merged nearly every point
+                continue
+            for d in (0.7, 1.0, 3.0, 400.0):
+                kinds += refusal_kinds(ts, queries, mesh, d)
+        assert set(kinds) == {"DegenerateNeighborhood", "ZeroWidthSegment", "NonFiniteValue",
+                              "overflow"}
+
+    def test_one_overflowing_query_leaves_the_others_bit_for_bit(self):
+        # one cell 1e-3 wide: its arc scale 1 / B^(d+1) is past the float range
+        nodes = np.array([0.0, 1.0, 2.0, 2.001, 3.0, 4.0, 5.0])
+        ts, mesh = mesh_training_1d(nodes, np.sin)
+        others = np.array([[0.4], [1.3], [3.5], [4.2], [2.7]])
+        queries = np.insert(others, 2, [[2.0005]], axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # d > 1 warns of inflections
+            batch = evaluate_smooth_batch(ts, queries, mesh, d=300.0)
+            alone = evaluate_smooth_batch(ts, others, mesh, d=300.0)
+            with pytest.raises(ValidationError) as scalar:
+                evaluate_smooth(ts, [2.0005], mesh, d=300.0)
+        assert list(batch.errors) == [2]
+        assert str(batch.errors[2]) == str(scalar.value)
+        assert "float range" in str(scalar.value)
+        answered = np.delete(np.arange(len(queries)), 2)
+        for field in ("y_hat", "newton_iterations", "flag_codes", "reference_index"):
+            assert getattr(batch, field)[answered].tobytes() == getattr(alone, field).tobytes()
+        assert (alone.newton_iterations > 0).all()  # the others reach the arc
+        refusal_kinds(ts, queries, mesh, 300.0)
+
+
+class TestArgumentsOfBothPaths:
+    """Regressions: a large d prints no numpy warning, and an infinite d is
+    an argument error on both entry points."""
+
+    def test_a_power_past_the_float_range_in_the_inflection_test_is_silent(self):
+        nodes = np.arange(0, 80.0, 8.0)
+        ts = validate_training_set((nodes[:, None], np.sin(nodes / 20)), n=1)
+        mesh = MeshIndex(axes=(nodes,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # d > 1 warns of inflections
+            warnings.simplefilter("error", RuntimeWarning)
+            scalar = evaluate_smooth(ts, [30.0], mesh, d=345.0)
+            batch = evaluate_smooth_batch(ts, [[30.0]], mesh, d=345.0)
+            stencil = axis_stencil(ts, mesh, mesh.cell_of([30.0]), 0)
+            params = build_intersection(stencil, segment_angles(stencil), 30.0, 345.0).params
+            assert has_interior_inflection(params) is False
+        assert_same(batch, 0, 0, scalar)
+        assert scalar.flags == ("corrected",)
+
+    @pytest.mark.parametrize("d", [np.inf, float("inf"), -np.inf])
+    def test_an_infinite_shape_exponent_is_rejected(self, d):
+        ts, mesh = mesh_training_1d(np.linspace(2.0, 5.0, 16), np.sqrt)
+        for q in (3.33, 1.5):  # inside the domain, and outside it
+            with pytest.raises(ValidationError, match="must be positive"):
+                evaluate_smooth(ts, [q], mesh, d=d)
+            with pytest.raises(ValidationError, match="must be positive"):
+                evaluate_smooth_batch(ts, [[q]], mesh, d=d)
 
 
 class TestNewtonLanes:

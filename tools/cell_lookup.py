@@ -41,11 +41,16 @@ and H1), the one-layer S1 mesh of mesh-s1-20, each with ``WARM_QUERIES`` of
 its queries, and ``WARM_CELLS`` local cells of H1 at n=99.  The report
 replaces the ``layers_warm`` entry.
 
-``--holed`` times whole batches on a mesh with holes, where many queries
-fail: a jittered ``HOLED_NODES``^3 S1 mesh without ``HOLED_SHARE`` of its
-points (fixed seed) and ``HOLED_QUERIES`` uniform queries over its box.
-``evaluate_gradient_batch`` at C=1 and C=4 and ``evaluate_smooth_batch``
-each run once untimed, then ``WARM_ROUNDS`` times, taking turns.  Each
+``--holed`` times whole batches where many queries fail.  On a mesh with
+holes, a jittered ``HOLED_NODES``^3 S1 mesh without ``HOLED_SHARE`` of its
+points (fixed seed) and ``HOLED_QUERIES`` uniform queries over its box,
+``evaluate_gradient_batch`` at C=1 and C=4 and ``evaluate_smooth_batch``.
+Where a shape exponent takes arcs past the float range,
+``evaluate_smooth_batch`` on ``OVERFLOW_NODES``^3 S1 meshes with
+``OVERFLOW_QUERIES`` of ``gen_queries``' queries: the plain mesh at d=400,
+where every arc that a query reaches overflows, and the mesh jittered by
+0.3 at d=300, where the arcs of the cells that jitter narrowed do.  Each
+batch runs once untimed, then ``WARM_ROUNDS`` times, taking turns.  Each
 run records a digest of every estimate's bits and every error's type and
 message, and the count of failed rows.  The report replaces the
 ``holed_mesh`` entry; write it to ``BENCH_holed-mesh.json``.
@@ -66,6 +71,8 @@ import statistics
 import subprocess
 import sys
 import time
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +95,9 @@ HOLED_NODES = 12
 HOLED_JITTER = 0.2
 HOLED_SHARE = 0.3  # of the mesh's points removed
 HOLED_QUERIES = 2000
+OVERFLOW_NODES = 20
+OVERFLOW_CASES = ((0.0, 400.0), (0.3, 300.0))  # (jitter, d)
+OVERFLOW_QUERIES = 2000
 ROOT = Path(__file__).resolve().parent.parent
 clock = time.perf_counter
 
@@ -252,7 +262,8 @@ def measure_holed() -> dict:
     rows, and a digest of its estimates and errors."""
     import hashlib
 
-    from gradsurf import evaluate_gradient_batch, evaluate_smooth_batch
+    from gradsurf import (TEST_FUNCTIONS, evaluate_gradient_batch, evaluate_smooth_batch,
+                          gen_mesh_dataset, gen_queries)
 
     training, mesh, queries = holed_inputs()
     calls = {
@@ -261,6 +272,13 @@ def measure_holed() -> dict:
                                                               combinations=4),
         "smooth_batch": lambda: evaluate_smooth_batch(training, queries, mesh),
     }
+    f = TEST_FUNCTIONS["S1"]
+    for jitter, d in OVERFLOW_CASES:
+        ts, grid = gen_mesh_dataset(f, OVERFLOW_NODES, x_jitter_fraction=jitter, seed=0)
+        found, _, _ = gen_queries(grid, f, ts, seed=1, budget=OVERFLOW_QUERIES)
+        calls[f"smooth_batch jitter {jitter} d={d:g}"] = partial(
+            evaluate_smooth_batch, ts, found, grid, d=d)
+    warnings.simplefilter("ignore", UserWarning)  # d > 1 warns of inflections
     out = {}
     for name, call in calls.items():
         batch = call()
@@ -342,9 +360,11 @@ def main(argv=None) -> int:
     if args.holed:
         inputs = (f"a jittered {HOLED_NODES}^3 S1 mesh (jitter {HOLED_JITTER}, seed {SEED}) "
                   f"without {HOLED_SHARE:.0%} of its points, and {HOLED_QUERIES} uniform "
-                  "queries over its box, all in one batch")
+                  f"queries over its box, all in one batch; for the smooth_batch jitter "
+                  f"entries, the {OVERFLOW_NODES}^3 S1 mesh (seed 0) at that jitter and "
+                  f"{OVERFLOW_QUERIES} gen_queries queries (seed 1) in one batch at that d")
         method = (f"{REPEATS} runs per side in fresh processes, sides alternating; in each, "
-                  f"every batch once untimed, then {WARM_ROUNDS} timed rounds of the three "
+                  f"every batch once untimed, then {WARM_ROUNDS} timed rounds of the "
                   "batches in turn, median microseconds per batch; medians and inclusive "
                   "quartiles over runs. y_hat is a digest of the estimates' bits and the "
                   "errors' rows, types and messages")
