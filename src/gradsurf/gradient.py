@@ -34,7 +34,6 @@ from .model import (
 from .neighbors import (
     CombinationPlan,
     Simplex,
-    _absent_point,
     _check_combination_count,
     _mesh_simplexes,
     _most_plans,
@@ -44,7 +43,7 @@ from .neighbors import (
 )
 from .solvers import solve_lanes, solve_linear_system
 
-LOCKSTEP_MIN_QUERIES = 8  # fewer scattered queries are planned faster one by one
+LOCKSTEP_MIN_QUERIES = 8  # fewer queries to plan, mesh or scattered, go faster one by one
 LOCKSTEP_MAX_QUERIES = 128  # per lockstep call, which holds two (Q, n, n) arrays at most
 
 
@@ -172,28 +171,34 @@ def _planned_lanes(training: TrainingSet, queries, mesh, combinations) -> tuple:
     """Each query's ``enumerate_combinations`` plan, shared by every layer,
     or the error that function raises for it.
 
-    Scattered queries are planned in lockstep (``_scattered_plans``), in
-    even parts of at most ``LOCKSTEP_MAX_QUERIES``; a query it hands back,
-    every query on a mesh, a batch of fewer than ``LOCKSTEP_MIN_QUERIES``
-    scattered queries (the lockstep costs less from 4 to 7 queries,
-    ``lockstep_crossover`` in ``BENCH_scatter-scale.json``), and a batch
-    asking for more plans than any query can have (``_most_plans``) go
-    through ``enumerate_combinations`` itself.  Returns the rows of the
-    queries with a plan, (P,), in order, their plans as (P, C) reference
-    and (P, C, n) auxiliary rows of ``training``, and the error of each
-    other query, by row; only plans found take room.
+    Queries are planned in lockstep (``_scattered_plans``, on a mesh from
+    each cell's simplex) in even parts of at most ``LOCKSTEP_MAX_QUERIES``.
+    A query it hands back, and all of a batch with fewer than
+    ``LOCKSTEP_MIN_QUERIES`` to plan (the lockstep costs less from 4 to 7
+    scattered queries, ``lockstep_crossover`` in ``BENCH_scatter-scale.json``,
+    and from 4 to 5 on a mesh at n=3, C=4) or asking for more plans than
+    any can have (``_most_plans``), go through ``enumerate_combinations``.
+    A mesh query whose simplex lacks a point gets ``_mesh_simplexes``'
+    error.  Returns the rows of the queries with a plan, (P,), in order,
+    their plans as (P, C) reference and (P, C, n) auxiliary rows of
+    ``training``, and the error of each other query, by row; only plans
+    found take room.
     """
     M, n = len(queries), training.n
     found = [(np.empty(0, dtype=int), np.empty((0, combinations), dtype=int),
               np.empty((0, combinations, n), dtype=int))]  # (rows, reference, aux)
+    base, errors = None, {}
+    if mesh is not None:
+        *base, errors = _mesh_simplexes(mesh, mesh.cells_of(queries))
     handed = np.ones(M, dtype=bool)
-    if (mesh is None and M >= LOCKSTEP_MIN_QUERIES
-            and combinations <= _most_plans(training.npoints, n)):
-        for part in np.array_split(np.arange(M), -(-M // LOCKSTEP_MAX_QUERIES)):
-            reference, aux, back = _scattered_plans(training, queries[part], combinations)
+    handed[list(errors)] = False
+    rows = handed.nonzero()[0]
+    if len(rows) >= LOCKSTEP_MIN_QUERIES and combinations <= _most_plans(training.npoints, n):
+        for part in np.array_split(rows, -(-len(rows) // LOCKSTEP_MAX_QUERIES)):
+            bases = None if base is None else (base[0][part], base[1][part])
+            reference, aux, back = _scattered_plans(training, queries[part], combinations, bases)
             handed[part] = back
             found.append((part[~back], reference[~back], aux[~back]))
-    errors = {}
     for i in np.flatnonzero(handed).tolist():
         try:
             plan = enumerate_combinations(training, queries[i], combinations, mesh).simplexes
@@ -263,20 +268,18 @@ def evaluate_gradient_batch(
 
     On a mesh with one combination, each query's simplex is gathered as
     ``select_simplex`` picks it (``_mesh_simplexes``).  Every other query
-    gets its ``enumerate_combinations`` plan, one for all layers
-    (``_planned_lanes``; scattered batches are planned in lockstep, finding
-    every query's nearest points at once, through the bucket grid
-    ``TrainingSet.buckets`` where it pays).  One ``solve_lanes`` call
-    solves every (query, combination) system with one right-hand side per
-    layer; on an unjittered mesh a lane may take the diagonal quotient
+    gets its ``enumerate_combinations`` plan, one for all layers, in
+    lockstep on a mesh and off it (``_planned_lanes``).  One ``solve_lanes``
+    call solves every (query, combination) system with one right-hand side
+    per layer; on an unjittered mesh a lane may take the diagonal quotient
     instead of the elimination (``solve_lanes``' conditions).  A singular
     system is skipped and the rest averaged as ``evaluate_gradient``
     averages them (``_averaged_lanes``), so every estimate equals that
-    function's bit for bit.  Each query is planned once and none is handed
-    to a single-query function: a query that fails gets, in ``errors``,
-    the error that ``evaluate_gradient`` raises on its first failing layer,
-    named where the batch meets it: the planner's, ``select_simplex``'s
-    for a mesh simplex with an absent point (``_absent_point``), or
+    function's bit for bit.  Each query is planned once at most and none is
+    handed to a single-query function: a query that fails gets, in
+    ``errors``, the error ``evaluate_gradient`` raises on its first failing
+    layer, named where the batch meets it: ``_mesh_simplexes``' for a mesh
+    simplex with an absent point (never planned), the planner's, or
     ``_lane_errors``'.  ``combinations_used`` counts each query's
     nonsingular systems.  A combination count that is not an integer >= 1
     raises ValidationError before any query is planned.
@@ -287,13 +290,10 @@ def evaluate_gradient_batch(
         mesh.check_fit(training)
     M, L = len(queries), training.layer_count
     if mesh is not None and combinations == 1:
-        cells = mesh.cells_of(queries)
-        reference, aux = _mesh_simplexes(mesh, cells)
+        reference, aux, absent = _mesh_simplexes(mesh, mesh.cells_of(queries))
         y_hat, singular = _lane_estimates(training.x, training.y, queries, reference, aux)
         used = (~singular).astype(int)
-        errors = _lane_errors(y_hat, used)
-        for i in ((reference < 0) | (aux < 0).any(axis=1)).nonzero()[0]:
-            errors[int(i)] = _absent_point(cells[i], reference[i], aux[i])
+        errors = _lane_errors(y_hat, used) | absent
     else:
         planned, plans, aux, errors = _planned_lanes(training, queries, mesh, combinations)
         y_hat, reference, used = np.full((M, L), np.nan), np.full(M, -1), np.zeros(M, dtype=int)

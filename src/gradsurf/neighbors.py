@@ -158,8 +158,8 @@ def _mesh_reference(cells: np.ndarray, reference: np.ndarray) -> int:
 
 
 def _absent_point(cell: np.ndarray, reference: int, aux=None) -> DegenerateNeighborhood:
-    """``select_simplex``'s error for a cell whose simplex lacks a point
-    (``_mesh_simplexes``' row -1): at the cell, else its first axis's."""
+    """The error for a cell whose simplex lacks a point (``_mesh_simplexes``'
+    row -1): at the cell, else its first axis's."""
     cell = tuple(cell.tolist())
     if reference < 0:
         return DegenerateNeighborhood(f"no training point at grid index {cell}")
@@ -421,18 +421,16 @@ def select_simplex(
 
     Mesh mode takes the lower corner of the query's cell and its
     edge-adjacent corners, one node up each axis (down at the top node),
-    as a one-row ``_mesh_simplexes``; scattered mode the nearest point and
-    then the next nearest ones, greedily skipping candidates that leave the
-    difference matrix rank-deficient.
+    as a one-row ``_mesh_simplexes`` (or raises its error); scattered mode
+    the nearest point and then the next nearest ones, greedily skipping
+    candidates that leave the difference matrix rank-deficient.
     """
     if mesh is not None:
         mesh.check_fit(training)
-        cells = mesh.cells_of(np.asarray(query).reshape(1, -1))
-        reference, aux = _mesh_simplexes(mesh, cells)
-        reference, aux = int(reference[0]), aux[0].tolist()
-        if reference < 0 or -1 in aux:
-            raise _absent_point(cells[0], reference, np.array(aux))
-        return Simplex(reference=reference, auxiliaries=tuple(aux))
+        reference, aux, absent = _mesh_simplexes(mesh, mesh.cells_of(np.reshape(query, (1, -1))))
+        if absent:
+            raise absent[0]
+        return Simplex(reference=int(reference[0]), auxiliaries=tuple(aux[0].tolist()))
     d2 = _normalised_d2(training, query)
     return _nearest_simplex(training, _nearest_prefix(d2, CANDIDATE_FACTOR * training.n + 1))
 
@@ -532,48 +530,50 @@ def _fill_from_subsets(training, plans, add, order: _DistanceOrder, c):
             add(simplex)
 
 
-def _scattered_plans(training: TrainingSet, queries: np.ndarray, c: int) -> tuple:
-    """Every scattered query's ``enumerate_combinations`` plan, built in lockstep.
+def _scattered_plans(training: TrainingSet, queries: np.ndarray, c: int, base=None) -> tuple:
+    """Every query's ``enumerate_combinations`` plan, built in lockstep.
 
     Each query takes the first P = max(3n + 1, 2(n + 1)C) points of its
     distance order, found for all queries at once (``_nearest_prefixes``:
     through the bucket grid where it pays, else from the distances to all
     N points).  The queries then build one simplex per step together
-    (``_first_independent``).  The base simplex takes the nearest point as
-    reference and the first independent of the next 3n, which it reads in
+    (``_first_independent``).  The base simplex is ``base``, (Q,) reference
+    and (Q, n) auxiliary rows (a mesh's, ``_mesh_simplexes``), else the
+    nearest point and the first independent of the next 3n, read in
     windows of n + 1, as most queries take those.  The disjoint blocks then
-    run over the rest of the prefix: at each step, every query still
-    building starts a block at the next point of its stream, the block's
-    reference, and reads the points after it in windows of 3n.  A query is
-    handed back, to go through ``enumerate_combinations`` itself, when its
-    base simplex fails or its blocks run past its prefix, where that
-    function would read further or fill from subsets.  Returns the (Q, C)
-    reference and (Q, C, n) auxiliary rows of ``training`` and the (Q,)
-    mask of the queries handed back, whose rows are meaningless.
+    run over the first P - n - 1 prefix points the base leaves: each step,
+    every query still building starts a block at the next of them, the
+    block's reference, and reads the points after it in windows of 3n.  A
+    query is handed back, to ``enumerate_combinations``, when its base
+    simplex fails or its blocks run past those points, where that function
+    would read further or fill from subsets.  Returns the (Q, C) reference
+    and (Q, C, n) auxiliary rows of ``training`` and the (Q,) mask of the
+    queries handed back, whose rows are meaningless.
     """
     n, npoints, Q = training.n, training.npoints, len(queries)
     budget = min(npoints - 1, CANDIDATE_FACTOR * n)
     width = min(npoints, max(CANDIDATE_FACTOR * n + 1, 2 * (n + 1) * c))
     order = _nearest_prefixes(training, queries, width)
-    reference = np.full((Q, c), -1)
-    aux = np.full((Q, c, n), -1)
-    every = np.arange(Q)[:, None]
-
-    # the base simplex: the nearest point and the first independent of the next 3n
-    reference[:, 0] = order[:, 0]
-    taken, handed = _first_independent(training, order[:, 0], order[:, 1 : budget + 1],
-                                       np.zeros(Q, dtype=int), RANK_RTOL, n + 1)
-    taken[handed] = np.arange(n)  # so a query whose base failed drops its first n + 1 points
-    aux[:, 0] = order[every, 1 + taken]
+    reference, aux = np.full((Q, c), -1), np.full((Q, c, n), -1)
+    if base is None:  # the nearest point and the first independent of the next 3n
+        reference[:, 0] = order[:, 0]
+        taken, handed = _first_independent(training, order[:, 0], order[:, 1 : budget + 1],
+                                           np.zeros(Q, dtype=int), RANK_RTOL, n + 1)
+        aux[:, 0] = order[np.arange(Q)[:, None], 1 + taken]
+    else:
+        (reference[:, 0], aux[:, 0]), handed = base, np.zeros(Q, dtype=bool)
     if c == 1:
         return reference, aux, handed
 
-    # disjoint blocks over the rest of the prefix, F = width - n - 1 points for each query
-    used = np.zeros((Q, width), dtype=bool)
-    used[:, 0] = True
-    used[every, 1 + taken] = True
-    free = order[~used].reshape(Q, width - n - 1)
-    F = free.shape[1]
+    F = width - n - 1  # points each query keeps, or more where a base point is past its prefix
+    h = width if base is not None else budget + 1  # the columns a base point can take
+    head = order[:, :h] != reference[:, :1]
+    for a in range(n):
+        head &= order[:, :h] != aux[:, 0, a, None]
+    left = np.concatenate([head, np.ones((Q, width - h), dtype=bool)], axis=1)
+    if np.count_nonzero(left) > Q * F:
+        left &= left.cumsum(axis=1) <= F
+    free = order[left].reshape(Q, F)
     plans = np.where(handed, c, 1)
     start = np.zeros(Q, dtype=int)  # each query's next block reference, in free
     while True:
@@ -757,15 +757,17 @@ def _stencil(axis: int, rows: list, x: list, y: list) -> Stencil1D:
 
 def _mesh_simplexes(mesh: MeshIndex, cells: np.ndarray):
     """``select_simplex``'s reference row, (M,), and auxiliary rows, (M, n),
-    for each row of an (M, n) array of cells on the grid; row -1 marks an
-    absent point.  A step never leaves the grid, so a complete grid needs
-    only its row-major strides."""
+    for each row of an (M, n) array of cells on the grid, and the error of
+    each row whose simplex lacks a point (row -1), by row.  A step never
+    leaves the grid, so a complete grid needs only its row-major strides."""
     up = cells + 1 < mesh._shape_array  # else the node below, at the top node
     if mesh.grid is None:
         reference = cells @ mesh._strides
-        return reference, reference[:, None] + np.where(up, mesh._strides, -mesh._strides)
+        return reference, reference[:, None] + np.where(up, mesh._strides, -mesh._strides), {}
     reference, aux = _grid_rows(mesh, cells, (2 * up - 1)[..., None])
-    return reference, aux[..., 0]
+    aux = aux[..., 0]
+    absent = ((reference < 0) | (aux < 0).any(axis=1)).nonzero()[0].tolist()
+    return reference, aux, {i: _absent_point(cells[i], reference[i], aux[i]) for i in absent}
 
 
 def _axis_stencils(training: TrainingSet, mesh: MeshIndex, cells: np.ndarray,

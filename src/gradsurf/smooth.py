@@ -94,8 +94,6 @@ def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
     """
     if exponent == 1.0:
         return base
-    if exponent == 0.0:  # multiplies as an array of ones does
-        return 1.0
     flat = base.ravel().tolist()
     try:
         each = np.fromiter(map(pow, flat, repeat(exponent)), dtype=float, count=len(flat))

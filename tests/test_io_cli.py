@@ -20,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from gradsurf import (
     DegenerateNeighborhood,
+    DimensionMismatch,
     GradsurfError,
     MeshIndex,
     ParseError,
@@ -297,6 +298,55 @@ class TestMalformedInput:
         if case.startswith("long"):
             assert f"{path.name}, line 3: field larger than field limit" in err
         assert not out.exists()
+
+
+class TestInputErrors:
+    """Each input error names its file and line or the mismatch, with its
+    type, and ``gradsurf impute`` exits with the validation code."""
+
+    def impute(self, files, capsys) -> str:
+        out = files["csv"].with_name("out.csv")
+        code = main(["impute", "--data", str(files["csv"]), "--queries",
+                     str(files["queries"]), "--output", str(out)])
+        assert code == EXIT_VALIDATION and not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["header", "empty", "sidecar"])
+    def test_dataset_errors(self, tmp_path, capsys, case):
+        files = s1_files(tmp_path)
+        path = files["csv"]
+        if case == "header":
+            path.write_text("x1,x3,y\n0.0,0.0,0.0\n")
+            files["sidecar"].unlink()
+            message = f"{path}, line 1: unexpected header ['x1', 'x3', 'y']"
+        elif case == "empty":
+            path.write_text("")
+            message = f"{path}, line 1: file is empty"
+        else:
+            path = files["sidecar"]
+            meta = json.loads(path.read_text())
+            meta["axes"] = meta["axes"][:2]
+            path.write_text(json.dumps(meta))
+            message = f"{path}: mesh has 2 axes but dataset has 3 predictors"
+        with pytest.raises(ParseError) as exc:
+            load_dataset(files["csv"])
+        assert str(exc.value) == message
+        assert self.impute(files, capsys) == f"error: {message}\n"
+
+    def test_queries_with_too_few_coordinates(self, tmp_path, capsys):
+        files = s1_files(tmp_path)
+        files["queries"].write_text("x1,x2\n2.5,3.1\n")
+        assert self.impute(files, capsys) == "error: queries have 2 coordinates, dataset has 3\n"
+
+    @pytest.mark.parametrize("y, layers, message", [
+        (np.zeros(4), 1, "predictor and outcome row counts differ"),
+        (np.zeros((5, 2)), 1, "expected 1 outcome layer(s), got 2"),
+    ])
+    def test_training_arrays_that_do_not_match(self, y, layers, message):
+        x = np.random.default_rng(0).uniform(0.0, 1.0, (5, 2))
+        with pytest.raises(DimensionMismatch) as exc:
+            validate_training_set((x, y), n=2, layer_count=layers)
+        assert str(exc.value) == message
 
 
 class TestDigitSeparators:
@@ -934,6 +984,23 @@ class TestReports:
         lines = path.read_text().splitlines()
         assert lines[0] == "log10_combinations,log10_avg_abs_err"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("table, size, error", [
+        ("T1", "points", "rel_err"),
+        ("T2", "points", "gradient_rel_err"),
+        ("T3", "queries", "gradient_rel_err"),
+        ("T4", "queries", "rel_err"),
+    ])
+    def test_plot_csv_of_a_table(self, tmp_path, table, size, error):
+        # each row's size and error under its table's keys, beside keys the
+        # plot must not read: the smooth method's error (T2, T3) and r1 (T4)
+        rows = [{size: v, error: e, "smooth_rel_err": 9.0, "r1": 9.0}
+                for v, e in ((8, 0.25), (1000, 0.0125), (27000, 1e-4))]
+        path = tmp_path / "plot.csv"
+        write_plot_csv(path, {"table": table, "rows": rows})
+        assert path.read_text().splitlines() == [
+            "log10_points,rel_err", "0.9030899869919435,0.25", "3.0,0.0125",
+            "4.431363764158987,0.0001"]
 
 
 class TestCli:

@@ -1,5 +1,5 @@
 import warnings
-from math import prod
+from math import ceil, prod
 from unittest import mock
 
 import numpy as np
@@ -19,6 +19,7 @@ from gradsurf import (
     evaluate_gradient,
     evaluate_smooth,
     gen_local_cell_dataset,
+    gen_mesh_dataset,
     locate_reference,
     select_simplex,
     validate_training_set,
@@ -36,6 +37,7 @@ from tests_oracles import (
     oracle_mesh_simplex,
     oracle_point_at,
     oracle_scattered_plan,
+    random_grid,
     verdict,
 )
 from tests_oracles import grid_queries as mesh_queries
@@ -578,6 +580,113 @@ class TestLockstepPlans:
         assert np.array_equal(got[2], want[2])
         assert np.array_equal(got[0][~want[2]], want[0][~want[2]])
         assert np.array_equal(got[1][~want[2]], want[1][~want[2]])
+
+
+def holed_mesh(nodes, jitter, share, seed):
+    """A jittered S1 mesh of ``nodes``^3 points without about ``share`` of them."""
+    full, mesh = gen_mesh_dataset(TEST_FUNCTIONS["S1"], nodes, x_jitter_fraction=jitter,
+                                  seed=seed)
+    kept = np.flatnonzero(np.random.default_rng(seed).random(full.npoints) >= share)
+    grid = np.stack(np.unravel_index(kept, mesh.shape), axis=1)
+    return (validate_training_set((full.x[kept], full.y[kept]), n=3),
+            MeshIndex(mesh.axes, jitter, grid=grid, rows=np.arange(len(kept))))
+
+
+class TestMeshLockstepPlans:
+    """A mesh batch is planned in lockstep too, from its cells' simplexes
+    (``_scattered_plans`` given ``_mesh_simplexes``' bases): each row gets
+    ``enumerate_combinations``' plan or error, and a row whose base lacks a
+    point gets its error without being planned."""
+
+    def check(self, ts, mesh, queries, c):
+        rows, reference, aux, errors = gradient._planned_lanes(ts, queries, mesh, c)
+        got = dict(zip(rows.tolist(), (_plan_rows(r, a) for r, a in zip(reference, aux))))
+        assert not set(got) & set(errors)
+        got.update((i, (type(e), str(e))) for i, e in errors.items())
+        assert sorted(got) == list(range(len(queries)))
+        for i, q in enumerate(queries):
+            want = verdict(enumerate_combinations, ts, q, c, mesh)
+            if not isinstance(want, tuple):
+                want = [(s.reference, s.auxiliaries) for s in want.simplexes]
+            assert got[i] == want
+
+    def test_mesh_batches_match_the_scalar_planner(self):
+        # a row the lockstep hands back is planned by the scalar planner
+        # itself, so the examples must also show rows the lockstep finished
+        finished = []  # per example, whether the lockstep finished a row
+
+        def lockstep(*args):
+            plans = neighbors._scattered_plans(*args)
+            finished[-1] |= not plans[2].all()
+            return plans
+
+        @given(seed=st.integers(0, 10_000), n=st.integers(1, 4), c=st.sampled_from([2, 3, 4, 16]),
+               kind=st.sampled_from(["complete", "jittered", "holed"]),
+               jitter=st.floats(0.0, 0.45), count=st.integers(8, 40), large=st.booleans())
+        @settings(max_examples=60, deadline=None)
+        def batch(seed, n, c, kind, jitter, count, large):
+            # a large grid has at least twice as many nodes as a query's
+            # prefix has points, a small one 2-6 nodes per axis, often fewer
+            # than the prefix.  Queries inside cells, on nodes, on the top
+            # node and outside the box, and one with a NaN coordinate, whose
+            # distance order is the row order, so its base lies outside its
+            # prefix on most meshes
+            prefix = max(3 * n + 1, 2 * (n + 1) * c)
+            fewest = ceil((2 * prefix) ** (1 / n)) if large else 2
+            x, y, mesh, rng = random_grid(seed, n, 0.0 if kind == "complete" else jitter,
+                                          kind == "holed", fewest)
+            assume(len(x) >= n + 1)
+            ts = validate_training_set((x, y), n=n)
+            queries = mesh_queries(mesh, rng, count)
+            queries[rng.integers(count), rng.integers(n)] = np.nan
+            finished.append(False)
+            with mock.patch.object(gradient, "_scattered_plans", lockstep):
+                self.check(ts, mesh, queries, c)
+
+        batch()
+        assert sum(finished) >= len(finished) / 4
+
+    def test_a_jittered_base_outside_its_prefix(self):
+        # n = 2 and C = 2 read a prefix of 12 points.  The query sits at the
+        # top corner of cell (2, 2), whose node jitter moved 0.45 cells
+        # away: 12 nodes lie nearer, so the base's reference lies outside
+        # the prefix and its two auxiliaries inside.  The blocks run over
+        # the first 9 of the 10 prefix points the base leaves
+        nodes = np.arange(6.0)
+        x = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+        x[2 * 6 + 2] -= 0.45
+        ts = validate_training_set((x, np.sin(x).sum(axis=1)), n=2)
+        mesh = MeshIndex(axes=(nodes, nodes), jitter_fraction=0.45)
+        queries = np.vstack([[2.99, 2.99], mesh_queries(mesh, np.random.default_rng(0), 7)])
+        prefix = neighbors._nearest_prefixes(ts, queries[:1], 12)[0].tolist()
+        assert 2 * 6 + 2 not in prefix and {2 * 6 + 3, 3 * 6 + 2} <= set(prefix)
+        with mock.patch.object(gradient, "enumerate_combinations",
+                               wraps=neighbors.enumerate_combinations) as scalar:
+            self.check(ts, mesh, queries, 2)
+        assert not any(np.array_equal(call.args[1], queries[0]) for call in scalar.call_args_list)
+
+    def test_only_the_rows_handed_back_are_planned_one_by_one(self):
+        # the scalar planner used to plan every row of a mesh batch at C > 1.
+        # A NaN row's distance order is the row order, whose first points
+        # lie near one face of the mesh: most such rows are handed back
+        ts, mesh = holed_mesh(8, 0.3, 0.3, 5)
+        queries = mesh_queries(mesh, np.random.default_rng(5), 60)
+        queries[::7, 0] = np.nan
+        reference, aux, absent = neighbors._mesh_simplexes(mesh, mesh.cells_of(queries))
+        based = np.ones(len(queries), dtype=bool)
+        based[list(absent)] = False
+        _, _, handed = neighbors._scattered_plans(ts, queries[based], 4,
+                                                  (reference[based], aux[based]))
+        assert absent and handed.any() and not handed.all()
+        with mock.patch.object(gradient, "enumerate_combinations",
+                               wraps=neighbors.enumerate_combinations) as scalar:
+            rows, _, _, errors = gradient._planned_lanes(ts, queries, mesh, 4)
+        called = np.array([call.args[1] for call in scalar.call_args_list])
+        assert np.array_equal(called, queries[based][handed], equal_nan=True)
+        for i, e in absent.items():
+            assert (type(errors[i]), str(errors[i])) == (type(e), str(e))
+            assert verdict(select_simplex, ts, queries[i], mesh) == (type(e), str(e))
+        assert not set(rows.tolist()) & set(absent)
 
 
 class TestScreenBound:

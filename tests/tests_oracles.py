@@ -520,11 +520,12 @@ def oracle_grid_rows(mesh, cells, steps):
 # -- random grids and queries for the mesh properties, and a call's outcome
 
 
-def random_grid(seed, n, jitter, sparse):
-    """A jittered grid of 2-6 nodes per axis; sparse grids drop about a quarter
-    of the nodes and file the rest in shuffled order through ``index_map``."""
+def random_grid(seed, n, jitter, sparse, fewest=2):
+    """A jittered grid of ``fewest`` to ``fewest`` + 4 nodes per axis; sparse
+    grids drop about a quarter of the nodes and file the rest in shuffled
+    order through ``index_map``."""
     rng = np.random.default_rng(seed)
-    shape = tuple(int(m) for m in rng.integers(2, 7, size=n))
+    shape = tuple(int(m) for m in rng.integers(fewest, fewest + 5, size=n))
     axes = tuple(np.cumsum(rng.uniform(0.5, 2.0, m)) for m in shape)
     grid = np.stack(np.unravel_index(np.arange(prod(shape)), shape), axis=1)
     x = np.empty(grid.shape)

@@ -44,7 +44,10 @@ replaces the ``layers_warm`` entry.
 ``--holed`` times whole batches where many queries fail.  On a mesh with
 holes, a jittered ``HOLED_NODES``^3 S1 mesh without ``HOLED_SHARE`` of its
 points (fixed seed) and ``HOLED_QUERIES`` uniform queries over its box,
-``evaluate_gradient_batch`` at C=1 and C=4 and ``evaluate_smooth_batch``.
+``evaluate_gradient_batch`` at each C in ``HOLED_COMBINATIONS`` and
+``evaluate_smooth_batch``.  On mesh-s1-20's mesh, the ``OVERFLOW_NODES``^3
+S1 mesh with ``OVERFLOW_QUERIES`` of ``gen_queries``' queries,
+``evaluate_gradient_batch`` at each C in ``MESH_COMBINATIONS``.
 Where a shape exponent takes arcs past the float range,
 ``evaluate_smooth_batch`` on ``OVERFLOW_NODES``^3 S1 meshes with
 ``OVERFLOW_QUERIES`` of ``gen_queries``' queries: the plain mesh at d=400,
@@ -95,6 +98,8 @@ HOLED_NODES = 12
 HOLED_JITTER = 0.2
 HOLED_SHARE = 0.3  # of the mesh's points removed
 HOLED_QUERIES = 2000
+HOLED_COMBINATIONS = (1, 4, 16)
+MESH_COMBINATIONS = (4, 16)  # on mesh-s1-20's mesh
 OVERFLOW_NODES = 20
 OVERFLOW_CASES = ((0.0, 400.0), (0.3, 300.0))  # (jitter, d)
 OVERFLOW_QUERIES = 2000
@@ -266,13 +271,15 @@ def measure_holed() -> dict:
                           gen_mesh_dataset, gen_queries)
 
     training, mesh, queries = holed_inputs()
-    calls = {
-        "gradient_batch C=1": lambda: evaluate_gradient_batch(training, queries, mesh),
-        "gradient_batch C=4": lambda: evaluate_gradient_batch(training, queries, mesh,
-                                                              combinations=4),
-        "smooth_batch": lambda: evaluate_smooth_batch(training, queries, mesh),
-    }
+    calls = {f"gradient_batch C={c}": partial(evaluate_gradient_batch, training, queries, mesh,
+                                               combinations=c) for c in HOLED_COMBINATIONS}
+    calls["smooth_batch"] = partial(evaluate_smooth_batch, training, queries, mesh)
     f = TEST_FUNCTIONS["S1"]
+    ts, grid = gen_mesh_dataset(f, OVERFLOW_NODES, seed=0)
+    found, _, _ = gen_queries(grid, f, ts, seed=1, budget=OVERFLOW_QUERIES)
+    for c in MESH_COMBINATIONS:
+        calls[f"gradient_batch mesh-s1-20 C={c}"] = partial(evaluate_gradient_batch, ts, found,
+                                                            grid, combinations=c)
     for jitter, d in OVERFLOW_CASES:
         ts, grid = gen_mesh_dataset(f, OVERFLOW_NODES, x_jitter_fraction=jitter, seed=0)
         found, _, _ = gen_queries(grid, f, ts, seed=1, budget=OVERFLOW_QUERIES)
@@ -360,9 +367,11 @@ def main(argv=None) -> int:
     if args.holed:
         inputs = (f"a jittered {HOLED_NODES}^3 S1 mesh (jitter {HOLED_JITTER}, seed {SEED}) "
                   f"without {HOLED_SHARE:.0%} of its points, and {HOLED_QUERIES} uniform "
-                  f"queries over its box, all in one batch; for the smooth_batch jitter "
-                  f"entries, the {OVERFLOW_NODES}^3 S1 mesh (seed 0) at that jitter and "
-                  f"{OVERFLOW_QUERIES} gen_queries queries (seed 1) in one batch at that d")
+                  f"queries over its box, all in one batch; for the mesh-s1-20 entries, "
+                  f"mesh-s1-20's {OVERFLOW_NODES}^3 S1 mesh (seed 0) and its "
+                  f"{OVERFLOW_QUERIES} gen_queries queries (seed 1) in one batch; for the "
+                  f"smooth_batch jitter entries, that mesh at that jitter and its "
+                  f"{OVERFLOW_QUERIES} gen_queries queries in one batch at that d")
         method = (f"{REPEATS} runs per side in fresh processes, sides alternating; in each, "
                   f"every batch once untimed, then {WARM_ROUNDS} timed rounds of the "
                   "batches in turn, median microseconds per batch; medians and inclusive "
